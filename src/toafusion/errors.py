@@ -84,3 +84,7 @@ class NonFiniteCost(NumericalError):
 
 class SingularNormalEquations(NumericalError):
     """Normal equations stayed singular after damping escalation."""
+
+
+class IndefiniteCovariance(NumericalError):
+    """A covariance matrix is not positive definite."""

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import geometry as geo
 from .dataset import ImuSample, ToaMeasurement, Trajectory
-from .errors import DegenerateGeometry, InvalidDt, SingularInnovation
+from .errors import (DegenerateGeometry, InvalidDt, SingularInnovation,
+                     UnknownBsId)
 from .toa_sim import BaseStation
 
 # Error-state slices.
@@ -275,6 +276,9 @@ def run_filter(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     q_imu = config.noise.q_matrix()
     std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
     sigma_by_id = {bs.id: std[k] for k, bs in enumerate(config.stations)}
+    unknown = {m.bs_id for m in toa}.difference(sigma_by_id)
+    if unknown:
+        raise UnknownBsId(f"bs_id {min(unknown)} has no configured station")
 
     groups = _group_by_time(toa)
     next_group = 0

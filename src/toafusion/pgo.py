@@ -9,8 +9,18 @@ held by tight priors. The resulting nonlinear least-squares problem
 
 is minimized with Levenberg-Marquardt. Rotations are updated through the
 exponential retraction ``R <- R @ exp_so3(dtheta)``; every other block is
-Euclidean. The incremental mode re-optimizes a sliding window after each
-new keyframe, summarizing everything older than the window by a Gaussian
+Euclidean.
+
+IMU factors only link consecutive keyframes, so with keyframes ordered
+first and stations last the normal equations have arrow form: a
+block-tridiagonal keyframe block of half-bandwidth 2 * KF_DIM - 1, a dense
+keyframe-station coupling and a small dense station block. Each damped
+step factors the keyframe block with a banded Cholesky and solves for the
+stations through their Schur complement; no dense matrix over all
+variables is ever formed.
+
+The incremental mode re-optimizes a sliding window after each new
+keyframe, summarizing everything older than the window by a Gaussian
 prior on the oldest in-window keyframe.
 """
 
@@ -22,14 +32,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-from scipy.sparse.linalg import splu
 
 from . import geometry as geo
 from . import preintegration as pre_mod
 from .dataset import ImuSample, ToaMeasurement, Trajectory, associate_nearest
-from .errors import (DegenerateGeometry, EmptyInput, NonFiniteCost,
-                     SingularNormalEquations, UnknownBsId)
+from .errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
+                     NonFiniteCost, SingularNormalEquations, UnknownBsId)
 from .eskf import GRAVITY, ImuNoiseParams, NavState
 from .preintegration import PreintegratedImu
 from .toa_sim import BaseStation
@@ -61,7 +69,10 @@ def _sqrt_info(cov: np.ndarray) -> np.ndarray:
     """S with S^T S = cov^-1, via the Cholesky factor of cov."""
     cov = 0.5 * (cov + cov.T)
     jitter = 1e-14 * max(float(np.trace(cov)) / cov.shape[0], 1e-12)
-    lower = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+    try:
+        lower = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteCovariance(f"covariance not positive definite: {exc}") from exc
     return scipy.linalg.solve_triangular(lower, np.eye(cov.shape[0]), lower=True)
 
 
@@ -84,6 +95,11 @@ class GraphValues:
     def copy(self) -> "GraphValues":
         return GraphValues(self.rot.copy(), self.pos.copy(), self.vel.copy(),
                            self.bias.copy(), self.stations.copy())
+
+    def head(self, n: int) -> "GraphValues":
+        """Keyframes [0, n) and every station, as views into this object."""
+        return GraphValues(self.rot[:n], self.pos[:n], self.vel[:n],
+                           self.bias[:n], self.stations)
 
     @property
     def n_keyframes(self) -> int:
@@ -377,7 +393,7 @@ class OptimizeReport:
 
 def total_cost(graph: FactorGraph, values: GraphValues) -> float:
     """Sum of squared Mahalanobis residuals over every factor."""
-    return _window_cost(graph.factors, values)
+    return _window_cost(_Window(graph.factors), values)
 
 
 def _column_map(first_kf: int, n_kf: int):
@@ -406,65 +422,81 @@ def _active_factors(graph: FactorGraph, first_kf: int) -> list:
     return out
 
 
-def _split_factors(factors: list) -> tuple[list, list, list]:
-    ranges = [f for f in factors if f.kind == "Range"]
-    imus = [f for f in factors if f.kind == "Imu"]
-    others = [f for f in factors if f.kind not in ("Range", "Imu")]
-    return ranges, imus, others
+class _ImuTable:
+    """IMU factors stacked into arrays, once per solve."""
+
+    def __init__(self, imu_fs: list):
+        pres = [f.pre for f in imu_fs]
+        self.i = np.array([f.i for f in imu_fs])
+        self.j = np.array([f.j for f in imu_fs])
+        self.d_rot = np.stack([p.d_rot for p in pres])
+        self.d_pos = np.stack([p.d_pos for p in pres])
+        self.d_vel = np.stack([p.d_vel for p in pres])
+        self.dt = np.array([p.dt_total for p in pres])
+        self.sqrt_info = np.stack([f.sqrt_info for f in imu_fs])
+        self.bias_lin = np.stack([np.concatenate([p.bias_gyro, p.bias_accel])
+                                  for p in pres])
+        self.j_rot_bg = np.stack([p.j_rot_bg for p in pres])
+        self.j_pos_bg = np.stack([p.j_pos_bg for p in pres])
+        self.j_pos_ba = np.stack([p.j_pos_ba for p in pres])
+        self.j_vel_bg = np.stack([p.j_vel_bg for p in pres])
+        self.j_vel_ba = np.stack([p.j_vel_ba for p in pres])
+        self.gravity = imu_fs[0].gravity
 
 
-def _range_terms(range_fs: list, values: GraphValues):
-    """Vectorized whitened residuals and unit directions for range factors."""
-    kf_idx = np.array([f.kf for f in range_fs])
-    st_idx = np.array([f.station for f in range_fs])
-    d_meas = np.array([f.distance for f in range_fs])
-    sig = np.array([f.sigma for f in range_fs])
-    diff = values.pos[kf_idx] - values.stations[st_idx]
+class _RangeTable:
+    """Range factors stacked into arrays, once per solve."""
+
+    def __init__(self, range_fs: list):
+        self.kf = np.array([f.kf for f in range_fs])
+        self.station = np.array([f.station for f in range_fs])
+        self.distance = np.array([f.distance for f in range_fs])
+        self.sigma = np.array([f.sigma for f in range_fs])
+
+
+class _Window:
+    """The factors of one solve: IMU and range factors as tables, the
+    priors as objects."""
+
+    def __init__(self, factors: list):
+        imu_fs = [f for f in factors if f.kind == "Imu"]
+        range_fs = [f for f in factors if f.kind == "Range"]
+        self.imu = _ImuTable(imu_fs) if imu_fs else None
+        self.ranges = _RangeTable(range_fs) if range_fs else None
+        self.others = [f for f in factors if f.kind not in ("Range", "Imu")]
+
+
+def _range_terms(tab: _RangeTable, values: GraphValues):
+    """Unit directions keyframe - station and whitened residuals."""
+    diff = values.pos[tab.kf] - values.stations[tab.station]
     dist = np.linalg.norm(diff, axis=1)
     if np.any(dist < MIN_RANGE_M):
         raise DegenerateGeometry("keyframe coincides with a station")
-    u = diff / dist[:, None]
-    r_w = (d_meas - dist) / sig
-    return kf_idx, st_idx, sig, u, r_w
+    return diff / dist[:, None], (tab.distance - dist) / tab.sigma
 
 
-def _imu_terms(imu_fs: list, values: GraphValues, with_jacobians: bool):
+def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
     """Vectorized whitened residuals (and Jacobians) for IMU factors.
 
-    Returns (idx_i, idx_j, r_w) plus, when requested, the whitened (m,15,30)
-    Jacobian over the stacked [keyframe i, keyframe j] blocks.
+    Returns r_w plus, when requested, the whitened (m,15,30) Jacobian over
+    the stacked [keyframe i, keyframe j] blocks.
     """
-    m = len(imu_fs)
-    idx_i = np.array([f.i for f in imu_fs])
-    idx_j = np.array([f.j for f in imu_fs])
-    d_rot = np.stack([f.pre.d_rot for f in imu_fs])
-    d_pos = np.stack([f.pre.d_pos for f in imu_fs])
-    d_vel = np.stack([f.pre.d_vel for f in imu_fs])
-    dt = np.array([f.pre.dt_total for f in imu_fs])
-    sqrt = np.stack([f.sqrt_info for f in imu_fs])
-    bias_lin = np.stack([np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
-                         for f in imu_fs])
-    j_rot_bg = np.stack([f.pre.j_rot_bg for f in imu_fs])
-    j_pos_bg = np.stack([f.pre.j_pos_bg for f in imu_fs])
-    j_pos_ba = np.stack([f.pre.j_pos_ba for f in imu_fs])
-    j_vel_bg = np.stack([f.pre.j_vel_bg for f in imu_fs])
-    j_vel_ba = np.stack([f.pre.j_vel_ba for f in imu_fs])
-    gravity = imu_fs[0].gravity
-
+    m = len(tab.i)
+    idx_i, idx_j, dt, gravity = tab.i, tab.j, tab.dt, tab.gravity
     rot_i = values.rot[idx_i]
     rot_j = values.rot[idx_j]
     rot_it = rot_i.transpose(0, 2, 1)
     dtc = dt[:, None]
 
     # First-order bias correction of the increments.
-    dbg = values.bias[idx_i][:, 0:3] - bias_lin[:, 0:3]
-    dba = values.bias[idx_i][:, 3:6] - bias_lin[:, 3:6]
-    corr = np.einsum("mij,mj->mi", j_rot_bg, dbg)
-    d_rot_c = d_rot @ geo.exp_so3_batch(corr)
-    d_pos_c = d_pos + np.einsum("mij,mj->mi", j_pos_bg, dbg) \
-        + np.einsum("mij,mj->mi", j_pos_ba, dba)
-    d_vel_c = d_vel + np.einsum("mij,mj->mi", j_vel_bg, dbg) \
-        + np.einsum("mij,mj->mi", j_vel_ba, dba)
+    dbg = values.bias[idx_i][:, 0:3] - tab.bias_lin[:, 0:3]
+    dba = values.bias[idx_i][:, 3:6] - tab.bias_lin[:, 3:6]
+    corr = np.einsum("mij,mj->mi", tab.j_rot_bg, dbg)
+    d_rot_c = tab.d_rot @ geo.exp_so3_batch(corr)
+    d_pos_c = tab.d_pos + np.einsum("mij,mj->mi", tab.j_pos_bg, dbg) \
+        + np.einsum("mij,mj->mi", tab.j_pos_ba, dba)
+    d_vel_c = tab.d_vel + np.einsum("mij,mj->mi", tab.j_vel_bg, dbg) \
+        + np.einsum("mij,mj->mi", tab.j_vel_ba, dba)
 
     err_rot = d_rot_c.transpose(0, 2, 1) @ rot_it @ rot_j
     r_rot = geo.log_so3_batch(err_rot)
@@ -477,9 +509,9 @@ def _imu_terms(imu_fs: list, values: GraphValues, with_jacobians: bool):
         values.vel[idx_j] - values.vel[idx_i] - gravity[None] * dtc)
     raw = np.concatenate([r_rot, pos_arg - d_pos_c, vel_arg - d_vel_c,
                           values.bias[idx_j] - values.bias[idx_i]], axis=1)
-    r_w = np.einsum("mij,mj->mi", sqrt, raw)
+    r_w = np.einsum("mij,mj->mi", tab.sqrt_info, raw)
     if not with_jacobians:
-        return idx_i, idx_j, r_w, None
+        return r_w, None
 
     jr_inv = geo.right_jacobian_inv_batch(r_rot)
     eye6 = np.eye(6)[None]
@@ -492,82 +524,174 @@ def _imu_terms(imu_fs: list, values: GraphValues, with_jacobians: bool):
     ji[:, 6:9, 6:9] = -rot_it
     ji[:, 9:15, 9:15] = -eye6
     ji[:, 0:3, 9:12] = -(jr_inv @ geo.exp_so3_batch(r_rot).transpose(0, 2, 1)
-                         @ geo.right_jacobian_batch(corr) @ j_rot_bg)
-    ji[:, 3:6, 9:12] += -j_pos_bg
-    ji[:, 3:6, 12:15] += -j_pos_ba
-    ji[:, 6:9, 9:12] += -j_vel_bg
-    ji[:, 6:9, 12:15] += -j_vel_ba
+                         @ geo.right_jacobian_batch(corr) @ tab.j_rot_bg)
+    ji[:, 3:6, 9:12] += -tab.j_pos_bg
+    ji[:, 3:6, 12:15] += -tab.j_pos_ba
+    ji[:, 6:9, 9:12] += -tab.j_vel_bg
+    ji[:, 6:9, 12:15] += -tab.j_vel_ba
     jj = np.zeros((m, 15, KF_DIM))
     jj[:, 0:3, 0:3] = jr_inv
     jj[:, 3:6, 3:6] = rot_it
     jj[:, 6:9, 6:9] = rot_it
     jj[:, 9:15, 9:15] = eye6
-    jac = sqrt @ np.concatenate([ji, jj], axis=2)     # (m, 15, 30)
-    return idx_i, idx_j, r_w, jac
+    jac = tab.sqrt_info @ np.concatenate([ji, jj], axis=2)     # (m, 15, 30)
+    return r_w, jac
 
 
-def _build_normal_equations(factors: list, values: GraphValues, first_kf: int,
-                            n_kf: int, n_st: int):
-    """Assemble H = J^T W J and g = J^T W r from whitened factor blocks."""
-    n = KF_DIM * n_kf + 3 * n_st
-    col_of = _column_map(first_kf, n_kf)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    grad = np.zeros(n)
+# Upper half-bandwidth of the keyframe block of H: an IMU factor couples
+# every coordinate of keyframe k with every coordinate of keyframe k + 1.
+BAND_U = 2 * KF_DIM - 1
+
+# Upper triangles of the Gramians an IMU factor (keyframes i, i + 1) and a
+# range factor (one keyframe position) add to the keyframe block.
+_TRI_IMU = np.triu_indices(2 * KF_DIM)
+_TRI_POS = np.triu_indices(3)
+
+
+@dataclass
+class NormalEquations:
+    """H = J^T J, g = J^T r and the cost of one solve, in arrow form.
+
+    Keyframe coordinates come first, station coordinates last. The
+    block-tridiagonal keyframe block of H is kept in LAPACK upper band
+    storage, band[BAND_U + a - b, b] = H[a, b] for b - BAND_U <= a <= b;
+    the keyframe-station coupling and the station block are dense.
+    """
+
+    band: np.ndarray        # (BAND_U + 1, 15 n_kf)
+    coupling: np.ndarray    # (15 n_kf, 3 n_st)
+    stations: np.ndarray    # (3 n_st, 3 n_st)
+    grad: np.ndarray        # (15 n_kf + 3 n_st,)
+    cost: float
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate([self.band[-1], np.diag(self.stations)])
+
+
+class _Scatter:
+    """Flat (position, value) pairs of a dense array, summed at the end."""
+
+    def __init__(self, *shape: int):
+        self.shape = shape
+        self.pos: list[np.ndarray] = []
+        self.val: list[np.ndarray] = []
+
+    def add(self, pos: np.ndarray, val: np.ndarray) -> None:
+        self.pos.append(np.ravel(pos))
+        self.val.append(np.ravel(val))
+
+    def total(self) -> np.ndarray:
+        size = int(np.prod(self.shape))
+        if not self.pos:
+            return np.zeros(self.shape)
+        return np.bincount(np.concatenate(self.pos), np.concatenate(self.val),
+                           size).reshape(self.shape)
+
+
+def _build_normal_equations(window: _Window, values: GraphValues,
+                            first_kf: int, n_kf: int,
+                            n_st: int) -> NormalEquations:
+    """Assemble H and g from whitened factor blocks straight into arrow form.
+
+    Every block of H lands at its flat position in the band, the coupling
+    or the station block; repeated positions are summed. Raises ValueError
+    for a factor linking keyframes that are not consecutive, which would
+    fall outside the band.
+    """
+    nk, ns = KF_DIM * n_kf, 3 * n_st
+    band = _Scatter(BAND_U + 1, nk)       # H[r, c] at (BAND_U + r - c) * nk + c
+    coupling = _Scatter(nk, ns)           # H[r, nk + c] at r * ns + c
+    st_block = _Scatter(ns, ns)           # H[nk + r, nk + c] at r * ns + c
+    grad = _Scatter(nk + ns)
     cost = 0.0
+    col_of = _column_map(first_kf, n_kf)
 
-    range_fs, imu_fs, other_fs = _split_factors(factors)
-
-    for f in other_fs:
-        r_w, blocks = f.linearize(values)
+    for f in window.others:
+        r_w, fblocks = f.linearize(values)
         cost += float(r_w @ r_w)
-        idx = np.concatenate([np.arange(col_of(key), col_of(key) + b.shape[1])
-                              for key, b in blocks])
-        jac = np.hstack([b for _, b in blocks])
-        h_blk = jac.T @ jac
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(h_blk.ravel())
-        np.add.at(grad, idx, jac.T @ r_w)
+        for key_a, jac_a in fblocks:
+            rows = col_of(key_a) + np.arange(jac_a.shape[1])
+            grad.add(rows, jac_a.T @ r_w)
+            for key_b, jac_b in fblocks:
+                r = rows[:, None]
+                c = col_of(key_b) + np.arange(jac_b.shape[1])[None, :]
+                h = jac_a.T @ jac_b
+                if key_a[0] == "kf" and key_b[0] == "kf":
+                    if np.any(c - r > BAND_U):
+                        raise ValueError(f"factor links keyframes {key_a[1]} "
+                                         f"and {key_b[1]}, outside the band")
+                    upper = r <= c
+                    band.add(((BAND_U + r - c) * nk + c)[upper], h[upper])
+                elif key_a[0] == "kf":
+                    coupling.add(r * ns + c - nk, h)
+                elif key_b[0] == "st":
+                    st_block.add((r - nk) * ns + c - nk, h)
 
-    if imu_fs:
-        idx_i, idx_j, r_w, jac = _imu_terms(imu_fs, values, with_jacobians=True)
+    if window.imu is not None:
+        imu = window.imu
+        bad = np.flatnonzero(imu.j != imu.i + 1)
+        if len(bad):
+            raise ValueError(
+                f"IMU factor links keyframes {imu.i[bad[0]]} and "
+                f"{imu.j[bad[0]]}; the banded solver needs j = i + 1")
+        r_w, jac = _imu_terms(imu, values, with_jacobians=True)
         cost += float(np.sum(r_w * r_w))
         h_blk = jac.transpose(0, 2, 1) @ jac                    # (m,30,30)
-        g_blk = np.einsum("mri,mr->mi", jac, r_w)               # (m,30)
-        cols_ij = np.concatenate(
-            [KF_DIM * (idx_i - first_kf)[:, None] + np.arange(KF_DIM),
-             KF_DIM * (idx_j - first_kf)[:, None] + np.arange(KF_DIM)], axis=1)
-        rows.append(np.repeat(cols_ij, 30, axis=1).ravel())
-        cols.append(np.tile(cols_ij, 30).ravel())
-        vals.append(h_blk.ravel())
-        np.add.at(grad, cols_ij.ravel(), g_blk.ravel())
+        a, b = _TRI_IMU
+        c = KF_DIM * (imu.i - first_kf)[:, None] + b
+        band.add((BAND_U + a - b) * nk + c, h_blk[:, a, b])
+        grad.add(KF_DIM * (imu.i - first_kf)[:, None] + np.arange(2 * KF_DIM),
+                 np.einsum("mri,mr->mi", jac, r_w))
 
-    if range_fs:
-        kf_idx, st_idx, sig, u, r_w = _range_terms(range_fs, values)
+    if window.ranges is not None:
+        rt = window.ranges
+        u, r_w = _range_terms(rt, values)
         cost += float(r_w @ r_w)
         # Whitened jacobian rows: -u/sig on the keyframe position block,
         # +u/sig on the station block.
-        jp = -u / sig[:, None]
-        uu = np.einsum("mi,mj->mij", jp, jp)          # (m,3,3) weighted outer
-        p_cols = (KF_DIM * (kf_idx - first_kf) + _OFF_P)[:, None] + np.arange(3)
-        s_cols = (KF_DIM * n_kf + 3 * st_idx)[:, None] + np.arange(3)
-        for a_cols, b_cols, sign in ((p_cols, p_cols, 1.0), (p_cols, s_cols, -1.0),
-                                     (s_cols, p_cols, -1.0), (s_cols, s_cols, 1.0)):
-            rows.append(np.repeat(a_cols, 3, axis=1).ravel())
-            cols.append(np.tile(b_cols, 3).ravel())
-            vals.append(sign * uu.ravel())
+        jp = -u / rt.sigma[:, None]
+        uu = jp[:, :, None] * jp[:, None, :]                    # (m,3,3)
+        p_rows = (KF_DIM * (rt.kf - first_kf) + _OFF_P)[:, None] + np.arange(3)
+        s_rows = (3 * rt.station)[:, None] + np.arange(3)
+        a, b = _TRI_POS
+        band.add((BAND_U + a - b) * nk + p_rows[:, b], uu[:, a, b])
+        coupling.add(p_rows[:, :, None] * ns + s_rows[:, None, :], -uu)
+        st_block.add(s_rows[:, :, None] * ns + s_rows[:, None, :], uu)
         gp = jp * r_w[:, None]
-        np.add.at(grad, p_cols.ravel(), gp.ravel())
-        np.add.at(grad, s_cols.ravel(), -gp.ravel())
+        grad.add(p_rows, gp)
+        grad.add(nk + s_rows, -gp)
 
-    h_mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsc()
     if not np.isfinite(cost):
         raise NonFiniteCost(f"cost evaluated to {cost}")
-    return h_mat, grad, cost
+    return NormalEquations(band.total(), coupling.total(), st_block.total(),
+                           grad.total(), cost)
+
+
+def _solve_damped(neq: NormalEquations, damping: np.ndarray) -> np.ndarray:
+    """Solve (H + diag(damping)) delta = -g.
+
+    With A the damped keyframe band, B the coupling and C the damped
+    station block: banded Cholesky of A, then Cholesky of the Schur
+    complement S = C - B^T A^-1 B. Raises LinAlgError when A or S is not
+    positive definite.
+    """
+    nk = neq.band.shape[1]
+    band = neq.band.copy()
+    band[-1] += damping[:nk]
+    factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
+                                          check_finite=False)
+    sol = scipy.linalg.cho_solve_banded(
+        (factor, False), np.column_stack([-neq.grad[:nk], neq.coupling]),
+        overwrite_b=True, check_finite=False)
+    x, a_inv_b = sol[:, 0], sol[:, 1:]
+    if not neq.coupling.shape[1]:
+        return x
+    schur = neq.stations - neq.coupling.T @ a_inv_b
+    schur[np.diag_indices_from(schur)] += damping[nk:]
+    y = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(schur, check_finite=False),
+        -neq.grad[nk:] - neq.coupling.T @ x, check_finite=False)
+    return np.concatenate([x - a_inv_b @ y, y])
 
 
 def _retract(values: GraphValues, delta: np.ndarray, first_kf: int,
@@ -583,20 +707,19 @@ def _retract(values: GraphValues, delta: np.ndarray, first_kf: int,
     return out
 
 
-def _window_cost(factors: list, values: GraphValues) -> float:
-    range_fs, imu_fs, other_fs = _split_factors(factors)
+def _window_cost(window: _Window, values: GraphValues) -> float:
     cost = 0.0
-    for f in other_fs:
+    for f in window.others:
         if hasattr(f, "sqrt_info"):
             r = f.sqrt_info @ f.residual(values)
         else:
             r = f.residual(values) / f.sigma
         cost += float(r @ r)
-    if imu_fs:
-        _, _, r_w, _ = _imu_terms(imu_fs, values, with_jacobians=False)
+    if window.imu is not None:
+        r_w, _ = _imu_terms(window.imu, values, with_jacobians=False)
         cost += float(np.sum(r_w * r_w))
-    if range_fs:
-        _, _, _, _, r_w = _range_terms(range_fs, values)
+    if window.ranges is not None:
+        _, r_w = _range_terms(window.ranges, values)
         cost += float(r_w @ r_w)
     if not np.isfinite(cost):
         raise NonFiniteCost(f"cost evaluated to {cost}")
@@ -614,10 +737,10 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
     opts = options or OptimizeOptions()
     n_kf = initial_values.n_keyframes - first_kf
     n_st = initial_values.stations.shape[0]
-    factors = _active_factors(graph, first_kf)
+    window = _Window(_active_factors(graph, first_kf))
 
     values = initial_values.copy()
-    cost = _window_cost(factors, values)
+    cost = _window_cost(window, values)
     initial_cost = cost
     lam = opts.damping_init
     cost_log: list[tuple[int, float, float]] = []
@@ -627,17 +750,14 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
 
     for it in range(1, opts.max_iters + 1):
         iterations = it
-        h_mat, gvec, _ = _build_normal_equations(factors, values, first_kf,
-                                                 n_kf, n_st)
-        damp = np.maximum(h_mat.diagonal(), 1e-8)
+        neq = _build_normal_equations(window, values, first_kf, n_kf, n_st)
+        damp = np.maximum(neq.diagonal(), 1e-8)
         accepted = False
         solver_failed = True
         for _ in range(16):
-            h_damped = h_mat + scipy.sparse.diags(lam * damp)
             try:
-                lu = splu(h_damped)
-                delta = lu.solve(-gvec)
-            except RuntimeError:
+                delta = _solve_damped(neq, lam * damp)
+            except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             if not np.all(np.isfinite(delta)):
@@ -645,7 +765,7 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
                 continue
             solver_failed = False
             candidate = _retract(values, delta, first_kf, n_kf)
-            new_cost = _window_cost(factors, candidate)
+            new_cost = _window_cost(window, candidate)
             if new_cost <= cost:
                 values = candidate
                 decrease = cost - new_cost
@@ -965,7 +1085,13 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
 
         win_graph = FactorGraph(keyframes[:j + 1], window_factors,
                                 [bs.id for bs in config.stations])
-        values, _ = optimize(win_graph, values, stream_opts, first_kf=first_kf)
+        # Solve over keyframes [first_kf, j] only: later keyframes carry no
+        # factors yet and keep their values.
+        solved, _ = optimize(win_graph, values.head(j + 1), stream_opts,
+                             first_kf=first_kf)
+        values.rot[:j + 1], values.pos[:j + 1] = solved.rot, solved.pos
+        values.vel[:j + 1], values.bias[:j + 1] = solved.vel, solved.bias
+        values.stations = solved.stations
         for f in imu_factors:
             if f.i >= first_kf and f.bias_drift(values) > config.bias_drift_threshold:
                 f.reintegrate(values.bias[f.i])

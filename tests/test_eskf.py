@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from toafusion import eskf
 from toafusion import geometry as geo
 from toafusion.dataset import ImuSample, ToaMeasurement
-from toafusion.errors import DegenerateGeometry, InvalidDt
+from toafusion.errors import DegenerateGeometry, InvalidDt, UnknownBsId
 from toafusion.eskf import (GRAVITY, FilterConfig, ImuNoiseParams, NavState,
                             SL_BA, SL_BG, SL_P, SL_TH, SL_V)
 from toafusion.toa_sim import BaseStation, default_stations
@@ -367,3 +367,9 @@ class TestRunFilter:
         run = eskf.run_filter(imu, toa, self.make_config())
         final = run.estimates[-1].state
         np.testing.assert_allclose(final.p, np.zeros(3), atol=1e-6)
+
+    def test_unknown_bs_id_is_a_data_error(self):
+        imu, toa = self.make_inputs()
+        toa.append(ToaMeasurement(toa[-1].t + int(2e8), 99, 5.0))
+        with pytest.raises(UnknownBsId, match="bs_id 99"):
+            eskf.run_filter(imu, toa, self.make_config())

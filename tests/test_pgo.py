@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
 from toafusion import toa_sim
 from toafusion.dataset import ImuSample, ToaMeasurement, groundtruth_to_trajectory
-from toafusion.errors import DegenerateGeometry, EmptyInput
+from toafusion.errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
+                              NumericalError, SingularNormalEquations)
 from toafusion.eskf import GRAVITY, ImuNoiseParams, NavState
 from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  generate_synthetic_trajectory,
@@ -345,3 +347,160 @@ class TestSlidingWindow:
         run = pgo.run_sliding_window(imu, toa, config)
         gt_traj = groundtruth_to_trajectory(gt)
         assert metrics.evaluate(run.streamed, gt_traj).ate < 0.05
+
+
+def oracle_graph(rng, n_kf=4, n_st=2):
+    """Values and factors of every kind over a short keyframe chain."""
+    values = make_values(rng, n_kf, n_st)
+    noise = ImuNoiseParams()
+    factors = [
+        pgo.PriorPoseFactor(0, random_rotation(rng), rng.standard_normal(3),
+                            np.diag([0.01] * 3 + [0.04] * 3)),
+        pgo.PriorVelocityFactor(0, rng.standard_normal(3), 0.01 * np.eye(3)),
+        pgo.PriorBiasFactor(0, rng.standard_normal(6), 0.01 * np.eye(6)),
+        pgo.PriorStateFactor(2, random_rotation(rng), rng.standard_normal(3),
+                             rng.standard_normal(3), rng.standard_normal(6),
+                             0.02 * np.eye(15)),
+    ]
+    factors += [pgo.PriorStationFactor(s, values.stations[s] + 0.01, 1e-2)
+                for s in range(n_st)]
+    for k in range(n_kf - 1):
+        omega = rng.uniform(-1, 1, (20, 3))
+        accel = rng.uniform(-5, 5, (20, 3))
+        dts = np.full(20, 0.005)
+        p = pre.integrate_batch(omega, accel, dts, values.bias[k, 0:3],
+                                values.bias[k, 3:6] + 0.01, noise)
+        factors.append(pgo.ImuFactor(k, k + 1, p, (omega, accel, dts)))
+    for k in range(n_kf):
+        for s in range(n_st):
+            factors.append(pgo.RangeFactor(k, s, float(rng.uniform(1, 20)), 0.2))
+    graph = pgo.FactorGraph([pgo.KeyframeId(k, k) for k in range(n_kf)],
+                            factors, list(range(1, n_st + 1)))
+    return graph, values
+
+
+def dense_oracle(factors, values, first_kf, n_kf, n_st):
+    """Dense J^T J, J^T r and r^T r from the per-factor linearize() blocks."""
+    col = pgo._column_map(first_kf, n_kf)
+    jac_rows, res = [], []
+    for f in factors:
+        r_w, blocks = f.linearize(values)
+        jac = np.zeros((len(r_w), pgo.KF_DIM * n_kf + 3 * n_st))
+        for key, block in blocks:
+            jac[:, col(key):col(key) + block.shape[1]] += block
+        jac_rows.append(jac)
+        res.append(r_w)
+    jac, r = np.vstack(jac_rows), np.concatenate(res)
+    return jac.T @ jac, jac.T @ r, float(r @ r)
+
+
+def upper_band(h, u):
+    """LAPACK upper band storage of the symmetric matrix h."""
+    n = h.shape[0]
+    band = np.zeros((u + 1, n))
+    for j in range(n):
+        for i in range(max(0, j - u), j + 1):
+            band[u + i - j, j] = h[i, j]
+    return band
+
+
+def assert_rel_close(actual, expected, rtol):
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("first_kf", [0, 1])
+    def test_arrow_assembly_matches_dense_oracle(self, rng, first_kf):
+        graph, values = oracle_graph(rng)
+        n_kf, n_st = values.n_keyframes - first_kf, values.stations.shape[0]
+        factors = pgo._active_factors(graph, first_kf)
+        neq = pgo._build_normal_equations(pgo._Window(factors), values,
+                                          first_kf, n_kf, n_st)
+        h, g, cost = dense_oracle(factors, values, first_kf, n_kf, n_st)
+        nk = pgo.KF_DIM * n_kf
+        # The keyframe block has nothing outside the band.
+        assert not np.any(np.triu(h[:nk, :nk], pgo.BAND_U + 1))
+        assert_rel_close(neq.band, upper_band(h[:nk, :nk], pgo.BAND_U), 1e-10)
+        assert_rel_close(neq.coupling, h[:nk, nk:], 1e-10)
+        assert_rel_close(neq.stations, h[nk:, nk:], 1e-10)
+        assert_rel_close(neq.grad, g, 1e-10)
+        assert neq.cost == pytest.approx(cost, rel=1e-10)
+        assert pgo._window_cost(pgo._Window(factors), values) == \
+            pytest.approx(cost, rel=1e-10)
+
+    def test_banded_schur_step_matches_dense_solve(self, rng):
+        graph, values = oracle_graph(rng)
+        n_kf, n_st = values.n_keyframes, values.stations.shape[0]
+        neq = pgo._build_normal_equations(pgo._Window(graph.factors), values,
+                                          0, n_kf, n_st)
+        h, g, _ = dense_oracle(graph.factors, values, 0, n_kf, n_st)
+        for lam in (1e-6, 1e-3, 1.0):
+            damping = lam * np.maximum(neq.diagonal(), 1e-8)
+            expected = np.linalg.solve(h + np.diag(damping), -g)
+            assert_rel_close(pgo._solve_damped(neq, damping), expected, 1e-8)
+
+    def test_non_consecutive_imu_factor_rejected(self, rng):
+        graph, values = oracle_graph(rng, n_kf=3)
+        imu = next(f for f in graph.factors if f.kind == "Imu")
+        graph.factors.append(pgo.ImuFactor(0, 2, imu.pre, imu.samples))
+        with pytest.raises(ValueError, match="links keyframes 0 and 2"):
+            pgo.optimize(graph, values)
+
+
+class TestSolverFailures:
+    def failing_cholesky(self, monkeypatch, failures):
+        """Make the first `failures` banded factorizations fail; record the
+        damped diagonal each call saw."""
+        seen = []
+        real = scipy.linalg.cholesky_banded
+
+        def cholesky_banded(ab, *args, **kwargs):
+            seen.append(ab[-1].copy())
+            if len(seen) <= failures:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(ab, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", cholesky_banded)
+        return seen
+
+    def test_failed_factorization_escalates_then_raises(self, rng, monkeypatch):
+        graph, values = oracle_graph(rng)
+        neq = pgo._build_normal_equations(pgo._Window(graph.factors), values, 0,
+                                          values.n_keyframes, 2)
+        nk = neq.band.shape[1]
+        damp = np.maximum(neq.diagonal(), 1e-8)[:nk]
+        seen = self.failing_cholesky(monkeypatch, failures=10 ** 6)
+        with pytest.raises(SingularNormalEquations):
+            pgo.optimize(graph, values)
+        assert len(seen) == 16
+        lams = [np.median((d - neq.band[-1]) / damp) for d in seen]
+        np.testing.assert_allclose(lams, 1e-4 * 10.0 ** np.arange(16), rtol=1e-9)
+
+    def test_recovers_after_failed_factorizations(self, rng, monkeypatch):
+        graph, values = oracle_graph(rng)
+        self.failing_cholesky(monkeypatch, failures=3)
+        out, report = pgo.optimize(graph, values)
+        assert report.cost_log[0][2] == pytest.approx(1e-4 * 1e3)
+        assert report.costs[-1] < report.initial_cost
+
+    def test_indefinite_covariance_is_a_numerical_error(self):
+        with pytest.raises(IndefiniteCovariance):
+            pgo.PriorVelocityFactor(0, np.zeros(3), np.diag([1.0, -1.0, 1.0]))
+        assert issubclass(IndefiniteCovariance, NumericalError)
+
+
+class TestWindowSolveSize:
+    def test_window_solve_spans_only_the_window(self, monkeypatch):
+        imu, gt, toa, config = noiseless_setup(duration=3.0)
+        config.window = 8
+        config.final_batch = False
+        spans = []
+        real = pgo.optimize
+
+        def optimize(graph, values, options=None, first_kf=0):
+            spans.append(values.n_keyframes - first_kf)
+            return real(graph, values, options, first_kf)
+        monkeypatch.setattr(pgo, "optimize", optimize)
+        run = pgo.run_sliding_window(imu, toa, config)
+        assert len(spans) == len(run.streamed) - 1
+        assert max(spans) == config.window
+        assert spans[:3] == [2, 3, 4]
