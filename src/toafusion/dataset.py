@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,25 @@ class ImuSample:
     t: int
     omega: np.ndarray
     accel: np.ndarray
+
+
+class ImuArrays(NamedTuple):
+    """IMU samples as columns: t (N,) int64 ns, omega and accel (N, 3)."""
+
+    t: np.ndarray
+    omega: np.ndarray
+    accel: np.ndarray
+
+    @staticmethod
+    def from_samples(samples: Sequence[ImuSample]) -> "ImuArrays":
+        """Stack samples; rejects timestamps that are not strictly increasing."""
+        t = np.array([s.t for s in samples], dtype=np.int64)
+        bad = np.flatnonzero(np.diff(t) <= 0)
+        if bad.size:
+            raise NonMonotonicTimestamp(int(bad[0]) + 1, where="IMU sample")
+        omega = np.array([s.omega for s in samples], dtype=float).reshape(-1, 3)
+        accel = np.array([s.accel for s in samples], dtype=float).reshape(-1, 3)
+        return ImuArrays(t, omega, accel)
 
 
 @dataclass

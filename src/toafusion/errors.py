@@ -35,11 +35,11 @@ class MalformedLine(DataError):
 
 
 class NonMonotonicTimestamp(DataError):
-    """Timestamps in a loaded sequence are not strictly increasing."""
+    """Timestamps in a sequence are not strictly increasing."""
 
-    def __init__(self, line_no: int):
+    def __init__(self, line_no: int, where: str = "line"):
         self.line_no = line_no
-        super().__init__(f"timestamp not strictly increasing at line {line_no}")
+        super().__init__(f"timestamp not strictly increasing at {where} {line_no}")
 
 
 class UnknownBsId(DataError):

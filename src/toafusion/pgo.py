@@ -22,6 +22,12 @@ variables is ever formed.
 The incremental mode re-optimizes a sliding window after each new
 keyframe, summarizing everything older than the window by a Gaussian
 prior on the oldest in-window keyframe.
+
+Both modes turn the IMU samples into columns once per call (strictly
+increasing timestamps required) and slice each keyframe interval by
+binary search. `build_graph` preintegrates every interval at the initial
+bias in one batched kernel call; factors whose bias estimate drifts are
+re-integrated together, one kernel call per check.
 """
 
 from __future__ import annotations
@@ -35,11 +41,12 @@ import scipy.linalg
 
 from . import geometry as geo
 from . import preintegration as pre_mod
-from .dataset import ImuSample, ToaMeasurement, Trajectory, associate_nearest
+from .dataset import (ImuArrays, ImuSample, ToaMeasurement, Trajectory,
+                      associate_nearest)
 from .errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
                      NonFiniteCost, SingularNormalEquations, UnknownBsId)
 from .eskf import GRAVITY, ImuNoiseParams, NavState
-from .preintegration import PreintegratedImu
+from .preintegration import PreintegratedBatch, PreintegratedImu
 from .toa_sim import BaseStation
 
 MIN_RANGE_M = 1e-6
@@ -243,16 +250,6 @@ class ImuFactor:
         cov[9:15, 9:15] = walk
         self.cov = cov
         self.sqrt_info = _sqrt_info(cov)
-
-    def reintegrate(self, bias: np.ndarray) -> None:
-        """Redo the integration at a new bias linearization point."""
-        omega, accel, dts = self.samples
-        self._set_pre(pre_mod.integrate_batch(
-            omega, accel, dts, bias[0:3], bias[3:6], self.pre.noise))
-
-    def bias_drift(self, values: GraphValues) -> float:
-        lin = np.concatenate([self.pre.bias_gyro, self.pre.bias_accel])
-        return float(np.max(np.abs(values.bias[self.i] - lin)))
 
     def residual(self, values: GraphValues) -> np.ndarray:
         rot_i, rot_j = values.rot[self.i], values.rot[self.j]
@@ -857,9 +854,9 @@ def _initial_priors(config: PgoConfig) -> list:
             PriorBiasFactor(0, b0, bias_cov)]
 
 
-def _keyframe_times(imu: Sequence[ImuSample], node_rate_hz: float) -> list[int]:
+def _keyframe_times(imu: ImuArrays, node_rate_hz: float) -> list[int]:
     period = int(round(1e9 / node_rate_hz))
-    return list(range(imu[0].t, imu[-1].t + 1, period))
+    return list(range(int(imu.t[0]), int(imu.t[-1]) + 1, period))
 
 
 def _station_sigma(config: PgoConfig) -> dict[int, float]:
@@ -867,15 +864,29 @@ def _station_sigma(config: PgoConfig) -> dict[int, float]:
     return {bs.id: float(std[k]) for k, bs in enumerate(config.stations)}
 
 
-def _make_imu_factor(imu: Sequence[ImuSample], t_start: int, t_end: int,
-                     i: int, j: int, bias: np.ndarray,
-                     config: PgoConfig) -> ImuFactor:
-    omega, accel, dts = pre_mod.slice_imu_between(imu, t_start, t_end)
-    if len(dts) == 0:
-        raise EmptyInput(f"no IMU samples between keyframes {i} and {j}")
-    pre = pre_mod.integrate_batch(omega, accel, dts, bias[0:3], bias[3:6],
-                                  config.noise)
-    return ImuFactor(i, j, pre, (omega, accel, dts), config.gravity)
+def _slice_interval(imu: ImuArrays, times: Sequence[int], k: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, accel, dt) of the samples between keyframes k and k + 1."""
+    samples = pre_mod.slice_imu_between(imu, times[k], times[k + 1])
+    if len(samples[2]) == 0:
+        raise EmptyInput(f"no IMU samples between keyframes {k} and {k + 1}")
+    return samples
+
+
+def _integrate_intervals(samples: Sequence[tuple], bias: np.ndarray,
+                         noise: ImuNoiseParams) -> PreintegratedBatch:
+    """Preintegrate intervals in one kernel call, padded to the longest.
+
+    bias is one (6,) linearization point for all intervals, or one row per
+    interval.
+    """
+    counts = np.array([len(dts) for _, _, dts in samples], dtype=np.int64)
+    m, n = len(samples), int(counts.max(initial=0))
+    omega, accel, dts = np.zeros((m, n, 3)), np.zeros((m, n, 3)), np.zeros((m, n))
+    for k, (w, a, d) in enumerate(samples):
+        omega[k, :len(d)], accel[k, :len(d)], dts[k, :len(d)] = w, a, d
+    return pre_mod.integrate_batch(omega, accel, dts, bias[..., 0:3],
+                                   bias[..., 3:6], noise, counts)
 
 
 def build_graph(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
@@ -883,7 +894,8 @@ def build_graph(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     """Construct the full factor graph and dead-reckoned initial values."""
     if len(imu) < 2:
         raise EmptyInput("need at least two IMU samples")
-    times = _keyframe_times(imu, config.node_rate_hz)
+    cols = ImuArrays.from_samples(imu)
+    times = _keyframe_times(cols, config.node_rate_hz)
     keyframes = [KeyframeId(k, t) for k, t in enumerate(times)]
     n = len(keyframes)
 
@@ -901,10 +913,11 @@ def build_graph(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
         factors.append(PriorStationFactor(k, bs.position.copy(),
                                           config.station_prior_sigma))
 
-    bias0 = values.bias[0]
+    # Every factor is linearized at the initial bias: one kernel call.
+    samples = [_slice_interval(cols, times, k) for k in range(n - 1)]
+    batch = _integrate_intervals(samples, values.bias[0], config.noise)
     for k in range(n - 1):
-        fac = _make_imu_factor(imu, times[k], times[k + 1], k, k + 1,
-                               bias0, config)
+        fac = ImuFactor(k, k + 1, batch.at(k), samples[k], config.gravity)
         factors.append(fac)
         rot_j, p_j, v_j = pre_mod.predict(fac.pre, values.rot[k], values.pos[k],
                                           values.vel[k], config.gravity)
@@ -924,14 +937,34 @@ def build_graph(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     return FactorGraph(keyframes, factors, [bs.id for bs in config.stations]), values
 
 
+def _drifted(bias: np.ndarray, lin_bias: np.ndarray, threshold: float
+             ) -> np.ndarray:
+    """Rows whose bias estimate moved more than threshold in any component
+    from its linearization point."""
+    return np.flatnonzero(np.max(np.abs(bias - lin_bias), axis=1) > threshold)
+
+
+def _reintegrate(factors: Sequence[ImuFactor], bias: np.ndarray) -> None:
+    """Redo the integration of factors at new linearization points (one
+    bias row each) in one kernel call. The factors share one noise model."""
+    batch = _integrate_intervals([f.samples for f in factors], bias,
+                                 factors[0].pre.noise)
+    for k, f in enumerate(factors):
+        f._set_pre(batch.at(k))
+
+
 def _reintegrate_drifted(graph: FactorGraph, values: GraphValues,
-                         threshold: float, first_kf: int = 0) -> int:
-    count = 0
-    for f in graph.imu_factors():
-        if f.i >= first_kf and f.bias_drift(values) > threshold:
-            f.reintegrate(values.bias[f.i])
-            count += 1
-    return count
+                         threshold: float) -> int:
+    imu_fs = graph.imu_factors()
+    if not imu_fs:
+        return 0
+    lin = np.array([np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
+                    for f in imu_fs])
+    bias = values.bias[[f.i for f in imu_fs]]
+    rows = _drifted(bias, lin, threshold)
+    if rows.size:
+        _reintegrate([imu_fs[k] for k in rows], bias[rows])
+    return int(rows.size)
 
 
 def values_to_trajectory(keyframes: Sequence[KeyframeId],
@@ -994,7 +1027,8 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     """
     if len(imu) < 2:
         raise EmptyInput("need at least two IMU samples")
-    times = _keyframe_times(imu, config.node_rate_hz)
+    cols = ImuArrays.from_samples(imu)
+    times = _keyframe_times(cols, config.node_rate_hz)
     n = len(times)
     keyframes = [KeyframeId(k, t) for k, t in enumerate(times)]
 
@@ -1013,6 +1047,7 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
                       for k, bs in enumerate(config.stations)]
     marginal_priors: list = []
     imu_factors: list[ImuFactor] = []
+    lin_bias = np.zeros((n - 1, 6))     # bias point of imu_factors[k]
     range_by_kf: dict[int, list[RangeFactor]] = {}
 
     sigma_by_id = _station_sigma(config)
@@ -1039,9 +1074,13 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     marginal_prior: Optional[PriorStateFactor] = None
 
     for j in range(1, n):
-        fac = _make_imu_factor(imu, times[j - 1], times[j], j - 1, j,
-                               values.bias[j - 1], config)
+        samples = _slice_interval(cols, times, j - 1)
+        bias = values.bias[j - 1]
+        pre = pre_mod.integrate_batch(*samples, bias[0:3], bias[3:6],
+                                      config.noise)
+        fac = ImuFactor(j - 1, j, pre, samples, config.gravity)
         imu_factors.append(fac)
+        lin_bias[j - 1] = bias
         rot_j, p_j, v_j = pre_mod.predict(fac.pre, values.rot[j - 1],
                                           values.pos[j - 1], values.vel[j - 1],
                                           config.gravity)
@@ -1092,10 +1131,13 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
         values.rot[:j + 1], values.pos[:j + 1] = solved.rot, solved.pos
         values.vel[:j + 1], values.bias[:j + 1] = solved.vel, solved.bias
         values.stations = solved.stations
-        for f in imu_factors:
-            if f.i >= first_kf and f.bias_drift(values) > config.bias_drift_threshold:
-                f.reintegrate(values.bias[f.i])
-                reintegrations += 1
+        # Factors k in [first_kf, j) are in the window.
+        rows = first_kf + _drifted(values.bias[first_kf:j], lin_bias[first_kf:j],
+                                   config.bias_drift_threshold)
+        if rows.size:
+            _reintegrate([imu_factors[k] for k in rows], values.bias[rows])
+            lin_bias[rows] = values.bias[rows]
+            reintegrations += int(rows.size)
         step_times.append((time.perf_counter() - tic) * 1e3)
         stream_t.append(times[j])
         stream_pos.append(values.pos[j].copy())

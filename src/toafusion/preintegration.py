@@ -10,20 +10,50 @@ Integration is Euler-forward per sample; increments are exact for
 piecewise-constant body rates. Bias sensitivities (the derivatives of the
 increments with respect to the linearization biases) are accumulated
 alongside, so residuals can be corrected to first order when the bias
-estimate moves; callers re-integrate when it moves far.
+estimate moves; callers re-integrate when it moves far. The recursion is
+that of Forster et al., "On-Manifold Preintegration for Real-Time
+Visual-Inertial Odometry", IEEE T-RO 2017.
+
+One kernel integrates m intervals at once, each at its own bias point.
+Its inputs carry a leading interval axis: rates and accelerations
+(m, n, 3), steps (m, n), biases (m, 3). Everything that does not depend on
+the running rotation is computed for all m * n samples first: the
+rotation increments, the right Jacobians and the skews of the
+bias-corrected inputs. Three short loops over the n sample slots, each
+batched over the intervals, then chain the rotation, the rotation bias
+Jacobian and the covariance. The velocity, position and the other bias
+Jacobians are running sums, taken with a sequential cumulative sum in the
+same order of additions as a per-sample loop.
+
+Intervals shorter than n are padded at the end: counts[k] leading slots of
+interval k are real samples, the rest are padding whose values are
+ignored. The kernel keeps the state after every slot and returns interval
+k's state after its counts[k]-th sample, so padding leaves the result
+bit-for-bit unchanged. Intervals go through the kernel in passes of at
+most 1024 sample slots, which bounds the memory of the per-sample 9x9
+terms. `integrate_batch` is the entry point for one interval ((n, 3)
+inputs) and for many ((m, n, 3)); `integrate` absorbs a single sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import geometry as geo
-from .dataset import ImuSample
+from .dataset import ImuArrays, ImuSample
 from .errors import InvalidDt
 from .eskf import GRAVITY, MAX_DT_S, ImuNoiseParams
+
+# Sample slots per kernel pass: about 1 MB per (slots, 9, 9) temporary.
+_PASS_SAMPLES = 1024
+
+# The array fields of an increment, shared by the single and batched forms.
+_JACOBIAN_FIELDS = ("j_rot_bg", "j_pos_bg", "j_pos_ba", "j_vel_bg", "j_vel_ba")
+_ARRAY_FIELDS = ("d_rot", "d_vel", "d_pos", "cov", "bias_gyro",
+                 "bias_accel") + _JACOBIAN_FIELDS
 
 
 @dataclass
@@ -47,7 +77,7 @@ class PreintegratedImu:
     j_vel_ba: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("j_rot_bg", "j_pos_bg", "j_pos_ba", "j_vel_bg", "j_vel_ba"):
+        for name in _JACOBIAN_FIELDS:
             if getattr(self, name) is None:
                 setattr(self, name, np.zeros((3, 3)))
 
@@ -62,75 +92,221 @@ class PreintegratedImu:
             count=0, noise=noise if noise is not None else ImuNoiseParams())
 
 
-def _step(pre: PreintegratedImu, omega: np.ndarray, accel: np.ndarray,
-          dt: float) -> dict:
-    """One Euler step of increments, covariance, and bias sensitivities."""
-    w_hat = omega - pre.bias_gyro
-    a_hat = accel - pre.bias_accel
+@dataclass
+class PreintegratedBatch:
+    """Increments of m intervals, stacked along a leading axis; one noise
+    model for all of them."""
 
-    rot_prev = pre.d_rot
-    rot_inc = geo.exp_so3(w_hat * dt)
+    d_rot: np.ndarray          # (m, 3, 3)
+    d_vel: np.ndarray          # (m, 3)
+    d_pos: np.ndarray          # (m, 3)
+    dt_total: np.ndarray       # (m,)
+    cov: np.ndarray            # (m, 9, 9)
+    bias_gyro: np.ndarray      # (m, 3)
+    bias_accel: np.ndarray     # (m, 3)
+    counts: np.ndarray         # (m,) samples per interval
+    noise: ImuNoiseParams
+    j_rot_bg: np.ndarray       # (m, 3, 3) each
+    j_pos_bg: np.ndarray
+    j_pos_ba: np.ndarray
+    j_vel_bg: np.ndarray
+    j_vel_ba: np.ndarray
 
-    d_pos = pre.d_pos + pre.d_vel * dt + 0.5 * (rot_prev @ a_hat) * dt * dt
-    d_vel = pre.d_vel + (rot_prev @ a_hat) * dt
-    d_rot = rot_prev @ rot_inc
+    @property
+    def count(self) -> int:
+        """Samples over all intervals."""
+        return int(self.counts.sum())
+
+    def at(self, k: int) -> PreintegratedImu:
+        """Interval k, copied out of this batch (a view would keep an
+        extra array object alive per field)."""
+        return PreintegratedImu(
+            dt_total=float(self.dt_total[k]), count=int(self.counts[k]),
+            noise=self.noise,
+            **{f: getattr(self, f)[k].copy() for f in _ARRAY_FIELDS})
+
+    def rows(self, sel: slice) -> "PreintegratedBatch":
+        """The intervals in sel, as views into this batch."""
+        return PreintegratedBatch(
+            dt_total=self.dt_total[sel], counts=self.counts[sel], noise=self.noise,
+            **{f: getattr(self, f)[sel] for f in _ARRAY_FIELDS})
+
+    @staticmethod
+    def stack(pres: Sequence[PreintegratedImu]) -> "PreintegratedBatch":
+        return PreintegratedBatch(
+            dt_total=np.array([p.dt_total for p in pres], dtype=float),
+            counts=np.array([p.count for p in pres], dtype=np.int64),
+            noise=pres[0].noise,
+            **{f: np.stack([getattr(p, f) for p in pres]) for f in _ARRAY_FIELDS})
+
+    @staticmethod
+    def concat(parts: Sequence["PreintegratedBatch"]) -> "PreintegratedBatch":
+        return PreintegratedBatch(
+            dt_total=np.concatenate([p.dt_total for p in parts]),
+            counts=np.concatenate([p.counts for p in parts]), noise=parts[0].noise,
+            **{f: np.concatenate([getattr(p, f) for p in parts])
+               for f in _ARRAY_FIELDS})
+
+    @staticmethod
+    def create(bias_gyro: np.ndarray, bias_accel: np.ndarray,
+               noise: ImuNoiseParams | None = None) -> "PreintegratedBatch":
+        """Identity increments at the (m, 3) linearization biases."""
+        m = bias_gyro.shape[0]
+        zeros = {f: np.zeros((m, 3, 3)) for f in _JACOBIAN_FIELDS}
+        return PreintegratedBatch(
+            d_rot=np.repeat(np.eye(3)[None], m, axis=0), d_vel=np.zeros((m, 3)),
+            d_pos=np.zeros((m, 3)), dt_total=np.zeros(m),
+            cov=np.zeros((m, 9, 9)),
+            bias_gyro=np.array(bias_gyro, dtype=float),
+            bias_accel=np.array(bias_accel, dtype=float),
+            counts=np.zeros(m, dtype=np.int64),
+            noise=noise if noise is not None else ImuNoiseParams(), **zeros)
+
+
+def _running_sum(start: np.ndarray, *steps: np.ndarray) -> np.ndarray:
+    """Value before every slot and after the last, (m, n + 1, ...).
+
+    Slot s adds steps[0][:, s], then steps[1][:, s], ... to the running
+    value, one addition at a time as a per-sample loop would.
+    """
+    m, n = steps[0].shape[:2]
+    seq = np.stack(steps, axis=2).reshape((m, n * len(steps)) + start.shape[1:])
+    out = np.cumsum(np.concatenate([start[:, None], seq], axis=1), axis=1)
+    return out[:, ::len(steps)]
+
+
+def _propagate(start: PreintegratedBatch, omega: np.ndarray, accel: np.ndarray,
+               dts: np.ndarray, counts: np.ndarray) -> PreintegratedBatch:
+    """Absorb the first counts[k] samples of row k into interval k of start."""
+    m, n = dts.shape
+    real = np.arange(n) < counts[:, None]
+    bad = real & ~((dts > 0.0) & (dts <= MAX_DT_S))
+    if np.any(bad):
+        raise InvalidDt(f"dt={float(dts[bad][0])} outside (0, {MAX_DT_S}]")
+    # Passes over at most _PASS_SAMPLES sample slots bound the memory of
+    # the per-sample 9x9 terms.
+    step = max(1, _PASS_SAMPLES // max(n, 1))
+    parts = [_propagate_pass(start.rows(c), omega[c], accel[c], dts[c], counts[c],
+                             real[c])
+             for c in (slice(k, k + step) for k in range(0, max(m, 1), step))]
+    return parts[0] if len(parts) == 1 else PreintegratedBatch.concat(parts)
+
+
+def _propagate_pass(start: PreintegratedBatch, omega: np.ndarray,
+                    accel: np.ndarray, dts: np.ndarray, counts: np.ndarray,
+                    real: np.ndarray) -> PreintegratedBatch:
+    """_propagate over one slice of intervals; real marks the sample slots."""
+    m, n = dts.shape
+    # Padded slots are computed like samples, but no result reads them.
+    dt1 = dts[..., None]
+    dt2 = dts[..., None, None]
+    w_hat = omega - start.bias_gyro[:, None]
+    a_hat = accel - start.bias_accel[:, None]
+
+    # Per-sample terms, independent of the running rotation.
+    theta = (w_hat * dt1).reshape(-1, 3)
+    rot_inc = geo.exp_so3_batch(theta).reshape(m, n, 3, 3)
+    rot_inc_t = rot_inc.swapaxes(-1, -2)
+    jr_dt = geo.right_jacobian_batch(theta).reshape(m, n, 3, 3) * dt2
+    a_skew = geo.skew_batch(a_hat.reshape(-1, 3)).reshape(m, n, 3, 3)
+    noise = start.noise
+    sigma = np.array([noise.sigma_g ** 2] * 3 + [noise.sigma_a ** 2] * 3)
+    sigma_dt = np.divide(sigma, dt1, out=np.zeros((m, n, 6)), where=real[..., None])
+
+    # The rotation before every slot, then everything that depends on it.
+    rot = np.empty((m, n + 1, 3, 3))
+    rot[:, 0] = start.d_rot
+    for s in range(n):
+        rot[:, s + 1] = rot[:, s] @ rot_inc[:, s]
+    rot_prev = rot[:, :n]
+    ra = (rot_prev @ a_hat[..., None])[..., 0]
+    ra_skew = rot_prev @ a_skew
+    half_r_dt2 = 0.5 * rot_prev * dt2 * dt2
+    r_dt = rot_prev * dt2
+
+    vel = _running_sum(start.d_vel, ra * dt1)
+    pos = _running_sum(start.d_pos, vel[:, :n] * dt1, 0.5 * ra * dt1 * dt1)
+
+    j_rot_bg = np.empty((m, n + 1, 3, 3))
+    j_rot_bg[:, 0] = start.j_rot_bg
+    for s in range(n):
+        j_rot_bg[:, s + 1] = rot_inc_t[:, s] @ j_rot_bg[:, s] - jr_dt[:, s]
+    j_rot_prev = j_rot_bg[:, :n]
+    j_vel_bg = _running_sum(start.j_vel_bg, -(ra_skew @ j_rot_prev * dt2))
+    j_vel_ba = _running_sum(start.j_vel_ba, -r_dt)
+    j_pos_bg = _running_sum(start.j_pos_bg, j_vel_bg[:, :n] * dt2,
+                            -(0.5 * ra_skew @ j_rot_prev * dt2 * dt2))
+    j_pos_ba = _running_sum(start.j_pos_ba, j_vel_ba[:, :n] * dt2, -half_r_dt2)
 
     # First-order discrete propagation of the (rot, pos, vel) error.
-    a_skew = geo.skew(a_hat)
-    a_mat = np.eye(9)
-    a_mat[0:3, 0:3] = rot_inc.T
-    a_mat[3:6, 0:3] = -0.5 * (rot_prev @ a_skew) * dt * dt
-    a_mat[3:6, 6:9] = np.eye(3) * dt
-    a_mat[6:9, 0:3] = -(rot_prev @ a_skew) * dt
+    a_mat = np.zeros((m, n, 9, 9))
+    a_mat[..., 0:3, 0:3] = rot_inc_t
+    a_mat[..., 3:6, 0:3] = -0.5 * ra_skew * dt2 * dt2
+    a_mat[..., 3:6, 3:6] = np.eye(3)
+    a_mat[..., 3:6, 6:9] = np.eye(3) * dt2
+    a_mat[..., 6:9, 0:3] = -ra_skew * dt2
+    a_mat[..., 6:9, 6:9] = np.eye(3)
+    b_mat = np.zeros((m, n, 9, 6))
+    b_mat[..., 0:3, 0:3] = jr_dt
+    b_mat[..., 3:6, 3:6] = half_r_dt2
+    b_mat[..., 6:9, 3:6] = r_dt
+    noise_cov = (b_mat * sigma_dt[..., None, :]) @ b_mat.swapaxes(-1, -2)
+    cov = np.empty((m, n + 1, 9, 9))
+    cov[:, 0] = start.cov
+    for s in range(n):
+        a_s = a_mat[:, s]
+        step = a_s @ cov[:, s] @ a_s.swapaxes(-1, -2) + noise_cov[:, s]
+        cov[:, s + 1] = 0.5 * (step + step.swapaxes(-1, -2))
 
-    b_mat = np.zeros((9, 6))
-    jr_dt = geo.right_jacobian_so3(w_hat * dt)
-    b_mat[0:3, 0:3] = jr_dt * dt
-    b_mat[3:6, 3:6] = 0.5 * rot_prev * dt * dt
-    b_mat[6:9, 3:6] = rot_prev * dt
-
-    n = pre.noise
-    sigma_eta = np.diag([n.sigma_g ** 2] * 3 + [n.sigma_a ** 2] * 3) / dt
-    cov = a_mat @ pre.cov @ a_mat.T + b_mat @ sigma_eta @ b_mat.T
-
-    ra_skew = rot_prev @ a_skew
-    j_pos_bg = (pre.j_pos_bg + pre.j_vel_bg * dt
-                - 0.5 * ra_skew @ pre.j_rot_bg * dt * dt)
-    j_pos_ba = pre.j_pos_ba + pre.j_vel_ba * dt - 0.5 * rot_prev * dt * dt
-    j_vel_bg = pre.j_vel_bg - ra_skew @ pre.j_rot_bg * dt
-    j_vel_ba = pre.j_vel_ba - rot_prev * dt
-    j_rot_bg = rot_inc.T @ pre.j_rot_bg - jr_dt * dt
-
-    return dict(d_rot=d_rot, d_pos=d_pos, d_vel=d_vel,
-                cov=0.5 * (cov + cov.T),
-                j_rot_bg=j_rot_bg, j_pos_bg=j_pos_bg, j_pos_ba=j_pos_ba,
-                j_vel_bg=j_vel_bg, j_vel_ba=j_vel_ba)
+    rows = np.arange(m)
+    dt_total = _running_sum(start.dt_total, dts)
+    return PreintegratedBatch(
+        d_rot=rot[rows, counts], d_vel=vel[rows, counts], d_pos=pos[rows, counts],
+        dt_total=dt_total[rows, counts], cov=cov[rows, counts],
+        bias_gyro=start.bias_gyro, bias_accel=start.bias_accel,
+        counts=start.counts + counts, noise=start.noise,
+        j_rot_bg=j_rot_bg[rows, counts], j_pos_bg=j_pos_bg[rows, counts],
+        j_pos_ba=j_pos_ba[rows, counts], j_vel_bg=j_vel_bg[rows, counts],
+        j_vel_ba=j_vel_ba[rows, counts])
 
 
 def integrate(pre: PreintegratedImu, imu: ImuSample, dt: float) -> PreintegratedImu:
     """Absorb one IMU sample held constant over dt; returns a new value."""
-    if not 0.0 < dt <= MAX_DT_S:
-        raise InvalidDt(f"dt={dt} outside (0, {MAX_DT_S}]")
-    fields = _step(pre, imu.omega, imu.accel, dt)
-    return replace(pre, dt_total=pre.dt_total + dt, count=pre.count + 1,
-                   **fields)
+    out = _propagate(PreintegratedBatch.stack([pre]),
+                     np.asarray(imu.omega, dtype=float).reshape(1, 1, 3),
+                     np.asarray(imu.accel, dtype=float).reshape(1, 1, 3),
+                     np.array([[dt]], dtype=float), np.ones(1, dtype=np.int64))
+    return out.at(0)
 
 
 def integrate_batch(omega: np.ndarray, accel: np.ndarray, dts: np.ndarray,
                     bias_gyro: np.ndarray, bias_accel: np.ndarray,
-                    noise: ImuNoiseParams | None = None) -> PreintegratedImu:
-    """Integrate arrays of samples into one increment without intermediates."""
-    pre = PreintegratedImu.create(bias_gyro, bias_accel, noise)
-    for k in range(len(dts)):
-        dt = float(dts[k])
-        if not 0.0 < dt <= MAX_DT_S:
-            raise InvalidDt(f"dt={dt} outside (0, {MAX_DT_S}]")
-        fields = _step(pre, omega[k], accel[k], dt)
-        for name, value in fields.items():
-            setattr(pre, name, value)
-        pre.dt_total += dt
-        pre.count += 1
-    return pre
+                    noise: ImuNoiseParams | None = None,
+                    counts: Optional[np.ndarray] = None):
+    """Integrate arrays of samples into increments without intermediates.
+
+    One interval: omega and accel (n, 3), dts (n,), biases (3,); returns a
+    PreintegratedImu. Many intervals: omega and accel (m, n, 3), dts
+    (m, n), biases (3,) or (m, 3); returns a PreintegratedBatch. Interval
+    k then holds its first counts[k] samples (default: all n) and the
+    rest of its row is padding.
+    """
+    omega = np.asarray(omega, dtype=float)
+    accel = np.asarray(accel, dtype=float)
+    dts = np.asarray(dts, dtype=float)
+    single = dts.ndim == 1
+    if single:
+        omega = omega.reshape(1, -1, 3)
+        accel = accel.reshape(1, -1, 3)
+        dts = dts[None]
+    m, n = dts.shape
+    counts = (np.full(m, n, dtype=np.int64) if counts is None
+              else np.asarray(counts, dtype=np.int64))
+    start = PreintegratedBatch.create(
+        np.broadcast_to(np.asarray(bias_gyro, dtype=float), (m, 3)),
+        np.broadcast_to(np.asarray(bias_accel, dtype=float), (m, 3)), noise)
+    out = _propagate(start, omega, accel, dts, counts)
+    return out.at(0) if single else out
 
 
 def compose(first: PreintegratedImu, second: PreintegratedImu) -> PreintegratedImu:
@@ -211,24 +387,20 @@ def residual_bias(bias_i: np.ndarray, bias_j: np.ndarray) -> np.ndarray:
     return np.asarray(bias_j, dtype=float) - np.asarray(bias_i, dtype=float)
 
 
-def slice_imu_between(imu: Sequence[ImuSample], t_start: int, t_end: int
+def slice_imu_between(imu: ImuArrays, t_start: int, t_end: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extract (omega, accel, dt) arrays for samples with t in [t_start, t_end).
 
     Each sample's dt runs to the next sample's timestamp, capped at t_end so
-    batches tile the timeline exactly.
+    batches tile the timeline exactly; samples with dt <= 0 are dropped.
+    The timestamps must be sorted. When no sample is dropped, omega and
+    accel are views into imu.
     """
-    omegas, accels, dts = [], [], []
-    for k in range(len(imu)):
-        t = imu[k].t
-        if t < t_start or t >= t_end:
-            continue
-        t_next = imu[k + 1].t if k + 1 < len(imu) else t_end
-        dt = (min(t_next, t_end) - t) * 1e-9
-        if dt <= 0.0:
-            continue
-        omegas.append(imu[k].omega)
-        accels.append(imu[k].accel)
-        dts.append(dt)
-    return (np.array(omegas).reshape(-1, 3), np.array(accels).reshape(-1, 3),
-            np.array(dts))
+    t = imu.t
+    lo, hi = np.searchsorted(t, [t_start, t_end])
+    t_next = np.append(t[lo + 1:hi + 1], t_end)[:hi - lo]
+    dt = (np.minimum(t_next, t_end) - t[lo:hi]) * 1e-9
+    keep = dt > 0.0
+    if keep.all():      # always so for strictly increasing stamps
+        return imu.omega[lo:hi], imu.accel[lo:hi], dt
+    return imu.omega[lo:hi][keep], imu.accel[lo:hi][keep], dt[keep]

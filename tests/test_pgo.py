@@ -5,7 +5,8 @@ import scipy.linalg
 from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
 from toafusion import toa_sim
 from toafusion.dataset import ImuSample, ToaMeasurement, groundtruth_to_trajectory
-from toafusion.errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
+from toafusion.errors import (DataError, DegenerateGeometry, EmptyInput,
+                              IndefiniteCovariance, InvalidDt, NonMonotonicTimestamp,
                               NumericalError, SingularNormalEquations)
 from toafusion.eskf import GRAVITY, ImuNoiseParams, NavState
 from toafusion.synthetic import (SyntheticTrajectorySpec,
@@ -13,7 +14,8 @@ from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  initial_state_from_groundtruth)
 from toafusion.toa_sim import BaseStation, default_stations
 
-from conftest import random_rotation
+from conftest import (assert_matches_oracle, oracle_integrate, oracle_slice,
+                      random_rotation)
 
 
 def make_values(rng, n_kf, n_st):
@@ -174,6 +176,118 @@ class TestBuildGraph:
             pgo.build_graph([], [], config)
 
 
+def jittered_imu(rng, seconds=2.0, rate_hz=200.0, jitter_ns=1_500_000,
+                 drop=0.05):
+    """Random IMU readings on jittered stamps with some samples dropped."""
+    period = int(1e9 / rate_hz)
+    stamps = np.arange(0, int(seconds * 1e9) + 1, period)
+    stamps[1:-1] += rng.integers(-jitter_ns, jitter_ns + 1, len(stamps) - 2)
+    keep = np.ones(len(stamps), dtype=bool)
+    keep[1:-1] = rng.uniform(size=len(stamps) - 2) > drop
+    return [ImuSample(int(t), rng.uniform(-1, 1, 3), rng.uniform(-5, 5, 3) - GRAVITY)
+            for t in stamps[keep]]
+
+
+def imu_config(n_bs=3, **kwargs):
+    state = NavState.identity()
+    state.b_g = np.array([0.01, -0.02, 0.005])
+    state.b_a = np.array([0.1, 0.05, -0.2])
+    return pgo.PgoConfig(initial_state=state, stations=default_stations(n_bs),
+                         meas_std=np.full(n_bs, 0.1), **kwargs)
+
+
+def regular_imu(seconds=1.0, skip=()):
+    """200 Hz hover readings, without the samples whose index is in skip."""
+    return [ImuSample(int(k * 5e6), np.zeros(3), -GRAVITY)
+            for k in range(int(seconds * 200) + 1) if k not in skip]
+
+
+class TestImuDataPath:
+    def test_jittered_imu_factors_match_per_sample_oracle(self, rng):
+        imu = jittered_imu(rng)
+        config = imu_config()
+        graph, _ = pgo.build_graph(imu, [], config)
+        times = [kf.t for kf in graph.keyframes]
+        bias0_g, bias0_a = config.initial_state.b_g, config.initial_state.b_a
+        counts = set()
+        for f in graph.imu_factors():
+            omega, accel, dts = oracle_slice(imu, times[f.i], times[f.j])
+            for got, want in zip(f.samples, (omega, accel, dts)):
+                np.testing.assert_array_equal(got, want)
+            assert_matches_oracle(f.pre, oracle_integrate(
+                omega, accel, dts, bias0_g, bias0_a, config.noise))
+            counts.add(len(dts))
+        assert len(counts) >= 3     # unequal interval lengths were padded
+
+    def test_sliding_factors_match_oracle_at_their_bias_point(self, rng,
+                                                              monkeypatch):
+        imu = jittered_imu(rng, seconds=1.5)
+        config = imu_config(window=5, final_batch=False,
+                            bias_drift_threshold=5e-3)
+        graph, _ = pgo.build_graph(imu, [], config)
+        toa = [ToaMeasurement(kf.t, bs.id, 5.0 + bs.id)
+               for kf in graph.keyframes for bs in config.stations]
+        built, moves = [], []
+        real_factor, real_reintegrate = pgo.ImuFactor, pgo._reintegrate
+
+        def factor(*args, **kwargs):
+            built.append(real_factor(*args, **kwargs))
+            return built[-1]
+
+        def reintegrate(factors, bias):
+            for f, b in zip(factors, bias):
+                lin = np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
+                moves.append(np.max(np.abs(lin - b)))
+            real_reintegrate(factors, bias)
+        monkeypatch.setattr(pgo, "ImuFactor", factor)
+        monkeypatch.setattr(pgo, "_reintegrate", reintegrate)
+        run = pgo.run_sliding_window(imu, toa, config)
+        # Only factors whose own bias point is stale are re-integrated.
+        assert run.reintegrations == len(moves) > 0
+        assert min(moves) > config.bias_drift_threshold
+        times = [kf.t for kf in graph.keyframes]
+        for f in built:
+            omega, accel, dts = oracle_slice(imu, times[f.i], times[f.j])
+            assert_matches_oracle(f.pre, oracle_integrate(
+                omega, accel, dts, f.pre.bias_gyro, f.pre.bias_accel, config.noise))
+
+    def test_empty_interval(self):
+        # Samples 60-89 (0.30-0.445 s) are missing: keyframes 3 and 4 have
+        # nothing between them.
+        imu = regular_imu(skip=range(60, 90))
+        config = imu_config()
+        with pytest.raises(EmptyInput, match="keyframes 3 and 4"):
+            pgo.build_graph(imu, [], config)
+        with pytest.raises(EmptyInput, match="keyframes 3 and 4"):
+            pgo.run_sliding_window(imu, [], config)
+
+    def test_gap_inside_an_interval(self):
+        # Keyframes every 0.5 s; a 0.2 s gap after the sample at 0.1 s.
+        imu = regular_imu(skip=range(21, 60))
+        config = imu_config(node_rate_hz=2.0)
+        with pytest.raises(InvalidDt):
+            pgo.build_graph(imu, [], config)
+        with pytest.raises(InvalidDt):
+            pgo.run_sliding_window(imu, [], config)
+
+    @pytest.mark.parametrize("swap", [(10, 11), (0, 200)])
+    def test_unsorted_timestamps_rejected(self, swap):
+        imu = regular_imu()
+        i, j = swap
+        imu[i], imu[j] = imu[j], imu[i]
+        config = imu_config()
+        for run in (pgo.build_graph, pgo.run_batch, pgo.run_sliding_window):
+            with pytest.raises(NonMonotonicTimestamp, match="IMU sample"):
+                run(imu, [], config)
+
+    def test_repeated_timestamp_rejected(self):
+        imu = regular_imu()
+        imu[50].t = imu[49].t
+        with pytest.raises(NonMonotonicTimestamp, match="IMU sample 50"):
+            pgo.build_graph(imu, [], imu_config())
+        assert issubclass(NonMonotonicTimestamp, DataError)
+
+
 def groundtruth_values(graph, gt, config):
     gt_t = np.array([p.t for p in gt])
     values = pgo.GraphValues(
@@ -297,6 +411,27 @@ class TestBiasCorrection:
         np.testing.assert_allclose(factor.pre.bias_gyro, values.bias[0][0:3])
         # After re-integration the linearization matches; no further trigger.
         assert pgo._reintegrate_drifted(graph, values, threshold=0.05) == 0
+
+    def test_only_drifted_factors_reintegrated(self, rng):
+        graph, values = oracle_graph(rng, n_kf=5)
+        imu_fs = graph.imu_factors()
+        before = [f.pre for f in imu_fs]
+        for f in imu_fs:
+            values.bias[f.i] = np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
+        values.bias[1, 4] += 0.06       # accel component past the threshold
+        values.bias[3, 0] -= 0.2        # gyro component past the threshold
+        values.bias[2] += 0.04          # within it
+        assert pgo._reintegrate_drifted(graph, values, threshold=0.05) == 2
+        for f, old in zip(imu_fs, before):
+            if f.i in (1, 3):
+                omega, accel, dts = f.samples
+                np.testing.assert_array_equal(f.pre.bias_gyro, values.bias[f.i, 0:3])
+                np.testing.assert_array_equal(f.pre.bias_accel, values.bias[f.i, 3:6])
+                assert_matches_oracle(f.pre, oracle_integrate(
+                    omega, accel, dts, values.bias[f.i, 0:3],
+                    values.bias[f.i, 3:6], old.noise))
+            else:
+                assert f.pre is old
 
 
 class TestRunBatch:

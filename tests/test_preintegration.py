@@ -6,9 +6,9 @@ from toafusion import geometry as geo
 from toafusion import preintegration as pre
 from toafusion.dataset import ImuSample
 from toafusion.errors import InvalidDt
-from toafusion.eskf import GRAVITY, ImuNoiseParams, NavState
+from toafusion.eskf import GRAVITY, MAX_DT_S, ImuNoiseParams, NavState
 
-from conftest import random_rotation
+from conftest import assert_matches_oracle, oracle_integrate, random_rotation
 
 
 def fresh(bias_g=None, bias_a=None, noise=None):
@@ -209,3 +209,114 @@ class TestConsistencyWithNominalPropagation:
         r_vel = pre.residual_velocity(p, rot_i, state0.v, state_j.v)
         assert np.linalg.norm(r_pos) < 2e-4
         assert np.linalg.norm(r_vel) < 2e-3
+
+
+def random_intervals(rng, lengths, pad=np.nan):
+    """Padded (m, n, 3) rates and accelerations and (m, n) steps."""
+    m, n = len(lengths), max(lengths)
+    omega = np.full((m, n, 3), pad)
+    accel = np.full((m, n, 3), pad)
+    dts = np.full((m, n), pad)
+    for k, count in enumerate(lengths):
+        omega[k, :count] = rng.uniform(-1, 1, (count, 3))
+        accel[k, :count] = rng.uniform(-5, 5, (count, 3))
+        dts[k, :count] = rng.uniform(0.004, 0.006, count)
+    return omega, accel, dts
+
+
+class TestBatchedKernel:
+    def test_single_interval_matches_oracle(self, rng):
+        noise = ImuNoiseParams()
+        for _ in range(5):
+            omega, accel, dts = random_intervals(rng, [20])
+            bias_g = 0.05 * rng.standard_normal(3)
+            bias_a = 0.2 * rng.standard_normal(3)
+            p = pre.integrate_batch(omega[0], accel[0], dts[0], bias_g, bias_a,
+                                    noise)
+            assert isinstance(p, pre.PreintegratedImu)
+            assert_matches_oracle(p, oracle_integrate(omega[0], accel[0], dts[0],
+                                                      bias_g, bias_a, noise))
+
+    def test_unequal_lengths_match_oracle(self, rng):
+        # Dropped or jittered stamps give keyframe intervals of 19-21 samples.
+        noise = ImuNoiseParams(sigma_g=3e-3, sigma_a=2e-2)
+        lengths = [19, 20, 21, 1, 20]
+        omega, accel, dts = random_intervals(rng, lengths)
+        bias_g = 0.05 * rng.standard_normal((len(lengths), 3))
+        bias_a = 0.2 * rng.standard_normal((len(lengths), 3))
+        batch = pre.integrate_batch(omega, accel, dts, bias_g, bias_a, noise,
+                                    counts=lengths)
+        assert isinstance(batch, pre.PreintegratedBatch)
+        assert batch.count == sum(lengths) and isinstance(batch.count, int)
+        for k, count in enumerate(lengths):
+            expected = oracle_integrate(omega[k, :count], accel[k, :count],
+                                        dts[k, :count], bias_g[k], bias_a[k], noise)
+            assert_matches_oracle(batch.at(k), expected)
+            np.testing.assert_array_equal(batch.bias_gyro[k], bias_g[k])
+
+    def test_many_intervals_span_several_passes(self, rng):
+        lengths = list(rng.integers(19, 22, 2 * (pre._PASS_SAMPLES // 21) + 3))
+        omega, accel, dts = random_intervals(rng, lengths)
+        bias_g = 0.05 * rng.standard_normal((len(lengths), 3))
+        bias_a = 0.2 * rng.standard_normal((len(lengths), 3))
+        batch = pre.integrate_batch(omega, accel, dts, bias_g, bias_a,
+                                    counts=lengths)
+        assert batch.count == sum(lengths)
+        for k, count in enumerate(lengths):
+            assert_matches_oracle(batch.at(k), oracle_integrate(
+                omega[k, :count], accel[k, :count], dts[k, :count], bias_g[k],
+                bias_a[k], ImuNoiseParams()))
+
+    def test_shared_bias_point(self, rng):
+        omega, accel, dts = random_intervals(rng, [20, 20, 20])
+        bias_g, bias_a = 0.01 * np.ones(3), -0.1 * np.ones(3)
+        batch = pre.integrate_batch(omega, accel, dts, bias_g, bias_a)
+        for k in range(3):
+            assert_matches_oracle(batch.at(k), oracle_integrate(
+                omega[k], accel[k], dts[k], bias_g, bias_a, ImuNoiseParams()))
+
+    def test_padding_leaves_state_bit_for_bit_unchanged(self, rng):
+        lengths = [19, 21, 20]
+        omega, accel, dts = random_intervals(rng, lengths, pad=np.nan)
+        garbage = random_intervals(np.random.default_rng(1), lengths, pad=1e6)
+        for k, count in enumerate(lengths):
+            for arr, other in zip((omega, accel, dts), garbage):
+                other[k, :count] = arr[k, :count]
+        args = (np.full(3, 0.02), np.full(3, -0.3), ImuNoiseParams())
+        a = pre.integrate_batch(omega, accel, dts, *args, counts=lengths)
+        b = pre.integrate_batch(*garbage, *args, counts=lengths)
+        for name in pre._ARRAY_FIELDS + ("dt_total", "counts"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert np.all(np.isfinite(a.cov))
+
+    def test_gap_inside_an_interval_is_invalid_dt(self, rng):
+        omega, accel, dts = random_intervals(rng, [20, 18, 20])
+        dts[1, 7] = MAX_DT_S + 0.05
+        with pytest.raises(InvalidDt):
+            pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3),
+                                counts=[20, 18, 20])
+        dts[1, 7] = 0.0
+        with pytest.raises(InvalidDt):
+            pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3),
+                                counts=[20, 18, 20])
+        # A huge step in a padded slot is not a sample.
+        dts[1, 7] = 0.005
+        dts[1, 19] = 10.0
+        pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3),
+                            counts=[20, 18, 20])
+
+    def test_empty_interval_is_identity(self):
+        batch = pre.integrate_batch(np.zeros((2, 0, 3)), np.zeros((2, 0, 3)),
+                                    np.zeros((2, 0)), np.zeros(3), np.zeros(3))
+        assert batch.count == 0
+        np.testing.assert_array_equal(batch.d_rot, np.repeat(np.eye(3)[None], 2, 0))
+
+    def test_single_sample_integrate_matches_oracle(self, rng):
+        noise = ImuNoiseParams()
+        omega, accel, dts = random_intervals(rng, [15])
+        bias_g, bias_a = 0.03 * np.ones(3), 0.1 * np.ones(3)
+        p = fresh(bias_g, bias_a, noise)
+        for k in range(15):
+            p = pre.integrate(p, ImuSample(0, omega[0, k], accel[0, k]), dts[0, k])
+        assert_matches_oracle(p, oracle_integrate(omega[0], accel[0], dts[0],
+                                                  bias_g, bias_a, noise))
