@@ -30,11 +30,6 @@ def skew(omega: np.ndarray) -> np.ndarray:
     ])
 
 
-def unskew(m: np.ndarray) -> np.ndarray:
-    """Inverse of skew for an antisymmetric matrix."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def exp_so3(theta: np.ndarray) -> np.ndarray:
     """Rodrigues exponential of a rotation increment."""
     theta = np.asarray(theta, dtype=float)
@@ -200,6 +195,21 @@ def skew_batch(omega: np.ndarray) -> np.ndarray:
     out[:, 2, 0] = -omega[:, 1]
     out[:, 2, 1] = omega[:, 0]
     return out
+
+
+def quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
+    """quat_to_rot for an (N, 4) stack, returning (N, 3, 3)."""
+    x, y, z, w = np.asarray(q, dtype=float).T
+    n = x * x + y * y + z * z + w * w
+    s = 2.0 / n
+    xx, yy, zz = x * x * s, y * y * s, z * z * s
+    xy, xz, yz = x * y * s, x * z * s, y * z * s
+    wx, wy, wz = w * x * s, w * y * s, w * z * s
+    return np.stack([
+        1.0 - (yy + zz), xy - wz, xz + wy,
+        xy + wz, 1.0 - (xx + zz), yz - wx,
+        xz - wy, yz + wx, 1.0 - (xx + yy),
+    ], axis=1).reshape(-1, 3, 3)
 
 
 def exp_so3_batch(theta: np.ndarray) -> np.ndarray:

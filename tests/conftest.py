@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from toafusion import eskf
 from toafusion import geometry as geo
 
 
@@ -108,3 +109,89 @@ def assert_matches_oracle(pre, expected: dict, tol: float = 1e-12) -> None:
         scale = max(float(np.max(np.abs(want))), 1e-300)
         assert np.max(np.abs(got - want)) <= tol * scale, name
     assert isinstance(pre.count, int)
+
+
+# Per-sample ESKF oracle: the numpy RK4 nominal step, the per-sample error
+# Jacobians and the RK4 covariance step, and the filter loop that predicted
+# one sample at a time, as the package computed them before segments.
+def oracle_propagate_nominal(state, imu, dt, gravity):
+    w_hat = imu.omega - state.b_g
+    a_hat = imu.accel - state.b_a
+    omega = np.zeros((4, 4))
+    omega[:3, :3] = -geo.skew(w_hat)
+    omega[:3, 3] = w_hat
+    omega[3, :3] = -w_hat
+
+    def deriv(y):
+        q, v = y[0:4], y[4:7]
+        return np.concatenate([0.5 * (omega @ q),
+                               geo.quat_to_rot(q) @ a_hat + gravity, v])
+
+    y = np.concatenate([state.q, state.v, state.p])
+    k1 = deriv(y)
+    k2 = deriv(y + 0.5 * dt * k1)
+    k3 = deriv(y + 0.5 * dt * k2)
+    k4 = deriv(y + dt * k3)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return eskf.NavState(geo.quat_normalize(y[0:4]), state.b_g.copy(), y[4:7],
+                         state.b_a.copy(), y[7:10])
+
+
+def oracle_error_jacobians(state, imu):
+    w_hat = imu.omega - state.b_g
+    a_hat = imu.accel - state.b_a
+    r_wb = geo.quat_to_rot(state.q)
+    f = np.zeros((15, 15))
+    f[0:3, 0:3] = -geo.skew(w_hat)
+    f[0:3, 3:6] = -np.eye(3)
+    f[6:9, 0:3] = -r_wb @ geo.skew(a_hat)
+    f[6:9, 9:12] = -r_wb
+    f[12:15, 6:9] = np.eye(3)
+    g = np.zeros((15, 12))
+    g[0:3, 0:3] = -np.eye(3)
+    g[3:6, 3:6] = np.eye(3)
+    g[6:9, 6:9] = -r_wb
+    g[9:12, 9:12] = np.eye(3)
+    return f, g
+
+
+def oracle_propagate_covariance(p_cov, f, g, q_imu, dt):
+    gqg = g @ q_imu @ g.T
+
+    def deriv(p):
+        return f @ p + p @ f.T + gqg
+
+    k1 = deriv(p_cov)
+    k2 = deriv(p_cov + 0.5 * dt * k1)
+    k3 = deriv(p_cov + 0.5 * dt * k2)
+    k4 = deriv(p_cov + dt * k3)
+    out = p_cov + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return 0.5 * (out + out.T)
+
+
+def oracle_run_filter(imu, toa, config) -> list:
+    """(t, state, cov_diag) of every estimate, predicting sample by sample."""
+    state = config.initial_state.copy()
+    p_cov = (config.initial_cov.copy() if config.initial_cov is not None
+             else eskf.default_initial_covariance())
+    q_imu = config.noise.q_matrix()
+    std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
+    sigma_by_id = {bs.id: std[k] for k, bs in enumerate(config.stations)}
+    groups = eskf._group_by_time(toa)
+    next_group = 0
+    out = []
+    for i in range(1, len(imu)):
+        dt = (imu[i].t - imu[i - 1].t) * 1e-9
+        state = oracle_propagate_nominal(state, imu[i - 1], dt, config.gravity)
+        f, g = oracle_error_jacobians(state, imu[i - 1])
+        p_cov = oracle_propagate_covariance(p_cov, f, g, q_imu, dt)
+        now = imu[i].t
+        while next_group < len(groups) and groups[next_group][0] <= now:
+            _, meas = groups[next_group]
+            r_cov = np.diag([sigma_by_id[m.bs_id] ** 2 for m in meas])
+            state, p_cov = eskf.update(state, p_cov, meas, config.stations, r_cov)
+            out.append((now, state.copy(), np.diag(p_cov).copy()))
+            next_group += 1
+        if config.emit_at_imu_rate:
+            out.append((now, state.copy(), np.diag(p_cov).copy()))
+    return out

@@ -1,16 +1,23 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from toafusion import eskf
 from toafusion import geometry as geo
+from toafusion.config import ExperimentConfig
 from toafusion.dataset import ImuSample, ToaMeasurement
 from toafusion.errors import DegenerateGeometry, InvalidDt, UnknownBsId
 from toafusion.eskf import (GRAVITY, FilterConfig, ImuNoiseParams, NavState,
                             SL_BA, SL_BG, SL_P, SL_TH, SL_V)
+from toafusion.pipeline import load_inputs, meas_std, obtain_toa
+from toafusion.synthetic import initial_state_from_groundtruth
 from toafusion.toa_sim import BaseStation, default_stations
 
-from conftest import random_quaternion
+from conftest import (oracle_error_jacobians, oracle_propagate_covariance,
+                      oracle_propagate_nominal, oracle_run_filter,
+                      random_quaternion)
 
 
 def random_state(rng) -> NavState:
@@ -114,48 +121,91 @@ class TestPropagateNominal:
             eskf.propagate_nominal(NavState.identity(), ImuSample(0, np.zeros(3), np.zeros(3)), dt)
 
 
+def batched_jacobians(states, imus):
+    """error_jacobians on the stacked attitudes and bias-corrected inputs."""
+    return eskf.error_jacobians(
+        np.array([s.q for s in states]),
+        np.array([m.omega - s.b_g for s, m in zip(states, imus)]),
+        np.array([m.accel - s.b_a for s, m in zip(states, imus)]))
+
+
 class TestErrorJacobians:
     def test_structure_at_rest(self):
-        state = NavState.identity()
-        imu = ImuSample(0, np.zeros(3), np.zeros(3))
-        f, g = eskf.error_jacobians(state, imu)
         expected_f = np.zeros((15, 15))
         expected_f[SL_TH, SL_BG] = -np.eye(3)
         expected_f[SL_V, SL_BA] = -np.eye(3)
         expected_f[SL_P, SL_V] = np.eye(3)
-        np.testing.assert_array_equal(f, expected_f)
-        assert np.all(f[SL_TH, SL_TH] == 0.0)
+        for n in (1, 3):
+            f, g = batched_jacobians([NavState.identity()] * n,
+                                     [ImuSample(0, np.zeros(3), np.zeros(3))] * n)
+            assert f.shape == (n, 15, 15) and g.shape == (n, 15, 12)
+            for k in range(n):
+                np.testing.assert_array_equal(f[k], expected_f)
+                assert np.all(f[k, SL_TH, SL_TH] == 0.0)
 
     def test_attitude_block_is_minus_skew(self):
-        state = NavState.identity()
-        imu = ImuSample(0, np.array([0.0, 0.0, 1.0]), np.zeros(3))
-        f, _ = eskf.error_jacobians(state, imu)
-        np.testing.assert_array_equal(f[SL_TH, SL_TH], -geo.skew([0.0, 0.0, 1.0]))
+        for n in (1, 4):
+            rates = [np.array([0.0, 0.0, 1.0 + k]) for k in range(n)]
+            f, _ = batched_jacobians([NavState.identity()] * n,
+                                     [ImuSample(0, w, np.zeros(3)) for w in rates])
+            for k, w in enumerate(rates):
+                np.testing.assert_array_equal(f[k, SL_TH, SL_TH], -geo.skew(w))
 
     def test_g_noise_routing(self, rng):
-        state = random_state(rng)
-        _, g = eskf.error_jacobians(state, random_imu(rng))
-        np.testing.assert_array_equal(g[SL_TH, 0:3], -np.eye(3))
-        np.testing.assert_array_equal(g[SL_BG, 3:6], np.eye(3))
-        np.testing.assert_allclose(g[SL_V, 6:9], -geo.quat_to_rot(state.q))
-        np.testing.assert_array_equal(g[SL_BA, 9:12], np.eye(3))
+        for n in (1, 5):
+            states = [random_state(rng) for _ in range(n)]
+            _, g = batched_jacobians(states, [random_imu(rng) for _ in range(n)])
+            for k, state in enumerate(states):
+                np.testing.assert_array_equal(g[k, SL_TH, 0:3], -np.eye(3))
+                np.testing.assert_array_equal(g[k, SL_BG, 3:6], np.eye(3))
+                np.testing.assert_allclose(g[k, SL_V, 6:9], -geo.quat_to_rot(state.q))
+                np.testing.assert_array_equal(g[k, SL_BA, 9:12], np.eye(3))
 
     def test_matches_finite_differences(self, rng):
-        for _ in range(100):
-            state = random_state(rng)
-            imu = random_imu(rng)
-            f, g = eskf.error_jacobians(state, imu)
-            f_fd, g_fd = finite_difference_f_g(state, imu)
-            assert np.linalg.norm(f - f_fd) / np.linalg.norm(f_fd) < 1e-5
-            assert np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd) < 1e-5
+        # 100 samples one at a time (n = 1), then 100 in one call.
+        for n, calls in ((1, 100), (100, 1)):
+            for _ in range(calls):
+                states = [random_state(rng) for _ in range(n)]
+                imus = [random_imu(rng) for _ in range(n)]
+                f, g = batched_jacobians(states, imus)
+                for k in range(n):
+                    f_fd, g_fd = finite_difference_f_g(states[k], imus[k])
+                    assert np.linalg.norm(f[k] - f_fd) / np.linalg.norm(f_fd) < 1e-5
+                    assert np.linalg.norm(g[k] - g_fd) / np.linalg.norm(g_fd) < 1e-5
+
+    def test_matches_per_sample_oracle_exactly(self, rng):
+        states = [random_state(rng) for _ in range(30)]
+        imus = [random_imu(rng) for _ in range(30)]
+        f, g = batched_jacobians(states, imus)
+        for k in range(30):
+            f_one, g_one = oracle_error_jacobians(states[k], imus[k])
+            np.testing.assert_array_equal(f[k], f_one)
+            np.testing.assert_array_equal(g[k], g_one)
+
+
+def van_loan(p0, f, g, q, dt):
+    """Exact discrete propagation via the matrix-exponential construction."""
+    big = np.zeros((30, 30))
+    big[:15, :15] = -f
+    big[:15, 15:] = g @ q @ g.T
+    big[15:, 15:] = f.T
+    ed = expm(big * dt)
+    phi = ed[15:, 15:].T
+    q_d = phi @ ed[:15, 15:]
+    exact = phi @ p0 @ phi.T + q_d
+    return 0.5 * (exact + exact.T)
 
 
 class TestPropagateCovariance:
     def test_zero_dynamics_zero_noise(self, rng):
         p = np.diag(rng.uniform(0.1, 1.0, 15))
-        out = eskf.propagate_covariance(p, np.zeros((15, 15)), np.zeros((15, 12)),
-                                        np.zeros((12, 12)), 0.01)
-        np.testing.assert_allclose(out, p, atol=1e-15)
+        for n in (1, 4):
+            out = eskf.propagate_covariance(p, np.zeros((n, 15, 15)),
+                                            np.zeros((n, 15, 12)),
+                                            np.zeros((12, 12)), np.full(n, 0.01))
+            assert out.shape == (n, 15, 15)
+            for k in range(n):
+                np.testing.assert_allclose(out[k], p, atol=1e-15)
 
     def test_linear_growth_without_dynamics(self, rng):
         p = np.eye(15)
@@ -163,12 +213,15 @@ class TestPropagateCovariance:
         g[SL_TH, 0:3] = -np.eye(3)
         q = np.diag([0.01] * 12)
         dt = 0.002
-        out = eskf.propagate_covariance(p, np.zeros((15, 15)), g, q, dt)
-        expected = p + g @ q @ g.T * dt
-        np.testing.assert_allclose(out, expected, atol=1e-9)
+        for n in (1, 4):
+            out = eskf.propagate_covariance(p, np.zeros((n, 15, 15)),
+                                            np.repeat(g[None], n, axis=0), q,
+                                            np.full(n, dt))
+            for k in range(n):
+                expected = p + g @ q @ g.T * dt * (k + 1)
+                np.testing.assert_allclose(out[k], expected, atol=1e-9)
 
     def test_van_loan_oracle(self, rng):
-        # Exact discrete propagation via the matrix-exponential construction.
         for _ in range(20):
             f = rng.standard_normal((15, 15))
             f /= max(np.linalg.norm(f, 2), 1.0)
@@ -177,27 +230,39 @@ class TestPropagateCovariance:
             p0 = rng.standard_normal((15, 15))
             p0 = p0 @ p0.T + 0.1 * np.eye(15)
             dt = 0.005
-            big = np.zeros((30, 30))
-            big[:15, :15] = -f
-            big[:15, 15:] = g @ q @ g.T
-            big[15:, 15:] = f.T
-            ed = expm(big * dt)
-            phi = ed[15:, 15:].T
-            q_d = phi @ ed[:15, 15:]
-            exact = phi @ p0 @ phi.T + q_d
-            out = eskf.propagate_covariance(p0, f, g, q, dt)
-            np.testing.assert_allclose(out, 0.5 * (exact + exact.T), atol=1e-8)
+            out = eskf.propagate_covariance(p0, f[None], g[None], q,
+                                            np.array([dt]))
+            np.testing.assert_allclose(out[0], van_loan(p0, f, g, q, dt),
+                                       atol=1e-8)
+
+    def test_van_loan_oracle_chained(self, rng):
+        # Five different steps in one call, each checked against Van Loan
+        # from the previous exact covariance.
+        n = 5
+        f = rng.standard_normal((n, 15, 15))
+        f /= np.maximum(np.linalg.norm(f, 2, axis=(1, 2)), 1.0)[:, None, None]
+        g = rng.standard_normal((n, 15, 12)) * 0.5
+        q = np.diag(rng.uniform(0.0, 0.1, 12))
+        dt = rng.uniform(0.004, 0.006, n)
+        p = rng.standard_normal((15, 15))
+        p = p @ p.T + 0.1 * np.eye(15)
+        out = eskf.propagate_covariance(p, f, g, q, dt)
+        for k in range(n):
+            p = van_loan(p, f[k], g[k], q, dt[k])
+            np.testing.assert_allclose(out[k], p, atol=1e-8)
 
     def test_stays_symmetric_and_psd(self, rng):
-        state = random_state(rng)
-        imu = random_imu(rng)
-        f, g = eskf.error_jacobians(state, imu)
-        p = eskf.default_initial_covariance()
+        f, g = batched_jacobians([random_state(rng)], [random_imu(rng)])
         q = ImuNoiseParams().q_matrix()
-        for _ in range(500):
-            p = eskf.propagate_covariance(p, f, g, q, 0.005)
-        assert np.max(np.abs(p - p.T)) < 1e-9
-        assert np.min(np.linalg.eigvalsh(p)) > -1e-9
+        # 500 steps: one per call (n = 1), then all in one call.
+        for n, calls in ((1, 500), (500, 1)):
+            p = eskf.default_initial_covariance()
+            for _ in range(calls):
+                p = eskf.propagate_covariance(p, np.repeat(f, n, axis=0),
+                                              np.repeat(g, n, axis=0), q,
+                                              np.full(n, 0.005))[-1]
+            assert np.max(np.abs(p - p.T)) < 1e-9
+            assert np.min(np.linalg.eigvalsh(p)) > -1e-9
 
 
 class TestMeasurementJacobian:
@@ -373,3 +438,104 @@ class TestRunFilter:
         toa.append(ToaMeasurement(toa[-1].t + int(2e8), 99, 5.0))
         with pytest.raises(UnknownBsId, match="bs_id 99"):
             eskf.run_filter(imu, toa, self.make_config())
+
+
+def figure_eight_inputs(seed: int, duration_s: float = 10.0):
+    """IMU, ToA and a FilterConfig for a noisy figure-eight, as the pipeline
+    builds them."""
+    cfg = ExperimentConfig()
+    cfg.trajectory.duration_s = duration_s
+    imu, gt = load_inputs(cfg, seed)
+    toa = obtain_toa(cfg, gt, seed, cfg.stations.count)
+    config = FilterConfig(initial_state=initial_state_from_groundtruth(gt),
+                          stations=cfg.base_stations(cfg.stations.count),
+                          meas_std=meas_std(cfg, cfg.stations.count),
+                          noise=cfg.imu_model, sigma_floor=cfg.eskf.sigma_floor)
+    return imu, toa, config
+
+
+class TestSegmentsMatchPerSampleOracle:
+    @pytest.mark.parametrize("dt", [0.001, 0.005, 0.02])
+    def test_scalar_nominal_step(self, rng, dt):
+        for _ in range(50):
+            state = random_state(rng)
+            imu = random_imu(rng)
+            got = eskf.propagate_nominal(state, imu, dt)
+            want = oracle_propagate_nominal(state, imu, dt, GRAVITY)
+            for name in ("q", "b_g", "v", "b_a", "p"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=0, atol=1e-14, err_msg=name)
+
+    def test_segment_chain_matches_rk4(self, rng):
+        # A 40-step segment of one trajectory: attitudes and inputs vary.
+        state = random_state(rng)
+        states, imus = [], []
+        for _ in range(40):
+            imus.append(random_imu(rng))
+            state = eskf.propagate_nominal(state, imus[-1], 0.005)
+            states.append(state)
+        f, g = batched_jacobians(states, imus)
+        q = ImuNoiseParams().q_matrix()
+        p = eskf.default_initial_covariance()
+        out = eskf.propagate_covariance(p, f, g, q, np.full(40, 0.005))
+        for k in range(40):
+            p = oracle_propagate_covariance(p, f[k], g[k], q, 0.005)
+            assert np.max(np.abs(out[k] - p)) <= 1e-9 * np.max(np.abs(p))
+
+    @pytest.mark.parametrize("emit", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_filter(self, seed, emit):
+        imu, toa, config = figure_eight_inputs(seed)
+        config.emit_at_imu_rate = emit
+        run = eskf.run_filter(imu, toa, config)
+        want = oracle_run_filter(imu, toa, config)
+        assert len(run.estimates) == len(want)
+        assert len(run.estimates) == (len(imu) - 1 + 51 if emit else 51)
+        for est, (t, state, cov_diag) in zip(run.estimates, want):
+            assert est.t == t
+            np.testing.assert_allclose(est.state.p, state.p, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.state.q, state.q, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.cov_diag, cov_diag, rtol=1e-8)
+
+    def test_gap_inside_a_segment_raises_invalid_dt(self):
+        imu, toa, config = figure_eight_inputs(0, duration_s=2.0)
+        # Ticks every 40 samples; drop 30 samples between the ticks at
+        # samples 40 and 80, a 155 ms gap.
+        gappy = imu[:50] + imu[80:]
+        with pytest.raises(InvalidDt):
+            eskf.run_filter(gappy, toa, config)
+
+    def test_segments_longer_than_the_cap(self, monkeypatch):
+        # Without ToA the stream is cut only by MAX_SEGMENT.
+        imu, _, config = figure_eight_inputs(0, duration_s=3.0)
+        assert len(imu) - 1 > 2 * eskf.MAX_SEGMENT
+        config.emit_at_imu_rate = True
+        sizes = []
+        propagate = eskf.propagate_covariance
+
+        def recording(p_cov, f, *args):
+            sizes.append(f.shape[0])
+            return propagate(p_cov, f, *args)
+
+        monkeypatch.setattr(eskf, "propagate_covariance", recording)
+        run = eskf.run_filter(imu, [], config)
+        assert max(sizes) == eskf.MAX_SEGMENT and sum(sizes) == len(imu) - 1
+        want = oracle_run_filter(imu, [], config)
+        assert [e.t for e in run.estimates] == [t for t, _, _ in want]
+        for est, (_, state, cov_diag) in zip(run.estimates, want):
+            np.testing.assert_allclose(est.state.p, state.p, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.cov_diag, cov_diag, rtol=1e-8)
+
+
+class TestPredictTiming:
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_one_positive_entry_per_interval_within_wall_time(self, emit):
+        imu, toa, config = figure_eight_inputs(0, duration_s=5.0)
+        config.emit_at_imu_rate = emit
+        tic = time.perf_counter()
+        run = eskf.run_filter(imu, toa, config)
+        wall_ms = (time.perf_counter() - tic) * 1e3
+        assert len(run.predict_times_ms) == len(imu) - 1
+        assert np.all(run.predict_times_ms > 0.0)
+        assert len(run.update_times_ms) == 26
+        assert run.predict_times_ms.sum() + run.update_times_ms.sum() <= wall_ms

@@ -110,6 +110,14 @@ class TestQuaternion:
         for _ in range(1000):
             assert geo.is_rotation(geo.quat_to_rot(random_quaternion(rng)))
 
+    def test_quat_to_rot_batch_matches_scalar(self, rng):
+        # Unnormalized rows too: the ESKF rotates by RK4 stage quaternions.
+        q = rng.standard_normal((50, 4)) * rng.uniform(0.5, 2.0, (50, 1))
+        rot = geo.quat_to_rot_batch(q)
+        assert rot.shape == (50, 3, 3)
+        for k in range(50):
+            np.testing.assert_array_equal(rot[k], geo.quat_to_rot(q[k]))
+
     def test_identity_round_trip(self):
         np.testing.assert_allclose(geo.quat_to_rot(geo.quat_identity()), np.eye(3),
                                    atol=1e-15)
