@@ -15,13 +15,19 @@ IMU factors only link consecutive keyframes, so with keyframes ordered
 first and stations last the normal equations have arrow form: a
 block-tridiagonal keyframe block of half-bandwidth 2 * KF_DIM - 1, a dense
 keyframe-station coupling and a small dense station block. Each damped
-step factors the keyframe block with a banded Cholesky and solves for the
-stations through their Schur complement; no dense matrix over all
-variables is ever formed.
+step factors the keyframe block with a banded Cholesky A = U^T U. One
+triangular band solve W = U^-T [-g_k | B] yields the station Schur
+complement C - W_B^T W_B, and after the station solve a second one, with
+a single right-hand side, yields the keyframe step; no dense matrix over
+all variables is ever formed. The cost at the initial values comes from
+the first assembly.
 
 The incremental mode re-optimizes a sliding window after each new
 keyframe, summarizing everything older than the window by a Gaussian
-prior on the oldest in-window keyframe.
+prior on the oldest in-window keyframe. It stacks the IMU and range
+factors into tables once per run: each new IMU factor fills its own row,
+re-integrated factors rewrite theirs, and each window solve reads row
+slices of the tables instead of restacking its factors.
 
 Both modes turn the IMU samples into columns once per call (strictly
 increasing timestamps required) and slice each keyframe interval by
@@ -33,7 +39,7 @@ re-integrated together, one kernel call per check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -338,6 +344,10 @@ class FactorGraph:
     keyframes: list[KeyframeId]
     factors: list
     station_ids: list[int]
+    # The factors of one solve over keyframes [first_kf, N), stacked by a
+    # caller that keeps the tables across solves (the sliding window).
+    # `optimize` then uses it as it is, and `factors` holds the priors only.
+    window: Optional[_Window] = field(default=None, repr=False)
 
     def imu_factors(self) -> list[ImuFactor]:
         return [f for f in self.factors if f.kind == "Imu"]
@@ -419,36 +429,82 @@ def _active_factors(graph: FactorGraph, first_kf: int) -> list:
     return out
 
 
+# Fields of PreintegratedImu copied into an _ImuTable row of the same name.
+_PRE_ROW_FIELDS = ("d_rot", "d_pos", "d_vel", "j_rot_bg", "j_pos_bg",
+                   "j_pos_ba", "j_vel_bg", "j_vel_ba")
+
+
+@dataclass
 class _ImuTable:
-    """IMU factors stacked into arrays, once per solve."""
+    """IMU factors as arrays, one row per factor."""
 
-    def __init__(self, imu_fs: list):
-        pres = [f.pre for f in imu_fs]
-        self.i = np.array([f.i for f in imu_fs])
-        self.j = np.array([f.j for f in imu_fs])
-        self.d_rot = np.stack([p.d_rot for p in pres])
-        self.d_pos = np.stack([p.d_pos for p in pres])
-        self.d_vel = np.stack([p.d_vel for p in pres])
-        self.dt = np.array([p.dt_total for p in pres])
-        self.sqrt_info = np.stack([f.sqrt_info for f in imu_fs])
-        self.bias_lin = np.stack([np.concatenate([p.bias_gyro, p.bias_accel])
-                                  for p in pres])
-        self.j_rot_bg = np.stack([p.j_rot_bg for p in pres])
-        self.j_pos_bg = np.stack([p.j_pos_bg for p in pres])
-        self.j_pos_ba = np.stack([p.j_pos_ba for p in pres])
-        self.j_vel_bg = np.stack([p.j_vel_bg for p in pres])
-        self.j_vel_ba = np.stack([p.j_vel_ba for p in pres])
-        self.gravity = imu_fs[0].gravity
+    i: np.ndarray            # (m,)
+    j: np.ndarray            # (m,)
+    d_rot: np.ndarray        # (m, 3, 3)
+    d_pos: np.ndarray        # (m, 3)
+    d_vel: np.ndarray        # (m, 3)
+    j_rot_bg: np.ndarray     # (m, 3, 3), and so are the four below
+    j_pos_bg: np.ndarray
+    j_pos_ba: np.ndarray
+    j_vel_bg: np.ndarray
+    j_vel_ba: np.ndarray
+    dt: np.ndarray           # (m,)
+    sqrt_info: np.ndarray    # (m, 15, 15)
+    bias_lin: np.ndarray     # (m, 6): the linearization point, gyro then accel
+    gravity: np.ndarray      # (3,), shared by every row
+
+    @classmethod
+    def zeros(cls, m: int, gravity: np.ndarray) -> "_ImuTable":
+        """m rows for `write` to fill."""
+        return cls(np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64),
+                   np.zeros((m, 3, 3)), np.zeros((m, 3)), np.zeros((m, 3)),
+                   *(np.zeros((m, 3, 3)) for _ in range(5)),
+                   np.zeros(m), np.zeros((m, 15, 15)), np.zeros((m, 6)),
+                   gravity)
+
+    @classmethod
+    def stack(cls, imu_fs: Sequence[ImuFactor]) -> "_ImuTable":
+        tab = cls.zeros(len(imu_fs), imu_fs[0].gravity)
+        for k, f in enumerate(imu_fs):
+            tab.write(k, f)
+        return tab
+
+    def write(self, k: int, f: ImuFactor) -> None:
+        """Row k from the factor and its current preintegration."""
+        pre = f.pre
+        self.i[k], self.j[k] = f.i, f.j
+        for name in _PRE_ROW_FIELDS:
+            getattr(self, name)[k] = getattr(pre, name)
+        self.dt[k] = pre.dt_total
+        self.sqrt_info[k] = f.sqrt_info
+        self.bias_lin[k, 0:3], self.bias_lin[k, 3:6] = pre.bias_gyro, pre.bias_accel
+
+    def rows(self, lo: int, hi: int) -> "_ImuTable":
+        """Rows [lo, hi), as views into this table."""
+        return _ImuTable(*(getattr(self, f.name)[lo:hi] for f in fields(self)
+                           if f.name != "gravity"), self.gravity)
 
 
+@dataclass
 class _RangeTable:
-    """Range factors stacked into arrays, once per solve."""
+    """Range factors as arrays, one row per factor."""
 
-    def __init__(self, range_fs: list):
-        self.kf = np.array([f.kf for f in range_fs])
-        self.station = np.array([f.station for f in range_fs])
-        self.distance = np.array([f.distance for f in range_fs])
-        self.sigma = np.array([f.sigma for f in range_fs])
+    kf: np.ndarray
+    station: np.ndarray
+    distance: np.ndarray
+    sigma: np.ndarray
+
+    @classmethod
+    def stack(cls, range_fs: Sequence[RangeFactor]) -> "_RangeTable":
+        return cls(np.array([f.kf for f in range_fs], dtype=np.int64),
+                   np.array([f.station for f in range_fs], dtype=np.int64),
+                   np.array([f.distance for f in range_fs], dtype=float),
+                   np.array([f.sigma for f in range_fs], dtype=float))
+
+    def rows(self, lo: int, hi: int) -> "_RangeTable":
+        """Rows [lo, hi), as views into this table."""
+        return _RangeTable(self.kf[lo:hi], self.station[lo:hi],
+                           self.distance[lo:hi], self.sigma[lo:hi])
 
 
 class _Window:
@@ -458,9 +514,17 @@ class _Window:
     def __init__(self, factors: list):
         imu_fs = [f for f in factors if f.kind == "Imu"]
         range_fs = [f for f in factors if f.kind == "Range"]
-        self.imu = _ImuTable(imu_fs) if imu_fs else None
-        self.ranges = _RangeTable(range_fs) if range_fs else None
+        self.imu = _ImuTable.stack(imu_fs) if imu_fs else None
+        self.ranges = _RangeTable.stack(range_fs) if range_fs else None
         self.others = [f for f in factors if f.kind not in ("Range", "Imu")]
+
+    @classmethod
+    def of_tables(cls, others: list, imu: Optional[_ImuTable],
+                  ranges: Optional[_RangeTable]) -> "_Window":
+        """A window whose IMU and range factors are stacked already."""
+        window = cls(others)
+        window.imu, window.ranges = imu, ranges
+        return window
 
 
 def _range_terms(tab: _RangeTable, values: GraphValues):
@@ -664,31 +728,47 @@ def _build_normal_equations(window: _Window, values: GraphValues,
                            grad.total(), cost)
 
 
+def _band_solve(factor: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """U^-T rhs (trans "T") or U^-1 rhs (trans "N"), U the upper band factor."""
+    x, info = scipy.linalg.lapack.dtbtrs(factor, rhs, uplo="U", trans=trans,
+                                         overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"band factor has a zero pivot at {info}")
+    if info < 0:
+        raise ValueError(f"dtbtrs rejected argument {-info}")
+    return x
+
+
 def _solve_damped(neq: NormalEquations, damping: np.ndarray) -> np.ndarray:
     """Solve (H + diag(damping)) delta = -g.
 
-    With A the damped keyframe band, B the coupling and C the damped
-    station block: banded Cholesky of A, then Cholesky of the Schur
-    complement S = C - B^T A^-1 B. Raises LinAlgError when A or S is not
-    positive definite.
+    With A = U^T U the damped keyframe band (banded Cholesky), B the
+    coupling and C the damped station block, one triangular solve
+    W = U^-T [-g_k | B] = [z | W_B] gives the station Schur complement
+    S = C - W_B^T W_B = C - B^T A^-1 B. Cholesky of S yields the station
+    step y, and a second triangular solve the keyframe step
+    x = U^-1 (z - W_B y). Raises LinAlgError when A or S is not positive
+    definite.
     """
-    nk = neq.band.shape[1]
+    nk, ns = neq.coupling.shape
     band = neq.band.copy()
     band[-1] += damping[:nk]
     factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
                                           check_finite=False)
-    sol = scipy.linalg.cho_solve_banded(
-        (factor, False), np.column_stack([-neq.grad[:nk], neq.coupling]),
-        overwrite_b=True, check_finite=False)
-    x, a_inv_b = sol[:, 0], sol[:, 1:]
-    if not neq.coupling.shape[1]:
-        return x
-    schur = neq.stations - neq.coupling.T @ a_inv_b
+    rhs = np.empty((nk, 1 + ns), order="F")
+    rhs[:, 0] = -neq.grad[:nk]
+    rhs[:, 1:] = neq.coupling
+    w = _band_solve(factor, rhs, "T")
+    z, w_b = w[:, 0], w[:, 1:]
+    if not ns:
+        return _band_solve(factor, z[:, None], "N")[:, 0]
+    schur = neq.stations - w_b.T @ w_b
     schur[np.diag_indices_from(schur)] += damping[nk:]
     y = scipy.linalg.cho_solve(
         scipy.linalg.cho_factor(schur, check_finite=False),
-        -neq.grad[nk:] - neq.coupling.T @ x, check_finite=False)
-    return np.concatenate([x - a_inv_b @ y, y])
+        -neq.grad[nk:] - w_b.T @ z, check_finite=False)
+    x = _band_solve(factor, (z - w_b @ y)[:, None], "N")[:, 0]
+    return np.concatenate([x, y])
 
 
 def _retract(values: GraphValues, delta: np.ndarray, first_kf: int,
@@ -729,16 +809,19 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
     """Damped nonlinear least squares over keyframes [first_kf, N).
 
     Accepted steps never increase the cost; the damping parameter grows on
-    rejected steps and shrinks on accepted ones.
+    rejected steps and shrinks on accepted ones. The initial cost is that
+    of the first assembly.
     """
     opts = options or OptimizeOptions()
     n_kf = initial_values.n_keyframes - first_kf
     n_st = initial_values.stations.shape[0]
-    window = _Window(_active_factors(graph, first_kf))
+    window = graph.window
+    if window is None:
+        window = _Window(_active_factors(graph, first_kf))
 
     values = initial_values.copy()
-    cost = _window_cost(window, values)
-    initial_cost = cost
+    neq = _build_normal_equations(window, values, first_kf, n_kf, n_st)
+    cost = initial_cost = neq.cost
     lam = opts.damping_init
     cost_log: list[tuple[int, float, float]] = []
     costs: list[float] = []
@@ -747,7 +830,8 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
 
     for it in range(1, opts.max_iters + 1):
         iterations = it
-        neq = _build_normal_equations(window, values, first_kf, n_kf, n_st)
+        if it > 1:
+            neq = _build_normal_equations(window, values, first_kf, n_kf, n_st)
         damp = np.maximum(neq.diagonal(), 1e-8)
         accepted = False
         solver_failed = True
@@ -859,9 +943,21 @@ def _keyframe_times(imu: ImuArrays, node_rate_hz: float) -> list[int]:
     return list(range(int(imu.t[0]), int(imu.t[-1]) + 1, period))
 
 
-def _station_sigma(config: PgoConfig) -> dict[int, float]:
+def _range_factors(times: Sequence[int], toa: Sequence[ToaMeasurement],
+                   config: PgoConfig) -> list[RangeFactor]:
+    """One factor per measurement, on its nearest keyframe, in measurement
+    order."""
     std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
-    return {bs.id: float(std[k]) for k, bs in enumerate(config.stations)}
+    station = {bs.id: (k, float(std[k])) for k, bs in enumerate(config.stations)}
+    out = []
+    for kf_idx, m_idx in associate_nearest(times, [m.t for m in toa],
+                                           max_gap=np.iinfo(np.int64).max):
+        m = toa[m_idx]
+        if m.bs_id not in station:
+            raise UnknownBsId(f"bs_id {m.bs_id} has no configured station")
+        k, sigma = station[m.bs_id]
+        out.append(RangeFactor(kf_idx, k, m.distance, sigma))
+    return out
 
 
 def _slice_interval(imu: ImuArrays, times: Sequence[int], k: int
@@ -923,17 +1019,7 @@ def build_graph(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
                                           values.vel[k], config.gravity)
         values.rot[k + 1], values.pos[k + 1], values.vel[k + 1] = rot_j, p_j, v_j
 
-    sigma_by_id = _station_sigma(config)
-    st_index = {bs.id: k for k, bs in enumerate(config.stations)}
-    toa_times = [m.t for m in toa]
-    pairs = associate_nearest(times, toa_times, max_gap=np.iinfo(np.int64).max)
-    for kf_idx, m_idx in pairs:
-        m = toa[m_idx]
-        if m.bs_id not in st_index:
-            raise UnknownBsId(f"bs_id {m.bs_id} has no configured station")
-        factors.append(RangeFactor(kf_idx, st_index[m.bs_id], m.distance,
-                                   sigma_by_id[m.bs_id]))
-
+    factors += _range_factors(times, toa, config)
     return FactorGraph(keyframes, factors, [bs.id for bs in config.stations]), values
 
 
@@ -981,7 +1067,9 @@ class PgoRun:
     batch: Optional[Trajectory]
     step_times_ms: np.ndarray
     final_report: Optional[OptimizeReport]
-    reintegrations: int
+    reintegrations: int       # IMU factors re-integrated, window and final batch
+    marginal_fallbacks: int   # steps whose marginal prior fell back to the
+                              # initial-prior covariance
 
 
 def run_batch(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
@@ -992,16 +1080,28 @@ def run_batch(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     graph, values = build_graph(imu, toa, config)
     if initial is not None and len(initial) > 0:
         _seed_from_trajectory(graph, values, initial)
+    values, report, _ = _solve_relinearizing(graph, values, config)
+    return values_to_trajectory(graph.keyframes, values), report
+
+
+def _solve_relinearizing(graph: FactorGraph, values: GraphValues,
+                         config: PgoConfig
+                         ) -> tuple[GraphValues, OptimizeReport, int]:
+    """Solve the whole graph, then re-linearize the IMU factors where the
+    bias estimate moved and solve again, at most three times, until the
+    linearization points are consistent. Also returns the number of
+    factors re-integrated."""
     opts = OptimizeOptions(config.max_iters, config.damping_init,
                            config.cost_tol, config.step_tol)
     values, report = optimize(graph, values, opts)
-    # Re-linearize the IMU factors where the bias estimate moved and solve
-    # again; repeats until the linearization points are consistent.
+    reintegrated = 0
     for _ in range(3):
-        if _reintegrate_drifted(graph, values, config.bias_drift_threshold) == 0:
+        count = _reintegrate_drifted(graph, values, config.bias_drift_threshold)
+        if count == 0:
             break
+        reintegrated += count
         values, report = optimize(graph, values, opts)
-    return values_to_trajectory(graph.keyframes, values), report
+    return values, report, reintegrated
 
 
 def _seed_from_trajectory(graph: FactorGraph, values: GraphValues,
@@ -1045,22 +1145,15 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     station_priors = [PriorStationFactor(k, bs.position.copy(),
                                          config.station_prior_sigma)
                       for k, bs in enumerate(config.stations)]
-    marginal_priors: list = []
+    station_ids = [bs.id for bs in config.stations]
+    # The IMU and range factors are stacked once for the whole run: row k of
+    # imu_tab is imu_factors[k], linking keyframes k and k + 1, and is
+    # rewritten when that factor is re-integrated; range factors are sorted
+    # by keyframe. Each window solve reads row slices of the two tables.
     imu_factors: list[ImuFactor] = []
-    lin_bias = np.zeros((n - 1, 6))     # bias point of imu_factors[k]
-    range_by_kf: dict[int, list[RangeFactor]] = {}
-
-    sigma_by_id = _station_sigma(config)
-    st_index = {bs.id: k for k, bs in enumerate(config.stations)}
-    toa_times = [m.t for m in toa]
-    for kf_idx, m_idx in associate_nearest(times, toa_times,
-                                           max_gap=np.iinfo(np.int64).max):
-        m = toa[m_idx]
-        if m.bs_id not in st_index:
-            raise UnknownBsId(f"bs_id {m.bs_id} has no configured station")
-        range_by_kf.setdefault(kf_idx, []).append(
-            RangeFactor(kf_idx, st_index[m.bs_id], m.distance,
-                        sigma_by_id[m.bs_id]))
+    imu_tab = _ImuTable.zeros(n - 1, config.gravity)
+    range_fs = sorted(_range_factors(times, toa, config), key=lambda f: f.kf)
+    range_tab = _RangeTable.stack(range_fs)
 
     stream_opts = OptimizeOptions(config.max_iters_stream, config.damping_init,
                                   config.stream_cost_tol, config.step_tol)
@@ -1070,6 +1163,7 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     stream_vel: list[np.ndarray] = [values.vel[0].copy()]
     step_times: list[float] = []
     reintegrations = 0
+    marginal_fallbacks = 0
     first_kf = 0
     marginal_prior: Optional[PriorStateFactor] = None
 
@@ -1080,7 +1174,7 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
                                       config.noise)
         fac = ImuFactor(j - 1, j, pre, samples, config.gravity)
         imu_factors.append(fac)
-        lin_bias[j - 1] = bias
+        imu_tab.write(j - 1, fac)
         rot_j, p_j, v_j = pre_mod.predict(fac.pre, values.rot[j - 1],
                                           values.pos[j - 1], values.vel[j - 1],
                                           config.gravity)
@@ -1096,47 +1190,43 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
             dropped: list = [] if marginal_prior is None else [marginal_prior]
             if first_kf == 0:
                 dropped += base_priors
-            dropped += [f for f in imu_factors
-                        if first_kf <= f.i < new_first]
-            for k in range(first_kf, new_first):
-                dropped += range_by_kf.get(k, [])
+            dropped += imu_factors[first_kf:new_first]
+            lo, hi = np.searchsorted(range_tab.kf, (first_kf, new_first))
+            dropped += range_fs[lo:hi]
             cov = _marginalize_dropped(dropped, values, first_kf, new_first)
             if cov is None:
-                pose_cov, vel_cov, bias_cov = _initial_prior_covs(config)
-                cov = np.zeros((15, 15))
-                cov[0:6, 0:6] = pose_cov
-                cov[6:9, 6:9] = vel_cov
-                cov[9:15, 9:15] = bias_cov
+                marginal_fallbacks += 1
+                cov = scipy.linalg.block_diag(*_initial_prior_covs(config))
             k = new_first
             marginal_prior = PriorStateFactor(
                 k, values.rot[k].copy(), values.pos[k].copy(),
                 values.vel[k].copy(), values.bias[k].copy(), cov)
             first_kf = new_first
 
-        window_factors = list(station_priors)
+        priors = list(station_priors)
         if marginal_prior is not None:
-            window_factors.append(marginal_prior)
+            priors.append(marginal_prior)
         if first_kf == 0:
-            window_factors += base_priors
-        window_factors += [f for f in imu_factors if f.i >= first_kf]
-        for k in range(first_kf, j + 1):
-            window_factors += range_by_kf.get(k, [])
-
-        win_graph = FactorGraph(keyframes[:j + 1], window_factors,
-                                [bs.id for bs in config.stations])
+            priors += base_priors
+        # IMU factors [first_kf, j) and the ranges on keyframes [first_kf, j].
+        lo, hi = np.searchsorted(range_tab.kf, (first_kf, j + 1))
+        window = _Window.of_tables(priors, imu_tab.rows(first_kf, j),
+                                   range_tab.rows(lo, hi) if hi > lo else None)
+        win_graph = FactorGraph(keyframes[:j + 1], priors, station_ids, window)
         # Solve over keyframes [first_kf, j] only: later keyframes carry no
         # factors yet and keep their values.
         solved, _ = optimize(win_graph, values.head(j + 1), stream_opts,
-                             first_kf=first_kf)
+                             first_kf)
         values.rot[:j + 1], values.pos[:j + 1] = solved.rot, solved.pos
         values.vel[:j + 1], values.bias[:j + 1] = solved.vel, solved.bias
         values.stations = solved.stations
-        # Factors k in [first_kf, j) are in the window.
-        rows = first_kf + _drifted(values.bias[first_kf:j], lin_bias[first_kf:j],
+        rows = first_kf + _drifted(values.bias[first_kf:j],
+                                   imu_tab.bias_lin[first_kf:j],
                                    config.bias_drift_threshold)
         if rows.size:
             _reintegrate([imu_factors[k] for k in rows], values.bias[rows])
-            lin_bias[rows] = values.bias[rows]
+            for k in rows:
+                imu_tab.write(k, imu_factors[k])
             reintegrations += int(rows.size)
         step_times.append((time.perf_counter() - tic) * 1e3)
         stream_t.append(times[j])
@@ -1151,21 +1241,13 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     batch_traj = None
     final_report = None
     if config.final_batch:
-        full_factors = base_priors + station_priors + imu_factors
-        for k in range(n):
-            full_factors += range_by_kf.get(k, [])
-        full_graph = FactorGraph(keyframes, full_factors,
-                                 [bs.id for bs in config.stations])
-        opts = OptimizeOptions(config.max_iters, config.damping_init,
-                               config.cost_tol, config.step_tol)
-        values, final_report = optimize(full_graph, values, opts)
-        for _ in range(3):
-            if _reintegrate_drifted(full_graph, values,
-                                    config.bias_drift_threshold) == 0:
-                break
-            reintegrations += 1
-            values, final_report = optimize(full_graph, values, opts)
+        full_graph = FactorGraph(
+            keyframes, base_priors + station_priors + imu_factors + range_fs,
+            station_ids)
+        values, final_report, count = _solve_relinearizing(full_graph, values,
+                                                           config)
+        reintegrations += count
         batch_traj = values_to_trajectory(keyframes, values)
 
     return PgoRun(streamed, batch_traj, np.array(step_times), final_report,
-                  reintegrations)
+                  reintegrations, marginal_fallbacks)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +8,9 @@ from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
 from toafusion import toa_sim
 from toafusion.dataset import ImuSample, ToaMeasurement, groundtruth_to_trajectory
 from toafusion.errors import (DataError, DegenerateGeometry, EmptyInput,
-                              IndefiniteCovariance, InvalidDt, NonMonotonicTimestamp,
-                              NumericalError, SingularNormalEquations)
+                              IndefiniteCovariance, InvalidDt, NonFiniteCost,
+                              NonMonotonicTimestamp, NumericalError,
+                              SingularNormalEquations)
 from toafusion.eskf import GRAVITY, ImuNoiseParams, NavState
 from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  generate_synthetic_trajectory,
@@ -484,6 +487,92 @@ class TestSlidingWindow:
         assert metrics.evaluate(run.streamed, gt_traj).ate < 0.05
 
 
+def reintegrating_setup(rng, **kwargs):
+    """A short sliding-window run whose bias drift re-integrates factors."""
+    imu = jittered_imu(rng, seconds=1.5)
+    config = imu_config(window=5, bias_drift_threshold=5e-3, **kwargs)
+    graph, _ = pgo.build_graph(imu, [], config)
+    toa = [ToaMeasurement(kf.t, bs.id, 5.0 + bs.id)
+           for kf in graph.keyframes for bs in config.stations]
+    return imu, toa, config
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestSlidingWindowTables:
+    def test_window_tables_match_restacked_factors(self, rng, monkeypatch):
+        imu, toa, config = reintegrating_setup(rng, final_batch=False)
+        built, ranges, steps = [], [], []
+        real_factor, real_range, real_optimize = (pgo.ImuFactor, pgo.RangeFactor,
+                                                  pgo.optimize)
+
+        def factor(*args, **kwargs):
+            built.append(real_factor(*args, **kwargs))
+            return built[-1]
+
+        def range_factor(*args, **kwargs):
+            ranges.append(real_range(*args, **kwargs))
+            return ranges[-1]
+
+        def optimize(graph, values, options=None, first_kf=0):
+            # Restack the window's factors from the objects: IMU factors
+            # and ranges on keyframes [first_kf, n).
+            n = values.n_keyframes
+            factors = built + [f for f in ranges if f.kf < n]
+            want = pgo._Window(pgo._active_factors(
+                pgo.FactorGraph(graph.keyframes, factors, graph.station_ids),
+                first_kf))
+            got = graph.window
+            for table in ("imu", "ranges"):
+                for fld in dataclasses.fields(getattr(want, table)):
+                    assert_same_bits(getattr(getattr(got, table), fld.name),
+                                     getattr(getattr(want, table), fld.name))
+            steps.append(n)
+            return real_optimize(graph, values, options, first_kf)
+        monkeypatch.setattr(pgo, "ImuFactor", factor)
+        monkeypatch.setattr(pgo, "RangeFactor", range_factor)
+        monkeypatch.setattr(pgo, "optimize", optimize)
+        run = pgo.run_sliding_window(imu, toa, config)
+        assert steps == list(range(2, len(run.streamed) + 1))
+        assert run.reintegrations > 0
+
+    def test_reintegrations_count_factors(self, rng, monkeypatch):
+        imu, toa, config = reintegrating_setup(rng, final_batch=True)
+        passed, in_final_batch = [], []
+        real_reintegrate, real_drifted = pgo._reintegrate, pgo._reintegrate_drifted
+
+        def reintegrate(factors, bias):
+            passed.append(len(factors))
+            real_reintegrate(factors, bias)
+
+        def reintegrate_drifted(graph, values, threshold):
+            in_final_batch.append(real_drifted(graph, values, threshold))
+            return in_final_batch[-1]
+        monkeypatch.setattr(pgo, "_reintegrate", reintegrate)
+        monkeypatch.setattr(pgo, "_reintegrate_drifted", reintegrate_drifted)
+        run = pgo.run_sliding_window(imu, toa, config)
+        assert sum(in_final_batch) > 0
+        assert run.reintegrations == sum(passed) > sum(in_final_batch)
+
+    def test_marginal_fallback_counted(self, monkeypatch):
+        imu, gt, toa, config = noiseless_setup(duration=3.0)
+        config.window = 8
+        config.final_batch = False
+        assert pgo.run_sliding_window(imu, toa, config).marginal_fallbacks == 0
+        calls = []
+
+        def marginalize(*args):
+            calls.append(args)
+            return None
+        monkeypatch.setattr(pgo, "_marginalize_dropped", marginalize)
+        run = pgo.run_sliding_window(imu, toa, config)
+        assert run.marginal_fallbacks == len(calls) \
+            == len(run.streamed) - config.window > 0
+
+
 def oracle_graph(rng, n_kf=4, n_st=2):
     """Values and factors of every kind over a short keyframe chain."""
     values = make_values(rng, n_kf, n_st)
@@ -564,15 +653,40 @@ class TestNormalEquations:
             pytest.approx(cost, rel=1e-10)
 
     def test_banded_schur_step_matches_dense_solve(self, rng):
+        # With two stations, and without any (no Schur complement).
+        for graph, values in (oracle_graph(rng), oracle_graph(rng, n_st=0)):
+            n_kf, n_st = values.n_keyframes, values.stations.shape[0]
+            neq = pgo._build_normal_equations(pgo._Window(graph.factors),
+                                              values, 0, n_kf, n_st)
+            h, g, _ = dense_oracle(graph.factors, values, 0, n_kf, n_st)
+            for lam in (1e-6, 1e-3, 1.0):
+                damping = lam * np.maximum(neq.diagonal(), 1e-8)
+                expected = np.linalg.solve(h + np.diag(damping), -g)
+                assert_rel_close(pgo._solve_damped(neq, damping), expected, 1e-8)
+
+    @pytest.mark.parametrize("first_kf", [0, 1])
+    def test_initial_cost_is_the_window_cost(self, rng, first_kf):
         graph, values = oracle_graph(rng)
-        n_kf, n_st = values.n_keyframes, values.stations.shape[0]
-        neq = pgo._build_normal_equations(pgo._Window(graph.factors), values,
-                                          0, n_kf, n_st)
-        h, g, _ = dense_oracle(graph.factors, values, 0, n_kf, n_st)
-        for lam in (1e-6, 1e-3, 1.0):
-            damping = lam * np.maximum(neq.diagonal(), 1e-8)
-            expected = np.linalg.solve(h + np.diag(damping), -g)
-            assert_rel_close(pgo._solve_damped(neq, damping), expected, 1e-8)
+        window = pgo._Window(pgo._active_factors(graph, first_kf))
+        _, report = pgo.optimize(graph, values, first_kf=first_kf)
+        assert report.initial_cost == pytest.approx(
+            pgo._window_cost(window, values), rel=1e-12)
+
+    @pytest.mark.parametrize("fault, error", [("nan", NonFiniteCost),
+                                              ("on_station", DegenerateGeometry)])
+    def test_bad_initial_values_raise_before_any_step(self, rng, monkeypatch,
+                                                      fault, error):
+        graph, values = oracle_graph(rng)
+        if fault == "nan":
+            values.pos[1] = np.nan
+        else:
+            values.pos[1] = values.stations[0]
+
+        def solve_damped(*args):
+            raise AssertionError("a step was solved")
+        monkeypatch.setattr(pgo, "_solve_damped", solve_damped)
+        with pytest.raises(error):
+            pgo.optimize(graph, values)
 
     def test_non_consecutive_imu_factor_rejected(self, rng):
         graph, values = oracle_graph(rng, n_kf=3)
