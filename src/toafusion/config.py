@@ -384,6 +384,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     pg.step_tol = _get_float(parser, "pgo", "step_tol", pg.step_tol)
     pg.station_prior_sigma = _get_float(parser, "pgo", "station_prior_sigma",
                                         pg.station_prior_sigma)
+    if not (pg.node_rate_hz > 0 and pg.station_prior_sigma > 0):
+        raise ConfigError("[pgo] node_rate_hz and station_prior_sigma must be "
+                          "positive")
     pg.final_batch = _get_bool(parser, "pgo", "final_batch", pg.final_batch)
     pg.mode = _get(parser, "pgo", "mode", pg.mode).strip()
     if pg.mode not in PGO_MODES:

@@ -3,8 +3,8 @@
 Batches of IMU samples are condensed into relative-motion increments
 (rotation, velocity, position) defined at a fixed bias linearization
 point, together with a 9x9 noise covariance over the residual blocks in
-(rotation, position, velocity) order. Residual helpers evaluate how well
-a pair of keyframe states matches the increments.
+(rotation, position, velocity) order. The IMU factor kernel of `pgo`
+evaluates how well a pair of keyframe states matches the increments.
 
 Integration is Euler-forward per sample; increments are exact for
 piecewise-constant body rates. Bias sensitivities (the derivatives of the
@@ -32,18 +32,18 @@ k's state after its counts[k]-th sample, so padding leaves the result
 bit-for-bit unchanged. Intervals go through the kernel in passes of at
 most 1024 sample slots, which bounds the memory of the per-sample 9x9
 terms. `integrate_batch` is the entry point for one interval ((n, 3)
-inputs) and for many ((m, n, 3)); `integrate` absorbs a single sample.
+inputs) and for many ((m, n, 3)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import geometry as geo
-from .dataset import ImuArrays, ImuSample
+from .dataset import ImuArrays
 from .errors import InvalidDt
 from .eskf import GRAVITY, MAX_DT_S, ImuNoiseParams
 
@@ -68,28 +68,13 @@ class PreintegratedImu:
     bias_gyro: np.ndarray                      # linearization point
     bias_accel: np.ndarray
     count: int
-    noise: ImuNoiseParams = field(default_factory=ImuNoiseParams, repr=False)
+    noise: ImuNoiseParams = field(repr=False)
     # Sensitivities of the increments to the linearization biases.
-    j_rot_bg: np.ndarray = None
-    j_pos_bg: np.ndarray = None
-    j_pos_ba: np.ndarray = None
-    j_vel_bg: np.ndarray = None
-    j_vel_ba: np.ndarray = None
-
-    def __post_init__(self):
-        for name in _JACOBIAN_FIELDS:
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros((3, 3)))
-
-    @staticmethod
-    def create(bias_gyro: np.ndarray, bias_accel: np.ndarray,
-               noise: ImuNoiseParams | None = None) -> "PreintegratedImu":
-        return PreintegratedImu(
-            d_rot=np.eye(3), d_vel=np.zeros(3), d_pos=np.zeros(3),
-            dt_total=0.0, cov=np.zeros((9, 9)),
-            bias_gyro=np.asarray(bias_gyro, dtype=float).copy(),
-            bias_accel=np.asarray(bias_accel, dtype=float).copy(),
-            count=0, noise=noise if noise is not None else ImuNoiseParams())
+    j_rot_bg: np.ndarray                       # (3, 3), and so are the four below
+    j_pos_bg: np.ndarray
+    j_pos_ba: np.ndarray
+    j_vel_bg: np.ndarray
+    j_vel_ba: np.ndarray
 
 
 @dataclass
@@ -130,14 +115,6 @@ class PreintegratedBatch:
         return PreintegratedBatch(
             dt_total=self.dt_total[sel], counts=self.counts[sel], noise=self.noise,
             **{f: getattr(self, f)[sel] for f in _ARRAY_FIELDS})
-
-    @staticmethod
-    def stack(pres: Sequence[PreintegratedImu]) -> "PreintegratedBatch":
-        return PreintegratedBatch(
-            dt_total=np.array([p.dt_total for p in pres], dtype=float),
-            counts=np.array([p.count for p in pres], dtype=np.int64),
-            noise=pres[0].noise,
-            **{f: np.stack([getattr(p, f) for p in pres]) for f in _ARRAY_FIELDS})
 
     @staticmethod
     def concat(parts: Sequence["PreintegratedBatch"]) -> "PreintegratedBatch":
@@ -270,15 +247,6 @@ def _propagate_pass(start: PreintegratedBatch, omega: np.ndarray,
         j_vel_ba=j_vel_ba[rows, counts])
 
 
-def integrate(pre: PreintegratedImu, imu: ImuSample, dt: float) -> PreintegratedImu:
-    """Absorb one IMU sample held constant over dt; returns a new value."""
-    out = _propagate(PreintegratedBatch.stack([pre]),
-                     np.asarray(imu.omega, dtype=float).reshape(1, 1, 3),
-                     np.asarray(imu.accel, dtype=float).reshape(1, 1, 3),
-                     np.array([[dt]], dtype=float), np.ones(1, dtype=np.int64))
-    return out.at(0)
-
-
 def integrate_batch(omega: np.ndarray, accel: np.ndarray, dts: np.ndarray,
                     bias_gyro: np.ndarray, bias_accel: np.ndarray,
                     noise: ImuNoiseParams | None = None,
@@ -309,40 +277,6 @@ def integrate_batch(omega: np.ndarray, accel: np.ndarray, dts: np.ndarray,
     return out.at(0) if single else out
 
 
-def compose(first: PreintegratedImu, second: PreintegratedImu) -> PreintegratedImu:
-    """Chain two increments sharing one bias linearization point."""
-    dt = second.dt_total
-    d_pos = first.d_pos + first.d_vel * dt + first.d_rot @ second.d_pos
-    d_vel = first.d_vel + first.d_rot @ second.d_vel
-    d_rot = first.d_rot @ second.d_rot
-    vel2_skew = geo.skew(second.d_vel)
-    pos2_skew = geo.skew(second.d_pos)
-    j_rot_bg = second.d_rot.T @ first.j_rot_bg + second.j_rot_bg
-    j_vel_bg = (first.j_vel_bg + first.d_rot @ second.j_vel_bg
-                - first.d_rot @ vel2_skew @ first.j_rot_bg)
-    j_vel_ba = first.j_vel_ba + first.d_rot @ second.j_vel_ba
-    j_pos_bg = (first.j_pos_bg + first.j_vel_bg * dt
-                + first.d_rot @ second.j_pos_bg
-                - first.d_rot @ pos2_skew @ first.j_rot_bg)
-    j_pos_ba = first.j_pos_ba + first.j_vel_ba * dt + first.d_rot @ second.j_pos_ba
-    return replace(first, d_rot=d_rot, d_pos=d_pos, d_vel=d_vel,
-                   dt_total=first.dt_total + dt, count=first.count + second.count,
-                   j_rot_bg=j_rot_bg, j_pos_bg=j_pos_bg, j_pos_ba=j_pos_ba,
-                   j_vel_bg=j_vel_bg, j_vel_ba=j_vel_ba)
-
-
-def corrected_increments(pre: PreintegratedImu, bias_gyro: np.ndarray,
-                         bias_accel: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Increments corrected to first order for a moved bias estimate."""
-    dbg = np.asarray(bias_gyro, dtype=float) - pre.bias_gyro
-    dba = np.asarray(bias_accel, dtype=float) - pre.bias_accel
-    d_rot = pre.d_rot @ geo.exp_so3(pre.j_rot_bg @ dbg)
-    d_pos = pre.d_pos + pre.j_pos_bg @ dbg + pre.j_pos_ba @ dba
-    d_vel = pre.d_vel + pre.j_vel_bg @ dbg + pre.j_vel_ba @ dba
-    return d_rot, d_pos, d_vel
-
-
 def predict(pre: PreintegratedImu, rot_i: np.ndarray, p_i: np.ndarray,
             v_i: np.ndarray, gravity: np.ndarray = GRAVITY
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,39 +286,6 @@ def predict(pre: PreintegratedImu, rot_i: np.ndarray, p_i: np.ndarray,
     v_j = v_i + gravity * dt + rot_i @ pre.d_vel
     p_j = p_i + v_i * dt + 0.5 * gravity * dt * dt + rot_i @ pre.d_pos
     return rot_j, p_j, v_j
-
-
-def _increments(pre: PreintegratedImu, bias_i):
-    if bias_i is None:
-        return pre.d_rot, pre.d_pos, pre.d_vel
-    return corrected_increments(pre, bias_i[0:3], bias_i[3:6])
-
-
-def residual_rotation(pre: PreintegratedImu, rot_i: np.ndarray,
-                      rot_j: np.ndarray, bias_i=None) -> np.ndarray:
-    d_rot, _, _ = _increments(pre, bias_i)
-    return geo.log_so3(d_rot.T @ rot_i.T @ rot_j)
-
-
-def residual_position(pre: PreintegratedImu, rot_i: np.ndarray, p_i: np.ndarray,
-                      v_i: np.ndarray, p_j: np.ndarray,
-                      gravity: np.ndarray = GRAVITY, bias_i=None) -> np.ndarray:
-    dt = pre.dt_total
-    _, d_pos, _ = _increments(pre, bias_i)
-    return rot_i.T @ (p_j - p_i - v_i * dt - 0.5 * gravity * dt * dt) - d_pos
-
-
-def residual_velocity(pre: PreintegratedImu, rot_i: np.ndarray, v_i: np.ndarray,
-                      v_j: np.ndarray, gravity: np.ndarray = GRAVITY,
-                      bias_i=None) -> np.ndarray:
-    dt = pre.dt_total
-    _, _, d_vel = _increments(pre, bias_i)
-    return rot_i.T @ (v_j - v_i - gravity * dt) - d_vel
-
-
-def residual_bias(bias_i: np.ndarray, bias_j: np.ndarray) -> np.ndarray:
-    """Stacked gyro/accel bias difference between keyframes (6-vector)."""
-    return np.asarray(bias_j, dtype=float) - np.asarray(bias_i, dtype=float)
 
 
 def slice_imu_between(imu: ImuArrays, t_start: int, t_end: int

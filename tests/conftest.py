@@ -3,6 +3,7 @@ import pytest
 
 from toafusion import eskf
 from toafusion import geometry as geo
+from toafusion import pgo
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 1e-3) -> np.ndarray:
@@ -109,6 +110,19 @@ def assert_matches_oracle(pre, expected: dict, tol: float = 1e-12) -> None:
         scale = max(float(np.max(np.abs(want))), 1e-300)
         assert np.max(np.abs(got - want)) <= tol * scale, name
     assert isinstance(pre.count, int)
+
+
+def imu_residual(pre, state_i, state_j, gravity=eskf.GRAVITY) -> np.ndarray:
+    """Unwhitened 15-dof residual (rotation, position, velocity, bias) of
+    the increments pre between two keyframe states (rot, p, v[, bias]),
+    from the solver's IMU kernel. Biases default to zero."""
+    tab = pgo._ImuTable.zeros(1, gravity)
+    tab.write(0, pgo.ImuFactor(0, 1, pre, None))
+    tab.sqrt_info[0] = np.eye(15)
+    states = [tuple(s) + (np.zeros(6),) * (4 - len(s)) for s in (state_i, state_j)]
+    values = pgo.GraphValues(*(np.array(c, dtype=float) for c in zip(*states)),
+                             stations=np.zeros((0, 3)))
+    return pgo._imu_terms(tab, values, with_jacobians=False)[0][0]
 
 
 # Per-sample ESKF oracle: the numpy RK4 nominal step, the per-sample error

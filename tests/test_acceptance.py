@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
+from toafusion import eskf, geometry as geo, metrics, pgo
 from toafusion import toa_sim
 from toafusion.config import ExperimentConfig
 from toafusion.dataset import (ImuSample, groundtruth_to_trajectory, load_imu,
                                load_groundtruth)
-from toafusion.eskf import ImuNoiseParams, NavState
+from toafusion.eskf import NavState
 from toafusion.pipeline import load_inputs, meas_std, obtain_toa, run_experiment
 from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  generate_synthetic_trajectory,
@@ -29,7 +29,8 @@ from toafusion.synthetic import (SyntheticTrajectorySpec,
 from conftest import record_acceptance, random_quaternion
 from test_eskf import (batched_jacobians, finite_difference_f_g, random_imu,
                        random_state)
-from test_pgo import fd_jacobian_check, make_values
+from test_pgo import (fd_jacobian_check, make_tables, make_values,
+                      random_imu_factor)
 
 SEEDS = tuple(range(10))
 
@@ -96,43 +97,45 @@ class TestCriterion1:
                           np.linalg.norm(h[:, 12:15] - fd) / np.linalg.norm(fd))
         assert worst_h < tol
 
+        # The PGO kernels the solver runs: whitened Jacobians of range, IMU,
+        # state-prior and station-prior tables against central differences.
         worst_r = 0.0
         for _ in range(100):
-            p = rng.uniform(-10, 10, 3)
-            loc = rng.uniform(-10, 10, 3)
-            if np.linalg.norm(p - loc) < 0.5:
+            values = make_values(rng, 1, 1)
+            if np.linalg.norm(values.pos[0] - values.stations[0]) < 0.5:
                 continue
-            grad = pgo.range_gradient(p, loc)
-            fd = np.zeros(3)
-            d = float(rng.uniform(1, 30))
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = eps
-                fd[j] = (pgo.range_residual(p + e, loc, d)
-                         - pgo.range_residual(p - e, loc, d)) / (2 * eps)
-            worst_r = max(worst_r, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
+            tables = make_tables(ranges=[(0, 0, float(rng.uniform(1, 30)), 0.2)])
+            worst_r = max(worst_r, fd_jacobian_check(tables, values))
         assert worst_r < tol
 
         worst_imu = 0.0
         for _ in range(100):
             values = make_values(rng, 2, 1)
-            omega = rng.uniform(-1, 1, (20, 3))
-            accel = rng.uniform(-5, 5, (20, 3))
-            dts = np.full(20, 0.005)
-            p = pre.integrate_batch(omega, accel, dts,
-                                    0.01 * rng.standard_normal(3),
-                                    0.01 * rng.standard_normal(3),
-                                    ImuNoiseParams())
-            factor = pgo.ImuFactor(0, 1, p, (omega, accel, dts))
-            worst_imu = max(worst_imu, fd_jacobian_check(factor, values))
+            factor = random_imu_factor(rng, bias=0.01 * rng.standard_normal(6))
+            worst_imu = max(worst_imu,
+                            fd_jacobian_check(make_tables(imu=[factor]), values))
         assert worst_imu < tol
+
+        worst_prior = 0.0
+        for _ in range(20):
+            values = make_values(rng, 1, 1)
+            spread = rng.standard_normal((15, 15))
+            tables = make_tables(
+                priors=[(0, geo.quat_to_rot(random_quaternion(rng)),
+                         rng.standard_normal(3), rng.standard_normal(3),
+                         rng.standard_normal(6),
+                         0.01 * np.eye(15) + 1e-3 * spread @ spread.T)],
+                stations=[(0, rng.standard_normal(3), 1e-3)])
+            worst_prior = max(worst_prior, fd_jacobian_check(tables, values))
+        assert worst_prior < tol
 
         elapsed = time.perf_counter() - tic
         assert elapsed < 10.0
         record_acceptance(
             f"CRITERION 1 PASS: Jacobians vs finite differences, worst rel err "
             f"F={worst_f:.1e} G={worst_g:.1e} H={worst_h:.1e} range={worst_r:.1e} "
-            f"preint={worst_imu:.1e} (< 1e-5), {elapsed:.1f} s (< 10 s)")
+            f"preint={worst_imu:.1e} prior={worst_prior:.1e} (< 1e-5), "
+            f"{elapsed:.1f} s (< 10 s)")
 
 
 class TestCriterion2:

@@ -40,6 +40,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("default, bad", [
+        ("node_rate_hz = 10.0", "node_rate_hz = 0"),
+        ("node_rate_hz = 10.0", "node_rate_hz = -10"),
+        ("station_prior_sigma = 1e-3", "station_prior_sigma = 0"),
+    ])
+    def test_bad_pgo_value(self, tmp_path, capsys, default, bad):
+        with pytest.raises(ConfigError):
+            parse_config_text(default_config_text().replace(default, bad))
+        config = small_config(tmp_path, **{default: bad,
+                                           "estimator = both": "estimator = pgo"})
+        assert cli.main(["run", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
     def test_bad_scenario(self):
         text = default_config_text().replace("scenario = mmmagic_78ghz",
                                              "scenario = wifi")

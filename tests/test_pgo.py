@@ -17,8 +17,8 @@ from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  initial_state_from_groundtruth)
 from toafusion.toa_sim import BaseStation, default_stations
 
-from conftest import (assert_matches_oracle, oracle_integrate, oracle_slice,
-                      random_rotation)
+from conftest import (assert_matches_oracle, imu_residual, oracle_integrate,
+                      oracle_slice, random_rotation)
 
 
 def make_values(rng, n_kf, n_st):
@@ -30,47 +30,151 @@ def make_values(rng, n_kf, n_st):
         stations=rng.uniform(-10, 10, (n_st, 3)))
 
 
-def whitened_residual(factor, values):
-    if hasattr(factor, "sqrt_info"):
-        return factor.sqrt_info @ factor.residual(values)
-    return factor.residual(values) / factor.sigma
+def make_tables(imu=(), ranges=(), priors=(), stations=(), gravity=GRAVITY):
+    """Factor tables from ImuFactor objects and plain rows:
+    ranges (kf, station, distance, sigma), priors (kf, rot0, p0, v0, b0,
+    cov) and stations (station, center, sigma)."""
+    imu_tab = pgo._ImuTable.zeros(len(imu), gravity)
+    for k, f in enumerate(imu):
+        imu_tab.write(k, f)
+
+    def col(rows, c, dtype=float, shape=()):
+        return np.array([r[c] for r in rows], dtype=dtype).reshape((len(rows),) + shape)
+    return pgo.FactorTables(
+        imu_tab,
+        pgo._RangeTable(col(ranges, 0, np.int64), col(ranges, 1, np.int64),
+                        col(ranges, 2), col(ranges, 3)),
+        pgo._PriorTable(col(priors, 0, np.int64), col(priors, 1, shape=(3, 3)),
+                        col(priors, 2, shape=(3,)), col(priors, 3, shape=(3,)),
+                        col(priors, 4, shape=(6,)),
+                        np.array([pgo._sqrt_info(r[5]) for r in priors]
+                                 ).reshape(-1, 15, 15)),
+        pgo._StationPriorTable(col(stations, 0, np.int64),
+                               col(stations, 1, shape=(3,)),
+                               1.0 / col(stations, 2)))
 
 
-def fd_jacobian_check(factor, values, eps=1e-6):
-    """Max relative error of factor.linearize against central differences."""
-    _, blocks = factor.linearize(values)
-    worst = 0.0
-    for key, jac in blocks:
-        tag, idx = key
-        fd = np.zeros_like(jac)
-        for c in range(jac.shape[1]):
-            out = []
-            for sign in (1.0, -1.0):
-                v = values.copy()
-                if tag == "kf":
-                    d = np.zeros(15)
-                    d[c] = sign * eps
-                    v.rot[idx] = v.rot[idx] @ geo.exp_so3(d[0:3])
-                    v.pos[idx] = v.pos[idx] + d[3:6]
-                    v.vel[idx] = v.vel[idx] + d[6:9]
-                    v.bias[idx] = v.bias[idx] + d[9:15]
-                else:
-                    d = np.zeros(3)
-                    d[c] = sign * eps
-                    v.stations[idx] = v.stations[idx] + d
-                out.append(whitened_residual(factor, v))
-            fd[:, c] = (out[0] - out[1]) / (2 * eps)
-        rel = np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-9)
-        worst = max(worst, rel)
-    return worst
+def dense_jacobian(tables, values, first_kf=0):
+    """Dense whitened J and r of the factors in tables on keyframes
+    [first_kf, N) and every station, scattered from the kernels' own
+    Jacobians one row block at a time."""
+    n_kf = values.n_keyframes - first_kf
+    nk = pgo.KF_DIM * n_kf
+    n_cols = nk + 3 * values.stations.shape[0]
+    jac_rows, res = [], []
+
+    def add(r_w, blocks):
+        jac = np.zeros((len(r_w), n_cols))
+        for col, block in blocks:
+            jac[:, col:col + block.shape[1]] += block
+        jac_rows.append(jac)
+        res.append(r_w)
+
+    def kf_col(kf):
+        return pgo.KF_DIM * (kf - first_kf)
+
+    imu = tables.imu
+    r_w, jac = pgo._imu_terms(imu, values, with_jacobians=True)
+    for k in range(len(imu)):
+        if imu.i[k] >= first_kf:
+            add(r_w[k], [(kf_col(imu.i[k]), jac[k][:, :15]),
+                         (kf_col(imu.j[k]), jac[k][:, 15:])])
+    rt = tables.ranges
+    u, r_w = pgo._range_terms(rt, values)
+    for k in range(len(rt)):
+        if rt.kf[k] >= first_kf:
+            row = (u[k] / rt.sigma[k])[None]
+            add(r_w[k:k + 1], [(kf_col(rt.kf[k]) + 3, -row),
+                               (nk + 3 * rt.station[k], row)])
+    pt = tables.priors
+    r_w, jac = pgo._prior_terms(pt, values, with_jacobians=True)
+    for k in range(len(pt)):
+        if pt.kf[k] >= first_kf:
+            add(r_w[k], [(kf_col(pt.kf[k]), jac[k])])
+    sp = tables.stations
+    r_w = pgo._station_terms(sp, values)
+    for k in range(len(sp)):
+        add(r_w[k], [(nk + 3 * sp.station[k], sp.inv_sigma[k] * np.eye(3))])
+    return np.vstack(jac_rows), np.concatenate(res)
+
+
+def stacked_residual(tables, values, copies=1):
+    """Every whitened residual of tables (of `copies` replicas, one row
+    each), in the row order of dense_jacobian with first_kf 0."""
+    parts = [pgo._imu_terms(tables.imu, values, False)[0],
+             pgo._range_terms(tables.ranges, values)[1],
+             pgo._prior_terms(tables.priors, values, False)[0],
+             pgo._station_terms(tables.stations, values)]
+    return np.concatenate([p.reshape(copies, -1) for p in parts], axis=1)
+
+
+def replicate(tables, values, copies):
+    """The factors and variables of tables and values, stacked `copies`
+    times: copy b holds keyframe k at b * N + k and station s at b * K + s."""
+    n_kf, n_st = values.n_keyframes, values.stations.shape[0]
+
+    def rep(tab, **strides):
+        out = tab.rows(np.tile(np.arange(len(tab)), copies))
+        copy = np.repeat(np.arange(copies), len(tab))
+        for name, stride in strides.items():
+            setattr(out, name, getattr(out, name) + copy * stride)
+        return out
+    big = pgo.FactorTables(rep(tables.imu, i=n_kf, j=n_kf),
+                           rep(tables.ranges, kf=n_kf, station=n_st),
+                           rep(tables.priors, kf=n_kf),
+                           rep(tables.stations, station=n_st))
+    return big, pgo.GraphValues(*(np.concatenate([a] * copies) for a in (
+        values.rot, values.pos, values.vel, values.bias, values.stations)))
+
+
+def fd_jacobian_check(tables, values, eps=1e-6):
+    """Max relative error, over the variable blocks (keyframes, stations),
+    of the kernels' Jacobians against central differences of their
+    residuals under the solver's retraction. The 2 n perturbed copies of
+    the n coordinates are evaluated in one call per kernel."""
+    jac, _ = dense_jacobian(tables, values)
+    n = jac.shape[1]
+    n_kf, n_st = values.n_keyframes, values.stations.shape[0]
+    nk = pgo.KF_DIM * n_kf
+    big, big_values = replicate(tables, values, 2 * n)
+    # Copy 2c moves coordinate c by +eps, copy 2c + 1 by -eps.
+    steps = np.zeros((2 * n, n))
+    steps[0::2] = eps * np.eye(n)
+    steps[1::2] = -eps * np.eye(n)
+    delta = np.concatenate([steps[:, :nk].ravel(), steps[:, nk:].ravel()])
+    moved = pgo._retract(big_values, delta, 0, 2 * n * n_kf)
+    out = stacked_residual(big, moved, 2 * n)
+    fd = ((out[0::2] - out[1::2]) / (2 * eps)).T
+    blocks = [slice(c, c + pgo.KF_DIM) for c in range(0, nk, pgo.KF_DIM)]
+    blocks += [slice(c, c + 3) for c in range(nk, n, 3)]
+    return max(np.linalg.norm(jac[:, b] - fd[:, b])
+               / max(np.linalg.norm(fd[:, b]), 1e-9) for b in blocks)
+
+
+def random_imu_factor(rng, i=0, bias=np.zeros(6), noise=ImuNoiseParams()):
+    omega = rng.uniform(-1, 1, (20, 3))
+    accel = rng.uniform(-5, 5, (20, 3))
+    dts = np.full(20, 0.005)
+    p = pre.integrate_batch(omega, accel, dts, bias[0:3], bias[3:6], noise)
+    return pgo.ImuFactor(i, i + 1, p, (omega, accel, dts))
 
 
 class TestRangeResidual:
+    """The range kernel: residual measured minus predicted distance."""
+
+    def one_range(self, p, station, distance, sigma=1.0):
+        values = pgo.GraphValues(np.eye(3)[None], np.asarray(p, float)[None],
+                                 np.zeros((1, 3)), np.zeros((1, 6)),
+                                 np.asarray(station, float)[None])
+        return make_tables(ranges=[(0, 0, distance, sigma)]), values
+
     def test_examples(self):
-        assert pgo.range_residual(np.zeros(3), np.array([3.0, 4.0, 0.0]), 5.0) \
-            == pytest.approx(0.0)
-        assert pgo.range_residual(np.zeros(3), np.array([3.0, 4.0, 0.0]), 6.0) \
-            == pytest.approx(1.0)
+        for distance, expected in ((5.0, 0.0), (6.0, 1.0)):
+            tables, values = self.one_range(np.zeros(3), [3.0, 4.0, 0.0], distance)
+            _, r_w = pgo._range_terms(tables.ranges, values)
+            assert r_w[0] == pytest.approx(expected)
+        tables, values = self.one_range(np.zeros(3), [3.0, 4.0, 0.0], 6.0, 0.5)
+        assert pgo._range_terms(tables.ranges, values)[1][0] == pytest.approx(2.0)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(100):
@@ -79,47 +183,48 @@ class TestRangeResidual:
             if np.linalg.norm(p - loc) < 0.1:
                 continue
             d = float(rng.uniform(1, 30))
-            grad = pgo.range_gradient(p, loc)
-            eps = 1e-6
+            tables, values = self.one_range(p, loc, d)
+            u, _ = pgo._range_terms(tables.ranges, values)
+            grad = -u[0]            # of the residual, by the position
+            # At eps 1e-6 the rounding of a distance of up to 40 m (~5e-15)
+            # is ~1e-9 of the quotient, over 1e-6 of its smallest entries.
+            eps = 1e-5
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = eps
-                fd = (pgo.range_residual(p + e, loc, d)
-                      - pgo.range_residual(p - e, loc, d)) / (2 * eps)
+                plus = pgo._range_terms(tables.ranges, self.one_range(p + e, loc, d)[1])
+                minus = pgo._range_terms(tables.ranges, self.one_range(p - e, loc, d)[1])
+                fd = (plus[1][0] - minus[1][0]) / (2 * eps)
                 assert abs(grad[j] - fd) / max(abs(fd), 1e-6) < 1e-6
 
     def test_degenerate(self):
+        tables, values = self.one_range(np.zeros(3), np.zeros(3), 1.0)
         with pytest.raises(DegenerateGeometry):
-            pgo.range_residual(np.zeros(3), np.zeros(3), 1.0)
+            pgo._range_terms(tables.ranges, values)
 
 
 class TestFactorJacobians:
     def test_imu_factor(self, rng):
         for _ in range(20):
             values = make_values(rng, 2, 1)
-            omega = rng.uniform(-1, 1, (20, 3))
-            accel = rng.uniform(-5, 5, (20, 3))
-            dts = np.full(20, 0.005)
-            p = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3),
-                                    ImuNoiseParams())
-            factor = pgo.ImuFactor(0, 1, p, (omega, accel, dts))
-            assert fd_jacobian_check(factor, values) < 1e-5
+            tables = make_tables(imu=[random_imu_factor(rng)])
+            assert fd_jacobian_check(tables, values) < 1e-5
 
     def test_range_factor(self, rng):
         for _ in range(20):
             values = make_values(rng, 1, 2)
-            factor = pgo.RangeFactor(0, 1, float(rng.uniform(1, 20)), 0.2)
-            assert fd_jacobian_check(factor, values) < 1e-5
+            tables = make_tables(ranges=[(0, 1, float(rng.uniform(1, 20)), 0.2)])
+            assert fd_jacobian_check(tables, values) < 1e-5
 
     def test_prior_factors(self, rng):
-        values = make_values(rng, 1, 1)
-        pose = pgo.PriorPoseFactor(0, random_rotation(rng), rng.standard_normal(3),
-                                   np.diag([0.01] * 6))
-        vel = pgo.PriorVelocityFactor(0, rng.standard_normal(3), 0.01 * np.eye(3))
-        bias = pgo.PriorBiasFactor(0, rng.standard_normal(6), 0.01 * np.eye(6))
-        station = pgo.PriorStationFactor(0, rng.standard_normal(3), 1e-3)
-        for factor in (pose, vel, bias, station):
-            assert fd_jacobian_check(factor, values) < 1e-5
+        for _ in range(5):
+            values = make_values(rng, 2, 2)
+            cov = np.diag(rng.uniform(1e-3, 1e-1, 15))
+            tables = make_tables(
+                priors=[(1, random_rotation(rng), rng.standard_normal(3),
+                         rng.standard_normal(3), rng.standard_normal(6), cov)],
+                stations=[(1, rng.standard_normal(3), 1e-3)])
+            assert fd_jacobian_check(tables, values) < 1e-5
 
 
 def noiseless_setup(kind="hover_then_dash", duration=4.0, n_bs=5, speed=0.5):
@@ -142,7 +247,7 @@ class TestBuildGraph:
                                meas_std=np.zeros(5))
         graph, _ = pgo.build_graph(imu, [], config)
         assert len(graph.keyframes) == 11
-        assert len(graph.imu_factors()) == 10
+        assert len(graph.imu_factors) == len(graph.tables.imu) == 10
 
     def test_range_factor_count(self):
         imu = [ImuSample(int(i * 5e6), np.zeros(3), -GRAVITY) for i in range(201)]
@@ -152,7 +257,7 @@ class TestBuildGraph:
         config = pgo.PgoConfig(initial_state=NavState.identity(),
                                stations=stations, meas_std=np.zeros(5))
         graph, _ = pgo.build_graph(imu, toa, config)
-        assert len(graph.range_factors()) == 30
+        assert len(graph.tables.ranges) == 30
 
     def test_tie_goes_to_earlier_keyframe(self):
         imu = [ImuSample(int(i * 5e6), np.zeros(3), -GRAVITY) for i in range(201)]
@@ -161,15 +266,16 @@ class TestBuildGraph:
                                stations=default_stations(1),
                                meas_std=np.zeros(1))
         graph, _ = pgo.build_graph(imu, toa, config)
-        assert graph.range_factors()[0].kf == 0
+        assert list(graph.tables.ranges.kf) == [0]
 
     def test_range_within_half_cadence(self):
         imu, gt, toa, config = noiseless_setup()
         graph, _ = pgo.build_graph(imu, toa, config)
         times = [kf.t for kf in graph.keyframes]
         half_period = 0.5e9 / config.node_rate_hz
-        for factor, meas in zip(graph.range_factors(), toa):
-            assert abs(times[factor.kf] - meas.t) <= half_period
+        assert len(graph.tables.ranges) == len(toa)
+        for kf, meas in zip(graph.tables.ranges.kf, toa):
+            assert abs(times[kf] - meas.t) <= half_period
 
     def test_empty_input(self):
         config = pgo.PgoConfig(initial_state=NavState.identity(),
@@ -213,7 +319,7 @@ class TestImuDataPath:
         times = [kf.t for kf in graph.keyframes]
         bias0_g, bias0_a = config.initial_state.b_g, config.initial_state.b_a
         counts = set()
-        for f in graph.imu_factors():
+        for f in graph.imu_factors:
             omega, accel, dts = oracle_slice(imu, times[f.i], times[f.j])
             for got, want in zip(f.samples, (omega, accel, dts)):
                 np.testing.assert_array_equal(got, want)
@@ -307,21 +413,36 @@ def groundtruth_values(graph, gt, config):
     return values
 
 
+def imu_residual_oracle(f, values, gravity):
+    """One IMU factor's unwhitened residual, from its increments corrected
+    to first order for the bias at keyframe i."""
+    p = f.pre
+    dbg = values.bias[f.i, 0:3] - p.bias_gyro
+    dba = values.bias[f.i, 3:6] - p.bias_accel
+    d_rot = p.d_rot @ geo.exp_so3(p.j_rot_bg @ dbg)
+    d_pos = p.d_pos + p.j_pos_bg @ dbg + p.j_pos_ba @ dba
+    d_vel = p.d_vel + p.j_vel_bg @ dbg + p.j_vel_ba @ dba
+    rot_i, dt = values.rot[f.i], p.dt_total
+    return np.concatenate([
+        geo.log_so3(d_rot.T @ rot_i.T @ values.rot[f.j]),
+        rot_i.T @ (values.pos[f.j] - values.pos[f.i] - values.vel[f.i] * dt
+                   - 0.5 * gravity * dt * dt) - d_pos,
+        rot_i.T @ (values.vel[f.j] - values.vel[f.i] - gravity * dt) - d_vel,
+        values.bias[f.j] - values.bias[f.i]])
+
+
 class TestTotalCost:
     def test_groundtruth_noiseless_cost_tiny(self):
         imu, gt, toa, config = noiseless_setup()
         graph, _ = pgo.build_graph(imu, toa, config)
         values = groundtruth_values(graph, gt, config)
-        assert pgo.total_cost(graph, values) < 1e-10
+        assert pgo._window_cost(graph.tables, values) < 1e-10
 
     def test_doubling_covariance_halves_contribution(self, rng):
         values = make_values(rng, 1, 1)
-        base = pgo.RangeFactor(0, 0, 5.0, 0.2)
-        doubled = pgo.RangeFactor(0, 0, 5.0, 0.2 * np.sqrt(2.0))
-        graph_base = pgo.FactorGraph([pgo.KeyframeId(0, 0)], [base], [1])
-        graph_doubled = pgo.FactorGraph([pgo.KeyframeId(0, 0)], [doubled], [1])
-        c0 = pgo.total_cost(graph_base, values)
-        c1 = pgo.total_cost(graph_doubled, values)
+        c0 = pgo._window_cost(make_tables(ranges=[(0, 0, 5.0, 0.2)]), values)
+        c1 = pgo._window_cost(make_tables(ranges=[(0, 0, 5.0, 0.2 * np.sqrt(2.0))]),
+                              values)
         assert c1 == pytest.approx(0.5 * c0, rel=1e-12)
 
     def test_matches_per_factor_oracle(self, rng):
@@ -329,11 +450,35 @@ class TestTotalCost:
         graph, values = pgo.build_graph(imu, toa, config)
         # Perturb away from the optimum so the cost is non-trivial.
         values.pos += 0.1 * rng.standard_normal(values.pos.shape)
-        expected = 0.0
-        for f in graph.factors:
-            r = f.residual(values)
-            expected += float(r @ np.linalg.solve(f.cov, r))
-        assert pgo.total_cost(graph, values) == pytest.approx(expected, rel=1e-9)
+        values.bias += 0.01 * rng.standard_normal(values.bias.shape)
+        values.stations += 1e-3 * rng.standard_normal(values.stations.shape)
+        terms = []                                   # (residual, covariance)
+        noise = config.noise
+        for f in graph.imu_factors:
+            cov = scipy.linalg.block_diag(
+                f.pre.cov, noise.sigma_wg ** 2 * f.pre.dt_total * np.eye(3),
+                noise.sigma_wa ** 2 * f.pre.dt_total * np.eye(3))
+            terms.append((imu_residual_oracle(f, values, config.gravity), cov))
+        times = np.array([kf.t for kf in graph.keyframes])
+        for m in toa:
+            kf = int(np.argmin(np.abs(times - m.t)))
+            s = m.bs_id - 1
+            r = m.distance - np.linalg.norm(values.pos[kf] - values.stations[s])
+            terms.append((np.array([r]), np.array([[config.sigma_floor ** 2]])))
+        state = config.initial_state
+        terms.append((np.concatenate([
+            geo.log_so3(geo.quat_to_rot(state.q).T @ values.rot[0]),
+            values.pos[0] - state.p, values.vel[0] - state.v,
+            values.bias[0] - np.concatenate([state.b_g, state.b_a])]),
+            np.diag([config.prior_sigma_rot ** 2] * 3 + [config.prior_sigma_pos ** 2] * 3
+                    + [config.prior_sigma_vel ** 2] * 3
+                    + [config.prior_sigma_bias ** 2] * 6)))
+        for s, bs in enumerate(config.stations):
+            terms.append((values.stations[s] - bs.position,
+                           config.station_prior_sigma ** 2 * np.eye(3)))
+        expected = sum(float(r @ np.linalg.solve(cov, r)) for r, cov in terms)
+        assert pgo._window_cost(graph.tables, values) == pytest.approx(expected,
+                                                                       rel=1e-9)
 
 
 class TestOptimize:
@@ -343,12 +488,11 @@ class TestOptimize:
                     BaseStation(3, np.array([0.0, 10.0, 0.0])),
                     BaseStation(4, np.array([0.0, 0.0, 10.0]))]
         truth = np.array([2.0, 3.0, 4.0])
-        factors = [pgo.RangeFactor(0, k, float(np.linalg.norm(truth - bs.position)),
-                                   0.01) for k, bs in enumerate(stations)]
-        factors += [pgo.PriorStationFactor(k, bs.position.copy(), 1e-3)
-                    for k, bs in enumerate(stations)]
-        graph = pgo.FactorGraph([pgo.KeyframeId(0, 0)], factors,
-                                [bs.id for bs in stations])
+        tables = make_tables(
+            ranges=[(0, k, float(np.linalg.norm(truth - bs.position)), 0.01)
+                    for k, bs in enumerate(stations)],
+            stations=[(k, bs.position.copy(), 1e-3) for k, bs in enumerate(stations)])
+        graph = pgo.FactorGraph([pgo.KeyframeId(0, 0)], tables)
         values = pgo.GraphValues(
             rot=np.eye(3)[None].copy(), pos=truth[None] + 0.0,
             vel=np.zeros((1, 3)), bias=np.zeros((1, 6)),
@@ -393,38 +537,41 @@ class TestBiasCorrection:
         db_g = 1e-3 * rng.standard_normal(3)
         db_a = 1e-2 * rng.standard_normal(3)
         exact = pre.integrate_batch(omega, accel, dts, db_g, db_a)
-        rot_c, pos_c, vel_c = pre.corrected_increments(base, db_g, db_a)
-        assert np.linalg.norm(geo.log_so3(rot_c.T @ exact.d_rot)) < 1e-7
-        assert np.linalg.norm(pos_c - exact.d_pos) < 1e-6
-        assert np.linalg.norm(vel_c - exact.d_vel) < 1e-5
+        # Keyframe j dead-reckoned through the exact increments: the
+        # residual of the base increments at the moved bias is the gap
+        # between their first-order correction and the exact increments.
+        rot_j, p_j, v_j = pre.predict(exact, np.eye(3), np.zeros(3), np.zeros(3))
+        bias = np.concatenate([db_g, db_a])
+        r = imu_residual(base, (np.eye(3), np.zeros(3), np.zeros(3), bias),
+                         (rot_j, p_j, v_j, bias))
+        assert np.linalg.norm(r[0:3]) < 1e-7
+        assert np.linalg.norm(r[3:6]) < 1e-6
+        assert np.linalg.norm(r[6:9]) < 1e-5
 
     def test_reintegration_triggers_on_large_drift(self, rng):
-        omega = rng.uniform(-1, 1, (20, 3))
-        accel = rng.uniform(-5, 5, (20, 3))
-        dts = np.full(20, 0.005)
-        p = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3),
-                                ImuNoiseParams())
-        factor = pgo.ImuFactor(0, 1, p, (omega, accel, dts))
+        factor = random_imu_factor(rng)
+        tab = make_tables(imu=[factor]).imu
         values = make_values(rng, 2, 1)
         values.bias[0] = np.full(6, 0.1)
-        graph = pgo.FactorGraph([pgo.KeyframeId(0, 0), pgo.KeyframeId(1, 10)],
-                                [factor], [1])
-        count = pgo._reintegrate_drifted(graph, values, threshold=0.05)
+        count = pgo._reintegrate_drifted([factor], tab, values.bias, threshold=0.05)
         assert count == 1
         np.testing.assert_allclose(factor.pre.bias_gyro, values.bias[0][0:3])
+        np.testing.assert_array_equal(tab.bias_lin[0], values.bias[0])
         # After re-integration the linearization matches; no further trigger.
-        assert pgo._reintegrate_drifted(graph, values, threshold=0.05) == 0
+        assert pgo._reintegrate_drifted([factor], tab, values.bias,
+                                        threshold=0.05) == 0
 
     def test_only_drifted_factors_reintegrated(self, rng):
         graph, values = oracle_graph(rng, n_kf=5)
-        imu_fs = graph.imu_factors()
+        imu_fs, tab = graph.imu_factors, graph.tables.imu
         before = [f.pre for f in imu_fs]
         for f in imu_fs:
             values.bias[f.i] = np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
         values.bias[1, 4] += 0.06       # accel component past the threshold
         values.bias[3, 0] -= 0.2        # gyro component past the threshold
         values.bias[2] += 0.04          # within it
-        assert pgo._reintegrate_drifted(graph, values, threshold=0.05) == 2
+        assert pgo._reintegrate_drifted(imu_fs, tab, values.bias,
+                                        threshold=0.05) == 2
         for f, old in zip(imu_fs, before):
             if f.i in (1, 3):
                 omega, accel, dts = f.samples
@@ -435,6 +582,10 @@ class TestBiasCorrection:
                     values.bias[f.i, 3:6], old.noise))
             else:
                 assert f.pre is old
+        # Every row holds its factor's current preintegration.
+        want = make_tables(imu=imu_fs).imu
+        for fld in dataclasses.fields(want):
+            assert_same_bits(getattr(tab, fld.name), getattr(want, fld.name))
 
 
 class TestRunBatch:
@@ -505,35 +656,35 @@ def assert_same_bits(actual, expected):
 class TestSlidingWindowTables:
     def test_window_tables_match_restacked_factors(self, rng, monkeypatch):
         imu, toa, config = reintegrating_setup(rng, final_batch=False)
-        built, ranges, steps = [], [], []
-        real_factor, real_range, real_optimize = (pgo.ImuFactor, pgo.RangeFactor,
-                                                  pgo.optimize)
+        graph, _ = pgo.build_graph(imu, [], config)
+        times = np.array([kf.t for kf in graph.keyframes])
+        nearest = [int(np.argmin(np.abs(times - m.t))) for m in toa]
+        built, steps = [], []
+        real_factor, real_optimize = pgo.ImuFactor, pgo.optimize
 
         def factor(*args, **kwargs):
             built.append(real_factor(*args, **kwargs))
             return built[-1]
 
-        def range_factor(*args, **kwargs):
-            ranges.append(real_range(*args, **kwargs))
-            return ranges[-1]
-
         def optimize(graph, values, options=None, first_kf=0):
-            # Restack the window's factors from the objects: IMU factors
-            # and ranges on keyframes [first_kf, n).
+            # Restack the window's factors: IMU factors [first_kf, n - 1)
+            # from the objects, and the ranges on keyframes [first_kf, n)
+            # from the measurements, by keyframe.
             n = values.n_keyframes
-            factors = built + [f for f in ranges if f.kf < n]
-            want = pgo._Window(pgo._active_factors(
-                pgo.FactorGraph(graph.keyframes, factors, graph.station_ids),
-                first_kf))
-            got = graph.window
+            ranges = sorted(((kf, m.bs_id - 1, m.distance, 0.1)
+                             for kf, m in zip(nearest, toa) if first_kf <= kf < n),
+                            key=lambda row: row[0])
+            want = make_tables(imu=built[first_kf:n - 1], ranges=ranges,
+                               gravity=config.gravity)
+            got = graph.tables
             for table in ("imu", "ranges"):
                 for fld in dataclasses.fields(getattr(want, table)):
                     assert_same_bits(getattr(getattr(got, table), fld.name),
                                      getattr(getattr(want, table), fld.name))
+            assert got.priors.kf.tolist() == [first_kf]
             steps.append(n)
             return real_optimize(graph, values, options, first_kf)
         monkeypatch.setattr(pgo, "ImuFactor", factor)
-        monkeypatch.setattr(pgo, "RangeFactor", range_factor)
         monkeypatch.setattr(pgo, "optimize", optimize)
         run = pgo.run_sliding_window(imu, toa, config)
         assert steps == list(range(2, len(run.streamed) + 1))
@@ -542,17 +693,18 @@ class TestSlidingWindowTables:
     def test_reintegrations_count_factors(self, rng, monkeypatch):
         imu, toa, config = reintegrating_setup(rng, final_batch=True)
         passed, in_final_batch = [], []
-        real_reintegrate, real_drifted = pgo._reintegrate, pgo._reintegrate_drifted
+        real_reintegrate, real_solve = pgo._reintegrate, pgo._solve_relinearizing
 
         def reintegrate(factors, bias):
             passed.append(len(factors))
             real_reintegrate(factors, bias)
 
-        def reintegrate_drifted(graph, values, threshold):
-            in_final_batch.append(real_drifted(graph, values, threshold))
-            return in_final_batch[-1]
+        def solve_relinearizing(graph, values, config):
+            out = real_solve(graph, values, config)
+            in_final_batch.append(out[2])
+            return out
         monkeypatch.setattr(pgo, "_reintegrate", reintegrate)
-        monkeypatch.setattr(pgo, "_reintegrate_drifted", reintegrate_drifted)
+        monkeypatch.setattr(pgo, "_solve_relinearizing", solve_relinearizing)
         run = pgo.run_sliding_window(imu, toa, config)
         assert sum(in_final_batch) > 0
         assert run.reintegrations == sum(passed) > sum(in_final_batch)
@@ -573,48 +725,31 @@ class TestSlidingWindowTables:
             == len(run.streamed) - config.window > 0
 
 
-def oracle_graph(rng, n_kf=4, n_st=2):
+def oracle_graph(rng, n_kf=4, n_st=2, noise=ImuNoiseParams()):
     """Values and factors of every kind over a short keyframe chain."""
     values = make_values(rng, n_kf, n_st)
-    noise = ImuNoiseParams()
-    factors = [
-        pgo.PriorPoseFactor(0, random_rotation(rng), rng.standard_normal(3),
-                            np.diag([0.01] * 3 + [0.04] * 3)),
-        pgo.PriorVelocityFactor(0, rng.standard_normal(3), 0.01 * np.eye(3)),
-        pgo.PriorBiasFactor(0, rng.standard_normal(6), 0.01 * np.eye(6)),
-        pgo.PriorStateFactor(2, random_rotation(rng), rng.standard_normal(3),
-                             rng.standard_normal(3), rng.standard_normal(6),
-                             0.02 * np.eye(15)),
+    imu_fs = [random_imu_factor(rng, k, values.bias[k] + [0, 0, 0, 0.01, 0.01, 0.01],
+                                noise)
+              for k in range(n_kf - 1)]
+    spread = rng.standard_normal((15, 15))
+    priors = [
+        (0, random_rotation(rng), rng.standard_normal(3), rng.standard_normal(3),
+         rng.standard_normal(6), np.diag([0.01] * 3 + [0.04] * 3 + [0.01] * 9)),
+        (2, random_rotation(rng), rng.standard_normal(3), rng.standard_normal(3),
+         rng.standard_normal(6), 0.02 * np.eye(15) + 1e-3 * spread @ spread.T),
     ]
-    factors += [pgo.PriorStationFactor(s, values.stations[s] + 0.01, 1e-2)
-                for s in range(n_st)]
-    for k in range(n_kf - 1):
-        omega = rng.uniform(-1, 1, (20, 3))
-        accel = rng.uniform(-5, 5, (20, 3))
-        dts = np.full(20, 0.005)
-        p = pre.integrate_batch(omega, accel, dts, values.bias[k, 0:3],
-                                values.bias[k, 3:6] + 0.01, noise)
-        factors.append(pgo.ImuFactor(k, k + 1, p, (omega, accel, dts)))
-    for k in range(n_kf):
-        for s in range(n_st):
-            factors.append(pgo.RangeFactor(k, s, float(rng.uniform(1, 20)), 0.2))
+    ranges = [(k, s, float(rng.uniform(1, 20)), 0.2)
+              for k in range(n_kf) for s in range(n_st)]
+    stations = [(s, values.stations[s] + 0.01, 1e-2) for s in range(n_st)]
     graph = pgo.FactorGraph([pgo.KeyframeId(k, k) for k in range(n_kf)],
-                            factors, list(range(1, n_st + 1)))
+                            make_tables(imu_fs, ranges, priors, stations), imu_fs)
     return graph, values
 
 
-def dense_oracle(factors, values, first_kf, n_kf, n_st):
-    """Dense J^T J, J^T r and r^T r from the per-factor linearize() blocks."""
-    col = pgo._column_map(first_kf, n_kf)
-    jac_rows, res = [], []
-    for f in factors:
-        r_w, blocks = f.linearize(values)
-        jac = np.zeros((len(r_w), pgo.KF_DIM * n_kf + 3 * n_st))
-        for key, block in blocks:
-            jac[:, col(key):col(key) + block.shape[1]] += block
-        jac_rows.append(jac)
-        res.append(r_w)
-    jac, r = np.vstack(jac_rows), np.concatenate(res)
+def dense_oracle(tables, values, first_kf):
+    """Dense J^T J, J^T r and r^T r of the factors on keyframes
+    [first_kf, N)."""
+    jac, r = dense_jacobian(tables, values, first_kf)
     return jac.T @ jac, jac.T @ r, float(r @ r)
 
 
@@ -637,10 +772,9 @@ class TestNormalEquations:
     def test_arrow_assembly_matches_dense_oracle(self, rng, first_kf):
         graph, values = oracle_graph(rng)
         n_kf, n_st = values.n_keyframes - first_kf, values.stations.shape[0]
-        factors = pgo._active_factors(graph, first_kf)
-        neq = pgo._build_normal_equations(pgo._Window(factors), values,
-                                          first_kf, n_kf, n_st)
-        h, g, cost = dense_oracle(factors, values, first_kf, n_kf, n_st)
+        tables = graph.tables.from_keyframe(first_kf)
+        neq = pgo._build_normal_equations(tables, values, first_kf, n_kf, n_st)
+        h, g, cost = dense_oracle(graph.tables, values, first_kf)
         nk = pgo.KF_DIM * n_kf
         # The keyframe block has nothing outside the band.
         assert not np.any(np.triu(h[:nk, :nk], pgo.BAND_U + 1))
@@ -649,16 +783,14 @@ class TestNormalEquations:
         assert_rel_close(neq.stations, h[nk:, nk:], 1e-10)
         assert_rel_close(neq.grad, g, 1e-10)
         assert neq.cost == pytest.approx(cost, rel=1e-10)
-        assert pgo._window_cost(pgo._Window(factors), values) == \
-            pytest.approx(cost, rel=1e-10)
+        assert pgo._window_cost(tables, values) == pytest.approx(cost, rel=1e-10)
 
     def test_banded_schur_step_matches_dense_solve(self, rng):
         # With two stations, and without any (no Schur complement).
         for graph, values in (oracle_graph(rng), oracle_graph(rng, n_st=0)):
             n_kf, n_st = values.n_keyframes, values.stations.shape[0]
-            neq = pgo._build_normal_equations(pgo._Window(graph.factors),
-                                              values, 0, n_kf, n_st)
-            h, g, _ = dense_oracle(graph.factors, values, 0, n_kf, n_st)
+            neq = pgo._build_normal_equations(graph.tables, values, 0, n_kf, n_st)
+            h, g, _ = dense_oracle(graph.tables, values, 0)
             for lam in (1e-6, 1e-3, 1.0):
                 damping = lam * np.maximum(neq.diagonal(), 1e-8)
                 expected = np.linalg.solve(h + np.diag(damping), -g)
@@ -667,10 +799,10 @@ class TestNormalEquations:
     @pytest.mark.parametrize("first_kf", [0, 1])
     def test_initial_cost_is_the_window_cost(self, rng, first_kf):
         graph, values = oracle_graph(rng)
-        window = pgo._Window(pgo._active_factors(graph, first_kf))
         _, report = pgo.optimize(graph, values, first_kf=first_kf)
         assert report.initial_cost == pytest.approx(
-            pgo._window_cost(window, values), rel=1e-12)
+            pgo._window_cost(graph.tables.from_keyframe(first_kf), values),
+            rel=1e-12)
 
     @pytest.mark.parametrize("fault, error", [("nan", NonFiniteCost),
                                               ("on_station", DegenerateGeometry)])
@@ -690,10 +822,66 @@ class TestNormalEquations:
 
     def test_non_consecutive_imu_factor_rejected(self, rng):
         graph, values = oracle_graph(rng, n_kf=3)
-        imu = next(f for f in graph.factors if f.kind == "Imu")
-        graph.factors.append(pgo.ImuFactor(0, 2, imu.pre, imu.samples))
+        f = graph.imu_factors[0]
+        graph.tables.imu = make_tables(imu=graph.imu_factors + [
+            pgo.ImuFactor(0, 2, f.pre, f.samples)]).imu
         with pytest.raises(ValueError, match="links keyframes 0 and 2"):
             pgo.optimize(graph, values)
+
+
+class TestMarginalization:
+    def dropped(self, graph, first_kf, new_first):
+        """The factors leaving a window that starts at first_kf when it
+        moves to new_first: IMU and range factors on keyframes
+        [first_kf, new_first) and the priors on [first_kf, new_first]."""
+        t = graph.tables
+        in_range = (t.ranges.kf >= first_kf) & (t.ranges.kf < new_first)
+        return pgo.FactorTables(
+            t.imu.rows(slice(first_kf, new_first)), t.ranges.rows(in_range),
+            t.priors.rows((t.priors.kf >= first_kf) & (t.priors.kf <= new_first)),
+            t.stations.rows(slice(0, 0)))
+
+    def dense_schur(self, dropped, values, first_kf, new_first):
+        """Reference: the separator's information with the dropped keyframes
+        eliminated from the dense keyframe block (stations held fixed), both
+        diagonals jittered by 1e-9 as the banded path does."""
+        jac, _ = dense_jacobian(dropped, values.head(new_first + 1), first_kf)
+        nk = pgo.KF_DIM * (new_first - first_kf + 1)
+        h = jac[:, :nk].T @ jac[:, :nk] + 1e-9 * np.eye(nk)
+        d, s = slice(0, nk - pgo.KF_DIM), slice(nk - pgo.KF_DIM, nk)
+        return h[s, s] - h[s, d] @ np.linalg.solve(h[d, d], h[d, s])
+
+    @pytest.mark.parametrize("first_kf, new_first", [(0, 1), (0, 3), (1, 4)])
+    def test_banded_marginal_matches_dense_schur(self, rng, first_kf, new_first):
+        # With the default IMU noise the bias random walk carries ~1e10 of
+        # information against priors of ~1e4, and either elimination's
+        # rounding reaches 1e-8 of the result; noise densities of 1e-2 and
+        # 1e-1 keep the comparison at the 1e-10 that the method allows.
+        noise = ImuNoiseParams(sigma_g=1e-2, sigma_a=1e-1, sigma_wg=1e-2,
+                               sigma_wa=1e-1)
+        graph, values = oracle_graph(rng, n_kf=6, noise=noise)
+        dropped = self.dropped(graph, first_kf, new_first)
+        u_ss = pgo._marginalize_dropped(dropped, values, first_kf, new_first)
+        expected = self.dense_schur(dropped, values, first_kf, new_first)
+        assert_rel_close(u_ss.T @ u_ss, expected, 1e-10)
+        assert not np.any(np.tril(u_ss, -1))
+
+    def test_singular_dropped_block_returns_none(self, rng):
+        graph, values = oracle_graph(rng)
+        # Information 2^120 on the sum of two position coordinates of the
+        # dropped keyframe: the 1e-9 jitter is lost against it, and the
+        # block is singular in floating point.
+        sqrt_info = np.zeros((15, 15))
+        sqrt_info[3, 3:5] = 2.0 ** 60
+        dropped = self.dropped(graph, 0, 1)
+        dropped.imu = dropped.imu.rows(slice(0, 0))
+        dropped.ranges = dropped.ranges.rows(slice(0, 0))
+        dropped.priors = pgo._PriorTable.one(0, values.rot[0], values.pos[0],
+                                             values.vel[0], values.bias[0],
+                                             sqrt_info)
+        assert pgo._marginalize_dropped(dropped, values, 0, 1) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            self.dense_schur(dropped, values, 0, 1)
 
 
 class TestSolverFailures:
@@ -713,7 +901,7 @@ class TestSolverFailures:
 
     def test_failed_factorization_escalates_then_raises(self, rng, monkeypatch):
         graph, values = oracle_graph(rng)
-        neq = pgo._build_normal_equations(pgo._Window(graph.factors), values, 0,
+        neq = pgo._build_normal_equations(graph.tables, values, 0,
                                           values.n_keyframes, 2)
         nk = neq.band.shape[1]
         damp = np.maximum(neq.diagonal(), 1e-8)[:nk]
@@ -733,7 +921,7 @@ class TestSolverFailures:
 
     def test_indefinite_covariance_is_a_numerical_error(self):
         with pytest.raises(IndefiniteCovariance):
-            pgo.PriorVelocityFactor(0, np.zeros(3), np.diag([1.0, -1.0, 1.0]))
+            pgo._sqrt_info(np.diag([1.0, -1.0, 1.0]))
         assert issubclass(IndefiniteCovariance, NumericalError)
 
 

@@ -8,21 +8,29 @@ from toafusion.dataset import ImuSample
 from toafusion.errors import InvalidDt
 from toafusion.eskf import GRAVITY, MAX_DT_S, ImuNoiseParams, NavState
 
-from conftest import assert_matches_oracle, oracle_integrate, random_rotation
+from conftest import (assert_matches_oracle, imu_residual, oracle_integrate,
+                      random_rotation)
 
 
-def fresh(bias_g=None, bias_a=None, noise=None):
-    return pre.PreintegratedImu.create(
-        bias_g if bias_g is not None else np.zeros(3),
-        bias_a if bias_a is not None else np.zeros(3),
-        noise)
+def constant(omega, accel, n, dt=0.005, bias_g=np.zeros(3), bias_a=np.zeros(3),
+             noise=None):
+    """Increments of n samples of one constant reading."""
+    return pre.integrate_batch(np.tile(omega, (n, 1)), np.tile(accel, (n, 1)),
+                               np.full(n, dt), bias_g, bias_a, noise)
+
+
+def no_samples():
+    """Identity increments over no time."""
+    return pre.integrate_batch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0),
+                               np.zeros(3), np.zeros(3))
+
+
+REST = (np.eye(3), np.zeros(3), np.zeros(3))
 
 
 class TestIntegrate:
     def test_zero_input_identity_increments(self):
-        p = fresh()
-        for _ in range(50):
-            p = pre.integrate(p, ImuSample(0, np.zeros(3), np.zeros(3)), 0.005)
+        p = constant(np.zeros(3), np.zeros(3), 50)
         np.testing.assert_allclose(p.d_rot, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(p.d_vel, np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(p.d_pos, np.zeros(3), atol=1e-12)
@@ -30,117 +38,96 @@ class TestIntegrate:
         assert p.dt_total == pytest.approx(0.25)
 
     def test_constant_acceleration_closed_form(self):
-        p = fresh()
-        sample = ImuSample(0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        for _ in range(200):
-            p = pre.integrate(p, sample, 0.005)
+        p = constant(np.zeros(3), np.array([1.0, 0.0, 0.0]), 200)
         np.testing.assert_allclose(p.d_vel, [1.0, 0.0, 0.0], atol=1e-6)
         np.testing.assert_allclose(p.d_pos, [0.5, 0.0, 0.0], atol=1e-6)
 
     def test_bias_removed_at_linearization_point(self):
         bias_g = np.array([0.01, -0.02, 0.005])
         bias_a = np.array([0.1, 0.2, -0.1])
-        p = fresh(bias_g, bias_a)
-        sample = ImuSample(0, bias_g, bias_a)    # reading equals bias
-        for _ in range(20):
-            p = pre.integrate(p, sample, 0.005)
+        # The reading equals the bias.
+        p = constant(bias_g, bias_a, 20, bias_g=bias_g, bias_a=bias_a)
         np.testing.assert_allclose(p.d_rot, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(p.d_vel, np.zeros(3), atol=1e-12)
 
-    def test_split_composition_matches_full_batch(self, rng):
-        omega = rng.uniform(-1, 1, (40, 3))
-        accel = rng.uniform(-5, 5, (40, 3))
-        dts = np.full(40, 0.005)
-        full = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3))
-        first = pre.integrate_batch(omega[:17], accel[:17], dts[:17],
-                                    np.zeros(3), np.zeros(3))
-        second = pre.integrate_batch(omega[17:], accel[17:], dts[17:],
-                                     np.zeros(3), np.zeros(3))
-        combined = pre.compose(first, second)
-        np.testing.assert_allclose(combined.d_rot, full.d_rot, atol=1e-9)
-        np.testing.assert_allclose(combined.d_vel, full.d_vel, atol=1e-9)
-        np.testing.assert_allclose(combined.d_pos, full.d_pos, atol=1e-9)
-        assert combined.dt_total == pytest.approx(full.dt_total)
-
     def test_invalid_dt(self):
-        with pytest.raises(InvalidDt):
-            pre.integrate(fresh(), ImuSample(0, np.zeros(3), np.zeros(3)), 0.0)
-        with pytest.raises(InvalidDt):
-            pre.integrate(fresh(), ImuSample(0, np.zeros(3), np.zeros(3)), 0.2)
+        for dt in (0.0, 0.2):
+            with pytest.raises(InvalidDt):
+                constant(np.zeros(3), np.zeros(3), 1, dt=dt)
 
     def test_covariance_psd_and_growing(self, rng):
-        p = fresh(noise=ImuNoiseParams())
+        # Interval k holds the first k + 1 of the same 100 samples.
+        omega = np.tile(rng.uniform(-1, 1, (1, 100, 3)), (100, 1, 1))
+        accel = np.tile(rng.uniform(-5, 5, (1, 100, 3)), (100, 1, 1))
+        batch = pre.integrate_batch(omega, accel, np.full((100, 100), 0.005),
+                                    np.zeros(3), np.zeros(3), ImuNoiseParams(),
+                                    counts=np.arange(1, 101))
         traces = [0.0]
-        for _ in range(100):
-            p = pre.integrate(p, ImuSample(0, rng.uniform(-1, 1, 3),
-                                           rng.uniform(-5, 5, 3)), 0.005)
-            eigs = np.linalg.eigvalsh(p.cov)
-            assert eigs.min() > -1e-15
-            traces.append(np.trace(p.cov))
+        for cov in batch.cov:
+            assert np.linalg.eigvalsh(cov).min() > -1e-15
+            traces.append(np.trace(cov))
         assert all(traces[i + 1] > traces[i] for i in range(len(traces) - 1))
 
 
 class TestResiduals:
+    """The IMU kernel's unwhitened residual blocks."""
+
     def test_rotation_residual_zero_when_consistent(self, rng):
         for _ in range(20):
             rot_i = random_rotation(rng)
-            p = fresh()
-            for _ in range(10):
-                p = pre.integrate(p, ImuSample(0, rng.uniform(-1, 1, 3),
-                                               np.zeros(3)), 0.005)
+            p = pre.integrate_batch(rng.uniform(-1, 1, (10, 3)), np.zeros((10, 3)),
+                                    np.full(10, 0.005), np.zeros(3), np.zeros(3))
             rot_j = rot_i @ p.d_rot
-            np.testing.assert_allclose(pre.residual_rotation(p, rot_i, rot_j),
-                                       np.zeros(3), atol=1e-10)
+            r = imu_residual(p, (rot_i, np.zeros(3), np.zeros(3)),
+                             (rot_j, np.zeros(3), np.zeros(3)))
+            np.testing.assert_allclose(r[0:3], np.zeros(3), atol=1e-10)
 
     def test_rotation_residual_pure_yaw_offset(self):
-        p = fresh()
         rot_j = geo.exp_so3([0.0, 0.0, 0.1])
-        np.testing.assert_allclose(pre.residual_rotation(p, np.eye(3), rot_j),
-                                   [0.0, 0.0, 0.1], atol=1e-12)
+        r = imu_residual(no_samples(), REST, (rot_j, np.zeros(3), np.zeros(3)))
+        np.testing.assert_allclose(r[0:3], [0.0, 0.0, 0.1], atol=1e-12)
 
     def test_hover_cancellation(self):
         # Gravity-reaction accel makes the position increment cancel the
         # -g dt^2 / 2 term exactly.
-        p = fresh()
-        sample = ImuSample(0, np.zeros(3), -GRAVITY)
-        for _ in range(40):
-            p = pre.integrate(p, sample, 0.005)
-        r = pre.residual_position(p, np.eye(3), np.zeros(3), np.zeros(3),
-                                  np.zeros(3), GRAVITY)
-        np.testing.assert_allclose(r, np.zeros(3), atol=1e-9)
+        p = constant(np.zeros(3), -GRAVITY, 40)
+        r = imu_residual(p, REST, REST, GRAVITY)
+        np.testing.assert_allclose(r[3:6], np.zeros(3), atol=1e-9)
 
     def test_position_residual_linearity_in_pj(self, rng):
         rot_i = random_rotation(rng)
-        p = fresh()
-        base = pre.residual_position(p, rot_i, np.zeros(3), np.zeros(3),
-                                     np.zeros(3), GRAVITY)
+        state_i = (rot_i, np.zeros(3), np.zeros(3))
+        base = imu_residual(no_samples(), state_i, REST)
         eps = np.array([0.3, 0.0, 0.0])
-        shifted = pre.residual_position(p, rot_i, np.zeros(3), np.zeros(3),
-                                        eps, GRAVITY)
-        np.testing.assert_allclose(shifted - base, rot_i.T @ eps, atol=1e-12)
+        shifted = imu_residual(no_samples(), state_i, (np.eye(3), eps, np.zeros(3)))
+        np.testing.assert_allclose(shifted[3:6] - base[3:6], rot_i.T @ eps,
+                                   atol=1e-12)
 
     def test_velocity_residual_free_fall(self):
-        p = fresh()
+        p = no_samples()
         p.dt_total = 0.5
-        r = pre.residual_velocity(p, np.eye(3), np.zeros(3), GRAVITY * 0.5, GRAVITY)
-        np.testing.assert_allclose(r, np.zeros(3), atol=1e-12)
+        r = imu_residual(p, REST, (np.eye(3), np.zeros(3), GRAVITY * 0.5), GRAVITY)
+        np.testing.assert_allclose(r[6:9], np.zeros(3), atol=1e-12)
 
     def test_velocity_residual_linear_coefficient(self, rng):
         rot_i = random_rotation(rng)
-        p = fresh()
+        state_i = (rot_i, np.zeros(3), np.zeros(3))
         dv = rng.standard_normal(3)
-        base = pre.residual_velocity(p, rot_i, np.zeros(3), np.zeros(3), GRAVITY)
-        shifted = pre.residual_velocity(p, rot_i, np.zeros(3), dv, GRAVITY)
-        np.testing.assert_allclose(shifted - base, rot_i.T @ dv, atol=1e-12)
+        base = imu_residual(no_samples(), state_i, REST)
+        shifted = imu_residual(no_samples(), state_i, (np.eye(3), np.zeros(3), dv))
+        np.testing.assert_allclose(shifted[6:9] - base[6:9], rot_i.T @ dv,
+                                   atol=1e-12)
 
     def test_bias_residual(self):
         b_i = np.zeros(6)
         b_j = np.array([1.0, 0, 0, 0, 0, 0])
-        np.testing.assert_array_equal(pre.residual_bias(b_i, b_j),
-                                      [1.0, 0, 0, 0, 0, 0])
-        np.testing.assert_array_equal(pre.residual_bias(b_i, b_j),
-                                      -pre.residual_bias(b_j, b_i))
-        np.testing.assert_array_equal(pre.residual_bias(b_j, b_j), np.zeros(6))
+
+        def bias_block(bias_i, bias_j):
+            return imu_residual(no_samples(), REST + (bias_i,),
+                                REST + (bias_j,))[9:15]
+        np.testing.assert_array_equal(bias_block(b_i, b_j), [1.0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(bias_block(b_i, b_j), -bias_block(b_j, b_i))
+        np.testing.assert_array_equal(bias_block(b_j, b_j), np.zeros(6))
 
 
 class TestConsistencyWithNominalPropagation:
@@ -149,6 +136,12 @@ class TestConsistencyWithNominalPropagation:
         for s, dt in zip(imu_samples, dts):
             state = eskf.propagate_nominal(state, s, dt)
         return state
+
+    def motion_residual(self, p, state0, state_j):
+        """Rotation, position and velocity residuals between two states."""
+        return imu_residual(
+            p, (geo.quat_to_rot(state0.q), state0.p, state0.v),
+            (geo.quat_to_rot(state_j.q), state_j.p, state_j.v))[0:9]
 
     def test_residuals_vanish_on_translation_only_stream(self, rng):
         # Without rotation the Euler increments and the RK4 nominal
@@ -163,16 +156,10 @@ class TestConsistencyWithNominalPropagation:
         p = pre.integrate_batch(np.array([s.omega for s in samples]),
                                 np.array([s.accel for s in samples]), dts,
                                 np.zeros(3), np.zeros(3))
-        rot_i = geo.quat_to_rot(state0.q)
-        rot_j = geo.quat_to_rot(state_j.q)
-        np.testing.assert_allclose(pre.residual_rotation(p, rot_i, rot_j),
-                                   np.zeros(3), atol=1e-8)
-        np.testing.assert_allclose(
-            pre.residual_position(p, rot_i, state0.p, state0.v, state_j.p),
-            np.zeros(3), atol=1e-6)
-        np.testing.assert_allclose(
-            pre.residual_velocity(p, rot_i, state0.v, state_j.v),
-            np.zeros(3), atol=1e-6)
+        r = self.motion_residual(p, state0, state_j)
+        np.testing.assert_allclose(r[0:3], np.zeros(3), atol=1e-8)
+        np.testing.assert_allclose(r[3:6], np.zeros(3), atol=1e-6)
+        np.testing.assert_allclose(r[6:9], np.zeros(3), atol=1e-6)
 
     def test_predict_is_exact_inverse_of_residuals(self, rng):
         # With rotating streams the residuals vanish identically against the
@@ -185,12 +172,10 @@ class TestConsistencyWithNominalPropagation:
         rot_i = random_rotation(rng)
         p_i, v_i = rng.standard_normal(3), rng.standard_normal(3)
         rot_j, p_j, v_j = pre.predict(p, rot_i, p_i, v_i)
-        np.testing.assert_allclose(pre.residual_rotation(p, rot_i, rot_j),
-                                   np.zeros(3), atol=1e-12)
-        np.testing.assert_allclose(
-            pre.residual_position(p, rot_i, p_i, v_i, p_j), np.zeros(3), atol=1e-12)
-        np.testing.assert_allclose(
-            pre.residual_velocity(p, rot_i, v_i, v_j), np.zeros(3), atol=1e-12)
+        r = imu_residual(p, (rot_i, p_i, v_i), (rot_j, p_j, v_j))
+        np.testing.assert_allclose(r[0:3], np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(r[3:6], np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(r[6:9], np.zeros(3), atol=1e-12)
 
     def test_slow_rotation_stream_against_nominal(self):
         # First-order versus RK4 discrepancy scales with omega * |a| * dt,
@@ -204,11 +189,9 @@ class TestConsistencyWithNominalPropagation:
         p = pre.integrate_batch(np.array([s.omega for s in samples]),
                                 np.array([s.accel for s in samples]), dts,
                                 np.zeros(3), np.zeros(3))
-        rot_i = geo.quat_to_rot(state0.q)
-        r_pos = pre.residual_position(p, rot_i, state0.p, state0.v, state_j.p)
-        r_vel = pre.residual_velocity(p, rot_i, state0.v, state_j.v)
-        assert np.linalg.norm(r_pos) < 2e-4
-        assert np.linalg.norm(r_vel) < 2e-3
+        r = self.motion_residual(p, state0, state_j)
+        assert np.linalg.norm(r[3:6]) < 2e-4
+        assert np.linalg.norm(r[6:9]) < 2e-3
 
 
 def random_intervals(rng, lengths, pad=np.nan):
@@ -310,13 +293,3 @@ class TestBatchedKernel:
                                     np.zeros((2, 0)), np.zeros(3), np.zeros(3))
         assert batch.count == 0
         np.testing.assert_array_equal(batch.d_rot, np.repeat(np.eye(3)[None], 2, 0))
-
-    def test_single_sample_integrate_matches_oracle(self, rng):
-        noise = ImuNoiseParams()
-        omega, accel, dts = random_intervals(rng, [15])
-        bias_g, bias_a = 0.03 * np.ones(3), 0.1 * np.ones(3)
-        p = fresh(bias_g, bias_a, noise)
-        for k in range(15):
-            p = pre.integrate(p, ImuSample(0, omega[0, k], accel[0, k]), dts[0, k])
-        assert_matches_oracle(p, oracle_integrate(omega[0], accel[0], dts[0],
-                                                  bias_g, bias_a, noise))
