@@ -1,8 +1,7 @@
 """Sensor-fusion toolkit for MAV pose estimation from IMU and 5G ToA ranges."""
 
-from .dataset import (GroundTruthPose, ImuSample, ToaMeasurement, Trajectory,
-                      associate_nearest, load_groundtruth, load_imu, load_toa,
-                      save_toa)
+from .dataset import (ImuArrays, ToaArrays, Trajectory, associate_nearest,
+                      load_groundtruth, load_imu, load_toa, save_toa)
 from .eskf import FilterConfig, ImuNoiseParams, NavState, run_filter
 from .metrics import MetricsReport, evaluate
 from .pgo import PgoConfig, build_graph, optimize, run_batch, run_sliding_window
@@ -12,9 +11,9 @@ from .toa_sim import BaseStation, NoiseModel, default_stations, scenario_preset,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseStation", "FilterConfig", "GroundTruthPose", "ImuNoiseParams",
-    "ImuSample", "MetricsReport", "NavState", "NoiseModel", "PgoConfig",
-    "SyntheticTrajectorySpec", "ToaMeasurement", "Trajectory",
+    "BaseStation", "FilterConfig", "ImuArrays", "ImuNoiseParams",
+    "MetricsReport", "NavState", "NoiseModel", "PgoConfig",
+    "SyntheticTrajectorySpec", "ToaArrays", "Trajectory",
     "associate_nearest", "build_graph", "default_stations", "evaluate",
     "generate_synthetic_trajectory", "load_groundtruth", "load_imu",
     "load_toa", "optimize", "run_batch", "run_filter", "run_sliding_window",

@@ -80,7 +80,7 @@ def cmd_simulate(args) -> int:
             sim = toa_sim.simulate(gt, stations, model, cfg.noise.toa_rate_hz)
             path = os.path.join(cfg.run.out_dir,
                                 f"toa_{scenario}_seed{seed}.csv")
-            save_toa(path, sim.measurements, num_stations=count)
+            save_toa(path, sim.ranges, num_stations=count)
             note = f" ({sim.clamped_count} clamped)" if sim.clamped_count else ""
             print(f"wrote {path} ({len(sim)} rows){note}")
     return 0

@@ -1,6 +1,6 @@
 """Dataset ingestion and emission.
 
-File formats (CSV, LF line endings, '.' decimal separator, one header line):
+File formats (CSV, one header line, '.' decimal separator):
 
 * IMU:          ``t_ns,w_x,w_y,w_z,a_x,a_y,a_z``   [rad/s, m/s^2, body frame]
 * ground truth: ``t_ns,p_x,p_y,p_z,q_w,q_x,q_y,q_z[,v_x,v_y,v_z,bg_x,bg_y,
@@ -8,19 +8,40 @@ File formats (CSV, LF line endings, '.' decimal separator, one header line):
   internal scalar-last convention on load)
 * ToA ranges:   ``t_ns,bs_id,distance_m``
 
-Loading preserves file order; ordering violations raise instead of sorting.
-Line numbers in errors are 1-based and count the header.
+In memory every input is a set of row-aligned columns: `ImuArrays` (t,
+omega, accel), `ToaArrays` (t, bs_id, distance) and, for ground truth and
+estimates, `Trajectory` (t, position, orientation and optional velocity,
+covariance diagonal and bias columns). ``len()`` is the row count and
+indexing with a slice, mask or index array selects rows.
+
+Lines end in LF; a CR before it counts as whitespace. The header line is
+skipped, as are blank lines. Timestamps and ``bs_id`` are decimal integers
+and every other field a decimal number, with the syntax of Python's
+``int()`` and ``float()``: surrounding whitespace and digit underscores are
+allowed, ``0x1`` and empty fields are not. Timestamps are parsed as int64,
+never through float64, which cannot hold EuRoC nanosecond stamps exactly.
+A byte outside printable ASCII, tab and CR, a wrong column count, an
+unparsable or non-finite number, a ground-truth quaternion whose norm is
+not within 1e-3 of 1 and a ground-truth file mixing row widths are each a
+`MalformedLine`. Loading preserves file order; ordering violations raise
+instead of sorting. Line numbers in errors are 1-based and count the
+header.
+
+All rows are parsed and checked at once, column by column. Only when a
+check fails are the same checks run again line by line, to raise the
+error of the first offending line.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import os
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import geometry as geo
 from .errors import IoFailure, MalformedLine, NonMonotonicTimestamp, UnknownBsId
 
 TOA_HEADER = "t_ns,bs_id,distance_m"
@@ -29,63 +50,54 @@ GROUNDTRUTH_HEADER = (
     "t_ns,p_x,p_y,p_z,q_w,q_x,q_y,q_z,"
     "v_x,v_y,v_z,bg_x,bg_y,bg_z,ba_x,ba_y,ba_z"
 )
+TRAJECTORY_HEADER = "t_ns,px,py,pz,qw,qx,qy,qz,vx,vy,vz"
+
+
+class _Rows:
+    """Row-aligned array columns (None for an absent optional column)."""
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows):
+        """The rows selected by a slice, boolean mask or index array."""
+        return replace(self, **{f.name: getattr(self, f.name)[rows]
+                                for f in fields(self)
+                                if getattr(self, f.name) is not None})
 
 
 @dataclass
-class ImuSample:
-    """One IMU reading: body-frame angular velocity and linear acceleration."""
-
-    t: int
-    omega: np.ndarray
-    accel: np.ndarray
-
-
-class ImuArrays(NamedTuple):
-    """IMU samples as columns: t (N,) int64 ns, omega and accel (N, 3)."""
+class ImuArrays(_Rows):
+    """IMU samples: t (N,) int64 ns, omega and accel (N, 3), body frame."""
 
     t: np.ndarray
     omega: np.ndarray
     accel: np.ndarray
 
-    @staticmethod
-    def from_samples(samples: Sequence[ImuSample]) -> "ImuArrays":
-        """Stack samples; rejects timestamps that are not strictly increasing."""
-        t = np.array([s.t for s in samples], dtype=np.int64)
-        bad = np.flatnonzero(np.diff(t) <= 0)
-        if bad.size:
-            raise NonMonotonicTimestamp(int(bad[0]) + 1, where="IMU sample")
-        omega = np.array([s.omega for s in samples], dtype=float).reshape(-1, 3)
-        accel = np.array([s.accel for s in samples], dtype=float).reshape(-1, 3)
-        return ImuArrays(t, omega, accel)
+
+@dataclass
+class ToaArrays(_Rows):
+    """Ranges: t (N,) int64 ns, bs_id (N,) int64 and distance (N,) metres.
+
+    Rows of one tick share t and are in time order.
+    """
+
+    t: np.ndarray
+    bs_id: np.ndarray
+    distance: np.ndarray
 
 
 @dataclass
-class GroundTruthPose:
-    """Reference pose; orientation is scalar-last, velocity/biases optional."""
+class Trajectory(_Rows):
+    """Timestamped poses, the ground-truth and estimator output form."""
 
-    t: int
-    position: np.ndarray
-    orientation: np.ndarray
-    velocity: Optional[np.ndarray] = None
-    bias_gyro: Optional[np.ndarray] = None
-    bias_accel: Optional[np.ndarray] = None
-
-
-@dataclass
-class ToaMeasurement:
-    """Metric distance to one base station derived from a ToA reading."""
-
-    t: int
-    bs_id: int
-    distance: float
-
-
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    t: np.ndarray                        # (N,) int64 nanoseconds
+    position: np.ndarray                 # (N, 3)
+    orientation: np.ndarray              # (N, 4) scalar-last
+    velocity: Optional[np.ndarray] = None  # (N, 3)
+    cov_diag: Optional[np.ndarray] = field(default=None, repr=False)
+    bias_gyro: Optional[np.ndarray] = field(default=None, repr=False)
+    bias_accel: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def write_atomic(path, text: str) -> None:
@@ -99,222 +111,241 @@ def write_atomic(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_floats(parts: Sequence[str], line_no: int) -> list[float]:
+# Every byte a data line may hold: printable ASCII, tab and CR (and LF
+# between lines).
+_TEXT_BYTES = bytes(range(0x20, 0x7f)) + b"\t\r\n"
+
+
+class _Reject(Exception):
+    """A row check failed; make(line_no) is the error to raise."""
+
+    def __init__(self, make: Callable[[int], Exception]):
+        self.make = make
+
+
+def _malformed(message: str) -> _Reject:
+    return _Reject(lambda line_no: MalformedLine(line_no, message))
+
+
+def _convert(cells: list, width: int, n_int: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major byte-string cells of a width-column table to int64 columns
+    (n, n_int) and finite float columns (n, width - n_int), parsed by
+    Python's int() and float()."""
+    n = len(cells) // width
     try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise MalformedLine(line_no, f"unparsable number ({exc})") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise MalformedLine(line_no, "non-finite value")
-    return values
+        ints = np.stack([np.fromiter(map(int, cells[j::width]), np.int64, n)
+                         for j in range(n_int)], axis=1)
+    except (ValueError, OverflowError):
+        raise _malformed("bad integer field") from None
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        raise _malformed("unparsable number") from None
+    floats = values.reshape(n, width)[:, n_int:]
+    if not np.isfinite(floats).all():
+        raise _malformed("non-finite value")
+    return ints, floats
 
 
-def load_imu(path) -> list[ImuSample]:
-    """Load an IMU CSV; rejects wrong arity and non-increasing timestamps."""
-    samples: list[ImuSample] = []
-    last_t = None
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if line_no == 1 or not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise MalformedLine(line_no, f"expected 7 columns, got {len(parts)}")
-        try:
-            t = int(parts[0])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad timestamp") from exc
-        values = _parse_floats(parts[1:], line_no)
-        if last_t is not None and t <= last_t:
-            raise NonMonotonicTimestamp(line_no)
-        last_t = t
-        samples.append(ImuSample(t, np.array(values[0:3]), np.array(values[3:6])))
-    return samples
+def _cells(body: bytes, widths: tuple[int, ...]) -> Optional[tuple[list, int]]:
+    """The fields of the non-blank lines, row-major, and the column count;
+    None when a byte is outside the text set, a line without commas is not
+    blank, or the rows' column counts differ or are not in widths."""
+    if body.translate(None, _TEXT_BYTES):
+        return None
+    raw = np.frombuffer(body, np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    # Line k runs from separator bounds[k] to separator bounds[k + 1]
+    # (index -1 and len(seps) stand for the start and end of the body).
+    bounds = np.concatenate([[-1], np.flatnonzero(raw[seps] == ord("\n")),
+                             [len(seps)]])
+    commas = np.diff(bounds) - 1
+    counts = commas[commas > 0] + 1
+    width = int(counts[0]) if len(counts) else widths[0]
+    if width not in widths or (counts != width).any():
+        return None
+    cells = body.replace(b"\n", b",").split(b",")
+    # A line without commas is the one cell after the separator before it.
+    bare = bounds[:-1][commas == 0] + 1
+    if any(cells[k].strip(b" \t\r") for k in bare.tolist()):
+        return None
+    keep = np.ones(len(cells), dtype=np.uint8)
+    keep[bare] = 0
+    return list(itertools.compress(cells, keep.tobytes())), width
 
 
-def load_groundtruth(path) -> list[GroundTruthPose]:
-    """Load a ground-truth CSV with optional velocity and bias columns."""
-    poses: list[GroundTruthPose] = []
-    last_t = None
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if line_no == 1 or not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) not in (8, 11, 17):
-            raise MalformedLine(line_no, f"expected 8, 11 or 17 columns, got {len(parts)}")
-        try:
-            t = int(parts[0])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad timestamp") from exc
-        values = _parse_floats(parts[1:], line_no)
-        if last_t is not None and t <= last_t:
-            raise NonMonotonicTimestamp(line_no)
-        last_t = t
-        position = np.array(values[0:3])
-        qw, qx, qy, qz = values[3:7]
-        quat = np.array([qx, qy, qz, qw])
-        norm = np.linalg.norm(quat)
-        if abs(norm - 1.0) > 1e-3:
-            raise MalformedLine(line_no, f"quaternion norm {norm:.4f} not near 1")
-        quat = quat / norm
-        velocity = bias_gyro = bias_accel = None
-        if len(parts) >= 11:
-            velocity = np.array(values[7:10])
-        if len(parts) == 17:
-            bias_gyro = np.array(values[10:13])
-            bias_accel = np.array(values[13:16])
-        poses.append(GroundTruthPose(t, position, quat, velocity, bias_gyro, bias_accel))
-    return poses
+def _load_table(path, widths: tuple[int, ...], n_int: int,
+                check: Optional[Callable] = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the data rows of a CSV into int64 and float columns.
 
-
-def load_toa(path, num_stations: Optional[int] = None) -> list[ToaMeasurement]:
-    """Load a ToA CSV; bs_id must lie in 1..num_stations when given."""
-    measurements: list[ToaMeasurement] = []
-    last_t = None
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if line_no == 1 or not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MalformedLine(line_no, f"expected 3 columns, got {len(parts)}")
-        try:
-            t = int(parts[0])
-            bs_id = int(parts[1])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad integer field") from exc
-        distance = _parse_floats(parts[2:], line_no)[0]
-        if num_stations is not None and not 1 <= bs_id <= num_stations:
-            raise UnknownBsId(f"line {line_no}: bs_id {bs_id} outside 1..{num_stations}")
-        if last_t is not None and t < last_t:
-            raise NonMonotonicTimestamp(line_no)
-        last_t = t
-        measurements.append(ToaMeasurement(t, bs_id, distance))
-    return measurements
-
-
-def save_toa(path, measurements: Sequence[ToaMeasurement],
-             num_stations: Optional[int] = None) -> None:
-    """Write a ToA CSV; distances carry 9 significant digits."""
-    lines = [TOA_HEADER]
-    for m in measurements:
-        if num_stations is not None and not 1 <= m.bs_id <= num_stations:
-            raise UnknownBsId(f"bs_id {m.bs_id} outside 1..{num_stations}")
-        lines.append(f"{m.t},{m.bs_id},{m.distance:.9g}")
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def save_imu(path, samples: Sequence[ImuSample]) -> None:
-    lines = [IMU_HEADER]
-    for s in samples:
-        w, a = s.omega, s.accel
-        lines.append(
-            f"{s.t},{w[0]:.12g},{w[1]:.12g},{w[2]:.12g},"
-            f"{a[0]:.12g},{a[1]:.12g},{a[2]:.12g}"
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def save_groundtruth(path, poses: Sequence[GroundTruthPose]) -> None:
-    lines = [GROUNDTRUTH_HEADER]
-    for p in poses:
-        q = p.orientation
-        row = [str(p.t)]
-        row += [f"{v:.12g}" for v in p.position]
-        row += [f"{q[3]:.12g}", f"{q[0]:.12g}", f"{q[1]:.12g}", f"{q[2]:.12g}"]
-        vel = p.velocity if p.velocity is not None else np.zeros(3)
-        bg = p.bias_gyro if p.bias_gyro is not None else np.zeros(3)
-        ba = p.bias_accel if p.bias_accel is not None else np.zeros(3)
-        row += [f"{v:.12g}" for v in vel]
-        row += [f"{v:.12g}" for v in bg]
-        row += [f"{v:.12g}" for v in ba]
-        lines.append(",".join(row))
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def associate_nearest(reference_ts: Sequence[int], query_ts: Sequence[int],
-                      max_gap: int) -> list[tuple[int, int]]:
-    """Pair each query timestamp with the nearest reference timestamp.
-
-    Both inputs must be sorted. Ties break toward the earlier reference;
-    queries farther than max_gap from every reference are omitted. Returns
-    (reference_index, query_index) pairs in query order.
+    Every row must have the same column count, one of widths; its first
+    n_int fields are integers. check(ints, floats, prev_ints) runs the
+    loader's own row checks and raises _Reject; prev_ints is the row before
+    the first given one, or None.
     """
-    ref = np.asarray(reference_ts, dtype=np.int64)
-    qry = np.asarray(query_ts, dtype=np.int64)
-    if len(ref) == 0:
-        return []
-    pairs: list[tuple[int, int]] = []
-    idx = np.searchsorted(ref, qry)
-    for qi, (q, i) in enumerate(zip(qry, idx)):
-        lo = max(int(i) - 1, 0)
-        hi = min(int(i), len(ref) - 1)
-        # abs gap, earlier index wins ties
-        if abs(int(ref[lo]) - int(q)) <= abs(int(ref[hi]) - int(q)):
-            best = lo
-        else:
-            best = hi
-        if abs(int(ref[best]) - int(q)) <= max_gap:
-            pairs.append((best, qi))
-    return pairs
+    try:
+        with open(path, "rb") as fh:
+            fh.readline()                   # the header
+            body = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    table = _cells(body, widths)
+    if table is not None:
+        try:
+            ints, floats = _convert(*table, n_int)
+            if check is not None:
+                check(ints, floats, None)
+            return ints, floats
+        except _Reject:
+            pass
+    # The failure path: the same checks, one line at a time.
+    prev = None
+    for k, line in enumerate(body.split(b"\n")):      # line k + 2
+        if not line.strip(b" \t\r"):
+            continue
+        parts = line.split(b",")
+        try:
+            if line.translate(None, _TEXT_BYTES):
+                raise _malformed("byte outside printable ASCII")
+            if len(parts) not in widths:
+                raise _malformed(f"expected {'/'.join(map(str, widths))} "
+                                 f"columns, got {len(parts)}")
+            ints, floats = _convert(parts, len(parts), n_int)
+            if check is not None:
+                check(ints, floats, prev)
+        except _Reject as bad:
+            raise bad.make(k + 2) from None
+        widths, prev = (len(parts),), ints
+    raise AssertionError("a table check failed on no single line")
 
 
-@dataclass
-class Trajectory:
-    """Timestamped pose/velocity arrays, the common estimator output form."""
-
-    t: np.ndarray                        # (N,) int64 nanoseconds
-    position: np.ndarray                 # (N, 3)
-    orientation: np.ndarray              # (N, 4) scalar-last
-    velocity: Optional[np.ndarray] = None  # (N, 3)
-    cov_diag: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.t)
+def _check_increasing(ints: np.ndarray, prev: Optional[np.ndarray],
+                      strict: bool = True) -> None:
+    """Timestamps (column 0) increase, or, unless strict, never decrease."""
+    t = ints[:, 0] if prev is None else np.append(prev[-1, 0], ints[:, 0])
+    step = np.diff(t)
+    if np.any(step <= 0 if strict else step < 0):
+        raise _Reject(NonMonotonicTimestamp)
 
 
-def groundtruth_to_trajectory(poses: Sequence[GroundTruthPose]) -> Trajectory:
-    t = np.array([p.t for p in poses], dtype=np.int64)
-    pos = np.array([p.position for p in poses])
-    quat = np.array([p.orientation for p in poses])
-    vel = None
-    if poses and poses[0].velocity is not None:
-        vel = np.array([p.velocity for p in poses])
-    return Trajectory(t, pos, quat, vel)
+def load_imu(path) -> ImuArrays:
+    """Load an IMU CSV; rejects wrong arity and non-increasing timestamps."""
+    ints, floats = _load_table(
+        path, (7,), 1, lambda ints, floats, prev: _check_increasing(ints, prev))
+    return ImuArrays(ints[:, 0], floats[:, 0:3], floats[:, 3:6])
 
 
-TRAJECTORY_HEADER = "t_ns,px,py,pz,qw,qx,qy,qz,vx,vy,vz"
+def _quaternions(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar-last quaternions of ground-truth rows and their norms."""
+    quat = floats[:, [4, 5, 6, 3]]
+    return quat, geo.row_norms(quat)
+
+
+def load_groundtruth(path) -> Trajectory:
+    """Load a ground-truth CSV with optional velocity and bias columns."""
+    def check(ints, floats, prev):
+        _check_increasing(ints, prev)
+        norm = _quaternions(floats)[1]
+        bad = np.abs(norm - 1.0) > 1e-3
+        if bad.any():
+            raise _malformed(f"quaternion norm {norm[bad][0]:.4f} not near 1")
+
+    ints, floats = _load_table(path, (8, 11, 17), 1, check)
+    quat, norm = _quaternions(floats)
+    quat /= norm[:, None]
+    width = floats.shape[1] + 1
+    return Trajectory(
+        ints[:, 0], floats[:, 0:3], quat,
+        floats[:, 7:10] if width >= 11 else None,
+        bias_gyro=floats[:, 10:13] if width == 17 else None,
+        bias_accel=floats[:, 13:16] if width == 17 else None)
+
+
+def load_toa(path, num_stations: Optional[int] = None) -> ToaArrays:
+    """Load a ToA CSV; bs_id must lie in 1..num_stations when given."""
+    def check(ints, floats, prev):
+        if num_stations is not None:
+            bs_id = ints[:, 1]
+            bad = (bs_id < 1) | (bs_id > num_stations)
+            if bad.any():
+                first = int(bs_id[bad][0])
+                raise _Reject(lambda line_no: UnknownBsId(
+                    f"line {line_no}: bs_id {first} outside 1..{num_stations}"))
+        _check_increasing(ints, prev, strict=False)
+
+    ints, floats = _load_table(path, (3,), 2, check)
+    return ToaArrays(ints[:, 0], ints[:, 1], floats[:, 0])
+
+
+def load_trajectory(path) -> Trajectory:
+    ints, floats = _load_table(path, (11,), 1)
+    return Trajectory(ints[:, 0], floats[:, 0:3], floats[:, [4, 5, 6, 3]],
+                      floats[:, 7:10])
+
+
+def _save_table(path, header: str, line: str, ints: np.ndarray,
+                floats: np.ndarray) -> None:
+    """Write one line per row: line % (int fields..., float fields...)."""
+    line += "\n"
+    body = "".join([line % (*i, *f)
+                    for i, f in zip(ints.tolist(), floats.tolist())])
+    write_atomic(path, header + "\n" + body)
+
+
+def _or_zeros(column: Optional[np.ndarray], n: int) -> np.ndarray:
+    return column if column is not None else np.zeros((n, 3))
+
+
+def save_toa(path, toa: ToaArrays, num_stations: Optional[int] = None) -> None:
+    """Write a ToA CSV; distances carry 9 significant digits."""
+    if num_stations is not None:
+        bad = (toa.bs_id < 1) | (toa.bs_id > num_stations)
+        if bad.any():
+            raise UnknownBsId(f"bs_id {int(toa.bs_id[bad][0])} outside "
+                              f"1..{num_stations}")
+    _save_table(path, TOA_HEADER, "%d,%d,%.9g",
+                np.column_stack([toa.t, toa.bs_id]), toa.distance[:, None])
+
+
+def save_imu(path, imu: ImuArrays) -> None:
+    _save_table(path, IMU_HEADER, "%d" + ",%.12g" * 6, imu.t[:, None],
+                np.hstack([imu.omega, imu.accel]))
+
+
+def save_groundtruth(path, gt: Trajectory) -> None:
+    n = len(gt)
+    _save_table(path, GROUNDTRUTH_HEADER, "%d" + ",%.12g" * 16, gt.t[:, None],
+                np.hstack([gt.position, gt.orientation[:, [3, 0, 1, 2]],
+                           _or_zeros(gt.velocity, n),
+                           _or_zeros(gt.bias_gyro, n),
+                           _or_zeros(gt.bias_accel, n)]))
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
     """Write the estimator trajectory CSV (quaternion w-first on disk)."""
-    lines = [TRAJECTORY_HEADER]
-    vel = traj.velocity if traj.velocity is not None else np.zeros_like(traj.position)
-    for i in range(len(traj)):
-        p, q, v = traj.position[i], traj.orientation[i], vel[i]
-        lines.append(
-            f"{int(traj.t[i])},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},"
-            f"{q[3]:.9g},{q[0]:.9g},{q[1]:.9g},{q[2]:.9g},"
-            f"{v[0]:.9g},{v[1]:.9g},{v[2]:.9g}"
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
+    _save_table(path, TRAJECTORY_HEADER, "%d" + ",%.9g" * 10, traj.t[:, None],
+                np.hstack([traj.position, traj.orientation[:, [3, 0, 1, 2]],
+                           _or_zeros(traj.velocity, len(traj))]))
 
 
-def load_trajectory(path) -> Trajectory:
-    rows = []
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if line_no == 1 or not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise MalformedLine(line_no, f"expected 11 columns, got {len(parts)}")
-        try:
-            t = int(parts[0])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad timestamp") from exc
-        rows.append((t, _parse_floats(parts[1:], line_no)))
-    t = np.array([r[0] for r in rows], dtype=np.int64)
-    pos = np.array([r[1][0:3] for r in rows]).reshape(-1, 3)
-    qwxyz = np.array([r[1][3:7] for r in rows]).reshape(-1, 4)
-    quat = np.column_stack([qwxyz[:, 1], qwxyz[:, 2], qwxyz[:, 3], qwxyz[:, 0]]) \
-        if len(rows) else np.zeros((0, 4))
-    vel = np.array([r[1][7:10] for r in rows]).reshape(-1, 3)
-    return Trajectory(t, pos, quat, vel)
+def associate_nearest(reference_ts, query_ts, max_gap: int) -> np.ndarray:
+    """Pair each query timestamp with the nearest reference timestamp.
+
+    Both inputs must be sorted. Ties break toward the earlier reference;
+    queries farther than max_gap from every reference are omitted. Returns
+    an (m, 2) int64 array of (reference_index, query_index) rows in query
+    order.
+    """
+    ref = np.asarray(reference_ts, dtype=np.int64)
+    qry = np.asarray(query_ts, dtype=np.int64)
+    if len(ref) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    idx = np.searchsorted(ref, qry)
+    lo = np.maximum(idx - 1, 0)
+    hi = np.minimum(idx, len(ref) - 1)
+    gap_lo, gap_hi = np.abs(ref[lo] - qry), np.abs(ref[hi] - qry)
+    best = np.where(gap_lo <= gap_hi, lo, hi)   # earlier index wins ties
+    kept = np.flatnonzero(np.minimum(gap_lo, gap_hi) <= max_gap)
+    return np.column_stack([best[kept], kept])

@@ -10,13 +10,15 @@ where ``dtheta`` is a body-frame attitude increment: the true attitude is
 ``q = q_nom (x) quat_from_small_angle(dtheta)``. Range updates inject the
 estimated error into the nominal state and reset it to zero.
 
-Prediction runs in segments: the IMU samples from one ToA tick to the
-next. Within a segment the biases are fixed and no covariance is read, so
+The filter reads IMU and ToA columns. Prediction runs in segments: the
+IMU samples from one ToA tick to the next. Within a segment the biases are
+fixed and no covariance is read, so
 
 * the nominal state is stepped once per sample by ``propagate_nominal``,
   an RK4 step on Python floats (four stages, quaternion rate
   ``0.5 Omega(w) q``, the rotation of the unnormalized stage quaternion,
-  one renormalization at the end);
+  one renormalization at the end), with the segment's inputs converted
+  to floats in one call;
 * ``error_jacobians`` builds F and G for every sample of the segment at
   once, and ``propagate_covariance`` chains ``P <- Phi P Phi^T + D`` over
   the segment, with ``Phi = I + X + X^2/2 + X^3/6 + X^4/24``,
@@ -28,6 +30,10 @@ The RK4 step is affine in P: ``RK4(P) = H(P) + RK4(0)`` with
 same terms plus those with ``j + l >= 5``, so the segment form differs
 from a per-sample RK4 step only in terms of order X^5 (about 1e-10
 relative in ``cov_diag`` on the default 200 Hz figure-eight).
+
+A tick's ranges update the state jointly. The range Jacobian H is zero
+outside its position columns, so the update works with the (k, 3) unit
+directions U alone: ``H P = U P[p, :]`` and ``S = U P_pp U^T + R``.
 """
 
 from __future__ import annotations
@@ -38,12 +44,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg.lapack
 
 from . import geometry as geo
-from .dataset import ImuSample, ToaMeasurement, Trajectory
-from .errors import (DegenerateGeometry, InvalidDt, SingularInnovation,
-                     UnknownBsId)
-from .toa_sim import BaseStation
+from . import toa_sim
+from .dataset import ImuArrays, ToaArrays, Trajectory
+from .errors import DegenerateGeometry, InvalidDt, SingularInnovation
 
 # Error-state slices.
 SL_TH = slice(0, 3)
@@ -134,24 +140,19 @@ def _rates(q: list, dq: tuple, h: float, w: tuple, a: tuple,
             (xz - sy) * ax + (yz + sx) * ay + (1.0 - (xx + yy)) * az + g[2])
 
 
-def propagate_nominal(state: NavState, imu: ImuSample, dt: float,
-                      gravity: np.ndarray = GRAVITY) -> NavState:
+def propagate_nominal(q: list, v: list, p: list, w: list, a: list,
+                      dt: float, g: tuple = tuple(GRAVITY.tolist())
+                      ) -> tuple[list, list, list]:
     """RK4 integration of the nominal kinematics over one IMU interval.
 
-    Body rates and specific force are held constant across the step;
-    biases are constant. The quaternion is renormalized afterwards. The
-    arithmetic runs on Python floats: numpy call overhead on 4-vectors
-    would cost more than the step itself.
+    q (scalar-last), v and p are the state, w and a the bias-corrected body
+    rate and specific force, held constant across the step, and g gravity;
+    all are sequences of Python floats, and so are the returned q, v and p.
+    The quaternion is renormalized afterwards. Numpy call overhead on
+    4-vectors would cost more than the step itself.
     """
     if not 0.0 < dt <= MAX_DT_S:
         raise InvalidDt(f"dt={dt} outside (0, {MAX_DT_S}]")
-    om, acc = imu.omega.tolist(), imu.accel.tolist()
-    bg, ba = state.b_g.tolist(), state.b_a.tolist()
-    w = (om[0] - bg[0], om[1] - bg[1], om[2] - bg[2])
-    a = (acc[0] - ba[0], acc[1] - ba[1], acc[2] - ba[2])
-    g = gravity.tolist()
-    q, v, p = state.q.tolist(), state.v.tolist(), state.p.tolist()
-
     # Stages k1..k4 of (q, v); the position rate of a stage is its velocity.
     half = 0.5 * dt
     k1 = _rates(q, (0.0, 0.0, 0.0, 0.0), 0.0, w, a, g)
@@ -160,15 +161,12 @@ def propagate_nominal(state: NavState, imu: ImuSample, dt: float,
     k4 = _rates(q, k3, dt, w, a, g)
     sixth = dt / 6.0
     qv = [y + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-          for y, c1, c2, c3, c4 in zip(q + v, k1, k2, k3, k4)]
+          for y, c1, c2, c3, c4 in zip([*q, *v], k1, k2, k3, k4)]
     p = [pi + sixth * (vi + 2.0 * (vi + half * c1) + 2.0 * (vi + half * c2)
                        + (vi + dt * c3))
          for pi, vi, c1, c2, c3 in zip(p, v, k1[4:], k2[4:], k3[4:])]
-
     norm = math.sqrt(qv[0] * qv[0] + qv[1] * qv[1] + qv[2] * qv[2] + qv[3] * qv[3])
-    y = np.array([qv[0] / norm, qv[1] / norm, qv[2] / norm, qv[3] / norm,
-                  qv[4], qv[5], qv[6], p[0], p[1], p[2]])
-    return NavState(y[0:4], state.b_g.copy(), y[4:7], state.b_a.copy(), y[7:10])
+    return [qv[0] / norm, qv[1] / norm, qv[2] / norm, qv[3] / norm], qv[4:7], p
 
 
 def error_jacobians(q: np.ndarray, w_hat: np.ndarray,
@@ -237,21 +235,20 @@ def propagate_covariance(p_cov: np.ndarray, f: np.ndarray, g: np.ndarray,
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def predicted_ranges(state: NavState, stations: Sequence[BaseStation]) -> np.ndarray:
-    """Measurement function h: distances from the estimate to each station."""
-    return np.array([np.linalg.norm(state.p - bs.position) for bs in stations])
+def range_directions(p: np.ndarray, positions: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from position p to station positions (k, 3), the
+    measurement function h, and their unit directions U (k, 3).
 
-
-def measurement_jacobian(state: NavState, stations: Sequence[BaseStation]) -> np.ndarray:
-    """K x 15 range Jacobian; only the position block is non-zero."""
-    h = np.zeros((len(stations), 15))
-    for k, bs in enumerate(stations):
-        diff = state.p - bs.position
-        dist = np.linalg.norm(diff)
-        if dist < MIN_RANGE_M:
-            raise DegenerateGeometry(f"estimate coincides with station {bs.id}")
-        h[k, SL_P] = diff / dist
-    return h
+    U is the position block of the range Jacobian H; its other blocks are
+    zero.
+    """
+    diff = p - positions
+    dist = geo.row_norms(diff)
+    if (dist < MIN_RANGE_M).any():
+        raise DegenerateGeometry(
+            f"estimate coincides with station at {positions[dist < MIN_RANGE_M][0]}")
+    return dist, diff / dist[:, None]
 
 
 def inject_error(state: NavState, delta: np.ndarray) -> NavState:
@@ -261,39 +258,30 @@ def inject_error(state: NavState, delta: np.ndarray) -> NavState:
                     state.b_a + delta[SL_BA], state.p + delta[SL_P])
 
 
-def update(state: NavState, p_cov: np.ndarray, meas: Sequence[ToaMeasurement],
-           stations: Sequence[BaseStation],
-           r_cov: np.ndarray) -> tuple[NavState, np.ndarray]:
-    """Joint vector update with all ranges of one tick.
-
-    meas may cover a subset of the stations; r_cov must be sized to the
-    measurements provided, in the same order.
-    """
-    by_id = {bs.id: bs for bs in stations}
-    used = [by_id[m.bs_id] for m in meas]
-    d_meas = np.array([m.distance for m in meas])
-
-    h = measurement_jacobian(state, used)
-    residual = d_meas - predicted_ranges(state, used)
-
-    s = h @ p_cov @ h.T + r_cov
-    try:
-        gain = np.linalg.solve(s, h @ p_cov).T      # P H^T S^-1
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(str(exc)) from exc
-    if not np.all(np.isfinite(gain)):
-        raise SingularInnovation("non-finite Kalman gain")
-
-    delta = gain @ residual
-    new_state = inject_error(state, delta)
-    new_cov = (np.eye(15) - gain @ h) @ p_cov
+def update(state: NavState, p_cov: np.ndarray, meas: np.ndarray,
+           positions: np.ndarray, var: np.ndarray
+           ) -> tuple[NavState, np.ndarray]:
+    """Joint vector update with the ranges meas (k,) of one tick, measured
+    to stations at positions (k, 3) with variances var (k,); see the module
+    docstring for the position-block form."""
+    dist, u = range_directions(state.p, positions)
+    hp = u @ p_cov[SL_P]
+    s = hp[:, SL_P] @ u.T
+    s.flat[::len(var) + 1] += var
+    _, _, gain_t, info = scipy.linalg.lapack.dgesv(s, hp)    # S^-1 H P
+    if info != 0 or not np.isfinite(gain_t).all():
+        raise SingularInnovation("singular innovation covariance"
+                                 if info else "non-finite Kalman gain")
+    gain = gain_t.T
+    new_state = inject_error(state, gain @ (meas - dist))
+    new_cov = p_cov - gain @ hp
     return new_state, 0.5 * (new_cov + new_cov.T)
 
 
 @dataclass
 class FilterConfig:
     initial_state: NavState
-    stations: Sequence[BaseStation]
+    stations: Sequence[toa_sim.BaseStation]
     meas_std: np.ndarray                     # per station, in station order
     noise: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     initial_cov: Optional[np.ndarray] = None
@@ -326,94 +314,92 @@ class FilterRun:
         return Trajectory(t, pos, quat, vel, cov)
 
 
-def _group_by_time(toa: Sequence[ToaMeasurement]) -> list[tuple[int, list[ToaMeasurement]]]:
-    groups: list[tuple[int, list[ToaMeasurement]]] = []
-    for m in toa:
-        if groups and groups[-1][0] == m.t:
-            groups[-1][1].append(m)
-        else:
-            groups.append((m.t, [m]))
-    return groups
-
-
-def run_filter(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
+def run_filter(imu: ImuArrays, toa: ToaArrays,
                config: FilterConfig) -> FilterRun:
     """Predict on every IMU sample, update on every ToA tick.
 
-    A tick's measurements are applied jointly once the filter time reaches
-    the tick timestamp. Estimates are recorded at every update (or at every
-    IMU sample with emit_at_imu_rate).
+    A tick's ranges (the consecutive ToA rows sharing a timestamp) are
+    applied jointly once the filter time reaches the tick timestamp.
+    Estimates are recorded at every update (or at every IMU sample with
+    emit_at_imu_rate). Every IMU interval must lie in (0, MAX_DT_S].
 
     Prediction runs in segments: the samples up to and including the one
     at which the next tick is due (or the last sample), at most MAX_SEGMENT
-    long. The nominal state is stepped once per sample; the covariance of
-    the whole segment is propagated with one error_jacobians and one
-    propagate_covariance call. Each predict_times_ms entry is its sample's
-    nominal step time plus an equal share of the segment's covariance time.
+    long. The nominal state is stepped once per sample on Python floats;
+    the covariance of the whole segment is propagated with one
+    error_jacobians and one propagate_covariance call. Each sample's
+    predict_times_ms entry is an equal share of its segment's time.
     """
     state = config.initial_state.copy()
     p_cov = (config.initial_cov.copy() if config.initial_cov is not None
              else default_initial_covariance())
     q_imu = config.noise.q_matrix()
+    gravity = tuple(config.gravity.tolist())
+    t = imu.t
+    dts = np.diff(t) * 1e-9
+    bad = np.flatnonzero(~((dts > 0.0) & (dts <= MAX_DT_S)))
+    if bad.size:
+        raise InvalidDt(f"dt={dts[bad[0]]} outside (0, {MAX_DT_S}]")
+
+    # Station positions and variances of every ToA row, stacked once.
+    rows = toa_sim.station_rows(config.stations, toa.bs_id)
     std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
-    sigma_by_id = {bs.id: std[k] for k, bs in enumerate(config.stations)}
-    unknown = {m.bs_id for m in toa}.difference(sigma_by_id)
-    if unknown:
-        raise UnknownBsId(f"bs_id {min(unknown)} has no configured station")
+    positions = np.array([bs.position for bs in config.stations]).reshape(-1, 3)[rows]
+    var = (std ** 2)[rows]
+    # Tick k's rows are bounds[k]:bounds[k + 1].
+    bounds = np.append(np.flatnonzero(np.diff(toa.t, prepend=toa.t[:1] - 1)),
+                       len(toa))
+    ticks = toa.t[bounds[:-1]].tolist()
+    due = np.searchsorted(t, ticks).tolist()    # first sample at each tick
+    bounds = bounds.tolist()
 
-    groups = _group_by_time(toa)
-    next_group = 0
-
-    estimates: list[FilterEstimate] = []
-    predict_times: list[float] = []
-    update_times: list[float] = []
-
-    i = 1
-    while i < len(imu):
-        tick = groups[next_group][0] if next_group < len(groups) else None
-        first = i
-        states: list[NavState] = []
-        dts: list[float] = []
-        nominal_ms: list[float] = []
-        while True:
-            dt = (imu[i].t - imu[i - 1].t) * 1e-9
-            tic = time.perf_counter()
-            state = propagate_nominal(state, imu[i - 1], dt, config.gravity)
-            nominal_ms.append((time.perf_counter() - tic) * 1e3)
-            states.append(state)
-            dts.append(dt)
-            i += 1
-            if (i == len(imu) or len(states) == MAX_SEGMENT
-                    or (tick is not None and tick <= imu[i - 1].t)):
-                break
-
+    estimates, predict_times, update_times = [], [], []
+    emit = config.emit_at_imu_rate
+    tick, first = 0, 1
+    while first < len(t):
+        last = min(len(t) - 1, first + MAX_SEGMENT - 1)
+        if tick < len(ticks):
+            last = min(last, max(due[tick], first))
         tic = time.perf_counter()
-        inputs = imu[first - 1:i - 1]
-        f, g = error_jacobians(np.array([s.q for s in states]),
-                               np.array([m.omega for m in inputs]) - state.b_g,
-                               np.array([m.accel for m in inputs]) - state.b_a)
-        covs = propagate_covariance(p_cov, f, g, q_imu, np.array(dts))
-        share = (time.perf_counter() - tic) * 1e3 / len(states)
-        predict_times.extend(t + share for t in nominal_ms)
+        seg = slice(first - 1, last)
+        w_hat = imu.omega[seg] - state.b_g
+        a_hat = imu.accel[seg] - state.b_a
+        q, v, p = state.q.tolist(), state.v.tolist(), state.p.tolist()
+        qs, vs, ps = [], [], []
+        for w, a, dt in zip(w_hat.tolist(), a_hat.tolist(), dts[seg].tolist()):
+            q, v, p = propagate_nominal(q, v, p, w, a, dt, gravity)
+            qs.append(q)
+            vs.append(v)
+            ps.append(p)
+        q_seg = np.array(qs)
+        f, g = error_jacobians(q_seg, w_hat, a_hat)
+        covs = propagate_covariance(p_cov, f, g, q_imu, dts[seg])
         p_cov = covs[-1]
+        state = NavState(q_seg[-1], state.b_g, np.array(v), state.b_a, np.array(p))
+        n = len(qs)
+        predict_times.extend([(time.perf_counter() - tic) * 1e3 / n] * n)
 
-        if config.emit_at_imu_rate:
+        if emit:
             diags = covs.diagonal(axis1=1, axis2=2).copy()
-            estimates.extend(FilterEstimate(imu[first + k].t, states[k], diags[k])
-                             for k in range(len(states) - 1))
+            v_seg, p_seg = np.array(vs), np.array(ps)
+            estimates.extend(
+                FilterEstimate(int(t[first + k]), NavState(
+                    q_seg[k], state.b_g, v_seg[k], state.b_a, p_seg[k]), diags[k])
+                for k in range(n - 1))
 
-        now = imu[i - 1].t
-        while next_group < len(groups) and groups[next_group][0] <= now:
-            _, meas = groups[next_group]
-            r_cov = np.diag([sigma_by_id[m.bs_id] ** 2 for m in meas])
+        now = int(t[last])
+        while tick < len(ticks) and ticks[tick] <= now:
+            sel = slice(bounds[tick], bounds[tick + 1])
             tic = time.perf_counter()
-            state, p_cov = update(state, p_cov, meas, config.stations, r_cov)
+            state, p_cov = update(state, p_cov, toa.distance[sel],
+                                  positions[sel], var[sel])
             update_times.append((time.perf_counter() - tic) * 1e3)
-            estimates.append(FilterEstimate(now, state.copy(), np.diag(p_cov).copy()))
-            next_group += 1
+            estimates.append(FilterEstimate(now, state, np.diag(p_cov).copy()))
+            tick += 1
 
-        if config.emit_at_imu_rate:
-            estimates.append(FilterEstimate(now, state.copy(), np.diag(p_cov).copy()))
+        if emit:
+            estimates.append(FilterEstimate(now, state, np.diag(p_cov).copy()))
+        first = last + 1
 
     return FilterRun(estimates, np.array(predict_times), np.array(update_times),
                      state, p_cov)

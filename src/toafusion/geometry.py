@@ -13,6 +13,8 @@ All functions are pure and operate on plain numpy arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EXP_TAYLOR_EPS = 1e-8
@@ -107,34 +109,29 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([-q[0], -q[1], -q[2], q[3]])
+def _hamilton(a, b) -> tuple:
+    """Components of a (x) b, unnormalized, from components of a and b."""
+    ax, ay, az, aw = a
+    bx, by, bz, bw = b
+    return (aw * bx + bw * ax + (ay * bz - az * by),
+            aw * by + bw * ay + (az * bx - ax * bz),
+            aw * bz + bw * az + (ax * by - ay * bx),
+            aw * bw - (ax * bx + ay * by + az * bz))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a (x) b, renormalized."""
-    av, aw = a[:3], a[3]
-    bv, bw = b[:3], b[3]
-    v = aw * bv + bw * av + np.cross(av, bv)
-    w = aw * bw - np.dot(av, bv)
-    return quat_normalize(np.array([v[0], v[1], v[2], w]))
+    x, y, z, w = _hamilton(np.asarray(a, dtype=float).tolist(),
+                           np.asarray(b, dtype=float).tolist())
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    return np.array([x / norm, y / norm, z / norm, w / norm])
 
 
 def quat_from_small_angle(theta: np.ndarray) -> np.ndarray:
     """First-order error quaternion (theta/2, 1), renormalized."""
-    q = np.array([0.5 * theta[0], 0.5 * theta[1], 0.5 * theta[2], 1.0])
-    return quat_normalize(q)
-
-
-def quat_exp(theta: np.ndarray) -> np.ndarray:
-    """Exact exponential quaternion of a rotation vector."""
-    angle = np.linalg.norm(theta)
-    if angle < _EXP_TAYLOR_EPS:
-        return quat_from_small_angle(theta)
-    axis = theta / angle
-    half = 0.5 * angle
-    s = np.sin(half)
-    return np.array([axis[0] * s, axis[1] * s, axis[2] * s, np.cos(half)])
+    x, y, z = (0.5 * np.asarray(theta, dtype=float)).tolist()
+    norm = math.sqrt(x * x + y * y + z * z + 1.0)
+    return np.array([x / norm, y / norm, z / norm, 1.0 / norm])
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -175,13 +172,11 @@ def rot_to_quat(rot: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
-def is_rotation(rot: np.ndarray, tol: float = 1e-9) -> bool:
-    """Check orthonormality and unit determinant entrywise within tol."""
-    if rot.shape != (3, 3):
-        return False
-    if not np.all(np.abs(rot @ rot.T - np.eye(3)) < tol):
-        return False
-    return abs(np.linalg.det(rot) - 1.0) < tol
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, k) array, bit for bit as
+    ``np.linalg.norm`` of each row alone (the same dot product)."""
+    x = np.ascontiguousarray(x, dtype=float)
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def skew_batch(omega: np.ndarray) -> np.ndarray:
@@ -195,6 +190,12 @@ def skew_batch(omega: np.ndarray) -> np.ndarray:
     out[:, 2, 0] = -omega[:, 1]
     out[:, 2, 1] = omega[:, 0]
     return out
+
+
+def quat_mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """quat_mul for an (N, 4) stack a and one quaternion or a stack b."""
+    q = np.stack(_hamilton(a.T, np.asarray(b).T), axis=1)
+    return q / row_norms(q)[:, None]
 
 
 def quat_to_rot_batch(q: np.ndarray) -> np.ndarray:

@@ -37,13 +37,12 @@ class TrajectoryPair:
 def match_trajectories(estimate: Trajectory, groundtruth: Trajectory,
                        max_gap_ns: int = DEFAULT_MAX_GAP_NS) -> TrajectoryPair:
     """Associate each estimate with the nearest ground-truth pose."""
-    pairs = associate_nearest(groundtruth.t, estimate.t, max_gap_ns)
-    gt_idx = [g for g, _ in pairs]
-    est_idx = [e for _, e in pairs]
-    est_rot = np.array([geo.quat_to_rot(estimate.orientation[i]) for i in est_idx])
-    gt_rot = np.array([geo.quat_to_rot(groundtruth.orientation[i]) for i in gt_idx])
-    return TrajectoryPair(estimate.position[est_idx].reshape(-1, 3), est_rot,
-                          groundtruth.position[gt_idx].reshape(-1, 3), gt_rot)
+    gt_idx, est_idx = associate_nearest(groundtruth.t, estimate.t, max_gap_ns).T
+    return TrajectoryPair(
+        estimate.position[est_idx].reshape(-1, 3),
+        geo.quat_to_rot_batch(estimate.orientation[est_idx].reshape(-1, 4)),
+        groundtruth.position[gt_idx].reshape(-1, 3),
+        geo.quat_to_rot_batch(groundtruth.orientation[gt_idx].reshape(-1, 4)))
 
 
 def ate(pairs: TrajectoryPair) -> float:
@@ -67,18 +66,18 @@ def rpe(pairs: TrajectoryPair, step: int = 1) -> tuple[float, float]:
     n = len(pairs)
     if n < step + 1:
         raise InsufficientPairs(f"need at least {step + 1} pairs, have {n}")
-    trans_sq = []
-    rot_sq = []
-    for i in range(n - step):
-        j = i + step
-        rel_gt_rot = pairs.gt_rotation[i].T @ pairs.gt_rotation[j]
-        rel_gt_p = pairs.gt_rotation[i].T @ (pairs.gt_position[j] - pairs.gt_position[i])
-        rel_est_rot = pairs.est_rotation[i].T @ pairs.est_rotation[j]
-        rel_est_p = pairs.est_rotation[i].T @ (pairs.est_position[j] - pairs.est_position[i])
-        err_rot = rel_gt_rot.T @ rel_est_rot
-        err_p = rel_gt_rot.T @ (rel_est_p - rel_gt_p)
-        trans_sq.append(float(err_p @ err_p))
-        rot_sq.append(float(np.sum(geo.log_so3(err_rot) ** 2)))
+    i, j = slice(0, n - step), slice(step, n)
+    gt_it = pairs.gt_rotation[i].transpose(0, 2, 1)
+    est_it = pairs.est_rotation[i].transpose(0, 2, 1)
+    rel_gt_rot_t = (gt_it @ pairs.gt_rotation[j]).transpose(0, 2, 1)
+    rel_est_rot = est_it @ pairs.est_rotation[j]
+    rel_gt_p = np.einsum("nij,nj->ni", gt_it,
+                         pairs.gt_position[j] - pairs.gt_position[i])
+    rel_est_p = np.einsum("nij,nj->ni", est_it,
+                          pairs.est_position[j] - pairs.est_position[i])
+    err_p = np.einsum("nij,nj->ni", rel_gt_rot_t, rel_est_p - rel_gt_p)
+    trans_sq = np.sum(err_p * err_p, axis=1)
+    rot_sq = np.sum(geo.log_so3_batch(rel_gt_rot_t @ rel_est_rot) ** 2, axis=1)
     rpe_t = float(np.sqrt(np.mean(trans_sq)))
     rpe_r = float(np.degrees(np.sqrt(np.mean(rot_sq))))
     return rpe_t, rpe_r

@@ -35,12 +35,11 @@ each new IMU factor fills its own row, re-integrated factors rewrite
 theirs, and each window solve and each marginalization reads row slices.
 
 Both modes share one setup (keyframe times, initial values, the initial
-and station priors and the range table), turn the IMU samples into
-columns once per call (strictly increasing timestamps required) and slice
-each keyframe interval by binary search. `build_graph` preintegrates every
-interval at the initial bias in one batched kernel call; factors whose
-bias estimate drifts are re-integrated together, one kernel call per
-check.
+and station priors and the range table), read the IMU columns (strictly
+increasing timestamps required) and slice each keyframe interval by
+binary search. `build_graph` preintegrates every interval at the initial
+bias in one batched kernel call; factors whose bias estimate drifts are
+re-integrated together, one kernel call per check.
 """
 
 from __future__ import annotations
@@ -54,10 +53,11 @@ import scipy.linalg
 
 from . import geometry as geo
 from . import preintegration as pre_mod
-from .dataset import (ImuArrays, ImuSample, ToaMeasurement, Trajectory,
-                      associate_nearest)
+from . import toa_sim
+from .dataset import ImuArrays, ToaArrays, Trajectory, associate_nearest
 from .errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
-                     NonFiniteCost, SingularNormalEquations, UnknownBsId)
+                     NonFiniteCost, NonMonotonicTimestamp,
+                     SingularNormalEquations)
 from .eskf import GRAVITY, ImuNoiseParams, NavState
 from .preintegration import PreintegratedBatch, PreintegratedImu
 from .toa_sim import BaseStation
@@ -386,7 +386,7 @@ def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
     ji[:, 9:15, 9:15] = -eye6
     # First-order bias corrections make the motion residuals depend on the
     # bias at keyframe i.
-    ji[:, 0:3, 9:12] = -(jr_inv @ geo.exp_so3_batch(r_rot).transpose(0, 2, 1)
+    ji[:, 0:3, 9:12] = -(jr_inv @ err_rot.transpose(0, 2, 1)
                          @ geo.right_jacobian_batch(corr) @ tab.j_rot_bg)
     ji[:, 3:6, 9:12] += -tab.j_pos_bg
     ji[:, 3:6, 12:15] += -tab.j_pos_ba
@@ -702,37 +702,33 @@ def _marginalize_dropped(dropped: FactorTables, values: GraphValues,
     return u_ss if np.all(np.isfinite(u_ss)) else None
 
 
-def _range_table(keyframes: Sequence[KeyframeId], toa: Sequence[ToaMeasurement],
+def _range_table(keyframes: Sequence[KeyframeId], toa: ToaArrays,
                  config: PgoConfig) -> _RangeTable:
     """One row per measurement, on its nearest keyframe, stable-sorted by
     keyframe."""
     std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
-    index = {bs.id: k for k, bs in enumerate(config.stations)}
-    for m in toa:
-        if m.bs_id not in index:
-            raise UnknownBsId(f"bs_id {m.bs_id} has no configured station")
-    pairs = np.array(associate_nearest([kf.t for kf in keyframes],
-                                       [m.t for m in toa],
-                                       max_gap=np.iinfo(np.int64).max),
-                     dtype=np.int64).reshape(-1, 2)
+    rows = toa_sim.station_rows(config.stations, toa.bs_id)
+    pairs = associate_nearest([kf.t for kf in keyframes], toa.t,
+                              max_gap=np.iinfo(np.int64).max)
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    station = np.array([index[toa[q].bs_id] for q in pairs[:, 1]], dtype=np.int64)
-    distance = np.array([toa[q].distance for q in pairs[:, 1]], dtype=float)
-    return _RangeTable(pairs[:, 0], station, distance, std[station])
+    station = rows[pairs[:, 1]]
+    return _RangeTable(pairs[:, 0], station, toa.distance[pairs[:, 1]],
+                       std[station])
 
 
-def _setup(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
-           config: PgoConfig
-           ) -> tuple[ImuArrays, list[KeyframeId], GraphValues, FactorTables]:
-    """The IMU columns, the keyframes, every keyframe's values at the
-    initial state, and factor tables holding the initial state prior, the
-    station priors, the range factors and n - 1 IMU rows still to fill."""
+def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
+           ) -> tuple[list[KeyframeId], GraphValues, FactorTables]:
+    """The keyframes, every keyframe's values at the initial state, and
+    factor tables holding the initial state prior, the station priors, the
+    range factors and n - 1 IMU rows still to fill."""
     if len(imu) < 2:
         raise EmptyInput("need at least two IMU samples")
-    cols = ImuArrays.from_samples(imu)
+    bad = np.flatnonzero(np.diff(imu.t) <= 0)
+    if bad.size:
+        raise NonMonotonicTimestamp(int(bad[0]) + 1, where="IMU sample")
     period = int(round(1e9 / config.node_rate_hz))
     keyframes = [KeyframeId(k, t) for k, t in
-                 enumerate(range(int(cols.t[0]), int(cols.t[-1]) + 1, period))]
+                 enumerate(range(int(imu.t[0]), int(imu.t[-1]) + 1, period))]
     n = len(keyframes)
     state = config.initial_state
     rot0 = geo.quat_to_rot(state.q)
@@ -754,7 +750,7 @@ def _setup(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
                         _sqrt_info(np.diag(np.square(prior_sigma)))),
         _StationPriorTable(np.arange(n_st), values.stations.copy(),
                            np.full(n_st, 1.0 / config.station_prior_sigma)))
-    return cols, keyframes, values, tables
+    return keyframes, values, tables
 
 
 def _slice_interval(imu: ImuArrays, keyframes: Sequence[KeyframeId], k: int
@@ -782,13 +778,13 @@ def _integrate_intervals(samples: Sequence[tuple], bias: np.ndarray,
                                    bias[..., 3:6], noise, counts)
 
 
-def build_graph(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
+def build_graph(imu: ImuArrays, toa: ToaArrays,
                 config: PgoConfig) -> tuple[FactorGraph, GraphValues]:
     """Construct the full factor graph and dead-reckoned initial values."""
-    cols, keyframes, values, tables = _setup(imu, toa, config)
+    keyframes, values, tables = _setup(imu, toa, config)
     n = len(keyframes)
     # Every factor is linearized at the initial bias: one kernel call.
-    samples = [_slice_interval(cols, keyframes, k) for k in range(n - 1)]
+    samples = [_slice_interval(imu, keyframes, k) for k in range(n - 1)]
     batch = _integrate_intervals(samples, values.bias[0], config.noise)
     imu_factors = []
     for k in range(n - 1):
@@ -846,7 +842,7 @@ class PgoRun:
                               # initial prior's information
 
 
-def run_batch(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
+def run_batch(imu: ImuArrays, toa: ToaArrays,
               config: PgoConfig,
               initial: Optional[Trajectory] = None
               ) -> tuple[Trajectory, OptimizeReport]:
@@ -882,16 +878,15 @@ def _solve_relinearizing(graph: FactorGraph, values: GraphValues,
 def _seed_from_trajectory(graph: FactorGraph, values: GraphValues,
                           traj: Trajectory) -> None:
     kf_times = [kf.t for kf in graph.keyframes]
-    pairs = associate_nearest([int(t) for t in traj.t], kf_times,
-                              max_gap=np.iinfo(np.int64).max)
-    for est_idx, kf_idx in pairs:
+    pairs = associate_nearest(traj.t, kf_times, max_gap=np.iinfo(np.int64).max)
+    for est_idx, kf_idx in pairs.tolist():
         values.rot[kf_idx] = geo.quat_to_rot(traj.orientation[est_idx])
         values.pos[kf_idx] = traj.position[est_idx]
         if traj.velocity is not None:
             values.vel[kf_idx] = traj.velocity[est_idx]
 
 
-def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
+def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
                        config: PgoConfig) -> PgoRun:
     """Incremental estimation: re-optimize a window after every new keyframe.
 
@@ -900,7 +895,7 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     information the dropped subgraph gives it. A final full-batch pass
     (enabled by default) refines the whole trajectory for reporting.
     """
-    cols, keyframes, values, tables = _setup(imu, toa, config)
+    keyframes, values, tables = _setup(imu, toa, config)
     n = len(keyframes)
     # Row k of tables.imu is imu_factors[k], linking keyframes k and k + 1;
     # it is written when the factor is made and rewritten when the factor
@@ -921,7 +916,7 @@ def run_sliding_window(imu: Sequence[ImuSample], toa: Sequence[ToaMeasurement],
     prior = tables.priors       # the state prior on keyframe first_kf
 
     for j in range(1, n):
-        samples = _slice_interval(cols, keyframes, j - 1)
+        samples = _slice_interval(imu, keyframes, j - 1)
         bias = values.bias[j - 1]
         pre = pre_mod.integrate_batch(*samples, bias[0:3], bias[3:6],
                                       config.noise)

@@ -12,8 +12,8 @@ noise realization per seed (paired comparisons).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -23,34 +23,26 @@ from . import metrics as metrics_mod
 from . import pgo as pgo_mod
 from . import toa_sim
 from .config import ExperimentConfig
-from .dataset import (GroundTruthPose, ImuSample, ToaMeasurement, Trajectory,
-                      groundtruth_to_trajectory, load_groundtruth, load_imu,
-                      load_toa)
+from .dataset import (ImuArrays, ToaArrays, Trajectory, load_groundtruth,
+                      load_imu, load_toa)
 from .errors import ConfigError
 from .synthetic import generate_synthetic_trajectory, initial_state_from_groundtruth
 
 TOA_SEED_OFFSET = 1000   # decorrelates range noise from IMU noise per seed
 
 
-def _apply_extrinsic(cfg: ExperimentConfig,
-                     poses: list[GroundTruthPose]) -> list[GroundTruthPose]:
+def _apply_extrinsic(cfg: ExperimentConfig, gt: Trajectory) -> Trajectory:
     if not cfg.extrinsic.enabled:
-        return poses
+        return gt
     qw, qx, qy, qz = cfg.extrinsic.quaternion_wxyz
     q_ext = geo.quat_normalize(np.array([qx, qy, qz, qw]))
     t_ext = np.array(cfg.extrinsic.translation, dtype=float)
-    out = []
-    for p in poses:
-        rot = geo.quat_to_rot(p.orientation)
-        out.append(GroundTruthPose(
-            p.t, p.position + rot @ t_ext,
-            geo.quat_mul(p.orientation, q_ext),
-            p.velocity, p.bias_gyro, p.bias_accel))
-    return out
+    rot = geo.quat_to_rot_batch(gt.orientation)
+    return replace(gt, position=gt.position + rot @ t_ext,
+                   orientation=geo.quat_mul_batch(gt.orientation, q_ext))
 
 
-def load_inputs(cfg: ExperimentConfig, seed: int
-                ) -> tuple[list[ImuSample], list[GroundTruthPose]]:
+def load_inputs(cfg: ExperimentConfig, seed: int) -> tuple[ImuArrays, Trajectory]:
     if cfg.input.source == "synthetic":
         return generate_synthetic_trajectory(cfg.trajectory_spec(seed))
     imu = load_imu(cfg.input.imu_path)
@@ -58,18 +50,17 @@ def load_inputs(cfg: ExperimentConfig, seed: int
     return imu, gt
 
 
-def obtain_toa(cfg: ExperimentConfig, gt: Sequence[GroundTruthPose], seed: int,
-               bs_count: int, scenario: Optional[str] = None
-               ) -> list[ToaMeasurement]:
+def obtain_toa(cfg: ExperimentConfig, gt: Trajectory, seed: int,
+               bs_count: int, scenario: Optional[str] = None) -> ToaArrays:
     """Load ranges from file, or simulate with all stations and subset."""
     if cfg.input.toa_path:
-        meas = load_toa(cfg.input.toa_path, num_stations=cfg.stations.count)
+        toa = load_toa(cfg.input.toa_path, num_stations=cfg.stations.count)
     else:
         stations = cfg.base_stations(cfg.stations.count)
         model = cfg.noise_model(seed + TOA_SEED_OFFSET, cfg.stations.count,
                                 scenario)
-        meas = list(toa_sim.simulate(gt, stations, model, cfg.noise.toa_rate_hz))
-    return [m for m in meas if m.bs_id <= bs_count]
+        toa = toa_sim.simulate(gt, stations, model, cfg.noise.toa_rate_hz).ranges
+    return toa[toa.bs_id <= bs_count]
 
 
 def meas_std(cfg: ExperimentConfig, bs_count: int,
@@ -105,8 +96,8 @@ class ExperimentResult:
         return result
 
 
-def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations, std,
-              gt_traj: Trajectory) -> EstimatorResult:
+def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations,
+              std) -> EstimatorResult:
     fconfig = eskf_mod.FilterConfig(
         initial_state=initial_state_from_groundtruth(gt),
         stations=stations, meas_std=std, noise=cfg.imu_model,
@@ -121,7 +112,7 @@ def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations, std,
         if len(run.update_times_ms) else (0.0, 0.0)
     cycle_mean = float(mean_p + mean_u)
     cycle_std = float(np.sqrt(std_p ** 2 + std_u ** 2))
-    report = metrics_mod.evaluate(traj, gt_traj,
+    report = metrics_mod.evaluate(traj, gt,
                                   max_gap_ns=int(cfg.run.max_gap_ms * 1e6))
     report.timing_mean_ms = cycle_mean
     report.timing_std_ms = cycle_std
@@ -130,7 +121,6 @@ def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations, std,
 
 
 def _run_pgo(cfg: ExperimentConfig, imu, toa, gt, stations, std,
-             gt_traj: Trajectory,
              init_traj: Optional[Trajectory]) -> EstimatorResult:
     pconfig = pgo_mod.PgoConfig(
         initial_state=initial_state_from_groundtruth(gt),
@@ -160,7 +150,7 @@ def _run_pgo(cfg: ExperimentConfig, imu, toa, gt, stations, std,
         elapsed = (_time.perf_counter() - tic) * 1e3
         extra["report"] = report
         t_mean, t_std = elapsed, 0.0
-    report = metrics_mod.evaluate(traj, gt_traj,
+    report = metrics_mod.evaluate(traj, gt,
                                   max_gap_ns=int(cfg.run.max_gap_ms * 1e6))
     report.timing_mean_ms = t_mean
     report.timing_std_ms = t_std
@@ -180,14 +170,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
     toa = obtain_toa(cfg, gt, seed, bs_count, scenario)
     stations = cfg.base_stations(bs_count)
     std = meas_std(cfg, bs_count, scenario)
-    gt_traj = groundtruth_to_trajectory(gt)
 
-    result = ExperimentResult(seed, scenario, bs_count, gt_traj)
+    result = ExperimentResult(seed, scenario, bs_count, gt)
     if estimator in ("eskf", "both"):
-        result.eskf = _run_eskf(cfg, imu, toa, gt, stations, std, gt_traj)
+        result.eskf = _run_eskf(cfg, imu, toa, gt, stations, std)
     if estimator in ("pgo", "both"):
         init = result.eskf.trajectory if result.eskf is not None else None
-        result.pgo = _run_pgo(cfg, imu, toa, gt, stations, std, gt_traj, init)
+        result.pgo = _run_pgo(cfg, imu, toa, gt, stations, std, init)
     return result
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import GroundTruthPose, ImuSample
+from .dataset import ImuArrays, Trajectory
 from .errors import ConfigError
 from .eskf import GRAVITY, ImuNoiseParams, NavState
 
@@ -153,8 +153,9 @@ def _yaw_quat(yaw: np.ndarray) -> np.ndarray:
 
 def generate_synthetic_trajectory(spec: SyntheticTrajectorySpec,
                                   gravity: np.ndarray = GRAVITY
-                                  ) -> tuple[list[ImuSample], list[GroundTruthPose]]:
-    """Emit IMU samples and ground-truth poses for an analytic path."""
+                                  ) -> tuple[ImuArrays, Trajectory]:
+    """Emit IMU samples and ground truth (with the true biases) for an
+    analytic path."""
     gen = _GENERATORS[spec.kind]
 
     imu_period = int(round(1e9 / spec.imu_rate_hz))
@@ -186,23 +187,16 @@ def generate_synthetic_trajectory(spec: SyntheticTrajectorySpec,
     measured_omega = omega + bias_g
     measured_accel = f_body + bias_a
 
-    imu = [ImuSample(int(imu_t[i]), measured_omega[i].copy(),
-                     measured_accel[i].copy()) for i in range(n)]
-
     t_gt = gt_t * 1e-9
     pos_g, vel_g, _, yaw_g, _ = gen(spec, t_gt)
-    quat_g = _yaw_quat(yaw_g)
     gt_bias_idx = np.minimum((gt_t // imu_period).astype(int), n - 1)
-    gt = [GroundTruthPose(int(gt_t[i]), pos_g[i].copy(), quat_g[i].copy(),
-                          vel_g[i].copy(), bias_g[gt_bias_idx[i]].copy(),
-                          bias_a[gt_bias_idx[i]].copy())
-          for i in range(len(gt_t))]
-    return imu, gt
+    gt = Trajectory(gt_t, pos_g, _yaw_quat(yaw_g), vel_g,
+                    bias_gyro=bias_g[gt_bias_idx], bias_accel=bias_a[gt_bias_idx])
+    return ImuArrays(imu_t, measured_omega, measured_accel), gt
 
 
-def initial_state_from_groundtruth(gt: list[GroundTruthPose]) -> NavState:
+def initial_state_from_groundtruth(gt: Trajectory) -> NavState:
     """Filter/graph starting point: first reference pose, zero biases."""
-    first = gt[0]
-    vel = first.velocity if first.velocity is not None else np.zeros(3)
-    return NavState(first.orientation.copy(), np.zeros(3), vel.copy(),
-                    np.zeros(3), first.position.copy())
+    vel = gt.velocity[0] if gt.velocity is not None else np.zeros(3)
+    return NavState(gt.orientation[0].copy(), np.zeros(3), vel.copy(),
+                    np.zeros(3), gt.position[0].copy())

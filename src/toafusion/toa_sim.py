@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroundTruthPose, ToaMeasurement
-from .errors import ConfigError, EmptyTrajectory
+from . import geometry as geo
+from .dataset import ToaArrays, Trajectory
+from .errors import ConfigError, EmptyTrajectory, UnknownBsId
 
 MIN_DISTANCE_M = 1e-6
 
@@ -43,6 +44,17 @@ def default_stations(count: int = 5) -> list[BaseStation]:
     if not 1 <= count <= len(DEFAULT_STATIONS):
         raise ConfigError(f"station count {count} outside 1..{len(DEFAULT_STATIONS)}")
     return [BaseStation(i, np.array(p)) for i, p in DEFAULT_STATIONS[:count]]
+
+
+def station_rows(stations: Sequence[BaseStation], bs_id: np.ndarray) -> np.ndarray:
+    """Index into stations of each bs_id; UnknownBsId for an id not there."""
+    match = (np.asarray(bs_id, dtype=np.int64)[:, None]
+             == np.array([bs.id for bs in stations], dtype=np.int64)[None, :])
+    found = match.any(axis=1)
+    if not found.all():
+        missing = int(np.asarray(bs_id)[~found][0])
+        raise UnknownBsId(f"bs_id {missing} has no configured station")
+    return match.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -145,22 +157,16 @@ def true_distance(position: np.ndarray, station: BaseStation) -> float:
 
 @dataclass
 class ToaSimulation:
-    """Sequence of simulated measurements plus clamp diagnostics."""
+    """Simulated ranges plus clamp diagnostics."""
 
-    measurements: list[ToaMeasurement]
+    ranges: ToaArrays
     clamped_count: int = 0
 
     def __len__(self):
-        return len(self.measurements)
-
-    def __iter__(self):
-        return iter(self.measurements)
-
-    def __getitem__(self, idx):
-        return self.measurements[idx]
+        return len(self.ranges)
 
 
-def simulate(groundtruth: Sequence[GroundTruthPose], stations: Sequence[BaseStation],
+def simulate(groundtruth: Trajectory, stations: Sequence[BaseStation],
              model: NoiseModel, rate_hz: float = 5.0) -> ToaSimulation:
     """Emit one noisy range per station at a fixed tick rate.
 
@@ -180,8 +186,7 @@ def simulate(groundtruth: Sequence[GroundTruthPose], stations: Sequence[BaseStat
             f"noise model covers {len(model.mean)} stations, need {len(stations)}"
         )
 
-    gt_t = np.array([p.t for p in groundtruth], dtype=np.int64)
-    gt_p = np.array([p.position for p in groundtruth])
+    gt_t, gt_p = groundtruth.t, groundtruth.position
     period = int(round(1e9 / rate_hz))
     ticks = np.arange(gt_t[0], gt_t[-1] + 1, period, dtype=np.int64)
 
@@ -191,16 +196,15 @@ def simulate(groundtruth: Sequence[GroundTruthPose], stations: Sequence[BaseStat
     pos = np.column_stack([np.interp(rel, base, gt_p[:, k]) for k in range(3)])
 
     rng = np.random.default_rng(model.seed)
-    noise = rng.standard_normal((len(ticks), len(stations)))
+    k = len(stations)
+    noise = rng.standard_normal((len(ticks), k))
 
-    measurements: list[ToaMeasurement] = []
-    clamped = 0
-    for i, t in enumerate(ticks):
-        for k, bs in enumerate(stations):
-            d = float(np.linalg.norm(pos[i] - bs.position))
-            d += float(model.mean[k]) + float(model.std[k]) * float(noise[i, k])
-            if d < MIN_DISTANCE_M:
-                d = MIN_DISTANCE_M
-                clamped += 1
-            measurements.append(ToaMeasurement(int(t), bs.id, d))
-    return ToaSimulation(measurements, clamped)
+    # (tick, station) rows in draw order.
+    sites = np.array([bs.position for bs in stations], dtype=float).reshape(-1, 3)
+    dist = geo.row_norms((pos[:, None, :] - sites[None]).reshape(-1, 3))
+    d = dist.reshape(-1, k) + (model.mean[:k] + model.std[:k] * noise)
+    clamped = d < MIN_DISTANCE_M
+    d[clamped] = MIN_DISTANCE_M
+    ids = np.array([bs.id for bs in stations], dtype=np.int64)
+    return ToaSimulation(ToaArrays(np.repeat(ticks, k), np.tile(ids, len(ticks)),
+                                   d.ravel()), int(clamped.sum()))

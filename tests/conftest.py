@@ -4,6 +4,7 @@ import pytest
 from toafusion import eskf
 from toafusion import geometry as geo
 from toafusion import pgo
+from toafusion.dataset import ImuArrays, ToaArrays
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 1e-3) -> np.ndarray:
@@ -16,6 +17,22 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 1e-3) -
 def random_quaternion(rng: np.random.Generator) -> np.ndarray:
     q = rng.standard_normal(4)
     return geo.quat_normalize(q)
+
+
+def make_imu(t, omega, accel) -> ImuArrays:
+    """ImuArrays from timestamps and per-sample (or one shared) readings."""
+    t = np.asarray(t, dtype=np.int64)
+    shape = (len(t), 3)
+    return ImuArrays(t, np.array(np.broadcast_to(omega, shape), dtype=float),
+                     np.array(np.broadcast_to(accel, shape), dtype=float))
+
+
+def make_toa(rows) -> ToaArrays:
+    """ToaArrays from (t, bs_id, distance) rows."""
+    rows = list(rows)
+    return ToaArrays(np.array([r[0] for r in rows], dtype=np.int64),
+                     np.array([r[1] for r in rows], dtype=np.int64),
+                     np.array([r[2] for r in rows], dtype=float))
 
 
 @pytest.fixture
@@ -85,18 +102,18 @@ def oracle_integrate(omega, accel, dts, bias_gyro, bias_accel, noise) -> dict:
 
 
 def oracle_slice(imu, t_start: int, t_end: int):
-    """Linear-scan slicing of a list of ImuSample into (omega, accel, dt)."""
+    """Linear-scan slicing of ImuArrays into (omega, accel, dt)."""
     omegas, accels, dts = [], [], []
-    for k in range(len(imu)):
-        t = imu[k].t
+    times = imu.t.tolist()
+    for k, t in enumerate(times):
         if t < t_start or t >= t_end:
             continue
-        t_next = imu[k + 1].t if k + 1 < len(imu) else t_end
+        t_next = times[k + 1] if k + 1 < len(times) else t_end
         dt = (min(t_next, t_end) - t) * 1e-9
         if dt <= 0.0:
             continue
-        omegas.append(imu[k].omega)
-        accels.append(imu[k].accel)
+        omegas.append(imu.omega[k])
+        accels.append(imu.accel[k])
         dts.append(dt)
     return (np.array(omegas).reshape(-1, 3), np.array(accels).reshape(-1, 3),
             np.array(dts))
@@ -126,11 +143,12 @@ def imu_residual(pre, state_i, state_j, gravity=eskf.GRAVITY) -> np.ndarray:
 
 
 # Per-sample ESKF oracle: the numpy RK4 nominal step, the per-sample error
-# Jacobians and the RK4 covariance step, and the filter loop that predicted
-# one sample at a time, as the package computed them before segments.
-def oracle_propagate_nominal(state, imu, dt, gravity):
-    w_hat = imu.omega - state.b_g
-    a_hat = imu.accel - state.b_a
+# Jacobians, the RK4 covariance step, the update with the full (k, 15)
+# range Jacobian, and the filter loop that predicted one sample at a time,
+# as the package computed them before segments.
+def oracle_propagate_nominal(state, omega, accel, dt, gravity):
+    w_hat = omega - state.b_g
+    a_hat = accel - state.b_a
     omega = np.zeros((4, 4))
     omega[:3, :3] = -geo.skew(w_hat)
     omega[:3, 3] = w_hat
@@ -151,9 +169,9 @@ def oracle_propagate_nominal(state, imu, dt, gravity):
                          state.b_a.copy(), y[7:10])
 
 
-def oracle_error_jacobians(state, imu):
-    w_hat = imu.omega - state.b_g
-    a_hat = imu.accel - state.b_a
+def oracle_error_jacobians(state, omega, accel):
+    w_hat = omega - state.b_g
+    a_hat = accel - state.b_a
     r_wb = geo.quat_to_rot(state.q)
     f = np.zeros((15, 15))
     f[0:3, 0:3] = -geo.skew(w_hat)
@@ -167,6 +185,16 @@ def oracle_error_jacobians(state, imu):
     g[6:9, 6:9] = -r_wb
     g[9:12, 9:12] = np.eye(3)
     return f, g
+
+
+def nominal_step(state, omega, accel, dt, gravity=eskf.GRAVITY):
+    """eskf.propagate_nominal on a NavState and raw (biased) readings."""
+    q, v, p = eskf.propagate_nominal(
+        state.q.tolist(), state.v.tolist(), state.p.tolist(),
+        (np.asarray(omega) - state.b_g).tolist(),
+        (np.asarray(accel) - state.b_a).tolist(), dt, tuple(gravity.tolist()))
+    return eskf.NavState(np.array(q), state.b_g.copy(), np.array(v),
+                         state.b_a.copy(), np.array(p))
 
 
 def oracle_propagate_covariance(p_cov, f, g, q_imu, dt):
@@ -183,6 +211,22 @@ def oracle_propagate_covariance(p_cov, f, g, q_imu, dt):
     return 0.5 * (out + out.T)
 
 
+def oracle_update(state, p_cov, meas, positions, var):
+    """Joint range update with the full (k, 15) Jacobian, one station at a
+    time."""
+    h = np.zeros((len(meas), 15))
+    predicted = np.zeros(len(meas))
+    for k, position in enumerate(positions):
+        diff = state.p - position
+        predicted[k] = np.linalg.norm(diff)
+        h[k, 12:15] = diff / predicted[k]
+    s = h @ p_cov @ h.T + np.diag(var)
+    gain = np.linalg.solve(s, h @ p_cov).T
+    new_state = eskf.inject_error(state, gain @ (meas - predicted))
+    new_cov = (np.eye(15) - gain @ h) @ p_cov
+    return new_state, 0.5 * (new_cov + new_cov.T)
+
+
 def oracle_run_filter(imu, toa, config) -> list:
     """(t, state, cov_diag) of every estimate, predicting sample by sample."""
     state = config.initial_state.copy()
@@ -190,20 +234,28 @@ def oracle_run_filter(imu, toa, config) -> list:
              else eskf.default_initial_covariance())
     q_imu = config.noise.q_matrix()
     std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
-    sigma_by_id = {bs.id: std[k] for k, bs in enumerate(config.stations)}
-    groups = eskf._group_by_time(toa)
+    station = {bs.id: (bs.position, std[k] ** 2)
+               for k, bs in enumerate(config.stations)}
+    groups: list[tuple[int, list]] = []
+    for t, bs_id, distance in zip(toa.t.tolist(), toa.bs_id.tolist(),
+                                  toa.distance.tolist()):
+        if not groups or groups[-1][0] != t:
+            groups.append((t, []))
+        groups[-1][1].append((distance, *station[bs_id]))
     next_group = 0
     out = []
-    for i in range(1, len(imu)):
-        dt = (imu[i].t - imu[i - 1].t) * 1e-9
-        state = oracle_propagate_nominal(state, imu[i - 1], dt, config.gravity)
-        f, g = oracle_error_jacobians(state, imu[i - 1])
+    times = imu.t.tolist()
+    for i in range(1, len(times)):
+        dt = (times[i] - times[i - 1]) * 1e-9
+        state = oracle_propagate_nominal(state, imu.omega[i - 1],
+                                         imu.accel[i - 1], dt, config.gravity)
+        f, g = oracle_error_jacobians(state, imu.omega[i - 1], imu.accel[i - 1])
         p_cov = oracle_propagate_covariance(p_cov, f, g, q_imu, dt)
-        now = imu[i].t
+        now = times[i]
         while next_group < len(groups) and groups[next_group][0] <= now:
-            _, meas = groups[next_group]
-            r_cov = np.diag([sigma_by_id[m.bs_id] ** 2 for m in meas])
-            state, p_cov = eskf.update(state, p_cov, meas, config.stations, r_cov)
+            meas, positions, var = zip(*groups[next_group][1])
+            state, p_cov = oracle_update(state, p_cov, np.array(meas),
+                                         np.array(positions), np.array(var))
             out.append((now, state.copy(), np.diag(p_cov).copy()))
             next_group += 1
         if config.emit_at_imu_rate:

@@ -18,8 +18,7 @@ import pytest
 from toafusion import eskf, geometry as geo, metrics, pgo
 from toafusion import toa_sim
 from toafusion.config import ExperimentConfig
-from toafusion.dataset import (ImuSample, groundtruth_to_trajectory, load_imu,
-                               load_groundtruth)
+from toafusion.dataset import Trajectory, load_groundtruth, load_imu
 from toafusion.eskf import NavState
 from toafusion.pipeline import load_inputs, meas_std, obtain_toa, run_experiment
 from toafusion.synthetic import (SyntheticTrajectorySpec,
@@ -80,21 +79,19 @@ class TestCriterion1:
             worst_g = max(worst_g, np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd))
         assert worst_f < tol and worst_g < tol
 
-        stations = toa_sim.default_stations(5)
+        # The range Jacobian's position block, as the ESKF update uses it.
+        positions = np.array([bs.position for bs in toa_sim.default_stations(5)])
         worst_h = 0.0
         eps = 1e-6
         for _ in range(100):
-            state = random_state(rng)
-            h = eskf.measurement_jacobian(state, stations)
+            p = random_state(rng).p
+            _, u = eskf.range_directions(p, positions)
             fd = np.zeros((5, 3))
             for j in range(3):
-                plus, minus = state.copy(), state.copy()
-                plus.p = state.p + eps * np.eye(3)[j]
-                minus.p = state.p - eps * np.eye(3)[j]
-                fd[:, j] = (eskf.predicted_ranges(plus, stations)
-                            - eskf.predicted_ranges(minus, stations)) / (2 * eps)
-            worst_h = max(worst_h,
-                          np.linalg.norm(h[:, 12:15] - fd) / np.linalg.norm(fd))
+                fd[:, j] = (eskf.range_directions(p + eps * np.eye(3)[j], positions)[0]
+                            - eskf.range_directions(p - eps * np.eye(3)[j], positions)[0]
+                            ) / (2 * eps)
+            worst_h = max(worst_h, np.linalg.norm(u - fd) / np.linalg.norm(fd))
         assert worst_h < tol
 
         # The PGO kernels the solver runs: whitened Jacobians of range, IMU,
@@ -147,20 +144,19 @@ class TestCriterion2:
                                        speed_mps=1.0)
         imu, gt = generate_synthetic_trajectory(spec)
         stations = toa_sim.default_stations(5)
-        toa = list(toa_sim.simulate(gt, stations, toa_sim.noiseless_model(5),
-                                    rate_hz=5.0))
-        gt_traj = groundtruth_to_trajectory(gt)
+        toa = toa_sim.simulate(gt, stations, toa_sim.noiseless_model(5),
+                               rate_hz=5.0).ranges
         init = initial_state_from_groundtruth(gt)
 
         fconfig = eskf.FilterConfig(initial_state=init, stations=stations,
                                     meas_std=np.zeros(5))
         eskf_ate = metrics.evaluate(
-            eskf.run_filter(imu, toa, fconfig).to_trajectory(), gt_traj).ate
+            eskf.run_filter(imu, toa, fconfig).to_trajectory(), gt).ate
 
         pconfig = pgo.PgoConfig(initial_state=init, stations=stations,
                                 meas_std=np.zeros(5))
         traj, _ = pgo.run_batch(imu, toa, pconfig)
-        pgo_ate = metrics.evaluate(traj, gt_traj).ate
+        pgo_ate = metrics.evaluate(traj, gt).ate
 
         elapsed = time.perf_counter() - tic
         assert eskf_ate < 0.02
@@ -260,18 +256,17 @@ class TestCriterion7:
     """Simulator noise calibration against the published industrial row."""
 
     def test_industrial_station1_moments(self):
-        from toafusion.dataset import GroundTruthPose
         # A two-pose hover spans the full window; interpolation is exact
         # for a constant position.
         pos = np.array([0.0, 0.0, 1.0])
-        gt = [GroundTruthPose(0, pos, geo.quat_identity()),
-              GroundTruthPose(int(2000e9), pos, geo.quat_identity())]
+        gt = Trajectory(np.array([0, int(2000e9)]), np.array([pos, pos]),
+                        np.array([geo.quat_identity()] * 2))
         stations = toa_sim.default_stations(1)
         model = toa_sim.scenario_preset("industrial_5ghz", "V101").noise_model(
             seed=7, count=1)
         sim = toa_sim.simulate(gt, stations, model, rate_hz=5.0)
         true_d = toa_sim.true_distance(pos, stations[0])
-        residuals = np.array([m.distance for m in sim]) - true_d
+        residuals = sim.ranges.distance - true_d
         assert len(residuals) >= 10_000
         mean = float(np.mean(residuals))
         std = float(np.std(residuals))
@@ -299,13 +294,12 @@ class TestCriterion8:
         imu = load_imu(imu_path)
         gt = load_groundtruth(gt_path)
         # Trim ground truth to the IMU time span, then fuse.
-        gt = [p for p in gt if imu[0].t <= p.t <= imu[-1].t]
-        imu = [s for s in imu if gt[0].t <= s.t <= gt[-1].t]
+        gt = gt[(imu.t[0] <= gt.t) & (gt.t <= imu.t[-1])]
+        imu = imu[(gt.t[0] <= imu.t) & (imu.t <= gt.t[-1])]
         stations = toa_sim.default_stations(5)
         preset = toa_sim.scenario_preset("mmmagic_78ghz", "V101")
-        toa = list(toa_sim.simulate(gt, stations, preset.noise_model(seed=0),
-                                    rate_hz=5.0))
-        gt_traj = groundtruth_to_trajectory(gt)
+        toa = toa_sim.simulate(gt, stations, preset.noise_model(seed=0),
+                               rate_hz=5.0).ranges
         init = initial_state_from_groundtruth(gt)
         pconfig = pgo.PgoConfig(initial_state=init, stations=stations,
                                 meas_std=np.array(preset.std))
@@ -313,7 +307,7 @@ class TestCriterion8:
                                     meas_std=np.array(preset.std))
         eskf_traj = eskf.run_filter(imu, toa, fconfig).to_trajectory()
         traj, _ = pgo.run_batch(imu, toa, pconfig, initial=eskf_traj)
-        ate = metrics.evaluate(traj, gt_traj).ate
+        ate = metrics.evaluate(traj, gt).ate
         assert ate < 0.5
         record_acceptance(
             f"CRITERION 8 PASS: real-IMU PGO ATE={ate:.3f} m (< 0.5)")

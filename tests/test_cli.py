@@ -117,11 +117,11 @@ class TestSimulate:
         cfg = parse_config_text(open(config).read())
         _, gt = __import__("toafusion.pipeline", fromlist=["x"]).load_inputs(cfg, 0)
         stations = {bs.id: bs for bs in cfg.base_stations(5)}
-        gt_t = np.array([p.t for p in gt])
-        for m in meas[:50]:
-            i = int(np.argmin(np.abs(gt_t - m.t)))
-            expected = toa_sim.true_distance(gt[i].position, stations[m.bs_id])
-            assert m.distance == pytest.approx(expected, abs=1e-6)
+        for t, bs_id, distance in zip(meas.t[:50], meas.bs_id[:50],
+                                      meas.distance[:50]):
+            i = int(np.argmin(np.abs(gt.t - t)))
+            expected = toa_sim.true_distance(gt.position[i], stations[bs_id])
+            assert distance == pytest.approx(expected, abs=1e-6)
 
     def test_seed_determinism_and_difference(self, tmp_path):
         config = small_config(
@@ -196,6 +196,24 @@ class TestRun:
         assert cli.main(["run", "--config", config,
                          "--out", str(tmp_path / "o")]) == 2
         assert "/nonexistent/imu.csv" in capsys.readouterr().err
+
+    def test_non_ascii_byte_exit_code(self, tmp_path, capsys):
+        outdir = tmp_path / "traj"
+        assert cli.main(["gen-traj", "--config", small_config(tmp_path),
+                         "--out", str(outdir)]) == 0
+        imu = outdir / "imu.csv"
+        lines = imu.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        imu.write_bytes(b"\n".join(lines))
+        config = small_config(
+            tmp_path,
+            **{"source = synthetic": f"source = files\nimu = {imu}\n"
+               f"groundtruth = {outdir / 'groundtruth.csv'}",
+               "estimator = both": "estimator = eskf"})
+        assert cli.main(["run", "--config", config,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "data error: line 2:" in err and "Traceback" not in err
 
     def test_sliding_mode_writes_streamed(self, tmp_path):
         config = small_config(tmp_path, **{"mode = batch": "mode = sliding",

@@ -1,23 +1,23 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from toafusion import eskf
+from toafusion import dataset, eskf, pipeline
 from toafusion import geometry as geo
-from toafusion.config import ExperimentConfig
-from toafusion.dataset import ImuSample, ToaMeasurement
+from toafusion.config import ExperimentConfig, InputConfig
 from toafusion.errors import DegenerateGeometry, InvalidDt, UnknownBsId
 from toafusion.eskf import (GRAVITY, FilterConfig, ImuNoiseParams, NavState,
                             SL_BA, SL_BG, SL_P, SL_TH, SL_V)
 from toafusion.pipeline import load_inputs, meas_std, obtain_toa
 from toafusion.synthetic import initial_state_from_groundtruth
-from toafusion.toa_sim import BaseStation, default_stations
+from toafusion.toa_sim import default_stations
 
-from conftest import (oracle_error_jacobians, oracle_propagate_covariance,
-                      oracle_propagate_nominal, oracle_run_filter,
-                      random_quaternion)
+from conftest import (make_imu, make_toa, nominal_step, oracle_error_jacobians,
+                      oracle_propagate_covariance, oracle_propagate_nominal,
+                      oracle_run_filter, oracle_update, random_quaternion)
 
 
 def random_state(rng) -> NavState:
@@ -28,11 +28,12 @@ def random_state(rng) -> NavState:
                     p=rng.uniform(-5, 5, 3))
 
 
-def random_imu(rng, t=0) -> ImuSample:
-    return ImuSample(t, rng.uniform(-1, 1, 3), rng.uniform(-5, 5, 3))
+def random_imu(rng) -> tuple[np.ndarray, np.ndarray]:
+    """One (omega, accel) reading."""
+    return rng.uniform(-1, 1, 3), rng.uniform(-5, 5, 3)
 
 
-def error_rate_oracle(state: NavState, imu: ImuSample, delta: np.ndarray,
+def error_rate_oracle(state: NavState, imu: tuple, delta: np.ndarray,
                       eta: np.ndarray) -> np.ndarray:
     """Exact time derivative of the error state (nonlinear, no truncation).
 
@@ -44,11 +45,12 @@ def error_rate_oracle(state: NavState, imu: ImuSample, delta: np.ndarray,
     b_g = state.b_g + delta[SL_BG]
     b_a = state.b_a + delta[SL_BA]
     eta_g, eta_wg, eta_a, eta_wa = eta[0:3], eta[3:6], eta[6:9], eta[9:12]
+    omega, accel = imu
 
-    w_true = imu.omega - b_g - eta_g
-    a_true = imu.accel - b_a - eta_a
-    w_nom = imu.omega - state.b_g
-    a_nom = imu.accel - state.b_a
+    w_true = omega - b_g - eta_g
+    a_true = accel - b_a - eta_a
+    w_nom = omega - state.b_g
+    a_nom = accel - state.b_a
 
     rot_nom = geo.quat_to_rot(state.q)
     rot_true = rot_nom @ geo.exp_so3(dtheta)
@@ -80,53 +82,59 @@ def finite_difference_f_g(state, imu, eps=1e-6):
 class TestPropagateNominal:
     def test_hover_equilibrium(self):
         state = NavState.identity()
-        imu = ImuSample(0, np.zeros(3), -GRAVITY)   # measures +9.81 up
-        for _ in range(200):
-            state = eskf.propagate_nominal(state, imu, 0.005)
+        for _ in range(200):      # measures +9.81 up
+            state = nominal_step(state, np.zeros(3), -GRAVITY, 0.005)
         np.testing.assert_allclose(state.p, np.zeros(3), atol=1e-9)
         np.testing.assert_allclose(state.v, np.zeros(3), atol=1e-9)
         np.testing.assert_allclose(state.q, geo.quat_identity(), atol=1e-9)
 
     def test_free_fall_closed_form(self):
         state = NavState.identity()
-        imu = ImuSample(0, np.zeros(3), np.zeros(3))
         for _ in range(200):
-            state = eskf.propagate_nominal(state, imu, 0.005)
+            state = nominal_step(state, np.zeros(3), np.zeros(3), 0.005)
         np.testing.assert_allclose(state.v, GRAVITY, atol=1e-9)
         np.testing.assert_allclose(state.p, 0.5 * GRAVITY, atol=1e-9)
 
     def test_constant_yaw_rate(self):
         state = NavState.identity()
-        imu = ImuSample(0, np.array([0.0, 0.0, 1.0]), np.zeros(3))
         steps = 1000
         dt = np.pi / steps
         for _ in range(steps):
-            state = eskf.propagate_nominal(state, imu, dt)
+            state = nominal_step(state, np.array([0.0, 0.0, 1.0]), np.zeros(3), dt)
         np.testing.assert_allclose(geo.quat_to_rot(state.q),
                                    geo.exp_so3([0.0, 0.0, np.pi]), atol=1e-6)
 
     def test_bias_subtraction(self, rng):
-        # A bias equal to the reading makes the step a pure-gravity fall.
+        # run_filter subtracts the state's biases from the readings: biases
+        # equal to the readings make the step a pure-gravity fall.
         omega = rng.standard_normal(3)
         accel = rng.standard_normal(3)
         state = NavState.identity()
         state.b_g = omega.copy()
         state.b_a = accel.copy()
-        out = eskf.propagate_nominal(state, ImuSample(0, omega, accel), 0.01)
-        np.testing.assert_allclose(out.v, 0.01 * GRAVITY, atol=1e-12)
+        config = FilterConfig(initial_state=state, stations=default_stations(1),
+                              meas_std=np.zeros(1), emit_at_imu_rate=True)
+        imu = make_imu([0, 10_000_000], omega, accel)
+        run = eskf.run_filter(imu, make_toa([]), config)
+        np.testing.assert_allclose(run.final_state.v, 0.01 * GRAVITY, atol=1e-12)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, 0.11])
     def test_invalid_dt(self, dt):
         with pytest.raises(InvalidDt):
-            eskf.propagate_nominal(NavState.identity(), ImuSample(0, np.zeros(3), np.zeros(3)), dt)
+            nominal_step(NavState.identity(), np.zeros(3), np.zeros(3), dt)
+        imu = make_imu([0, int(round(dt * 1e9))], np.zeros(3), np.zeros(3))
+        config = FilterConfig(initial_state=NavState.identity(),
+                              stations=default_stations(1), meas_std=np.zeros(1))
+        with pytest.raises(InvalidDt):
+            eskf.run_filter(imu, make_toa([]), config)
 
 
 def batched_jacobians(states, imus):
     """error_jacobians on the stacked attitudes and bias-corrected inputs."""
     return eskf.error_jacobians(
         np.array([s.q for s in states]),
-        np.array([m.omega - s.b_g for s, m in zip(states, imus)]),
-        np.array([m.accel - s.b_a for s, m in zip(states, imus)]))
+        np.array([omega - s.b_g for s, (omega, _) in zip(states, imus)]),
+        np.array([accel - s.b_a for s, (_, accel) in zip(states, imus)]))
 
 
 class TestErrorJacobians:
@@ -137,7 +145,7 @@ class TestErrorJacobians:
         expected_f[SL_P, SL_V] = np.eye(3)
         for n in (1, 3):
             f, g = batched_jacobians([NavState.identity()] * n,
-                                     [ImuSample(0, np.zeros(3), np.zeros(3))] * n)
+                                     [(np.zeros(3), np.zeros(3))] * n)
             assert f.shape == (n, 15, 15) and g.shape == (n, 15, 12)
             for k in range(n):
                 np.testing.assert_array_equal(f[k], expected_f)
@@ -147,7 +155,7 @@ class TestErrorJacobians:
         for n in (1, 4):
             rates = [np.array([0.0, 0.0, 1.0 + k]) for k in range(n)]
             f, _ = batched_jacobians([NavState.identity()] * n,
-                                     [ImuSample(0, w, np.zeros(3)) for w in rates])
+                                     [(w, np.zeros(3)) for w in rates])
             for k, w in enumerate(rates):
                 np.testing.assert_array_equal(f[k, SL_TH, SL_TH], -geo.skew(w))
 
@@ -178,7 +186,7 @@ class TestErrorJacobians:
         imus = [random_imu(rng) for _ in range(30)]
         f, g = batched_jacobians(states, imus)
         for k in range(30):
-            f_one, g_one = oracle_error_jacobians(states[k], imus[k])
+            f_one, g_one = oracle_error_jacobians(states[k], *imus[k])
             np.testing.assert_array_equal(f[k], f_one)
             np.testing.assert_array_equal(g[k], g_one)
 
@@ -265,50 +273,65 @@ class TestPropagateCovariance:
             assert np.min(np.linalg.eigvalsh(p)) > -1e-9
 
 
+def positions_of(stations) -> np.ndarray:
+    return np.array([bs.position for bs in stations])
+
+
 class TestMeasurementJacobian:
     def test_unit_direction(self):
-        state = NavState.identity()
-        state.p = np.array([1.0, 0.0, 0.0])
-        h = eskf.measurement_jacobian(state, [BaseStation(1, np.zeros(3))])
-        expected = np.zeros((1, 15))
-        expected[0, 12] = 1.0
-        np.testing.assert_allclose(h, expected, atol=1e-12)
+        dist, u = eskf.range_directions(np.array([1.0, 0.0, 0.0]), np.zeros((1, 3)))
+        np.testing.assert_allclose(dist, [1.0], atol=1e-12)
+        np.testing.assert_allclose(u, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_shape_and_zero_blocks(self, rng):
-        state = random_state(rng)
-        h = eskf.measurement_jacobian(state, default_stations(2))
-        assert h.shape == (2, 15)
-        assert np.all(h[:, :12] == 0.0)
+        # The update uses only the position block U of H; it must equal the
+        # update with the full (k, 15) H, whose other blocks are zero.
+        positions = positions_of(default_stations(2))
+        for _ in range(20):
+            state = random_state(rng)
+            dist, u = eskf.range_directions(state.p, positions)
+            assert dist.shape == (2,) and u.shape == (2, 3)
+            p = rng.standard_normal((15, 15))
+            p = p @ p.T + np.eye(15)
+            meas = dist + rng.standard_normal(2)
+            var = rng.uniform(0.01, 1.0, 2)
+            got_state, got_p = eskf.update(state, p, meas, positions, var)
+            want_state, want_p = oracle_update(state, p, meas, positions, var)
+            for name in ("q", "b_g", "v", "b_a", "p"):
+                np.testing.assert_allclose(getattr(got_state, name),
+                                           getattr(want_state, name),
+                                           rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
-        stations = default_stations(5)
+        positions = positions_of(default_stations(5))
         for _ in range(100):
-            state = random_state(rng)
-            h = eskf.measurement_jacobian(state, stations)
+            p = random_state(rng).p
+            _, u = eskf.range_directions(p, positions)
             eps = 1e-6
             for j in range(3):
-                plus, minus = state.copy(), state.copy()
-                plus.p = state.p + eps * np.eye(3)[j]
-                minus.p = state.p - eps * np.eye(3)[j]
-                col = (eskf.predicted_ranges(plus, stations)
-                       - eskf.predicted_ranges(minus, stations)) / (2 * eps)
-                rel = np.abs(h[:, 12 + j] - col) / np.maximum(np.abs(col), 1e-3)
+                col = (eskf.range_directions(p + eps * np.eye(3)[j], positions)[0]
+                       - eskf.range_directions(p - eps * np.eye(3)[j], positions)[0]
+                       ) / (2 * eps)
+                rel = np.abs(u[:, j] - col) / np.maximum(np.abs(col), 1e-3)
                 assert np.all(rel < 1e-6)
 
     def test_degenerate_geometry(self):
+        with pytest.raises(DegenerateGeometry):
+            eskf.range_directions(np.zeros(3), np.zeros((1, 3)))
         state = NavState.identity()
         with pytest.raises(DegenerateGeometry):
-            eskf.measurement_jacobian(state, [BaseStation(1, np.zeros(3))])
+            eskf.update(state, np.eye(15), np.array([1.0]), np.zeros((1, 3)),
+                        np.array([0.01]))
 
 
 class TestUpdate:
     def test_zero_residual_leaves_state(self, rng):
         state = random_state(rng)
-        stations = default_stations(5)
+        positions = positions_of(default_stations(5))
         p = eskf.default_initial_covariance()
-        d = eskf.predicted_ranges(state, stations)
-        meas = [ToaMeasurement(0, bs.id, d[k]) for k, bs in enumerate(stations)]
-        new_state, new_p = eskf.update(state, p, meas, stations, 0.01 * np.eye(5))
+        d = eskf.range_directions(state.p, positions)[0]
+        new_state, new_p = eskf.update(state, p, d, positions, np.full(5, 0.01))
         np.testing.assert_allclose(new_state.p, state.p, atol=1e-12)
         np.testing.assert_allclose(new_state.q, state.q, atol=1e-12)
         assert np.trace(new_p) <= np.trace(p) + 1e-12
@@ -317,28 +340,26 @@ class TestUpdate:
         # Single station on the x axis reduces to the textbook 1-D filter.
         state = NavState.identity()
         state.p = np.array([2.0, 0.0, 0.0])
-        stations = [BaseStation(1, np.zeros(3))]
         p = np.diag([1e-9] * 12 + [0.25, 1e-9, 1e-9])
         r_var = 0.04
         d_meas = 2.5
-        new_state, new_p = eskf.update(state, p, [ToaMeasurement(0, 1, d_meas)],
-                                       stations, np.array([[r_var]]))
+        new_state, new_p = eskf.update(state, p, np.array([d_meas]),
+                                       np.zeros((1, 3)), np.array([r_var]))
         gain = 0.25 / (0.25 + r_var)
         np.testing.assert_allclose(new_state.p[0], 2.0 + gain * 0.5, atol=1e-8)
         np.testing.assert_allclose(new_p[12, 12], (1 - gain) * 0.25, atol=1e-8)
 
     def test_repeated_updates_converge(self):
-        stations = default_stations(5)
+        positions = positions_of(default_stations(5))
         truth = np.array([0.5, -0.3, 1.2])
-        meas = [ToaMeasurement(0, bs.id, float(np.linalg.norm(truth - bs.position)))
-                for bs in stations]
+        meas = np.linalg.norm(truth - positions, axis=1)
         state = NavState.identity()
         state.p = truth + np.array([0.5, 0.4, -0.6])
         p = eskf.default_initial_covariance()
-        r = 1e-6 * np.eye(5)
+        var = np.full(5, 1e-6)
         errs = [np.linalg.norm(state.p - truth)]
         for _ in range(200):
-            state, p = eskf.update(state, p, meas, stations, r)
+            state, p = eskf.update(state, p, meas, positions, var)
             errs.append(np.linalg.norm(state.p - truth))
         # Repeated identical measurements accumulate information, so the
         # error decays harmonically (P ~ R/k), not geometrically.
@@ -348,31 +369,38 @@ class TestUpdate:
 
     def test_huge_r_ignores_measurement(self, rng):
         state = random_state(rng)
-        stations = default_stations(3)
+        positions = positions_of(default_stations(3))
         p = eskf.default_initial_covariance()
-        meas = [ToaMeasurement(0, bs.id, 10.0) for bs in stations]
-        new_state, _ = eskf.update(state, p, meas, stations, 1e12 * np.eye(3))
+        new_state, _ = eskf.update(state, p, np.full(3, 10.0), positions,
+                                   np.full(3, 1e12))
         assert np.linalg.norm(new_state.p - state.p) < 1e-6
         assert np.linalg.norm(new_state.v - state.v) < 1e-6
 
     def test_trace_never_increases(self, rng):
-        stations = default_stations(4)
+        positions = positions_of(default_stations(4))
         for _ in range(20):
             state = random_state(rng)
             p = eskf.default_initial_covariance() * rng.uniform(0.5, 2.0)
-            meas = [ToaMeasurement(0, bs.id, float(rng.uniform(1, 50)))
-                    for bs in stations]
-            _, new_p = eskf.update(state, p, meas, stations, 0.01 * np.eye(4))
+            meas = rng.uniform(1, 50, 4)
+            _, new_p = eskf.update(state, p, meas, positions, np.full(4, 0.01))
             assert np.trace(new_p) <= np.trace(p) + 1e-12
 
-    def test_subset_of_stations(self, rng):
-        state = random_state(rng)
-        stations = default_stations(5)
-        p = eskf.default_initial_covariance()
-        meas = [ToaMeasurement(0, 2, 10.0), ToaMeasurement(0, 5, 12.0)]
-        new_state, new_p = eskf.update(state, p, meas, stations, 0.01 * np.eye(2))
-        assert new_p.shape == (15, 15)
-        assert np.all(np.isfinite(new_state.p))
+    def test_subset_of_stations(self):
+        # Ticks with ranges to stations 2 and 5 only, in either order: the
+        # filter stacks each row's own station position and variance.
+        imu = make_imu(np.arange(201) * 5_000_000, np.zeros(3), -GRAVITY)
+        toa = make_toa([(t, bs, 10.0 + bs) for t in range(0, int(1e9), int(2e8))
+                        for bs in ((2, 5) if t % int(4e8) else (5, 2))])
+        config = FilterConfig(initial_state=NavState.identity(),
+                              stations=default_stations(5),
+                              meas_std=np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+        run = eskf.run_filter(imu, toa, config)
+        want = oracle_run_filter(imu, toa, config)
+        assert len(run.estimates) == len(want) == 5
+        for est, (t, state, cov_diag) in zip(run.estimates, want):
+            assert est.t == t
+            np.testing.assert_allclose(est.state.p, state.p, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.cov_diag, cov_diag, rtol=1e-8)
 
     def test_inject_zero_is_identity(self, rng):
         state = random_state(rng)
@@ -384,16 +412,12 @@ class TestUpdate:
 
 class TestRunFilter:
     def make_inputs(self, with_toa=True):
-        imu = [ImuSample(int(i * 5e6), np.zeros(3), -GRAVITY) for i in range(401)]
-        toa = []
+        imu = make_imu(np.arange(401) * 5_000_000, np.zeros(3), -GRAVITY)
+        rows = []
         if with_toa:
-            stations = default_stations(5)
-            for tick in range(0, 11):
-                t = int(tick * 2e8)
-                for bs in stations:
-                    toa.append(ToaMeasurement(t, bs.id,
-                                              float(np.linalg.norm(bs.position))))
-        return imu, toa
+            rows = [(int(tick * 2e8), bs.id, float(np.linalg.norm(bs.position)))
+                    for tick in range(0, 11) for bs in default_stations(5)]
+        return imu, rows
 
     def make_config(self):
         return FilterConfig(initial_state=NavState.identity(),
@@ -402,24 +426,26 @@ class TestRunFilter:
 
     def test_empty_toa_gives_empty_output(self):
         imu, _ = self.make_inputs(with_toa=False)
-        run = eskf.run_filter(imu, [], self.make_config())
+        run = eskf.run_filter(imu, make_toa([]), self.make_config())
         assert run.estimates == []
 
     def test_emit_at_imu_rate(self):
         imu, _ = self.make_inputs(with_toa=False)
         config = self.make_config()
         config.emit_at_imu_rate = True
-        run = eskf.run_filter(imu, [], config)
+        run = eskf.run_filter(imu, make_toa([]), config)
         assert len(run.estimates) == len(imu) - 1
 
     def test_update_cadence_output(self):
-        imu, toa = self.make_inputs()
+        imu, rows = self.make_inputs()
+        toa = make_toa(rows)
         run = eskf.run_filter(imu, toa, self.make_config())
         assert len(run.estimates) == 11
         assert run.estimates[0].t == 0 or run.estimates[0].t == int(5e6)
 
     def test_deterministic(self):
-        imu, toa = self.make_inputs()
+        imu, rows = self.make_inputs()
+        toa = make_toa(rows)
         a = eskf.run_filter(imu, toa, self.make_config())
         b = eskf.run_filter(imu, toa, self.make_config())
         for ea, eb in zip(a.estimates, b.estimates):
@@ -428,16 +454,17 @@ class TestRunFilter:
             np.testing.assert_array_equal(ea.state.q, eb.state.q)
 
     def test_hover_stays_put(self):
-        imu, toa = self.make_inputs()
+        imu, rows = self.make_inputs()
+        toa = make_toa(rows)
         run = eskf.run_filter(imu, toa, self.make_config())
         final = run.estimates[-1].state
         np.testing.assert_allclose(final.p, np.zeros(3), atol=1e-6)
 
     def test_unknown_bs_id_is_a_data_error(self):
-        imu, toa = self.make_inputs()
-        toa.append(ToaMeasurement(toa[-1].t + int(2e8), 99, 5.0))
+        imu, rows = self.make_inputs()
+        rows.append((rows[-1][0] + int(2e8), 99, 5.0))
         with pytest.raises(UnknownBsId, match="bs_id 99"):
-            eskf.run_filter(imu, toa, self.make_config())
+            eskf.run_filter(imu, make_toa(rows), self.make_config())
 
 
 def figure_eight_inputs(seed: int, duration_s: float = 10.0):
@@ -459,9 +486,9 @@ class TestSegmentsMatchPerSampleOracle:
     def test_scalar_nominal_step(self, rng, dt):
         for _ in range(50):
             state = random_state(rng)
-            imu = random_imu(rng)
-            got = eskf.propagate_nominal(state, imu, dt)
-            want = oracle_propagate_nominal(state, imu, dt, GRAVITY)
+            omega, accel = random_imu(rng)
+            got = nominal_step(state, omega, accel, dt)
+            want = oracle_propagate_nominal(state, omega, accel, dt, GRAVITY)
             for name in ("q", "b_g", "v", "b_a", "p"):
                 np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                            rtol=0, atol=1e-14, err_msg=name)
@@ -472,7 +499,7 @@ class TestSegmentsMatchPerSampleOracle:
         states, imus = [], []
         for _ in range(40):
             imus.append(random_imu(rng))
-            state = eskf.propagate_nominal(state, imus[-1], 0.005)
+            state = nominal_step(state, *imus[-1], 0.005)
             states.append(state)
         f, g = batched_jacobians(states, imus)
         q = ImuNoiseParams().q_matrix()
@@ -501,7 +528,7 @@ class TestSegmentsMatchPerSampleOracle:
         imu, toa, config = figure_eight_inputs(0, duration_s=2.0)
         # Ticks every 40 samples; drop 30 samples between the ticks at
         # samples 40 and 80, a 155 ms gap.
-        gappy = imu[:50] + imu[80:]
+        gappy = imu[np.r_[0:50, 80:len(imu)]]
         with pytest.raises(InvalidDt):
             eskf.run_filter(gappy, toa, config)
 
@@ -518,9 +545,9 @@ class TestSegmentsMatchPerSampleOracle:
             return propagate(p_cov, f, *args)
 
         monkeypatch.setattr(eskf, "propagate_covariance", recording)
-        run = eskf.run_filter(imu, [], config)
+        run = eskf.run_filter(imu, make_toa([]), config)
         assert max(sizes) == eskf.MAX_SEGMENT and sum(sizes) == len(imu) - 1
-        want = oracle_run_filter(imu, [], config)
+        want = oracle_run_filter(imu, make_toa([]), config)
         assert [e.t for e in run.estimates] == [t for t, _, _ in want]
         for est, (_, state, cov_diag) in zip(run.estimates, want):
             np.testing.assert_allclose(est.state.p, state.p, rtol=0, atol=1e-9)
@@ -539,3 +566,51 @@ class TestPredictTiming:
         assert np.all(run.predict_times_ms > 0.0)
         assert len(run.update_times_ms) == 26
         assert run.predict_times_ms.sum() + run.update_times_ms.sum() <= wall_ms
+
+
+class TestCallContract:
+    """The calls an outside tracer counts: one nominal step per IMU
+    interval, one update per tick with that tick's ranges as the third
+    argument, and loaders whose len() is their row count."""
+
+    def test_counts_through_a_files_run(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig()
+        cfg.trajectory.duration_s = 3.0
+        cfg.run.estimator = "eskf"
+        imu, gt = load_inputs(cfg, 0)
+        toa = obtain_toa(cfg, gt, 0, cfg.stations.count)
+        paths = [str(tmp_path / name) for name in ("imu.csv", "gt.csv", "toa.csv")]
+        dataset.save_imu(paths[0], imu)
+        dataset.save_groundtruth(paths[1], gt)
+        dataset.save_toa(paths[2], toa)
+        rows = [len(open(path).read().splitlines()) - 1 for path in paths]
+        cfg = replace(cfg, input=InputConfig("files", *paths))
+
+        lengths = []
+        for name in ("load_imu", "load_groundtruth", "load_toa"):
+            def measured(*args, _load=getattr(pipeline, name), **kwargs):
+                out = _load(*args, **kwargs)
+                lengths.append(len(out))
+                return out
+            monkeypatch.setattr(pipeline, name, measured)
+        nominal_calls = []
+        update_rows = []
+        step, update = eskf.propagate_nominal, eskf.update
+
+        def counting_step(*args):
+            nominal_calls.append(1)
+            return step(*args)
+
+        def counting_update(state, p_cov, meas, *args):
+            update_rows.append(len(meas))
+            return update(state, p_cov, meas, *args)
+
+        monkeypatch.setattr(eskf, "propagate_nominal", counting_step)
+        monkeypatch.setattr(eskf, "update", counting_update)
+        result = pipeline.run_experiment(cfg, 0)
+
+        assert lengths == rows == [len(imu), len(gt), len(toa)]
+        assert len(nominal_calls) == len(imu) - 1 == 600
+        _, per_tick = np.unique(toa.t, return_counts=True)
+        assert update_rows == per_tick.tolist() == [5] * 16
+        assert len(result.eskf.extra["run"].update_times_ms) == 16

@@ -8,6 +8,27 @@ from toafusion import geometry as geo
 from conftest import random_quaternion, random_rotation
 
 
+# Reference helpers; the package itself never needs them.
+def is_rotation(rot: np.ndarray, tol: float = 1e-9) -> bool:
+    """Orthonormal with unit determinant, entrywise within tol."""
+    return (rot.shape == (3, 3) and np.all(np.abs(rot @ rot.T - np.eye(3)) < tol)
+            and abs(np.linalg.det(rot) - 1.0) < tol)
+
+
+def quat_conj(q: np.ndarray) -> np.ndarray:
+    return np.array([-q[0], -q[1], -q[2], q[3]])
+
+
+def quat_exp(theta: np.ndarray) -> np.ndarray:
+    """Exact exponential quaternion of a rotation vector."""
+    angle = np.linalg.norm(theta)
+    if angle < 1e-8:
+        return geo.quat_from_small_angle(theta)
+    half = 0.5 * angle
+    axis = theta / angle
+    return np.array([*(axis * np.sin(half)), np.cos(half)])
+
+
 class TestSkew:
     def test_zero(self):
         np.testing.assert_array_equal(geo.skew(np.zeros(3)), np.zeros((3, 3)))
@@ -68,7 +89,7 @@ class TestExpLog:
     def test_small_angle_branch_finite(self):
         theta = np.array([1e-12, -2e-13, 5e-13])
         rot = geo.exp_so3(theta)
-        assert geo.is_rotation(rot)
+        assert is_rotation(rot)
         np.testing.assert_allclose(geo.log_so3(rot), theta, atol=1e-15)
 
 
@@ -81,7 +102,7 @@ class TestQuaternion:
     def test_conjugate_is_inverse(self, rng):
         for _ in range(50):
             q = random_quaternion(rng)
-            ident = geo.quat_mul(q, geo.quat_conj(q))
+            ident = geo.quat_mul(q, quat_conj(q))
             np.testing.assert_allclose(np.abs(ident), [0, 0, 0, 1], atol=1e-12)
 
     def test_homomorphism_with_rotation_matrices(self, rng):
@@ -108,7 +129,7 @@ class TestQuaternion:
 
     def test_quat_to_rot_is_rotation(self, rng):
         for _ in range(1000):
-            assert geo.is_rotation(geo.quat_to_rot(random_quaternion(rng)))
+            assert is_rotation(geo.quat_to_rot(random_quaternion(rng)))
 
     def test_quat_to_rot_batch_matches_scalar(self, rng):
         # Unnormalized rows too: the ESKF rotates by RK4 stage quaternions.
@@ -133,7 +154,7 @@ class TestSmallAngleQuaternion:
     def test_matches_exact_exponential(self):
         theta = np.array([0.0, 0.0, 0.02])
         np.testing.assert_allclose(geo.quat_from_small_angle(theta),
-                                   geo.quat_exp(theta), atol=1e-6)
+                                   quat_exp(theta), atol=1e-6)
 
     def test_unit_norm_for_any_input(self, rng):
         for _ in range(100):
@@ -145,7 +166,7 @@ class TestSmallAngleQuaternion:
         for _ in range(200):
             theta = rng.uniform(-1.0, 1.0, 3)
             theta *= rng.uniform(0.0, 0.1) / max(np.linalg.norm(theta), 1e-12)
-            err = np.linalg.norm(geo.quat_from_small_angle(theta) - geo.quat_exp(theta))
+            err = np.linalg.norm(geo.quat_from_small_angle(theta) - quat_exp(theta))
             assert err < max(np.linalg.norm(theta) ** 3, 1e-15)
 
 
@@ -171,3 +192,18 @@ class TestRightJacobian:
         theta = np.array([1e-10, 0, 0])
         np.testing.assert_allclose(geo.right_jacobian_inv_so3(theta), np.eye(3),
                                    atol=1e-9)
+
+
+class TestQuaternionBatch:
+    def test_quat_mul_batch_matches_scalar(self, rng):
+        a = np.array([random_quaternion(rng) for _ in range(20)])
+        b = np.array([random_quaternion(rng) for _ in range(20)])
+        for other in (b, b[0]):
+            got = geo.quat_mul_batch(a, other)
+            want = [geo.quat_mul(x, y) for x, y in zip(a, np.broadcast_to(other, a.shape))]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_row_norms_match_linalg_norm_bit_for_bit(self, rng):
+        x = rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-3, 4, (500, 1))
+        np.testing.assert_array_equal(geo.row_norms(x),
+                                      [np.linalg.norm(row) for row in x])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toafusion import geometry as geo, metrics
+from toafusion import dataset, geometry as geo, metrics
 from toafusion.dataset import Trajectory
 from toafusion.errors import EmptyPairs, EmptySamples, InsufficientPairs
 
@@ -173,3 +173,77 @@ class TestReport:
         assert rep.n_pairs == n
         assert rep.ate == pytest.approx(np.sqrt(0.03), rel=1e-9)
         assert rep.timing_mean_ms == pytest.approx(1.5)
+
+
+# The loop forms the vectorized metrics replaced, kept as oracles.
+def oracle_associate_nearest(reference_ts, query_ts, max_gap):
+    ref = [int(t) for t in reference_ts]
+    pairs = []
+    if not ref:
+        return pairs
+    idx = np.searchsorted(ref, query_ts)
+    for qi, (q, i) in enumerate(zip(query_ts, idx)):
+        lo = max(int(i) - 1, 0)
+        hi = min(int(i), len(ref) - 1)
+        best = lo if abs(ref[lo] - int(q)) <= abs(ref[hi] - int(q)) else hi
+        if abs(ref[best] - int(q)) <= max_gap:
+            pairs.append((best, qi))
+    return pairs
+
+
+def oracle_match(estimate, groundtruth, max_gap_ns):
+    pairs = oracle_associate_nearest(groundtruth.t, estimate.t, max_gap_ns)
+    gt_idx = [g for g, _ in pairs]
+    est_idx = [e for _, e in pairs]
+    return metrics.TrajectoryPair(
+        estimate.position[est_idx].reshape(-1, 3),
+        np.array([geo.quat_to_rot(estimate.orientation[i]) for i in est_idx]),
+        groundtruth.position[gt_idx].reshape(-1, 3),
+        np.array([geo.quat_to_rot(groundtruth.orientation[i]) for i in gt_idx]))
+
+
+def oracle_rpe(pairs, step=1):
+    trans_sq, rot_sq = [], []
+    for i in range(len(pairs) - step):
+        j = i + step
+        rel_gt_rot = pairs.gt_rotation[i].T @ pairs.gt_rotation[j]
+        rel_gt_p = pairs.gt_rotation[i].T @ (pairs.gt_position[j] - pairs.gt_position[i])
+        rel_est_rot = pairs.est_rotation[i].T @ pairs.est_rotation[j]
+        rel_est_p = pairs.est_rotation[i].T @ (pairs.est_position[j] - pairs.est_position[i])
+        err_p = rel_gt_rot.T @ (rel_est_p - rel_gt_p)
+        trans_sq.append(float(err_p @ err_p))
+        rot_sq.append(float(np.sum(geo.log_so3(rel_gt_rot.T @ rel_est_rot) ** 2)))
+    return (float(np.sqrt(np.mean(trans_sq))),
+            float(np.degrees(np.sqrt(np.mean(rot_sq)))))
+
+
+def random_trajectory(rng, t):
+    n = len(t)
+    return Trajectory(np.asarray(t, dtype=np.int64), rng.standard_normal((n, 3)),
+                      np.array([random_quaternion(rng) for _ in range(n)]))
+
+
+class TestVectorizedMatchesLoopOracles:
+    def test_association_with_ties_and_gaps(self, rng):
+        for _ in range(50):
+            # Coarse grids make equidistant queries (ties) and far ones common.
+            ref = np.sort(rng.choice(200, size=rng.integers(1, 40), replace=False)) * 10
+            qry = np.sort(rng.integers(-50, 2050, rng.integers(0, 60))) // 5 * 5
+            max_gap = int(rng.integers(0, 40))
+            got = dataset.associate_nearest(ref, qry, max_gap)
+            assert got.tolist() == [list(p) for p in
+                                    oracle_associate_nearest(ref, qry, max_gap)]
+
+    def test_ate_bit_identical_and_rpe_within_1e12(self, rng):
+        for step in (1, 3):
+            gt = random_trajectory(rng, np.arange(300) * 10 ** 7)
+            est = random_trajectory(rng, np.sort(rng.integers(0, 3 * 10 ** 9, 120)))
+            got = metrics.match_trajectories(est, gt, 10 ** 7)
+            want = oracle_match(est, gt, 10 ** 7)
+            assert len(got) == len(want) > step
+            assert metrics.ate(got) == metrics.ate(want)
+            assert metrics.per_axis_rmse(got) == metrics.per_axis_rmse(want)
+            np.testing.assert_allclose(got.est_rotation, want.est_rotation,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(metrics.rpe(got, step), oracle_rpe(want, step),
+                                       rtol=1e-12, atol=0)

@@ -6,7 +6,6 @@ import scipy.linalg
 
 from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
 from toafusion import toa_sim
-from toafusion.dataset import ImuSample, ToaMeasurement, groundtruth_to_trajectory
 from toafusion.errors import (DataError, DegenerateGeometry, EmptyInput,
                               IndefiniteCovariance, InvalidDt, NonFiniteCost,
                               NonMonotonicTimestamp, NumericalError,
@@ -17,8 +16,8 @@ from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  initial_state_from_groundtruth)
 from toafusion.toa_sim import BaseStation, default_stations
 
-from conftest import (assert_matches_oracle, imu_residual, oracle_integrate,
-                      oracle_slice, random_rotation)
+from conftest import (assert_matches_oracle, imu_residual, make_imu, make_toa,
+                      oracle_integrate, oracle_slice, random_rotation)
 
 
 def make_values(rng, n_kf, n_st):
@@ -232,8 +231,8 @@ def noiseless_setup(kind="hover_then_dash", duration=4.0, n_bs=5, speed=0.5):
                                    speed_mps=speed)
     imu, gt = generate_synthetic_trajectory(spec)
     stations = default_stations(n_bs)
-    toa = list(toa_sim.simulate(gt, stations, toa_sim.noiseless_model(n_bs),
-                                rate_hz=5.0))
+    toa = toa_sim.simulate(gt, stations, toa_sim.noiseless_model(n_bs),
+                           rate_hz=5.0).ranges
     config = pgo.PgoConfig(initial_state=initial_state_from_groundtruth(gt),
                            stations=stations, meas_std=np.zeros(n_bs))
     return imu, gt, toa, config
@@ -241,27 +240,27 @@ def noiseless_setup(kind="hover_then_dash", duration=4.0, n_bs=5, speed=0.5):
 
 class TestBuildGraph:
     def test_keyframe_and_factor_counts(self):
-        imu = [ImuSample(int(i * 5e6), np.zeros(3), -GRAVITY) for i in range(201)]
+        imu = regular_imu()
         config = pgo.PgoConfig(initial_state=NavState.identity(),
                                stations=default_stations(5),
                                meas_std=np.zeros(5))
-        graph, _ = pgo.build_graph(imu, [], config)
+        graph, _ = pgo.build_graph(imu, NO_RANGES, config)
         assert len(graph.keyframes) == 11
         assert len(graph.imu_factors) == len(graph.tables.imu) == 10
 
     def test_range_factor_count(self):
-        imu = [ImuSample(int(i * 5e6), np.zeros(3), -GRAVITY) for i in range(201)]
+        imu = regular_imu()
         stations = default_stations(5)
-        toa = [ToaMeasurement(int(tick * 2e8), bs.id, 10.0)
-               for tick in range(6) for bs in stations]
+        toa = make_toa((int(tick * 2e8), bs.id, 10.0)
+                       for tick in range(6) for bs in stations)
         config = pgo.PgoConfig(initial_state=NavState.identity(),
                                stations=stations, meas_std=np.zeros(5))
         graph, _ = pgo.build_graph(imu, toa, config)
         assert len(graph.tables.ranges) == 30
 
     def test_tie_goes_to_earlier_keyframe(self):
-        imu = [ImuSample(int(i * 5e6), np.zeros(3), -GRAVITY) for i in range(201)]
-        toa = [ToaMeasurement(int(5e7), 1, 10.0)]   # exactly between kf 0 and 1
+        imu = regular_imu()
+        toa = make_toa([(int(5e7), 1, 10.0)])   # exactly between kf 0 and 1
         config = pgo.PgoConfig(initial_state=NavState.identity(),
                                stations=default_stations(1),
                                meas_std=np.zeros(1))
@@ -274,15 +273,15 @@ class TestBuildGraph:
         times = [kf.t for kf in graph.keyframes]
         half_period = 0.5e9 / config.node_rate_hz
         assert len(graph.tables.ranges) == len(toa)
-        for kf, meas in zip(graph.tables.ranges.kf, toa):
-            assert abs(times[kf] - meas.t) <= half_period
+        for kf, t in zip(graph.tables.ranges.kf, toa.t):
+            assert abs(times[kf] - t) <= half_period
 
     def test_empty_input(self):
         config = pgo.PgoConfig(initial_state=NavState.identity(),
                                stations=default_stations(1),
                                meas_std=np.zeros(1))
         with pytest.raises(EmptyInput):
-            pgo.build_graph([], [], config)
+            pgo.build_graph(regular_imu(skip=range(201)), NO_RANGES, config)
 
 
 def jittered_imu(rng, seconds=2.0, rate_hz=200.0, jitter_ns=1_500_000,
@@ -293,8 +292,9 @@ def jittered_imu(rng, seconds=2.0, rate_hz=200.0, jitter_ns=1_500_000,
     stamps[1:-1] += rng.integers(-jitter_ns, jitter_ns + 1, len(stamps) - 2)
     keep = np.ones(len(stamps), dtype=bool)
     keep[1:-1] = rng.uniform(size=len(stamps) - 2) > drop
-    return [ImuSample(int(t), rng.uniform(-1, 1, 3), rng.uniform(-5, 5, 3) - GRAVITY)
-            for t in stamps[keep]]
+    n = int(keep.sum())
+    return make_imu(stamps[keep], rng.uniform(-1, 1, (n, 3)),
+                    rng.uniform(-5, 5, (n, 3)) - GRAVITY)
 
 
 def imu_config(n_bs=3, **kwargs):
@@ -307,15 +307,18 @@ def imu_config(n_bs=3, **kwargs):
 
 def regular_imu(seconds=1.0, skip=()):
     """200 Hz hover readings, without the samples whose index is in skip."""
-    return [ImuSample(int(k * 5e6), np.zeros(3), -GRAVITY)
-            for k in range(int(seconds * 200) + 1) if k not in skip]
+    k = np.setdiff1d(np.arange(int(seconds * 200) + 1), list(skip))
+    return make_imu(k * 5_000_000, np.zeros(3), -GRAVITY)
+
+
+NO_RANGES = make_toa([])
 
 
 class TestImuDataPath:
     def test_jittered_imu_factors_match_per_sample_oracle(self, rng):
         imu = jittered_imu(rng)
         config = imu_config()
-        graph, _ = pgo.build_graph(imu, [], config)
+        graph, _ = pgo.build_graph(imu, NO_RANGES, config)
         times = [kf.t for kf in graph.keyframes]
         bias0_g, bias0_a = config.initial_state.b_g, config.initial_state.b_a
         counts = set()
@@ -333,9 +336,9 @@ class TestImuDataPath:
         imu = jittered_imu(rng, seconds=1.5)
         config = imu_config(window=5, final_batch=False,
                             bias_drift_threshold=5e-3)
-        graph, _ = pgo.build_graph(imu, [], config)
-        toa = [ToaMeasurement(kf.t, bs.id, 5.0 + bs.id)
-               for kf in graph.keyframes for bs in config.stations]
+        graph, _ = pgo.build_graph(imu, NO_RANGES, config)
+        toa = make_toa((kf.t, bs.id, 5.0 + bs.id)
+                       for kf in graph.keyframes for bs in config.stations)
         built, moves = [], []
         real_factor, real_reintegrate = pgo.ImuFactor, pgo._reintegrate
 
@@ -366,39 +369,37 @@ class TestImuDataPath:
         imu = regular_imu(skip=range(60, 90))
         config = imu_config()
         with pytest.raises(EmptyInput, match="keyframes 3 and 4"):
-            pgo.build_graph(imu, [], config)
+            pgo.build_graph(imu, NO_RANGES, config)
         with pytest.raises(EmptyInput, match="keyframes 3 and 4"):
-            pgo.run_sliding_window(imu, [], config)
+            pgo.run_sliding_window(imu, NO_RANGES, config)
 
     def test_gap_inside_an_interval(self):
         # Keyframes every 0.5 s; a 0.2 s gap after the sample at 0.1 s.
         imu = regular_imu(skip=range(21, 60))
         config = imu_config(node_rate_hz=2.0)
         with pytest.raises(InvalidDt):
-            pgo.build_graph(imu, [], config)
+            pgo.build_graph(imu, NO_RANGES, config)
         with pytest.raises(InvalidDt):
-            pgo.run_sliding_window(imu, [], config)
+            pgo.run_sliding_window(imu, NO_RANGES, config)
 
     @pytest.mark.parametrize("swap", [(10, 11), (0, 200)])
     def test_unsorted_timestamps_rejected(self, swap):
         imu = regular_imu()
-        i, j = swap
-        imu[i], imu[j] = imu[j], imu[i]
+        imu.t[list(swap)] = imu.t[list(swap[::-1])]
         config = imu_config()
         for run in (pgo.build_graph, pgo.run_batch, pgo.run_sliding_window):
             with pytest.raises(NonMonotonicTimestamp, match="IMU sample"):
-                run(imu, [], config)
+                run(imu, NO_RANGES, config)
 
     def test_repeated_timestamp_rejected(self):
         imu = regular_imu()
-        imu[50].t = imu[49].t
+        imu.t[50] = imu.t[49]
         with pytest.raises(NonMonotonicTimestamp, match="IMU sample 50"):
-            pgo.build_graph(imu, [], imu_config())
+            pgo.build_graph(imu, NO_RANGES, imu_config())
         assert issubclass(NonMonotonicTimestamp, DataError)
 
 
 def groundtruth_values(graph, gt, config):
-    gt_t = np.array([p.t for p in gt])
     values = pgo.GraphValues(
         rot=np.zeros((len(graph.keyframes), 3, 3)),
         pos=np.zeros((len(graph.keyframes), 3)),
@@ -406,10 +407,10 @@ def groundtruth_values(graph, gt, config):
         bias=np.zeros((len(graph.keyframes), 6)),
         stations=np.array([bs.position for bs in config.stations]))
     for k, kf in enumerate(graph.keyframes):
-        i = int(np.argmin(np.abs(gt_t - kf.t)))
-        values.rot[k] = geo.quat_to_rot(gt[i].orientation)
-        values.pos[k] = gt[i].position
-        values.vel[k] = gt[i].velocity
+        i = int(np.argmin(np.abs(gt.t - kf.t)))
+        values.rot[k] = geo.quat_to_rot(gt.orientation[i])
+        values.pos[k] = gt.position[i]
+        values.vel[k] = gt.velocity[i]
     return values
 
 
@@ -460,10 +461,10 @@ class TestTotalCost:
                 noise.sigma_wa ** 2 * f.pre.dt_total * np.eye(3))
             terms.append((imu_residual_oracle(f, values, config.gravity), cov))
         times = np.array([kf.t for kf in graph.keyframes])
-        for m in toa:
-            kf = int(np.argmin(np.abs(times - m.t)))
-            s = m.bs_id - 1
-            r = m.distance - np.linalg.norm(values.pos[kf] - values.stations[s])
+        for t, bs_id, distance in zip(toa.t, toa.bs_id, toa.distance):
+            kf = int(np.argmin(np.abs(times - t)))
+            s = bs_id - 1
+            r = distance - np.linalg.norm(values.pos[kf] - values.stations[s])
             terms.append((np.array([r]), np.array([[config.sigma_floor ** 2]])))
         state = config.initial_state
         terms.append((np.concatenate([
@@ -593,7 +594,7 @@ class TestRunBatch:
         imu, gt, toa, config = noiseless_setup(kind="circle", duration=8.0,
                                                speed=1.0)
         traj, report = pgo.run_batch(imu, toa, config)
-        rep = metrics.evaluate(traj, groundtruth_to_trajectory(gt))
+        rep = metrics.evaluate(traj, gt)
         assert rep.ate < 0.01
 
     def test_deterministic(self):
@@ -617,7 +618,7 @@ class TestSlidingWindow:
                                                speed=1.0)
         config.window = 20
         run = pgo.run_sliding_window(imu, toa, config)
-        gt_traj = groundtruth_to_trajectory(gt)
+        gt_traj = gt
         assert metrics.evaluate(run.streamed, gt_traj).ate < 0.01
         assert metrics.evaluate(run.batch, gt_traj).ate < 0.01
         assert len(run.step_times_ms) == len(run.streamed) - 1
@@ -634,7 +635,7 @@ class TestSlidingWindow:
         imu, gt, toa, config = noiseless_setup(duration=5.0)
         config.window = 8
         run = pgo.run_sliding_window(imu, toa, config)
-        gt_traj = groundtruth_to_trajectory(gt)
+        gt_traj = gt
         assert metrics.evaluate(run.streamed, gt_traj).ate < 0.05
 
 
@@ -642,9 +643,9 @@ def reintegrating_setup(rng, **kwargs):
     """A short sliding-window run whose bias drift re-integrates factors."""
     imu = jittered_imu(rng, seconds=1.5)
     config = imu_config(window=5, bias_drift_threshold=5e-3, **kwargs)
-    graph, _ = pgo.build_graph(imu, [], config)
-    toa = [ToaMeasurement(kf.t, bs.id, 5.0 + bs.id)
-           for kf in graph.keyframes for bs in config.stations]
+    graph, _ = pgo.build_graph(imu, NO_RANGES, config)
+    toa = make_toa((kf.t, bs.id, 5.0 + bs.id)
+                   for kf in graph.keyframes for bs in config.stations)
     return imu, toa, config
 
 
@@ -656,9 +657,9 @@ def assert_same_bits(actual, expected):
 class TestSlidingWindowTables:
     def test_window_tables_match_restacked_factors(self, rng, monkeypatch):
         imu, toa, config = reintegrating_setup(rng, final_batch=False)
-        graph, _ = pgo.build_graph(imu, [], config)
+        graph, _ = pgo.build_graph(imu, NO_RANGES, config)
         times = np.array([kf.t for kf in graph.keyframes])
-        nearest = [int(np.argmin(np.abs(times - m.t))) for m in toa]
+        nearest = [int(np.argmin(np.abs(times - t))) for t in toa.t]
         built, steps = [], []
         real_factor, real_optimize = pgo.ImuFactor, pgo.optimize
 
@@ -671,8 +672,10 @@ class TestSlidingWindowTables:
             # from the objects, and the ranges on keyframes [first_kf, n)
             # from the measurements, by keyframe.
             n = values.n_keyframes
-            ranges = sorted(((kf, m.bs_id - 1, m.distance, 0.1)
-                             for kf, m in zip(nearest, toa) if first_kf <= kf < n),
+            ranges = sorted(((kf, bs_id - 1, distance, 0.1)
+                             for kf, bs_id, distance
+                             in zip(nearest, toa.bs_id, toa.distance)
+                             if first_kf <= kf < n),
                             key=lambda row: row[0])
             want = make_tables(imu=built[first_kf:n - 1], ranges=ranges,
                                gravity=config.gravity)

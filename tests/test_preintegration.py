@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from toafusion import eskf
 from toafusion import geometry as geo
 from toafusion import preintegration as pre
-from toafusion.dataset import ImuSample
 from toafusion.errors import InvalidDt
 from toafusion.eskf import GRAVITY, MAX_DT_S, ImuNoiseParams, NavState
 
-from conftest import (assert_matches_oracle, imu_residual, oracle_integrate,
-                      random_rotation)
+from conftest import (assert_matches_oracle, imu_residual, nominal_step,
+                      oracle_integrate, random_rotation)
 
 
 def constant(omega, accel, n, dt=0.005, bias_g=np.zeros(3), bias_a=np.zeros(3),
@@ -131,10 +129,10 @@ class TestResiduals:
 
 
 class TestConsistencyWithNominalPropagation:
-    def propagate_states(self, imu_samples, dts, state0):
+    def propagate_states(self, omega, accel, dts, state0):
         state = state0.copy()
-        for s, dt in zip(imu_samples, dts):
-            state = eskf.propagate_nominal(state, s, dt)
+        for w, a, dt in zip(omega, accel, dts):
+            state = nominal_step(state, w, a, dt)
         return state
 
     def motion_residual(self, p, state0, state_j):
@@ -148,14 +146,11 @@ class TestConsistencyWithNominalPropagation:
         # propagation agree exactly, so all residuals must vanish.
         state0 = NavState.identity()
         state0.v = rng.standard_normal(3)
-        samples = [ImuSample(0, np.zeros(3), rng.uniform(-3, 3, 3))
-                   for _ in range(40)]
+        omega, accel = np.zeros((40, 3)), rng.uniform(-3, 3, (40, 3))
         dts = np.full(40, 0.005)
-        state_j = self.propagate_states(samples, dts, state0)
+        state_j = self.propagate_states(omega, accel, dts, state0)
 
-        p = pre.integrate_batch(np.array([s.omega for s in samples]),
-                                np.array([s.accel for s in samples]), dts,
-                                np.zeros(3), np.zeros(3))
+        p = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3))
         r = self.motion_residual(p, state0, state_j)
         np.testing.assert_allclose(r[0:3], np.zeros(3), atol=1e-8)
         np.testing.assert_allclose(r[3:6], np.zeros(3), atol=1e-6)
@@ -181,14 +176,11 @@ class TestConsistencyWithNominalPropagation:
         # First-order versus RK4 discrepancy scales with omega * |a| * dt,
         # so a gentle rotation keeps the residuals small.
         state0 = NavState.identity()
-        omega = np.array([0.0, 0.0, 0.02])
-        accel = -GRAVITY
-        samples = [ImuSample(0, omega, accel) for _ in range(40)]
+        omega = np.tile([0.0, 0.0, 0.02], (40, 1))
+        accel = np.tile(-GRAVITY, (40, 1))
         dts = np.full(40, 0.005)
-        state_j = self.propagate_states(samples, dts, state0)
-        p = pre.integrate_batch(np.array([s.omega for s in samples]),
-                                np.array([s.accel for s in samples]), dts,
-                                np.zeros(3), np.zeros(3))
+        state_j = self.propagate_states(omega, accel, dts, state0)
+        p = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3))
         r = self.motion_residual(p, state0, state_j)
         assert np.linalg.norm(r[3:6]) < 2e-4
         assert np.linalg.norm(r[6:9]) < 2e-3

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from toafusion import eskf
 from toafusion import geometry as geo
 from toafusion.errors import ConfigError
 from toafusion.eskf import GRAVITY, ImuNoiseParams
@@ -9,12 +8,14 @@ from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  generate_synthetic_trajectory,
                                  initial_state_from_groundtruth)
 
+from conftest import nominal_step
 
-def dead_reckon(imu, gt0):
-    state = initial_state_from_groundtruth([gt0])
+
+def dead_reckon(imu, gt):
+    state = initial_state_from_groundtruth(gt)
     for k in range(1, len(imu)):
-        dt = (imu[k].t - imu[k - 1].t) * 1e-9
-        state = eskf.propagate_nominal(state, imu[k - 1], dt)
+        dt = (imu.t[k] - imu.t[k - 1]) * 1e-9
+        state = nominal_step(state, imu.omega[k - 1], imu.accel[k - 1], dt)
     return state
 
 
@@ -23,12 +24,11 @@ class TestHover:
         spec = SyntheticTrajectorySpec(kind="hover_then_dash", duration_s=3.0,
                                        speed_mps=0.0)
         imu, gt = generate_synthetic_trajectory(spec)
-        for s in imu[:10]:
-            np.testing.assert_allclose(s.omega, np.zeros(3), atol=1e-15)
-            np.testing.assert_allclose(s.accel, -GRAVITY, atol=1e-12)
-        first, last = gt[0], gt[-1]
-        np.testing.assert_allclose(first.position, last.position, atol=1e-12)
-        np.testing.assert_allclose(first.orientation, last.orientation, atol=1e-15)
+        np.testing.assert_allclose(imu.omega[:10], 0.0, atol=1e-15)
+        np.testing.assert_allclose(imu.accel[:10], np.tile(-GRAVITY, (10, 1)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(gt.position[0], gt.position[-1], atol=1e-12)
+        np.testing.assert_allclose(gt.orientation[0], gt.orientation[-1], atol=1e-15)
 
 
 class TestCircle:
@@ -38,22 +38,22 @@ class TestCircle:
         imu, _ = generate_synthetic_trajectory(spec)
         # Lateral body accel is the centripetal term; vertical carries gravity.
         expected_lat = spec.speed_mps ** 2 / spec.radius_m
-        for s in imu[::100]:
-            assert s.accel[1] == pytest.approx(expected_lat, abs=1e-9)
-            assert s.accel[2] == pytest.approx(9.81, abs=1e-9)
-            assert abs(s.accel[0]) < 1e-9
+        accel = imu.accel[::100]
+        np.testing.assert_allclose(accel[:, 1], expected_lat, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(accel[:, 2], 9.81, rtol=0, atol=1e-9)
+        assert np.all(np.abs(accel[:, 0]) < 1e-9)
 
     def test_speed_matches_spec(self):
         spec = SyntheticTrajectorySpec(kind="circle", duration_s=5.0, speed_mps=0.7)
         _, gt = generate_synthetic_trajectory(spec)
-        speeds = [np.linalg.norm(p.velocity) for p in gt]
-        np.testing.assert_allclose(speeds, 0.7, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(gt.velocity, axis=1), 0.7,
+                                   atol=1e-12)
 
     def test_dead_reckoning_round_trip_60s(self):
         spec = SyntheticTrajectorySpec(kind="circle", duration_s=60.0, speed_mps=1.0)
         imu, gt = generate_synthetic_trajectory(spec)
-        state = dead_reckon(imu, gt[0])
-        drift = np.linalg.norm(state.p - gt[-1].position)
+        state = dead_reckon(imu, gt)
+        drift = np.linalg.norm(state.p - gt.position[-1])
         assert drift < 1e-3     # < 1 mm over a full minute
 
 
@@ -63,18 +63,18 @@ class TestFigureEight:
         _, gt = generate_synthetic_trajectory(spec)
         # Central difference of positions approximates the analytic velocity.
         for k in range(1, len(gt) - 1, 50):
-            dt = (gt[k + 1].t - gt[k - 1].t) * 1e-9
-            v_num = (gt[k + 1].position - gt[k - 1].position) / dt
-            np.testing.assert_allclose(v_num, gt[k].velocity, atol=2e-3)
+            dt = (gt.t[k + 1] - gt.t[k - 1]) * 1e-9
+            v_num = (gt.position[k + 1] - gt.position[k - 1]) / dt
+            np.testing.assert_allclose(v_num, gt.velocity[k], atol=2e-3)
 
     def test_dead_reckoning_reasonable(self):
         spec = SyntheticTrajectorySpec(kind="figure_eight", duration_s=30.0,
                                        speed_mps=1.0)
         imu, gt = generate_synthetic_trajectory(spec)
-        state = dead_reckon(imu, gt[0])
+        state = dead_reckon(imu, gt)
         # Zero-order-hold sampling of a curving path costs ~ speed * dt / 2
         # in velocity; centimeters over half a minute.
-        assert np.linalg.norm(state.p - gt[-1].position) < 0.15
+        assert np.linalg.norm(state.p - gt.position[-1]) < 0.15
 
 
 class TestHoverThenDash:
@@ -82,18 +82,18 @@ class TestHoverThenDash:
         spec = SyntheticTrajectorySpec(kind="hover_then_dash", duration_s=12.0,
                                        speed_mps=1.0)
         imu, gt = generate_synthetic_trajectory(spec)
-        assert np.linalg.norm(gt[0].velocity) == 0.0
-        assert np.linalg.norm(gt[-1].velocity) == 0.0
-        top = max(np.linalg.norm(p.velocity) for p in gt)
+        assert np.linalg.norm(gt.velocity[0]) == 0.0
+        assert np.linalg.norm(gt.velocity[-1]) == 0.0
+        top = np.max(np.linalg.norm(gt.velocity, axis=1))
         assert top == pytest.approx(spec.speed_mps, rel=1e-9)
-        assert gt[-1].position[0] > 0.5
+        assert gt.position[-1, 0] > 0.5
 
     def test_dead_reckoning_exact(self):
         spec = SyntheticTrajectorySpec(kind="hover_then_dash", duration_s=12.0,
                                        speed_mps=1.0)
         imu, gt = generate_synthetic_trajectory(spec)
-        state = dead_reckon(imu, gt[0])
-        assert np.linalg.norm(state.p - gt[-1].position) < 1e-9
+        state = dead_reckon(imu, gt)
+        assert np.linalg.norm(state.p - gt.position[-1]) < 1e-9
 
 
 class TestNoiseAndBias:
@@ -101,35 +101,33 @@ class TestNoiseAndBias:
         spec = SyntheticTrajectorySpec(kind="circle", duration_s=1.0)
         a, _ = generate_synthetic_trajectory(spec)
         b, _ = generate_synthetic_trajectory(spec)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.omega, sb.omega)
+        np.testing.assert_array_equal(a.omega, b.omega)
 
     def test_noise_deterministic_per_seed(self):
         spec = SyntheticTrajectorySpec(kind="circle", duration_s=1.0,
                                        imu_noise=ImuNoiseParams(), seed=4)
         a, _ = generate_synthetic_trajectory(spec)
         b, _ = generate_synthetic_trajectory(spec)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.omega, sb.omega)
+        np.testing.assert_array_equal(a.omega, b.omega)
         spec2 = SyntheticTrajectorySpec(kind="circle", duration_s=1.0,
                                         imu_noise=ImuNoiseParams(), seed=5)
         c, _ = generate_synthetic_trajectory(spec2)
-        assert not np.array_equal(a[0].omega, c[0].omega)
+        assert not np.array_equal(a.omega[0], c.omega[0])
 
     def test_constant_bias_applied(self):
         bias = np.array([0.01, -0.02, 0.03])
         spec = SyntheticTrajectorySpec(kind="hover_then_dash", duration_s=2.0,
                                        speed_mps=0.0, gyro_bias=bias)
         imu, gt = generate_synthetic_trajectory(spec)
-        np.testing.assert_allclose(imu[0].omega, bias, atol=1e-15)
-        np.testing.assert_allclose(gt[0].bias_gyro, bias, atol=1e-15)
+        np.testing.assert_allclose(imu.omega[0], bias, atol=1e-15)
+        np.testing.assert_allclose(gt.bias_gyro[0], bias, atol=1e-15)
 
     def test_white_noise_level(self):
         noise = ImuNoiseParams(sigma_g=1e-3, sigma_a=1e-2)
         spec = SyntheticTrajectorySpec(kind="hover_then_dash", duration_s=30.0,
                                        speed_mps=0.0, imu_noise=noise, seed=0)
         imu, _ = generate_synthetic_trajectory(spec)
-        omegas = np.array([s.omega for s in imu])
+        omegas = imu.omega
         # Discrete sigma = density * sqrt(rate)
         expected = 1e-3 * np.sqrt(200.0)
         assert np.std(omegas[:, 0]) == pytest.approx(expected, rel=0.05)
@@ -145,13 +143,13 @@ class TestGroundTruthRates:
         imu, gt = generate_synthetic_trajectory(spec)
         assert len(imu) == 10 * 200 + 1
         assert len(gt) == 10 * 100 + 1
-        assert imu[0].t == gt[0].t == 0
-        assert imu[-1].t == gt[-1].t == int(10e9)
+        assert imu.t[0] == gt.t[0] == 0
+        assert imu.t[-1] == gt.t[-1] == int(10e9)
 
     def test_orientation_is_unit_yaw_quaternion(self):
         spec = SyntheticTrajectorySpec(kind="figure_eight", duration_s=5.0)
         _, gt = generate_synthetic_trajectory(spec)
-        for p in gt[::37]:
-            assert abs(np.linalg.norm(p.orientation) - 1.0) < 1e-12
-            rot = geo.quat_to_rot(p.orientation)
+        for q in gt.orientation[::37]:
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-12
+            rot = geo.quat_to_rot(q)
             assert abs(rot[2, 2] - 1.0) < 1e-12    # yaw-only attitude

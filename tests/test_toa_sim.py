@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from toafusion import toa_sim
-from toafusion.dataset import GroundTruthPose
-from toafusion.errors import ConfigError, EmptyTrajectory
-from toafusion.geometry import quat_identity
+from toafusion.dataset import Trajectory
+from toafusion.errors import ConfigError, EmptyTrajectory, UnknownBsId
+
+
+def poses(t, positions) -> Trajectory:
+    """Ground truth with identity attitude."""
+    t = np.asarray(t, dtype=np.int64)
+    position = np.array(np.broadcast_to(positions, (len(t), 3)), dtype=float)
+    return Trajectory(t, position, np.tile([0.0, 0.0, 0.0, 1.0], (len(t), 1)))
 
 
 def hover_gt(duration_s: float, rate_hz: float = 100.0, position=(0.0, 0.0, 1.0)):
     period = int(round(1e9 / rate_hz))
-    end = int(duration_s * 1e9)
-    return [GroundTruthPose(t, np.array(position), quat_identity())
-            for t in range(0, end + 1, period)]
+    return poses(np.arange(0, int(duration_s * 1e9) + 1, period), position)
 
 
 class TestTrueDistance:
@@ -65,72 +69,114 @@ class TestSimulate:
         gt = hover_gt(2.0)
         stations = toa_sim.default_stations(5)
         model = toa_sim.noiseless_model(5)
-        sim = toa_sim.simulate(gt, stations, model, rate_hz=5.0)
+        toa = toa_sim.simulate(gt, stations, model, rate_hz=5.0).ranges
         by_id = {bs.id: bs for bs in stations}
-        for m in sim:
-            expected = toa_sim.true_distance(np.array([0.0, 0.0, 1.0]), by_id[m.bs_id])
-            assert m.distance == pytest.approx(expected, abs=1e-12)
+        for bs_id, distance in zip(toa.bs_id.tolist(), toa.distance.tolist()):
+            expected = toa_sim.true_distance(np.array([0.0, 0.0, 1.0]), by_id[bs_id])
+            assert distance == pytest.approx(expected, abs=1e-12)
 
     def test_tick_count_and_timestamps(self):
         gt = hover_gt(60.0)
         stations = toa_sim.default_stations(5)
         sim = toa_sim.simulate(gt, stations, toa_sim.noiseless_model(5), rate_hz=5.0)
-        assert len(sim) == 5 * (60 * 5 + 1)
-        times = sorted({m.t for m in sim})
+        assert len(sim) == len(sim.ranges) == 5 * (60 * 5 + 1)
+        times = np.unique(sim.ranges.t)
         diffs = np.diff(times)
         assert np.all(diffs == int(round(1e9 / 5.0)))
-        assert times[0] == gt[0].t
+        assert times[0] == gt.t[0]
+        # Tick-major, station-minor rows.
+        np.testing.assert_array_equal(sim.ranges.t, np.repeat(times, 5))
+        np.testing.assert_array_equal(sim.ranges.bs_id, np.tile([1, 2, 3, 4, 5],
+                                                                len(times)))
 
     def test_deterministic_under_seed(self):
         gt = hover_gt(5.0)
         stations = toa_sim.default_stations(3)
         model = toa_sim.NoiseModel(np.zeros(3), 0.5 * np.ones(3), seed=7)
-        a = toa_sim.simulate(gt, stations, model)
-        b = toa_sim.simulate(gt, stations, model)
-        assert [(m.t, m.bs_id, m.distance) for m in a] == \
-               [(m.t, m.bs_id, m.distance) for m in b]
+        a = toa_sim.simulate(gt, stations, model).ranges
+        b = toa_sim.simulate(gt, stations, model).ranges
+        for column in ("t", "bs_id", "distance"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
         other = toa_sim.simulate(gt, stations,
                                  toa_sim.NoiseModel(np.zeros(3), 0.5 * np.ones(3),
-                                                    seed=8))
-        assert [m.distance for m in a] != [m.distance for m in other]
+                                                    seed=8)).ranges
+        assert not np.array_equal(a.distance, other.distance)
 
     def test_sample_moments_match_model(self):
         # Long hover; the residual d - d_true must reproduce the configured
         # bias and spread within sampling tolerance.
-        gt = [GroundTruthPose(0, np.array([0.0, 0.0, 1.0]), quat_identity()),
-              GroundTruthPose(int(2000e9), np.array([0.0, 0.0, 1.0]), quat_identity())]
+        gt = poses([0, int(2000e9)], [0.0, 0.0, 1.0])
         stations = toa_sim.default_stations(1)
         model = toa_sim.NoiseModel(np.array([0.129]), np.array([0.568]), seed=3)
         sim = toa_sim.simulate(gt, stations, model, rate_hz=5.0)
         true_d = toa_sim.true_distance(np.array([0.0, 0.0, 1.0]), stations[0])
-        residuals = np.array([m.distance for m in sim]) - true_d
+        residuals = sim.ranges.distance - true_d
         assert len(residuals) >= 10_000
         assert abs(np.mean(residuals) - 0.129) < 0.02
         assert abs(np.std(residuals) - 0.568) < 0.02
 
     def test_interpolation_between_poses(self):
-        gt = [GroundTruthPose(0, np.zeros(3), quat_identity()),
-              GroundTruthPose(int(1e9), np.array([1.0, 0.0, 0.0]), quat_identity())]
+        gt = poses([0, int(1e9)], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         bs = [toa_sim.BaseStation(1, np.array([10.0, 0.0, 0.0]))]
         sim = toa_sim.simulate(gt, bs, toa_sim.noiseless_model(1), rate_hz=4.0)
-        dists = [m.distance for m in sim]
-        np.testing.assert_allclose(dists, [10.0, 9.75, 9.5, 9.25, 9.0], atol=1e-9)
+        np.testing.assert_allclose(sim.ranges.distance, [10.0, 9.75, 9.5, 9.25, 9.0],
+                                   atol=1e-9)
 
     def test_clamping_counter(self):
-        gt = [GroundTruthPose(0, np.zeros(3), quat_identity()),
-              GroundTruthPose(int(10e9), np.zeros(3), quat_identity())]
+        gt = poses([0, int(10e9)], np.zeros(3))
         bs = [toa_sim.BaseStation(1, np.array([0.001, 0.0, 0.0]))]
         model = toa_sim.NoiseModel(np.array([0.0]), np.array([5.0]), seed=0)
         sim = toa_sim.simulate(gt, bs, model, rate_hz=5.0)
         assert sim.clamped_count > 0
-        assert all(m.distance >= toa_sim.MIN_DISTANCE_M for m in sim)
+        assert np.all(sim.ranges.distance >= toa_sim.MIN_DISTANCE_M)
+        # The same draws, one range at a time: the clamp count must agree.
+        noise = np.random.default_rng(0).standard_normal(len(sim))
+        unclamped = 0.001 + 5.0 * noise
+        assert sim.clamped_count == int(np.sum(unclamped < toa_sim.MIN_DISTANCE_M))
 
     def test_empty_trajectory(self):
         with pytest.raises(EmptyTrajectory):
-            toa_sim.simulate([], toa_sim.default_stations(1),
+            toa_sim.simulate(poses([], np.zeros(3)), toa_sim.default_stations(1),
                              toa_sim.noiseless_model(1))
 
     def test_negative_rate(self):
         with pytest.raises(ConfigError):
             toa_sim.simulate(hover_gt(1.0), toa_sim.default_stations(1),
                              toa_sim.noiseless_model(1), rate_hz=0.0)
+
+
+class TestLoopOracle:
+    def test_matches_tick_by_tick_draws(self, rng):
+        # The range loop the simulator replaced: one draw per (tick, station)
+        # in tick-major order, clamped one at a time.
+        t = np.arange(0, int(3e9) + 1, int(1e7))
+        gt = poses(t, rng.uniform(-5, 5, (len(t), 3)))
+        stations = toa_sim.default_stations(4)
+        model = toa_sim.NoiseModel(rng.uniform(-0.5, 0.5, 4), rng.uniform(0, 20, 4),
+                                   seed=5)
+        sim = toa_sim.simulate(gt, stations, model, rate_hz=7.0)
+        ticks = np.arange(0, int(3e9) + 1, int(round(1e9 / 7.0)))
+        noise = np.random.default_rng(5).standard_normal((len(ticks), 4))
+        rows, clamped = [], 0
+        for i, tick in enumerate(ticks):
+            p = [np.interp(tick, t, gt.position[:, k]) for k in range(3)]
+            for k, bs in enumerate(stations):
+                d = toa_sim.true_distance(np.array(p), bs)
+                d += float(model.mean[k]) + float(model.std[k]) * float(noise[i, k])
+                if d < toa_sim.MIN_DISTANCE_M:
+                    d, clamped = toa_sim.MIN_DISTANCE_M, clamped + 1
+                rows.append((int(tick), bs.id, d))
+        assert clamped > 0 and sim.clamped_count == clamped
+        assert sim.ranges.t.tolist() == [r[0] for r in rows]
+        assert sim.ranges.bs_id.tolist() == [r[1] for r in rows]
+        np.testing.assert_allclose(sim.ranges.distance, [r[2] for r in rows],
+                                   rtol=1e-15, atol=1e-15)
+
+
+class TestStationRows:
+    def test_index_and_unknown_id(self):
+        stations = toa_sim.default_stations(5)[::-1]
+        np.testing.assert_array_equal(
+            toa_sim.station_rows(stations, np.array([1, 5, 3])), [4, 0, 2])
+        with pytest.raises(UnknownBsId, match="bs_id 9"):
+            toa_sim.station_rows(stations, np.array([1, 9, 3]))
