@@ -22,8 +22,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import pipeline, toa_sim
 from .config import ExperimentConfig, default_config_text, load_config
-from .dataset import (save_groundtruth, save_imu, save_toa, save_trajectory,
-                      write_atomic)
+from .dataset import (save_cov_diag, save_groundtruth, save_imu, save_toa,
+                      save_trajectory, write_atomic)
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import RUNS_CSV_HEADER, SWEEP_CSV_HEADER
 from .synthetic import generate_synthetic_trajectory
@@ -98,17 +98,6 @@ def _write_cost_log(path, report) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _write_cov_diag(path, traj) -> None:
-    header = ("t_ns," + ",".join(f"var_{n}" for n in (
-        "th_x", "th_y", "th_z", "bg_x", "bg_y", "bg_z", "v_x", "v_y", "v_z",
-        "ba_x", "ba_y", "ba_z", "p_x", "p_y", "p_z")))
-    lines = [header]
-    for k in range(len(traj)):
-        vals = ",".join(f"{v:.6g}" for v in traj.cov_diag[k])
-        lines.append(f"{int(traj.t[k])},{vals}")
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
 def cmd_run(args) -> int:
     cfg = _load(args)
     os.makedirs(cfg.run.out_dir, exist_ok=True)
@@ -121,8 +110,8 @@ def cmd_run(args) -> int:
             save_trajectory(os.path.join(outdir, "eskf_trajectory.csv"),
                             result.eskf.trajectory)
             if result.eskf.trajectory.cov_diag is not None:
-                _write_cov_diag(os.path.join(outdir, "eskf_cov_diag.csv"),
-                                result.eskf.trajectory)
+                save_cov_diag(os.path.join(outdir, "eskf_cov_diag.csv"),
+                              result.eskf.trajectory)
             _write_metrics(outdir, "eskf", result.eskf.report)
             metrics_rows.append(f"{seed},eskf," + result.eskf.report.to_csv_row())
             print(f"seed {seed} eskf: ate={result.eskf.report.ate:.4f} m "

@@ -14,12 +14,13 @@ estimates, `Trajectory` (t, position, orientation and optional velocity,
 covariance diagonal and bias columns). ``len()`` is the row count and
 indexing with a slice, mask or index array selects rows.
 
-Lines end in LF; a CR before it counts as whitespace. The header line is
-skipped, as are blank lines. Timestamps and ``bs_id`` are decimal integers
-and every other field a decimal number, with the syntax of Python's
-``int()`` and ``float()``: surrounding whitespace and digit underscores are
-allowed, ``0x1`` and empty fields are not. Timestamps are parsed as int64,
-never through float64, which cannot hold EuRoC nanosecond stamps exactly.
+Lines end in LF; a CR counts as whitespace. The header line is skipped,
+as are blank lines. Timestamps and ``bs_id`` are decimal integers and every
+other field a decimal number, with the syntax of Python's ``int()`` and
+``float()`` except for digit underscores: surrounding spaces and tabs, a
+sign, ``.5``, ``5.`` and exponents are allowed; ``1_0``, ``0x1`` and empty
+fields are not. Timestamps are parsed as int64, never through float64,
+which cannot hold EuRoC nanosecond stamps exactly.
 A byte outside printable ASCII, tab and CR, a wrong column count, an
 unparsable or non-finite number, a ground-truth quaternion whose norm is
 not within 1e-3 of 1 and a ground-truth file mixing row widths are each a
@@ -27,17 +28,22 @@ not within 1e-3 of 1 and a ground-truth file mixing row widths are each a
 instead of sorting. Line numbers in errors are 1-based and count the
 header.
 
-All rows are parsed and checked at once, column by column. Only when a
-check fails are the same checks run again line by line, to raise the
-error of the first offending line.
+All rows are parsed at once by numpy's C reader (``np.loadtxt``) into one
+record array that holds the returned columns, with no Python object per
+field, and checked column by column. Only when a check fails is each line
+parsed again by the same reader and checked, to raise the error of the
+first offending line. The writers format SAVE_CHUNK_ROWS rows at a time
+into a temporary file and rename it over the target when it is complete.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
+import io
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -51,6 +57,9 @@ GROUNDTRUTH_HEADER = (
     "v_x,v_y,v_z,bg_x,bg_y,bg_z,ba_x,ba_y,ba_z"
 )
 TRAJECTORY_HEADER = "t_ns,px,py,pz,qw,qx,qy,qz,vx,vy,vz"
+COV_DIAG_HEADER = "t_ns," + ",".join(f"var_{name}" for name in (
+    "th_x", "th_y", "th_z", "bg_x", "bg_y", "bg_z", "v_x", "v_y", "v_z",
+    "ba_x", "ba_y", "ba_z", "p_x", "p_y", "p_z"))
 
 
 class _Rows:
@@ -100,20 +109,41 @@ class Trajectory(_Rows):
     bias_accel: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def write_atomic(path, text: str) -> None:
-    """Write text to path via a temporary file and rename."""
+def _write_atomic(path, write: Callable[[TextIO], object]) -> None:
+    """Call write on a temporary text file, then rename it to path.
+
+    On any failure the temporary file is removed; an OSError is raised as
+    IoFailure, anything else as it is.
+    """
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        fh = open(tmp, "w", encoding="ascii", newline="\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text to path via a temporary file and rename."""
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 # Every byte a data line may hold: printable ASCII, tab and CR (and LF
 # between lines).
 _TEXT_BYTES = bytes(range(0x20, 0x7f)) + b"\t\r\n"
+# A line of spaces and tabs (not the first); numpy's reader would take it
+# for a row of one empty field.
+_BLANK_LINE = re.compile(rb"\n[ \t]+(?=\n|\Z)")
+_FIRST_LINE = re.compile(rb"[^\n]+")
 
 
 class _Reject(Exception):
@@ -127,52 +157,46 @@ def _malformed(message: str) -> _Reject:
     return _Reject(lambda line_no: MalformedLine(line_no, message))
 
 
-def _convert(cells: list, width: int, n_int: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major byte-string cells of a width-column table to int64 columns
-    (n, n_int) and finite float columns (n, width - n_int), parsed by
-    Python's int() and float()."""
-    n = len(cells) // width
+def _parse(lines, width: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 columns (n, n_int) and finite float columns (n, width - n_int)
+    of an iterable of width-field byte lines without CR or blank lines,
+    parsed by numpy's C reader."""
+    dtype = np.dtype([("ints", np.int64, (n_int,)),
+                      ("floats", float, (width - n_int,))])
     try:
-        ints = np.stack([np.fromiter(map(int, cells[j::width]), np.int64, n)
-                         for j in range(n_int)], axis=1)
-    except (ValueError, OverflowError):
-        raise _malformed("bad integer field") from None
-    try:
-        values = np.fromiter(map(float, cells), float, len(cells))
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                           ndmin=1, encoding="ascii")
     except ValueError:
         raise _malformed("unparsable number") from None
-    floats = values.reshape(n, width)[:, n_int:]
+    floats = table["floats"]
     if not np.isfinite(floats).all():
         raise _malformed("non-finite value")
-    return ints, floats
+    return table["ints"], floats
 
 
-def _cells(body: bytes, widths: tuple[int, ...]) -> Optional[tuple[list, int]]:
-    """The fields of the non-blank lines, row-major, and the column count;
-    None when a byte is outside the text set, a line without commas is not
-    blank, or the rows' column counts differ or are not in widths."""
+def _whole_table(body: bytes, widths: tuple[int, ...], n_int: int,
+                 check: Optional[Callable]
+                 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The columns of all rows of body at once, or None if a check fails."""
     if body.translate(None, _TEXT_BYTES):
         return None
-    raw = np.frombuffer(body, np.uint8)
-    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    # Line k runs from separator bounds[k] to separator bounds[k + 1]
-    # (index -1 and len(seps) stand for the start and end of the body).
-    bounds = np.concatenate([[-1], np.flatnonzero(raw[seps] == ord("\n")),
-                             [len(seps)]])
-    commas = np.diff(bounds) - 1
-    counts = commas[commas > 0] + 1
-    width = int(counts[0]) if len(counts) else widths[0]
-    if width not in widths or (counts != width).any():
+    # CR is whitespace and blank lines go; each step copies only if it
+    # changes the text.
+    text = _BLANK_LINE.sub(b"", body.replace(b"\r", b" ").lstrip(b" \t"))
+    first = _FIRST_LINE.search(text)
+    if first is None:
+        return (np.zeros((0, n_int), np.int64),
+                np.zeros((0, widths[0] - n_int)))
+    width = first.group().count(b",") + 1
+    if width not in widths:
         return None
-    cells = body.replace(b"\n", b",").split(b",")
-    # A line without commas is the one cell after the separator before it.
-    bare = bounds[:-1][commas == 0] + 1
-    if any(cells[k].strip(b" \t\r") for k in bare.tolist()):
+    try:
+        ints, floats = _parse(io.BytesIO(text), width, n_int)
+        if check is not None:
+            check(ints, floats, None)
+    except _Reject:
         return None
-    keep = np.ones(len(cells), dtype=np.uint8)
-    keep[bare] = 0
-    return list(itertools.compress(cells, keep.tobytes())), width
+    return ints, floats
 
 
 def _load_table(path, widths: tuple[int, ...], n_int: int,
@@ -191,33 +215,27 @@ def _load_table(path, widths: tuple[int, ...], n_int: int,
             body = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    table = _cells(body, widths)
+    table = _whole_table(body, widths, n_int, check)
     if table is not None:
-        try:
-            ints, floats = _convert(*table, n_int)
-            if check is not None:
-                check(ints, floats, None)
-            return ints, floats
-        except _Reject:
-            pass
+        return table
     # The failure path: the same checks, one line at a time.
     prev = None
     for k, line in enumerate(body.split(b"\n")):      # line k + 2
         if not line.strip(b" \t\r"):
             continue
-        parts = line.split(b",")
+        width = line.count(b",") + 1
         try:
             if line.translate(None, _TEXT_BYTES):
                 raise _malformed("byte outside printable ASCII")
-            if len(parts) not in widths:
+            if width not in widths:
                 raise _malformed(f"expected {'/'.join(map(str, widths))} "
-                                 f"columns, got {len(parts)}")
-            ints, floats = _convert(parts, len(parts), n_int)
+                                 f"columns, got {width}")
+            ints, floats = _parse([line.replace(b"\r", b" ")], width, n_int)
             if check is not None:
                 check(ints, floats, prev)
         except _Reject as bad:
             raise bad.make(k + 2) from None
-        widths, prev = (len(parts),), ints
+        widths, prev = (width,), ints
     raise AssertionError("a table check failed on no single line")
 
 
@@ -285,17 +303,39 @@ def load_trajectory(path) -> Trajectory:
                       floats[:, 7:10])
 
 
-def _save_table(path, header: str, line: str, ints: np.ndarray,
-                floats: np.ndarray) -> None:
-    """Write one line per row: line % (int fields..., float fields...)."""
+# Rows formatted and written at a time, which bounds a writer's memory.
+SAVE_CHUNK_ROWS = 4096
+
+
+def _save_table(path, header: str, line: str, columns: list) -> None:
+    """Write one line per row: line % (the row's fields, left to right).
+
+    columns are row-aligned (n, k) blocks. SAVE_CHUNK_ROWS rows at a time
+    are gathered as Python ints (from integer blocks) and floats into one
+    object array and formatted by a single % operation.
+    """
     line += "\n"
-    body = "".join([line % (*i, *f)
-                    for i, f in zip(ints.tolist(), floats.tolist())])
-    write_atomic(path, header + "\n" + body)
+    bounds = np.cumsum([0] + [c.shape[1] for c in columns])
+
+    def write(fh: TextIO) -> None:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), SAVE_CHUNK_ROWS):
+            blocks = [c[lo:lo + SAVE_CHUNK_ROWS] for c in columns]
+            chunk = np.empty((len(blocks[0]), bounds[-1]), dtype=object)
+            for block, a, b in zip(blocks, bounds, bounds[1:]):
+                chunk[:, a:b] = block
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+    _write_atomic(path, write)
 
 
 def _or_zeros(column: Optional[np.ndarray], n: int) -> np.ndarray:
-    return column if column is not None else np.zeros((n, 3))
+    return column if column is not None else np.broadcast_to(0.0, (n, 3))
+
+
+def _wxyz(orientation: np.ndarray) -> list:
+    """Views of scalar-last quaternions as w-first column blocks."""
+    return [orientation[:, 3:4], orientation[:, 0:3]]
 
 
 def save_toa(path, toa: ToaArrays, num_stations: Optional[int] = None) -> None:
@@ -306,28 +346,33 @@ def save_toa(path, toa: ToaArrays, num_stations: Optional[int] = None) -> None:
             raise UnknownBsId(f"bs_id {int(toa.bs_id[bad][0])} outside "
                               f"1..{num_stations}")
     _save_table(path, TOA_HEADER, "%d,%d,%.9g",
-                np.column_stack([toa.t, toa.bs_id]), toa.distance[:, None])
+                [toa.t[:, None], toa.bs_id[:, None], toa.distance[:, None]])
 
 
 def save_imu(path, imu: ImuArrays) -> None:
-    _save_table(path, IMU_HEADER, "%d" + ",%.12g" * 6, imu.t[:, None],
-                np.hstack([imu.omega, imu.accel]))
+    _save_table(path, IMU_HEADER, "%d" + ",%.12g" * 6,
+                [imu.t[:, None], imu.omega, imu.accel])
 
 
 def save_groundtruth(path, gt: Trajectory) -> None:
     n = len(gt)
-    _save_table(path, GROUNDTRUTH_HEADER, "%d" + ",%.12g" * 16, gt.t[:, None],
-                np.hstack([gt.position, gt.orientation[:, [3, 0, 1, 2]],
-                           _or_zeros(gt.velocity, n),
-                           _or_zeros(gt.bias_gyro, n),
-                           _or_zeros(gt.bias_accel, n)]))
+    _save_table(path, GROUNDTRUTH_HEADER, "%d" + ",%.12g" * 16,
+                [gt.t[:, None], gt.position, *_wxyz(gt.orientation),
+                 _or_zeros(gt.velocity, n), _or_zeros(gt.bias_gyro, n),
+                 _or_zeros(gt.bias_accel, n)])
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
     """Write the estimator trajectory CSV (quaternion w-first on disk)."""
-    _save_table(path, TRAJECTORY_HEADER, "%d" + ",%.9g" * 10, traj.t[:, None],
-                np.hstack([traj.position, traj.orientation[:, [3, 0, 1, 2]],
-                           _or_zeros(traj.velocity, len(traj))]))
+    _save_table(path, TRAJECTORY_HEADER, "%d" + ",%.9g" * 10,
+                [traj.t[:, None], traj.position, *_wxyz(traj.orientation),
+                 _or_zeros(traj.velocity, len(traj))])
+
+
+def save_cov_diag(path, traj: Trajectory) -> None:
+    """Write the error-state covariance diagonal of each estimate."""
+    _save_table(path, COV_DIAG_HEADER, "%d" + ",%.6g" * 15,
+                [traj.t[:, None], traj.cov_diag])
 
 
 def associate_nearest(reference_ts, query_ts, max_gap: int) -> np.ndarray:

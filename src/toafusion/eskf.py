@@ -160,13 +160,28 @@ def propagate_nominal(q: list, v: list, p: list, w: list, a: list,
     k3 = _rates(q, k2, half, w, a, g)
     k4 = _rates(q, k3, dt, w, a, g)
     sixth = dt / 6.0
-    qv = [y + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-          for y, c1, c2, c3, c4 in zip([*q, *v], k1, k2, k3, k4)]
-    p = [pi + sixth * (vi + 2.0 * (vi + half * c1) + 2.0 * (vi + half * c2)
-                       + (vi + dt * c3))
-         for pi, vi, c1, c2, c3 in zip(p, v, k1[4:], k2[4:], k3[4:])]
-    norm = math.sqrt(qv[0] * qv[0] + qv[1] * qv[1] + qv[2] * qv[2] + qv[3] * qv[3])
-    return [qv[0] / norm, qv[1] / norm, qv[2] / norm, qv[3] / norm], qv[4:7], p
+    # Stage k's quaternion rate is (dxk, dyk, dzk, dsk), its velocity rate
+    # (axk, ayk, azk).
+    dx1, dy1, dz1, ds1, ax1, ay1, az1 = k1
+    dx2, dy2, dz2, ds2, ax2, ay2, az2 = k2
+    dx3, dy3, dz3, ds3, ax3, ay3, az3 = k3
+    dx4, dy4, dz4, ds4, ax4, ay4, az4 = k4
+    vx, vy, vz = v
+    qx = q[0] + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+    qy = q[1] + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+    qz = q[2] + sixth * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
+    qs = q[3] + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+    v_next = [vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+              vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+              vz + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4)]
+    p_next = [p[0] + sixth * (vx + 2.0 * (vx + half * ax1)
+                              + 2.0 * (vx + half * ax2) + (vx + dt * ax3)),
+              p[1] + sixth * (vy + 2.0 * (vy + half * ay1)
+                              + 2.0 * (vy + half * ay2) + (vy + dt * ay3)),
+              p[2] + sixth * (vz + 2.0 * (vz + half * az1)
+                              + 2.0 * (vz + half * az2) + (vz + dt * az3))]
+    norm = math.sqrt(qx * qx + qy * qy + qz * qz + qs * qs)
+    return [qx / norm, qy / norm, qz / norm, qs / norm], v_next, p_next
 
 
 def error_jacobians(q: np.ndarray, w_hat: np.ndarray,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import ImuArrays, Trajectory
-from .errors import ConfigError
+from .errors import ConfigError, EmptyTrajectory
 from .eskf import GRAVITY, ImuNoiseParams, NavState
 
 TRAJECTORY_KINDS = ("circle", "figure_eight", "hover_then_dash")
@@ -197,6 +197,8 @@ def generate_synthetic_trajectory(spec: SyntheticTrajectorySpec,
 
 def initial_state_from_groundtruth(gt: Trajectory) -> NavState:
     """Filter/graph starting point: first reference pose, zero biases."""
+    if len(gt) == 0:
+        raise EmptyTrajectory("ground-truth trajectory is empty")
     vel = gt.velocity[0] if gt.velocity is not None else np.zeros(3)
     return NavState(gt.orientation[0].copy(), np.zeros(3), vel.copy(),
                     np.zeros(3), gt.position[0].copy())

@@ -1,10 +1,21 @@
+import math
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from toafusion import eskf
 from toafusion import geometry as geo
 from toafusion import pgo
 from toafusion.dataset import ImuArrays, ToaArrays
+
+
+# Hypothesis profiles: "dev" (the default) keeps the property tests quick,
+# "ci" runs five times the examples. HYPOTHESIS_PROFILE selects one.
+settings.register_profile("dev", max_examples=20)
+settings.register_profile("ci", max_examples=100)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 1e-3) -> np.ndarray:
@@ -167,6 +178,24 @@ def oracle_propagate_nominal(state, omega, accel, dt, gravity):
     y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return eskf.NavState(geo.quat_normalize(y[0:4]), state.b_g.copy(), y[4:7],
                          state.b_a.copy(), y[7:10])
+
+
+def oracle_nominal_floats(q, v, p, w, a, dt, g=tuple(eskf.GRAVITY.tolist())):
+    """eskf.propagate_nominal as it combined the RK4 stages with zip and list
+    comprehensions: the float step must return these bits."""
+    half = 0.5 * dt
+    k1 = eskf._rates(q, (0.0, 0.0, 0.0, 0.0), 0.0, w, a, g)
+    k2 = eskf._rates(q, k1, half, w, a, g)
+    k3 = eskf._rates(q, k2, half, w, a, g)
+    k4 = eskf._rates(q, k3, dt, w, a, g)
+    sixth = dt / 6.0
+    qv = [y + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+          for y, c1, c2, c3, c4 in zip([*q, *v], k1, k2, k3, k4)]
+    p = [pi + sixth * (vi + 2.0 * (vi + half * c1) + 2.0 * (vi + half * c2)
+                       + (vi + dt * c3))
+         for pi, vi, c1, c2, c3 in zip(p, v, k1[4:], k2[4:], k3[4:])]
+    norm = math.sqrt(qv[0] * qv[0] + qv[1] * qv[1] + qv[2] * qv[2] + qv[3] * qv[3])
+    return [qv[0] / norm, qv[1] / norm, qv[2] / norm, qv[3] / norm], qv[4:7], p
 
 
 def oracle_error_jacobians(state, omega, accel):

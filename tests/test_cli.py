@@ -2,11 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toafusion import cli, toa_sim
 from toafusion.config import default_config_text, parse_config_text
 from toafusion.dataset import load_groundtruth, load_imu, load_toa, load_trajectory
 from toafusion.errors import ConfigError
+
+from test_dataset import MUTATIONS, PROPERTY_SETTINGS, csv_rows, mutate
 
 
 def small_config(tmp_path, **overrides):
@@ -215,6 +219,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert "data error: line 2:" in err and "Traceback" not in err
 
+    def test_empty_groundtruth_with_range_file_exit_code(self, tmp_path, capsys):
+        imu, gt, toa = (tmp_path / name for name in ("imu.csv", "gt.csv", "toa.csv"))
+        imu.write_text("header\n0,0,0,0,0,0,9.81\n5000000,0,0,0,0,0,9.81\n")
+        gt.write_text("header\n")
+        toa.write_text("header\n0,1,3.0\n")
+        config = small_config(
+            tmp_path,
+            **{"source = synthetic": f"source = files\nimu = {imu}\n"
+               f"groundtruth = {gt}\ntoa = {toa}",
+               "estimator = both": "estimator = eskf"})
+        assert cli.main(["run", "--config", config,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "ground-truth trajectory is empty" in capsys.readouterr().err
+
     def test_sliding_mode_writes_streamed(self, tmp_path):
         config = small_config(tmp_path, **{"mode = batch": "mode = sliding",
                                            "window = 100": "window = 15"})
@@ -267,3 +285,30 @@ class TestSweep:
         assert len(lines) == 1 + 1 * 2 * 2      # scenarios x counts x estimators
         runs = (outdir / "runs.csv").read_text().splitlines()
         assert len(runs) == 1 + 1 * 2 * 2 * 1   # ... x seeds
+
+
+class TestRunFuzz:
+    """`run` on tiny, possibly mutated input files ends with an exit code
+    and a one-line message, never a traceback."""
+
+    @settings(PROPERTY_SETTINGS)
+    @given(data=st.data())
+    def test_exit_code_without_traceback(self, tmp_path, capsys, data):
+        files = {}
+        for name in ("imu", "groundtruth", "toa"):
+            rows = data.draw(csv_rows(name))
+            # Half the files stay valid, so that some runs get to the filter.
+            kind = data.draw(st.sampled_from((None,) * len(MUTATIONS) + MUTATIONS))
+            if kind is not None:
+                rows = mutate(data.draw, name, rows, kind)
+            files[name] = tmp_path / f"{name}.csv"
+            files[name].write_bytes(rows)
+        toa = f"\ntoa = {files['toa']}" if data.draw(st.booleans()) else ""
+        config = small_config(tmp_path, **{
+            "source = synthetic": f"source = files\nimu = {files['imu']}\n"
+                                  f"groundtruth = {files['groundtruth']}{toa}",
+            "estimator = both": "estimator = eskf"})
+        code = cli.main(["run", "--config", config, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +9,7 @@ from toafusion import dataset
 from toafusion.errors import (IoFailure, MalformedLine, NonMonotonicTimestamp,
                               UnknownBsId)
 
-from conftest import make_toa
+from conftest import make_imu, make_toa
 
 
 def write(path, text):
@@ -200,6 +202,20 @@ class TestTrajectoryFile:
         np.testing.assert_allclose(loaded.orientation, traj.orientation,
                                    rtol=1e-6, atol=1e-7)
 
+    def test_cov_diag_rows(self, tmp_path, rng):
+        n = 6
+        cov = rng.random((n, 15)) * 10.0 ** rng.integers(-30, 30, (n, 15))
+        cov[0, :3] = [np.inf, 0.0, 5e-324]
+        traj = dataset.Trajectory(np.arange(n, dtype=np.int64) * 10 ** 7,
+                                  np.zeros((n, 3)), np.tile([0.0, 0, 0, 1], (n, 1)),
+                                  cov_diag=cov)
+        path = tmp_path / "cov.csv"
+        dataset.save_cov_diag(path, traj)
+        lines = path.read_text().splitlines()
+        assert lines[0] == dataset.COV_DIAG_HEADER
+        assert lines[1:] == [f"{t}," + ",".join(f"{v:.6g}" for v in row)
+                             for t, row in zip(traj.t.tolist(), cov)]
+
 
 # Property tests of the CSV parser: every loader against a per-line
 # reference parse with Python's int() and float().
@@ -223,6 +239,9 @@ def reference_parse(name: str, data: bytes):
             return MalformedLine, line_no
         parts = line.decode("ascii").split(",")
         if len(parts) not in widths:
+            return MalformedLine, line_no
+        # int() and float() accept digit underscores; numpy's reader does not.
+        if b"_" in line:
             return MalformedLine, line_no
         try:
             ints = [int(p) for p in parts[:n_int]]
@@ -323,8 +342,8 @@ def csv_rows(draw, name: str):
     return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
 
 
-MUTATIONS = ("arity", "nan", "inf", "1e400", "0x1", "empty", "crlf",
-             "non_ascii", "control", "decreasing", "bs_id")
+MUTATIONS = ("arity", "nan", "inf", "1e400", "0x1", "underscore", "empty",
+             "crlf", "non_ascii", "control", "decreasing", "bs_id")
 
 
 def mutate(draw, name: str, data: bytes, kind: str) -> bytes:
@@ -340,6 +359,8 @@ def mutate(draw, name: str, data: bytes, kind: str) -> bytes:
         fields = fields[:-1] if draw(st.booleans()) else fields + [b"0"]
     elif kind in ("nan", "inf", "1e400", "0x1"):
         fields[draw(st.integers(0, len(fields) - 1))] = kind.encode()
+    elif kind == "underscore":
+        fields[draw(st.integers(0, len(fields) - 1))] = b"1_0"
     elif kind == "empty":
         fields[col] = b""
     elif kind == "crlf":
@@ -359,7 +380,8 @@ def mutate(draw, name: str, data: bytes, kind: str) -> bytes:
     return b"\n".join(lines)
 
 
-PROPERTY_SETTINGS = settings(max_examples=20, deadline=None,
+# max_examples comes from the loaded profile (see conftest.py).
+PROPERTY_SETTINGS = settings(deadline=None,
                              suppress_health_check=[HealthCheck.too_slow,
                                                     HealthCheck.function_scoped_fixture])
 
@@ -376,7 +398,8 @@ class TestParserProperties:
     @pytest.mark.parametrize("name, kind", [
         (name, kind) for name in LOADERS for kind in MUTATIONS
         if kind != "bs_id" or name == "toa"])
-    @settings(PROPERTY_SETTINGS, max_examples=6)
+    @settings(PROPERTY_SETTINGS,
+              max_examples=max(6, PROPERTY_SETTINGS.max_examples * 3 // 10))
     @given(data=st.data())
     def test_mutated_rows_raise_the_reference_error(self, tmp_path, name, kind,
                                                     data):
@@ -408,6 +431,86 @@ class TestParserProperties:
                                       np.delete(b, quat, axis=1))
         np.testing.assert_allclose(a[1:, quat].astype(float),
                                    b[1:, quat].astype(float), rtol=0, atol=1e-11)
+
+
+def traced_peak(call):
+    """call()'s result and the peak of traced memory during it; tracemalloc
+    sees Python objects and numpy's array data."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_imu(rng, n: int) -> dataset.ImuArrays:
+    return make_imu(np.arange(n) * 5_000_000 + 1_403_636_579_758_555_392,
+                    rng.standard_normal((n, 3)), 9.81 * rng.standard_normal((n, 3)))
+
+
+class TestBoundedMemory:
+    def test_load_peaks_near_the_columns(self, tmp_path, rng):
+        path = tmp_path / "imu.csv"
+        dataset.save_imu(path, random_imu(rng, 20_000))
+        imu, peak = traced_peak(lambda: dataset.load_imu(path))
+        column_bytes = imu.t.nbytes + imu.omega.nbytes + imu.accel.nbytes
+        # The file text is about twice the columns; a parser that makes an
+        # object per field peaks above twelve times them.
+        assert peak < 5 * column_bytes + 1_000_000
+
+    def test_save_peak_does_not_grow_with_the_rows(self, tmp_path, rng):
+        peaks = []
+        for n in (20_000, 80_000):
+            imu = random_imu(rng, n)
+            peaks.append(traced_peak(lambda: dataset.save_imu(tmp_path / "imu.csv",
+                                                              imu))[1])
+        chunk_column_bytes = dataset.SAVE_CHUNK_ROWS * 7 * 8
+        assert peaks[1] - peaks[0] < chunk_column_bytes
+
+
+class TestAtomicWrites:
+    def test_failed_rename_leaves_no_temporary(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(dataset.os, "replace", refuse)
+        with pytest.raises(IoFailure, match="rename refused"):
+            dataset.write_atomic(tmp_path / "out.txt", "text\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_chunk_write_keeps_the_old_file(self, tmp_path, monkeypatch, rng):
+        path = tmp_path / "imu.csv"
+        path.write_text("old\n")
+        real_open = open
+
+        class FullDisk:
+            """A file whose third write fails, as on a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh, self.writes = real_open(*args, **kwargs), 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(dataset, "SAVE_CHUNK_ROWS", 4)
+        monkeypatch.setattr(dataset, "open", FullDisk, raising=False)
+        with pytest.raises(IoFailure, match="No space left"):
+            dataset.save_imu(path, random_imu(rng, 10))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "old\n"
+
+    def test_unencodable_text_leaves_no_temporary(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            dataset.write_atomic(tmp_path / "out.txt", "caf\u00e9\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExtrinsic:

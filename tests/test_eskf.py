@@ -16,8 +16,9 @@ from toafusion.synthetic import initial_state_from_groundtruth
 from toafusion.toa_sim import default_stations
 
 from conftest import (make_imu, make_toa, nominal_step, oracle_error_jacobians,
-                      oracle_propagate_covariance, oracle_propagate_nominal,
-                      oracle_run_filter, oracle_update, random_quaternion)
+                      oracle_nominal_floats, oracle_propagate_covariance,
+                      oracle_propagate_nominal, oracle_run_filter, oracle_update,
+                      random_quaternion)
 
 
 def random_state(rng) -> NavState:
@@ -492,6 +493,18 @@ class TestSegmentsMatchPerSampleOracle:
             for name in ("q", "b_g", "v", "b_a", "p"):
                 np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                            rtol=0, atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.1])
+    def test_float_step_bit_identical_to_zip_form(self, rng, dt):
+        for _ in range(1000):
+            state = random_state(rng)
+            omega, accel = random_imu(rng)
+            args = (state.q.tolist(), state.v.tolist(), state.p.tolist(),
+                    (omega - state.b_g).tolist(), (accel - state.b_a).tolist(),
+                    dt)
+            got, want = (np.concatenate(step(*args)).tobytes()
+                         for step in (eskf.propagate_nominal, oracle_nominal_floats))
+            assert got == want
 
     def test_segment_chain_matches_rk4(self, rng):
         # A 40-step segment of one trajectory: attitudes and inputs vary.
