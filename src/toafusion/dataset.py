@@ -144,6 +144,10 @@ _TEXT_BYTES = bytes(range(0x20, 0x7f)) + b"\t\r\n"
 # for a row of one empty field.
 _BLANK_LINE = re.compile(rb"\n[ \t]+(?=\n|\Z)")
 _FIRST_LINE = re.compile(rb"[^\n]+")
+# Lines per block when a file that failed as a whole is parsed again to
+# find its first bad line: each block costs one parse, and only the failing
+# one is parsed line by line.
+_BLOCK_LINES = 1024
 
 
 class _Reject(Exception):
@@ -175,9 +179,10 @@ def _parse(lines, width: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _whole_table(body: bytes, widths: tuple[int, ...], n_int: int,
-                 check: Optional[Callable]
+                 check: Optional[Callable], prev: Optional[np.ndarray] = None
                  ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The columns of all rows of body at once, or None if a check fails."""
+    """The columns of all rows of body at once, or None if a check fails.
+    prev is the row before body's first, or None."""
     if body.translate(None, _TEXT_BYTES):
         return None
     # CR is whitespace and blank lines go; each step copies only if it
@@ -193,7 +198,7 @@ def _whole_table(body: bytes, widths: tuple[int, ...], n_int: int,
     try:
         ints, floats = _parse(io.BytesIO(text), width, n_int)
         if check is not None:
-            check(ints, floats, None)
+            check(ints, floats, prev)
     except _Reject:
         return None
     return ints, floats
@@ -218,9 +223,28 @@ def _load_table(path, widths: tuple[int, ...], n_int: int,
     table = _whole_table(body, widths, n_int, check)
     if table is not None:
         return table
-    # The failure path: the same checks, one line at a time.
+    # The failure path: the same parse and checks block by block, then line
+    # by line inside the first block that fails.
+    lines = body.split(b"\n")
     prev = None
-    for k, line in enumerate(body.split(b"\n")):      # line k + 2
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        table = _whole_table(b"\n".join(block), widths, n_int, check, prev)
+        if table is None:
+            _raise_first_bad_line(block, start + 2, widths, n_int, check, prev)
+        ints, floats = table
+        if len(ints):
+            widths, prev = (n_int + floats.shape[1],), ints[-1:]
+    raise AssertionError("a table check failed on no block of lines")
+
+
+def _raise_first_bad_line(lines: list[bytes], first_line_no: int,
+                          widths: tuple[int, ...], n_int: int,
+                          check: Optional[Callable],
+                          prev: Optional[np.ndarray]) -> None:
+    """Raise the error of the first of lines (numbered from first_line_no)
+    that fails a check, taking widths and prev as _whole_table does."""
+    for k, line in enumerate(lines):
         if not line.strip(b" \t\r"):
             continue
         width = line.count(b",") + 1
@@ -234,9 +258,9 @@ def _load_table(path, widths: tuple[int, ...], n_int: int,
             if check is not None:
                 check(ints, floats, prev)
         except _Reject as bad:
-            raise bad.make(k + 2) from None
+            raise bad.make(first_line_no + k) from None
         widths, prev = (width,), ints
-    raise AssertionError("a table check failed on no single line")
+    raise AssertionError("a block check failed on no single line")
 
 
 def _check_increasing(ints: np.ndarray, prev: Optional[np.ndarray],

@@ -20,13 +20,15 @@ through these kernels; no other code linearizes a factor.
 IMU factors only link consecutive keyframes, so with keyframes ordered
 first and stations last the normal equations have arrow form: a
 block-tridiagonal keyframe block of half-bandwidth 2 * KF_DIM - 1, a dense
-keyframe-station coupling and a small dense station block. Each damped
-step factors the keyframe block with a banded Cholesky A = U^T U. One
-triangular band solve W = U^-T [-g_k | B] yields the station Schur
-complement C - W_B^T W_B, and after the station solve a second one, with
-a single right-hand side, yields the keyframe step; no dense matrix over
-all variables is ever formed. The cost at the initial values comes from
-the first assembly.
+keyframe-station coupling and a small dense station block. Assembly sums
+the keyframe block as 15 x 15 blocks, each keyframe's diagonal block and
+the block coupling it to the keyframe before, and gathers them into band
+storage once. Each damped step factors that band with a banded Cholesky
+A = U^T U. One triangular band solve W = U^-T [-g_k | B] yields the station
+Schur complement C - W_B^T W_B, and after the station solve a second one,
+with a single right-hand side, yields the keyframe step; no dense matrix
+over all variables is ever formed. The cost at the initial values comes
+from the first assembly.
 
 The incremental mode re-optimizes a sliding window after each new
 keyframe, summarizing everything older than the window by a state prior
@@ -375,40 +377,52 @@ def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
         return r_w, None
 
     jr_inv = geo.right_jacobian_inv_batch(r_rot)
-    eye6 = np.eye(6)[None]
-    ji = np.zeros((m, 15, KF_DIM))
+    jac = np.zeros((m, 15, 2 * KF_DIM))
+    ji, jj = jac[:, :, :KF_DIM], jac[:, :, KF_DIM:]
     ji[:, 0:3, 0:3] = -jr_inv @ (rot_j.transpose(0, 2, 1) @ rot_i)
     ji[:, 3:6, 0:3] = geo.skew_batch(pos_arg)
     ji[:, 3:6, 3:6] = -rot_it
     ji[:, 3:6, 6:9] = -dt[:, None, None] * rot_it
     ji[:, 6:9, 0:3] = geo.skew_batch(vel_arg)
     ji[:, 6:9, 6:9] = -rot_it
-    ji[:, 9:15, 9:15] = -eye6
+    ji[:, 9:15, 9:15] = -np.eye(6)
     # First-order bias corrections make the motion residuals depend on the
     # bias at keyframe i.
     ji[:, 0:3, 9:12] = -(jr_inv @ err_rot.transpose(0, 2, 1)
                          @ geo.right_jacobian_batch(corr) @ tab.j_rot_bg)
-    ji[:, 3:6, 9:12] += -tab.j_pos_bg
-    ji[:, 3:6, 12:15] += -tab.j_pos_ba
-    ji[:, 6:9, 9:12] += -tab.j_vel_bg
-    ji[:, 6:9, 12:15] += -tab.j_vel_ba
-    jj = np.zeros((m, 15, KF_DIM))
+    ji[:, 3:6, 9:12] = -tab.j_pos_bg
+    ji[:, 3:6, 12:15] = -tab.j_pos_ba
+    ji[:, 6:9, 9:12] = -tab.j_vel_bg
+    ji[:, 6:9, 12:15] = -tab.j_vel_ba
     jj[:, 0:3, 0:3] = jr_inv
     jj[:, 3:6, 3:6] = rot_it
     jj[:, 6:9, 6:9] = rot_it
-    jj[:, 9:15, 9:15] = eye6
-    jac = tab.sqrt_info @ np.concatenate([ji, jj], axis=2)     # (m, 15, 30)
-    return r_w, jac
+    jj[:, 9:15, 9:15] = np.eye(6)
+    return r_w, tab.sqrt_info @ jac
 
 
 # Upper half-bandwidth of the keyframe block of H: an IMU factor couples
 # every coordinate of keyframe k with every coordinate of keyframe k + 1.
 BAND_U = 2 * KF_DIM - 1
+_BLOCK = KF_DIM * KF_DIM
 
-# Upper triangles of the Gramians of keyframe Jacobians by column count: an
-# IMU factor (keyframes i, i + 1), a state prior and a range factor (one
-# keyframe position).
-_TRI = {w: np.triu_indices(w) for w in (2 * KF_DIM, KF_DIM, 3)}
+
+def _band_source() -> np.ndarray:
+    """Per column c of a keyframe and band row r (Fortran order), the offset
+    in its row of H[a, b], a = b + r - BAND_U: in H_kk, H_k-1,k or the 0."""
+    c, r = np.ogrid[:KF_DIM, :BAND_U + 1]
+    a = c + r - BAND_U          # counted from the keyframe's first row
+    return np.where(a >= 0, a * KF_DIM + c,
+                    np.where(a >= -KF_DIM, _BLOCK + (a + KF_DIM) * KF_DIM + c,
+                             2 * _BLOCK)).ravel()
+
+
+_BAND_SOURCE = _band_source()
+
+
+def _band(rows: np.ndarray) -> np.ndarray:
+    """Band storage of H from assembly's keyframe rows [H_kk | H_k-1,k | 0]."""
+    return rows.take(_BAND_SOURCE, axis=1).reshape(-1, BAND_U + 1).T
 
 
 @dataclass
@@ -417,8 +431,9 @@ class NormalEquations:
 
     Keyframe coordinates come first, station coordinates last. The
     block-tridiagonal keyframe block of H is kept in LAPACK upper band
-    storage, band[BAND_U + a - b, b] = H[a, b] for b - BAND_U <= a <= b;
-    the keyframe-station coupling and the station block are dense.
+    storage, band[BAND_U + a - b, b] = H[a, b] for b - BAND_U <= a <= b,
+    in Fortran order (LAPACK's own, so no factorization copies it); the
+    keyframe-station coupling and the station block are dense.
     """
 
     band: np.ndarray        # (BAND_U + 1, 15 n_kf)
@@ -431,102 +446,88 @@ class NormalEquations:
         return np.concatenate([self.band[-1], np.diag(self.stations)])
 
 
-class _Scatter:
-    """Flat (position, value) pairs of a dense array, summed at the end."""
-
-    def __init__(self, *shape: int):
-        self.shape = shape
-        self.pos: list[np.ndarray] = []
-        self.val: list[np.ndarray] = []
-
-    def add(self, pos: np.ndarray, val: np.ndarray) -> None:
-        self.pos.append(np.ravel(pos))
-        self.val.append(np.ravel(val))
-
-    def total(self) -> np.ndarray:
-        size = int(np.prod(self.shape))
-        if not self.pos:
-            return np.zeros(self.shape)
-        return np.bincount(np.concatenate(self.pos), np.concatenate(self.val),
-                           size).reshape(self.shape)
-
-
-def _add_keyframe_rows(band: _Scatter, grad: _Scatter, nk: int,
-                       start: np.ndarray, jac: np.ndarray,
-                       r_w: np.ndarray) -> None:
-    """Add whitened rows to the band and the gradient. Factor k's Jacobian
-    jac[k] (rows, w) covers the w consecutive keyframe columns from
-    start[k]."""
-    a, b = _TRI[jac.shape[2]]
-    h = jac.transpose(0, 2, 1) @ jac
-    band.add((BAND_U + a - b) * nk + start[:, None] + b, h[:, a, b])
-    grad.add(start[:, None] + np.arange(jac.shape[2]),
-             np.einsum("mri,mr->mi", jac, r_w))
-
-
 def _build_normal_equations(tables: FactorTables, values: GraphValues,
                             first_kf: int, n_kf: int,
                             n_st: int) -> NormalEquations:
-    """Assemble H and g from whitened factor blocks straight into arrow form.
-
-    Every block of H lands at its flat position in the band, the coupling
-    or the station block; repeated positions are summed. Raises ValueError
-    for an IMU factor linking keyframes that are not consecutive, which
-    would fall outside the band.
+    """Assemble H and g of the factors on keyframes [first_kf, first_kf +
+    n_kf) in arrow form, with all n_st stations as variables or, for n_st =
+    0, held fixed. The keyframe block is summed 15 x 15 block by block and
+    gathered into band storage once; range and prior terms are summed per
+    keyframe, station and keyframe-station pair. Raises ValueError unless
+    the IMU factors chain keyframes i, i + 1, ... in order, as the band does.
     """
     nk, ns = KF_DIM * n_kf, 3 * n_st
-    band = _Scatter(BAND_U + 1, nk)       # H[r, c] at (BAND_U + r - c) * nk + c
-    coupling = _Scatter(nk, ns)           # H[r, nk + c] at r * ns + c
-    st_block = _Scatter(ns, ns)           # H[nk + r, nk + c] at r * ns + c
-    grad = _Scatter(nk + ns)
+    rows = np.zeros((n_kf, 2 * _BLOCK + 1))       # see _band
+    diag, above = rows[:, :-1].reshape(n_kf, 2, KF_DIM, KF_DIM).transpose(1, 0, 2, 3)
+    grad = np.zeros(nk + ns)
+    grad_k, grad_s = grad[:nk].reshape(n_kf, KF_DIM), grad[nk:].reshape(n_st, 3)
+    coupling = np.zeros((nk, ns))
+    st_blocks = np.zeros((n_st, 3, 3))
+    p = slice(_OFF_P, _OFF_P + 3)
 
-    # Empty tables are skipped: a marginalization has no station priors,
-    # and often no ranges.
+    # Empty tables are skipped: marginalizations often have no ranges.
     residuals = []
     imu = tables.imu
     if len(imu):
-        bad = np.flatnonzero(imu.j != imu.i + 1)
+        bad = np.flatnonzero((imu.i != imu.i[0] + np.arange(len(imu)))
+                             | (imu.j != imu.i + 1))
         if len(bad):
-            raise ValueError(
-                f"IMU factor links keyframes {imu.i[bad[0]]} and "
-                f"{imu.j[bad[0]]}; the banded solver needs j = i + 1")
+            raise ValueError(f"IMU factor {bad[0]} links keyframes {imu.i[bad[0]]} and "
+                             f"{imu.j[bad[0]]}; the banded solver needs a chain i, i + 1, ...")
         r_w, jac = _imu_terms(imu, values, with_jacobians=True)
-        _add_keyframe_rows(band, grad, nk, KF_DIM * (imu.i - first_kf), jac, r_w)
+        # Stacked products are fastest with a contiguous left operand.
+        jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+        lo = imu.i[0] - first_kf
+        ki, kj = slice(lo, lo + len(imu)), slice(lo + 1, lo + 1 + len(imu))
+        # The first terms of their blocks: set, not added.
+        diag[ki] = jac_t[:, :KF_DIM] @ jac[:, :, :KF_DIM]
+        above[kj] = jac_t[:, :KF_DIM] @ jac[:, :, KF_DIM:]
+        diag[kj] += jac_t[:, KF_DIM:] @ jac[:, :, KF_DIM:]
+        g = (jac_t @ r_w[:, :, None])[:, :, 0]
+        grad_k[ki] = g[:, :KF_DIM]
+        grad_k[kj] += g[:, KF_DIM:]
         residuals.append(r_w)
 
     pt = tables.priors
     if len(pt):
         r_w, jac = _prior_terms(pt, values, with_jacobians=True)
-        _add_keyframe_rows(band, grad, nk, KF_DIM * (pt.kf - first_kf), jac, r_w)
+        jac_t = jac.transpose(0, 2, 1)
+        np.add.at(diag, pt.kf - first_kf, jac_t @ jac)
+        np.add.at(grad_k, pt.kf - first_kf, (jac_t @ r_w[:, :, None])[:, :, 0])
         residuals.append(r_w)
 
     rt = tables.ranges
     if len(rt):
         u, r_w = _range_terms(rt, values)
-        # Whitened jacobian rows: -u/sig on the keyframe position block,
-        # +u/sig on the station block.
+        # Whitened Jacobian rows: jp on keyframe positions, -jp on stations.
+        # Sums of [jp jp^T | jp r] per keyframe-station pair; theirs give the diagonals.
         jp = -u / rt.sigma[:, None]
-        p_start = KF_DIM * (rt.kf - first_kf) + _OFF_P
-        _add_keyframe_rows(band, grad, nk, p_start, jp[:, None], r_w[:, None])
-        uu = jp[:, :, None] * jp[:, None, :]                    # (m,3,3)
-        p_rows = p_start[:, None] + np.arange(3)
-        s_rows = (3 * rt.station)[:, None] + np.arange(3)
-        coupling.add(p_rows[:, :, None] * ns + s_rows[:, None, :], -uu)
-        st_block.add(s_rows[:, :, None] * ns + s_rows[:, None, :], uu)
-        grad.add(nk + s_rows, -jp * r_w[:, None])
+        n_all = len(values.stations)
+        pair = (rt.kf - first_kf) * n_all + rt.station
+        outer = jp[:, :, None] * np.concatenate([jp, r_w[:, None]], axis=1)[:, None]
+        terms = np.bincount((12 * pair[:, None] + np.arange(12)).ravel(),
+                            outer.ravel(), 12 * n_kf * n_all).reshape(n_kf, n_all, 3, 4)
+        per_kf, per_st = terms.sum(axis=1), terms.sum(axis=0)
+        diag[:, p, p] += per_kf[..., :3]
+        grad_k[:, p] += per_kf[..., 3]
+        if n_st:
+            coupling.reshape(n_kf, KF_DIM, n_st, 3)[:, p] = -terms[..., :3].transpose(0, 2, 1, 3)
+            st_blocks += per_st[..., :3]
+            grad_s -= per_st[..., 3]
         residuals.append(r_w)
 
     sp = tables.stations
     if len(sp):
         r_w = _station_terms(sp, values)
-        s_rows = (3 * sp.station)[:, None] + np.arange(3)
-        st_block.add(s_rows * (ns + 1), np.repeat(sp.inv_sigma[:, None] ** 2, 3, 1))
-        grad.add(nk + s_rows, sp.inv_sigma[:, None] * r_w)
+        if n_st:
+            np.add.at(st_blocks, sp.station, sp.inv_sigma[:, None, None] ** 2 * np.eye(3))
+            np.add.at(grad_s, sp.station, sp.inv_sigma[:, None] * r_w)
         residuals.append(r_w)
 
-    cost = _sum_squares(*residuals)
-    return NormalEquations(band.total(), coupling.total(), st_block.total(),
-                           grad.total(), cost)
+    stations = np.zeros((n_st, 3, n_st, 3))
+    stations[np.arange(n_st), :, np.arange(n_st)] = st_blocks
+    return NormalEquations(_band(rows), coupling, stations.reshape(ns, ns),
+                           grad, _sum_squares(*residuals))
 
 
 def _sum_squares(*residuals: np.ndarray) -> float:
@@ -566,7 +567,7 @@ def _solve_damped(neq: NormalEquations, damping: np.ndarray) -> np.ndarray:
     definite.
     """
     nk, ns = neq.coupling.shape
-    band = neq.band.copy()
+    band = neq.band.copy(order="F")
     band[-1] += damping[:nk]
     factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
                                           check_finite=False)
@@ -677,8 +678,8 @@ def _marginalize_dropped(dropped: FactorTables, values: GraphValues,
     dropped subgraph.
 
     `dropped` holds the factors leaving the window, on keyframes
-    [first_kf, new_first]. Their keyframe band is assembled like a solve's
-    (station blocks held fixed: the anchors carry tight priors of their
+    [first_kf, new_first]. Their keyframe band is assembled like a solve's,
+    with the stations held fixed (the anchors carry tight priors of their
     own), with 1e-9 added to its diagonal, and factored by banded Cholesky
     A = U^T U. With the separator keyframe `new_first` ordered last, the
     trailing block U_ss of U has U_ss^T U_ss = A_ss - A_sd A_dd^-1 A_ds,
@@ -687,18 +688,17 @@ def _marginalize_dropped(dropped: FactorTables, values: GraphValues,
     is double counted. Returns None when A is not positive definite.
     """
     n_mini = new_first - first_kf + 1
-    neq = _build_normal_equations(dropped, values, first_kf, n_mini,
-                                  values.stations.shape[0])
-    band = neq.band
+    band = _build_normal_equations(dropped, values, first_kf, n_mini, 0).band
     band[-1] += 1e-9
     try:
         factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
                                               check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    a, b = _TRI[KF_DIM]
-    u_ss = np.zeros((KF_DIM, KF_DIM))
-    u_ss[a, b] = factor[BAND_U + a - b, KF_DIM * (n_mini - 1) + b]
+    # The separator's block of U by the inverse of _band's gather.
+    row = np.zeros(2 * _BLOCK + 1)
+    row[_BAND_SOURCE] = factor[:, -KF_DIM:].T.ravel()
+    u_ss = row[:_BLOCK].reshape(KF_DIM, KF_DIM)
     return u_ss if np.all(np.isfinite(u_ss)) else None
 
 

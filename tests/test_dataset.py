@@ -448,6 +448,47 @@ def random_imu(rng, n: int) -> dataset.ImuArrays:
                     rng.standard_normal((n, 3)), 9.81 * rng.standard_normal((n, 3)))
 
 
+class TestFailurePathBlocks:
+    """A file that fails as a whole is parsed again block by block, and line
+    by line only inside the failing block: the error and its line number
+    are still those of the first bad line."""
+
+    N = 3 * dataset._BLOCK_LINES + 100
+    FIRST, MIDDLE, LAST = 5, dataset._BLOCK_LINES + 500, N - 1
+
+    def rows(self):
+        return [f"{1000 * (k + 1)},0.1,0.2,0.3,9.8,0,0.1" for k in range(self.N)]
+
+    @pytest.mark.parametrize("row", [FIRST, MIDDLE, LAST])
+    def test_malformed_line(self, tmp_path, row):
+        rows = self.rows()
+        rows[row] += "_"
+        p = write(tmp_path / "imu.csv", "\n".join([dataset.IMU_HEADER] + rows))
+        with pytest.raises(MalformedLine) as err:
+            dataset.load_imu(p)
+        assert err.value.line_no == row + 2
+
+    @pytest.mark.parametrize("row", [dataset._BLOCK_LINES,
+                                     2 * dataset._BLOCK_LINES - 1])
+    def test_timestamp_checked_across_block_edges(self, tmp_path, row):
+        # The first row of the second block, and the last of the second
+        # block followed by a valid third block.
+        rows = self.rows()
+        rows[row] = "500" + rows[row][rows[row].index(","):]
+        p = write(tmp_path / "imu.csv", "\n".join([dataset.IMU_HEADER] + rows))
+        with pytest.raises(NonMonotonicTimestamp) as err:
+            dataset.load_imu(p)
+        assert err.value.line_no == row + 2
+
+    def test_first_line_fixes_the_width_in_later_blocks(self, tmp_path):
+        rows = [f"{k + 1},1,2,3,1,0,0,0" for k in range(self.N)]
+        rows[self.MIDDLE] += ",0.5,0.6,0.7"
+        p = write(tmp_path / "gt.csv", "\n".join(["header"] + rows) + "\n")
+        with pytest.raises(MalformedLine, match="expected 8 columns") as err:
+            dataset.load_groundtruth(p)
+        assert err.value.line_no == self.MIDDLE + 2
+
+
 class TestBoundedMemory:
     def test_load_peaks_near_the_columns(self, tmp_path, rng):
         path = tmp_path / "imu.csv"

@@ -788,6 +788,49 @@ class TestNormalEquations:
         assert neq.cost == pytest.approx(cost, rel=1e-10)
         assert pgo._window_cost(tables, values) == pytest.approx(cost, rel=1e-10)
 
+    def test_window_assembly_matches_dense_oracle(self, rng):
+        # A window on keyframes 2..6 of 7, as a sliding solve reads it:
+        # ranges only on its first and last keyframes, with one
+        # keyframe-station pair measured twice, and two priors on a
+        # keyframe after the first.
+        graph, values = oracle_graph(rng, n_kf=7)
+        first_kf, n_kf, n_st = 2, 5, values.stations.shape[0]
+        spread = rng.standard_normal((15, 15))
+        ranges = [(k, s, float(rng.uniform(1, 20)), 0.2)
+                  for k in (2, 6) for s in range(n_st)] + [(6, 1, 4.0, 0.3)]
+        priors = [(4, random_rotation(rng), rng.standard_normal(3),
+                   rng.standard_normal(3), rng.standard_normal(6),
+                   0.02 * np.eye(15) + 1e-3 * spread @ spread.T)] * 2
+        stations = [(s, values.stations[s] + 0.01, 1e-2) for s in range(n_st)]
+        window = make_tables(graph.imu_factors[first_kf:], ranges, priors,
+                             stations)
+        neq = pgo._build_normal_equations(window, values, first_kf, n_kf, n_st)
+        h, g, cost = dense_oracle(window, values, first_kf)
+        nk = pgo.KF_DIM * n_kf
+        assert_rel_close(neq.band, upper_band(h[:nk, :nk], pgo.BAND_U), 1e-10)
+        assert_rel_close(neq.coupling, h[:nk, nk:], 1e-10)
+        assert_rel_close(neq.stations, h[nk:, nk:], 1e-10)
+        assert_rel_close(neq.grad, g, 1e-10)
+        assert neq.cost == pytest.approx(cost, rel=1e-10)
+
+    def test_band_gather_matches_upper_band(self, rng):
+        # Keyframe rows [H_kk | H_k-1,k | 0] of a random block-tridiagonal
+        # symmetric matrix.
+        n, d = 4, pgo.KF_DIM
+        h = np.zeros((n * d, n * d))
+        rows = np.zeros((n, 2 * d * d + 1))
+        for k in range(n):
+            block = rng.standard_normal((d, d))
+            h[k * d:(k + 1) * d, k * d:(k + 1) * d] = block + block.T
+            rows[k, :d * d] = (block + block.T).ravel()
+            if k:
+                above = rng.standard_normal((d, d))
+                h[(k - 1) * d:k * d, k * d:(k + 1) * d] = above
+                h[k * d:(k + 1) * d, (k - 1) * d:k * d] = above.T
+                rows[k, d * d:2 * d * d] = above.ravel()
+        np.testing.assert_array_equal(pgo._band(rows),
+                                      upper_band(h, pgo.BAND_U))
+
     def test_banded_schur_step_matches_dense_solve(self, rng):
         # With two stations, and without any (no Schur complement).
         for graph, values in (oracle_graph(rng), oracle_graph(rng, n_st=0)):
@@ -823,12 +866,30 @@ class TestNormalEquations:
         with pytest.raises(error):
             pgo.optimize(graph, values)
 
+    @pytest.mark.parametrize("fault, error", [("nan", NonFiniteCost),
+                                              ("on_station", DegenerateGeometry)])
+    def test_marginalization_raises_on_bad_values(self, rng, fault, error):
+        # It holds the stations fixed, but still evaluates their ranges and
+        # the cost.
+        graph, values = oracle_graph(rng)
+        values.pos[0] = np.nan if fault == "nan" else values.stations[0]
+        dropped = TestMarginalization().dropped(graph, 0, 1)
+        with pytest.raises(error):
+            pgo._marginalize_dropped(dropped, values, 0, 1)
+
     def test_non_consecutive_imu_factor_rejected(self, rng):
         graph, values = oracle_graph(rng, n_kf=3)
         f = graph.imu_factors[0]
         graph.tables.imu = make_tables(imu=graph.imu_factors + [
             pgo.ImuFactor(0, 2, f.pre, f.samples)]).imu
         with pytest.raises(ValueError, match="links keyframes 0 and 2"):
+            pgo.optimize(graph, values)
+
+    def test_repeated_imu_keyframe_rejected(self, rng):
+        graph, values = oracle_graph(rng, n_kf=3)
+        f0, f1 = graph.imu_factors
+        graph.tables.imu = make_tables(imu=[f0, f0, f1]).imu
+        with pytest.raises(ValueError, match="IMU factor 1 links keyframes 0 and 1"):
             pgo.optimize(graph, values)
 
 
