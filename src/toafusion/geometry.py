@@ -213,6 +213,27 @@ def quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
     ], axis=1).reshape(-1, 3, 3)
 
 
+def rot_to_quat_batch(rot: np.ndarray) -> np.ndarray:
+    """rot_to_quat for an (N, 3, 3) stack, returning (N, 4): each row takes
+    its own branch, then the w >= 0 flip and the normalization, bit for
+    bit as rot_to_quat of the row alone."""
+    m = np.asarray(rot, dtype=float)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.transpose(1, 2, 0)
+    # rot_to_quat's branches in its order, each as (t, q).
+    t = np.stack([1.0 + m00 - m11 - m22, 1.0 - m00 + m11 - m22,
+                  1.0 - m00 - m11 + m22, 1.0 + m00 + m11 + m22])
+    q = np.stack([[t[0], m10 + m01, m02 + m20, m21 - m12],
+                  [m10 + m01, t[1], m21 + m12, m02 - m20],
+                  [m02 + m20, m21 + m12, t[2], m10 - m01],
+                  [m21 - m12, m02 - m20, m10 - m01, t[3]]])
+    branch = np.where(m22 < 0.0, np.where(m00 > m11, 0, 1),
+                      np.where(m00 < -m11, 2, 3))
+    rows = np.arange(len(m))
+    q = q[branch, :, rows] * (0.5 / np.sqrt(t[branch, rows]))[:, None]
+    q[q[:, 3] < 0.0] *= -1.0
+    return q / row_norms(q)[:, None]
+
+
 def exp_so3_batch(theta: np.ndarray) -> np.ndarray:
     """exp_so3 for an (N, 3) stack, returning (N, 3, 3)."""
     theta = np.asarray(theta, dtype=float)

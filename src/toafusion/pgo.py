@@ -37,11 +37,11 @@ each new IMU factor fills its own row, re-integrated factors rewrite
 theirs, and each window solve and each marginalization reads row slices.
 
 Both modes share one setup (keyframe times, initial values, the initial
-and station priors and the range table), read the IMU columns (strictly
-increasing timestamps required) and slice each keyframe interval by
-binary search. `build_graph` preintegrates every interval at the initial
-bias in one batched kernel call; factors whose bias estimate drifts are
-re-integrated together, one kernel call per check.
+and station priors and the range table) and `_add_imu_factors`, which
+slices keyframe intervals from the IMU columns (strictly increasing
+timestamps required), preintegrates them at one bias and whitens them in
+one batched call each. Drifted factors are re-integrated and re-whitened
+together, one call each per check.
 """
 
 from __future__ import annotations
@@ -70,14 +70,34 @@ _OFF_TH, _OFF_P, _OFF_V, _OFF_B = 0, 3, 6, 9
 
 
 def _sqrt_info(cov: np.ndarray) -> np.ndarray:
-    """S with S^T S = cov^-1, via the Cholesky factor of cov."""
-    cov = 0.5 * (cov + cov.T)
-    jitter = 1e-14 * max(float(np.trace(cov)) / cov.shape[0], 1e-12)
+    """S with S^T S = cov^-1 for a (d, d) covariance or each of a (..., d, d)
+    stack: S = L^-1, L the lower Cholesky factor of the symmetrized cov plus
+    a relative jitter, inverted by forward substitution over all matrices
+    at once. Raises IndefiniteCovariance unless all are positive definite."""
+    d = cov.shape[-1]
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    jitter = 1e-14 * np.maximum(np.trace(cov, axis1=-2, axis2=-1) / d, 1e-12)
     try:
-        lower = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+        lower = np.linalg.cholesky(cov + jitter[..., None, None] * np.eye(d))
     except np.linalg.LinAlgError as exc:
         raise IndefiniteCovariance(f"covariance not positive definite: {exc}") from exc
-    return scipy.linalg.solve_triangular(lower, np.eye(cov.shape[0]), lower=True)
+    inv = np.zeros_like(lower)
+    for r in range(d):
+        inv[..., r, r] = 1.0
+        inv[..., r, :r] -= (lower[..., r, None, :r] @ inv[..., :r, :r])[..., 0, :]
+        inv[..., r, :r + 1] /= lower[..., r, r, None]
+    return inv
+
+
+def _imu_sqrt_info(batch: PreintegratedBatch) -> np.ndarray:
+    """(m, 15, 15) square-root information of the IMU factors of a batch.
+    The covariance is block-diagonal: `cov` over (rotation, position,
+    velocity), then the bias random walk over the interval."""
+    walk = np.repeat([batch.noise.sigma_wg ** 2, batch.noise.sigma_wa ** 2], 3)
+    cov = np.zeros((len(batch.dt_total), 15, 15))
+    cov[:, 0:9, 0:9] = batch.cov
+    cov[:, range(9, 15), range(9, 15)] = walk * batch.dt_total[:, None]
+    return _sqrt_info(cov)
 
 
 @dataclass(frozen=True)
@@ -110,28 +130,18 @@ class GraphValues:
         return self.pos.shape[0]
 
 
+@dataclass(eq=False)
 class ImuFactor:
     """Preintegrated IMU data between keyframes i and j: the increments
     `pre`, the samples they came from (kept for re-integration) and the
-    square-root information of the 15-dof residual. Its covariance is
-    block-diagonal: `pre.cov` over (rotation, position, velocity), then the
-    bias random walk over the interval."""
+    square-root information of the 15-dof residual, a row of
+    `_imu_sqrt_info`."""
 
-    def __init__(self, i: int, j: int, pre: PreintegratedImu,
-                 samples: tuple[np.ndarray, np.ndarray, np.ndarray]):
-        self.i = i
-        self.j = j
-        self.samples = samples        # (omega, accel, dt)
-        self._set_pre(pre)
-
-    def _set_pre(self, pre: PreintegratedImu) -> None:
-        self.pre = pre
-        n = pre.noise
-        cov = np.zeros((15, 15))
-        cov[0:9, 0:9] = pre.cov
-        cov[9:15, 9:15] = np.diag([n.sigma_wg ** 2 * pre.dt_total] * 3 +
-                                  [n.sigma_wa ** 2 * pre.dt_total] * 3)
-        self.sqrt_info = _sqrt_info(cov)
+    i: int
+    j: int
+    pre: PreintegratedImu
+    samples: tuple[np.ndarray, np.ndarray, np.ndarray]    # (omega, accel, dt)
+    sqrt_info: np.ndarray
 
 
 class _Table:
@@ -150,7 +160,7 @@ class _Table:
         return len(getattr(self, fields(self)[0].name))
 
 
-# Fields of PreintegratedImu copied into an _ImuTable row of the same name.
+# Fields of PreintegratedBatch copied into the _ImuTable column of the same name.
 _PRE_ROW_FIELDS = ("d_rot", "d_pos", "d_vel", "j_rot_bg", "j_pos_bg",
                    "j_pos_ba", "j_vel_bg", "j_vel_ba")
 
@@ -177,23 +187,25 @@ class _ImuTable(_Table):
     _SHARED = ("gravity",)
 
     @classmethod
-    def zeros(cls, m: int, gravity: np.ndarray) -> "_ImuTable":
-        """m rows for `write` to fill."""
-        return cls(np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64),
-                   np.zeros((m, 3, 3)), np.zeros((m, 3)), np.zeros((m, 3)),
-                   *(np.zeros((m, 3, 3)) for _ in range(5)),
+    def chain(cls, m: int, gravity: np.ndarray) -> "_ImuTable":
+        """m zero rows, row k linking keyframes k and k + 1, for `put` to
+        fill."""
+        i = np.arange(m)
+        return cls(i, i + 1, np.zeros((m, 3, 3)), np.zeros((m, 3)),
+                   np.zeros((m, 3)), *(np.zeros((m, 3, 3)) for _ in range(5)),
                    np.zeros(m), np.zeros((m, 15, 15)), np.zeros((m, 6)),
                    gravity)
 
-    def write(self, k: int, f: ImuFactor) -> None:
-        """Row k from the factor and its current preintegration."""
-        pre = f.pre
-        self.i[k], self.j[k] = f.i, f.j
+    def put(self, rows, batch: PreintegratedBatch,
+            sqrt_info: np.ndarray) -> None:
+        """Rows (a slice or an index array) from the intervals of batch and
+        their square-root information, in order."""
         for name in _PRE_ROW_FIELDS:
-            getattr(self, name)[k] = getattr(pre, name)
-        self.dt[k] = pre.dt_total
-        self.sqrt_info[k] = f.sqrt_info
-        self.bias_lin[k, 0:3], self.bias_lin[k, 3:6] = pre.bias_gyro, pre.bias_accel
+            getattr(self, name)[rows] = getattr(batch, name)
+        self.dt[rows] = batch.dt_total
+        self.sqrt_info[rows] = sqrt_info
+        self.bias_lin[rows, 0:3] = batch.bias_gyro
+        self.bias_lin[rows, 3:6] = batch.bias_accel
 
 
 @dataclass
@@ -744,7 +756,7 @@ def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
     prior_sigma = ([config.prior_sigma_rot] * 3 + [config.prior_sigma_pos] * 3
                    + [config.prior_sigma_vel] * 3 + [config.prior_sigma_bias] * 6)
     tables = FactorTables(
-        _ImuTable.zeros(n - 1, config.gravity),
+        _ImuTable.chain(n - 1, config.gravity),
         _range_table(keyframes, toa, config),
         _PriorTable.one(0, rot0, state.p, state.v, b0,
                         _sqrt_info(np.diag(np.square(prior_sigma)))),
@@ -753,57 +765,57 @@ def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
     return keyframes, values, tables
 
 
-def _slice_interval(imu: ImuArrays, keyframes: Sequence[KeyframeId], k: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, accel, dt) of the samples between keyframes k and k + 1."""
-    samples = pre_mod.slice_imu_between(imu, keyframes[k].t, keyframes[k + 1].t)
-    if len(samples[2]) == 0:
+def _add_imu_factors(imu: ImuArrays, keyframes: Sequence[KeyframeId],
+                     tab: _ImuTable, lo: int, hi: int, bias: np.ndarray,
+                     noise: ImuNoiseParams) -> tuple[PreintegratedBatch, list[ImuFactor]]:
+    """The IMU factors of keyframes k and k + 1 for k in [lo, hi): slice,
+    preintegrate at the (6,) bias and whiten all intervals in one call each,
+    and fill rows [lo, hi) of tab. Returns the batch and the factors."""
+    times = np.array([kf.t for kf in keyframes[lo:hi + 1]], dtype=np.int64)
+    omega, accel, dt, counts = pre_mod.slice_imu_between(imu, times)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        k = lo + int(empty[0])
         raise EmptyInput(f"no IMU samples between keyframes {k} and {k + 1}")
-    return samples
-
-
-def _integrate_intervals(samples: Sequence[tuple], bias: np.ndarray,
-                         noise: ImuNoiseParams) -> PreintegratedBatch:
-    """Preintegrate intervals in one kernel call, padded to the longest.
-
-    bias is one (6,) linearization point for all intervals, or one row per
-    interval.
-    """
-    counts = np.array([len(dts) for _, _, dts in samples], dtype=np.int64)
-    m, n = len(samples), int(counts.max(initial=0))
-    omega, accel, dts = np.zeros((m, n, 3)), np.zeros((m, n, 3)), np.zeros((m, n))
-    for k, (w, a, d) in enumerate(samples):
-        omega[k, :len(d)], accel[k, :len(d)], dts[k, :len(d)] = w, a, d
-    return pre_mod.integrate_batch(omega, accel, dts, bias[..., 0:3],
-                                   bias[..., 3:6], noise, counts)
+    batch = pre_mod.integrate_batch(omega, accel, dt, bias[0:3], bias[3:6], noise,
+                                    counts)
+    tab.put(slice(lo, hi), batch, _imu_sqrt_info(batch))
+    # Factors view their table rows and the IMU columns (increasing stamps
+    # drop no sample), so no stacked array outlives the build.
+    first = np.searchsorted(imu.t, times[:-1]).tolist()
+    return batch, [ImuFactor(lo + k, lo + k + 1, batch.at(k),
+                             (imu.omega[s:s + c], imu.accel[s:s + c], dt[k, :c].copy()),
+                             tab.sqrt_info[lo + k])
+                   for k, (s, c) in enumerate(zip(first, counts.tolist()))]
 
 
 def build_graph(imu: ImuArrays, toa: ToaArrays,
                 config: PgoConfig) -> tuple[FactorGraph, GraphValues]:
-    """Construct the full factor graph and dead-reckoned initial values."""
+    """Construct the full factor graph and dead-reckoned initial values.
+    All intervals are sliced, preintegrated at the initial bias, whitened
+    and dead-reckoned in one batched call each."""
     keyframes, values, tables = _setup(imu, toa, config)
-    n = len(keyframes)
-    # Every factor is linearized at the initial bias: one kernel call.
-    samples = [_slice_interval(imu, keyframes, k) for k in range(n - 1)]
-    batch = _integrate_intervals(samples, values.bias[0], config.noise)
-    imu_factors = []
-    for k in range(n - 1):
-        fac = ImuFactor(k, k + 1, batch.at(k), samples[k])
-        imu_factors.append(fac)
-        tables.imu.write(k, fac)
-        rot_j, p_j, v_j = pre_mod.predict(fac.pre, values.rot[k], values.pos[k],
-                                          values.vel[k], config.gravity)
-        values.rot[k + 1], values.pos[k + 1], values.vel[k + 1] = rot_j, p_j, v_j
-    return FactorGraph(keyframes, tables, imu_factors), values
+    batch, factors = _add_imu_factors(imu, keyframes, tables.imu, 0,
+                                      len(keyframes) - 1, values.bias[0],
+                                      config.noise)
+    values.rot[:], values.pos[:], values.vel[:] = pre_mod.predict_chain(
+        batch, values.rot[0], values.pos[0], values.vel[0], config.gravity)
+    return FactorGraph(keyframes, tables, factors), values
 
 
-def _reintegrate(factors: Sequence[ImuFactor], bias: np.ndarray) -> None:
+def _reintegrate(factors: Sequence[ImuFactor], bias: np.ndarray
+                 ) -> tuple[PreintegratedBatch, np.ndarray]:
     """Redo the integration of factors at new linearization points (one
-    bias row each) in one kernel call. The factors share one noise model."""
-    batch = _integrate_intervals([f.samples for f in factors], bias,
-                                 factors[0].pre.noise)
+    bias row each) in one kernel call, and their whitening in one more.
+    The factors share one noise model. Returns the new batch and its
+    square-root information, row k for factors[k]."""
+    omega, accel, dt, counts = pre_mod.pad_intervals([f.samples for f in factors])
+    batch = pre_mod.integrate_batch(omega, accel, dt, bias[:, 0:3], bias[:, 3:6],
+                                    factors[0].pre.noise, counts)
+    sqrt_info = _imu_sqrt_info(batch)
     for k, f in enumerate(factors):
-        f._set_pre(batch.at(k))
+        f.pre, f.sqrt_info = batch.at(k), sqrt_info[k]
+    return batch, sqrt_info
 
 
 def _reintegrate_drifted(factors: Sequence[ImuFactor], tab: _ImuTable,
@@ -817,18 +829,16 @@ def _reintegrate_drifted(factors: Sequence[ImuFactor], tab: _ImuTable,
     moved = np.abs(bias[tab.i[lo:hi]] - tab.bias_lin[lo:hi])
     rows = lo + np.flatnonzero(np.max(moved, axis=1) > threshold)
     if rows.size:
-        _reintegrate([factors[k] for k in rows], bias[tab.i[rows]])
-        for k in rows:
-            tab.write(k, factors[k])
+        tab.put(rows, *_reintegrate([factors[k] for k in rows], bias[tab.i[rows]]))
     return int(rows.size)
 
 
 def values_to_trajectory(keyframes: Sequence[KeyframeId],
                          values: GraphValues) -> Trajectory:
+    n = len(keyframes)
     t = np.array([kf.t for kf in keyframes], dtype=np.int64)
-    quat = np.array([geo.rot_to_quat(values.rot[k]) for k in range(len(keyframes))])
-    return Trajectory(t, values.pos[:len(keyframes)].copy(), quat,
-                      values.vel[:len(keyframes)].copy())
+    return Trajectory(t, values.pos[:n].copy(), geo.rot_to_quat_batch(values.rot[:n]),
+                      values.vel[:n].copy())
 
 
 @dataclass
@@ -878,12 +888,12 @@ def _solve_relinearizing(graph: FactorGraph, values: GraphValues,
 def _seed_from_trajectory(graph: FactorGraph, values: GraphValues,
                           traj: Trajectory) -> None:
     kf_times = [kf.t for kf in graph.keyframes]
-    pairs = associate_nearest(traj.t, kf_times, max_gap=np.iinfo(np.int64).max)
-    for est_idx, kf_idx in pairs.tolist():
-        values.rot[kf_idx] = geo.quat_to_rot(traj.orientation[est_idx])
-        values.pos[kf_idx] = traj.position[est_idx]
-        if traj.velocity is not None:
-            values.vel[kf_idx] = traj.velocity[est_idx]
+    est, kf = associate_nearest(traj.t, kf_times, max_gap=np.iinfo(np.int64).max).T
+    # Keyframe indices are unique, so no assignment overwrites another.
+    values.rot[kf] = geo.quat_to_rot_batch(traj.orientation[est])
+    values.pos[kf] = traj.position[est]
+    if traj.velocity is not None:
+        values.vel[kf] = traj.velocity[est]
 
 
 def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
@@ -905,10 +915,8 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
 
     stream_opts = OptimizeOptions(config.max_iters_stream, config.damping_init,
                                   config.stream_cost_tol, config.step_tol)
-    stream_t: list[int] = [keyframes[0].t]
-    stream_pos: list[np.ndarray] = [values.pos[0].copy()]
-    stream_quat: list[np.ndarray] = [geo.rot_to_quat(values.rot[0])]
-    stream_vel: list[np.ndarray] = [values.vel[0].copy()]
+    # Row j: keyframe j's estimate right after its own window solve.
+    stream = values.copy()
     step_times: list[float] = []
     reintegrations = 0
     marginal_fallbacks = 0
@@ -916,17 +924,12 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
     prior = tables.priors       # the state prior on keyframe first_kf
 
     for j in range(1, n):
-        samples = _slice_interval(imu, keyframes, j - 1)
-        bias = values.bias[j - 1]
-        pre = pre_mod.integrate_batch(*samples, bias[0:3], bias[3:6],
-                                      config.noise)
-        fac = ImuFactor(j - 1, j, pre, samples)
+        _, (fac,) = _add_imu_factors(imu, keyframes, tables.imu, j - 1, j,
+                                     values.bias[j - 1], config.noise)
         imu_factors.append(fac)
-        tables.imu.write(j - 1, fac)
-        rot_j, p_j, v_j = pre_mod.predict(fac.pre, values.rot[j - 1],
-                                          values.pos[j - 1], values.vel[j - 1],
-                                          config.gravity)
-        values.rot[j], values.pos[j], values.vel[j] = rot_j, p_j, v_j
+        values.rot[j], values.pos[j], values.vel[j] = pre_mod.predict(
+            fac.pre, values.rot[j - 1], values.pos[j - 1], values.vel[j - 1],
+            config.gravity)
         values.bias[j] = values.bias[j - 1]
 
         tic = time.perf_counter()
@@ -966,14 +969,10 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
             imu_factors, tables.imu, values.bias, config.bias_drift_threshold,
             first_kf, j)
         step_times.append((time.perf_counter() - tic) * 1e3)
-        stream_t.append(keyframes[j].t)
-        stream_pos.append(values.pos[j].copy())
-        stream_quat.append(geo.rot_to_quat(values.rot[j]))
-        stream_vel.append(values.vel[j].copy())
+        stream.rot[j], stream.pos[j], stream.vel[j] = (values.rot[j], values.pos[j],
+                                                       values.vel[j])
 
-    streamed = Trajectory(np.array(stream_t, dtype=np.int64),
-                          np.array(stream_pos), np.array(stream_quat),
-                          np.array(stream_vel))
+    streamed = values_to_trajectory(keyframes, stream)
 
     batch_traj = None
     final_report = None

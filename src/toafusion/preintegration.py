@@ -33,6 +33,12 @@ bit-for-bit unchanged. Intervals go through the kernel in passes of at
 most 1024 sample slots, which bounds the memory of the per-sample 9x9
 terms. `integrate_batch` is the entry point for one interval ((n, 3)
 inputs) and for many ((m, n, 3)).
+
+The padded form comes from `slice_imu_between`, which cuts the samples of
+many consecutive intervals out of the IMU columns with one binary search
+and one gather, or from `pad_intervals`, which packs samples kept per
+interval. `predict_chain` dead-reckons through consecutive intervals at
+once.
 """
 
 from __future__ import annotations
@@ -288,20 +294,74 @@ def predict(pre: PreintegratedImu, rot_i: np.ndarray, p_i: np.ndarray,
     return rot_j, p_j, v_j
 
 
-def slice_imu_between(imu: ImuArrays, t_start: int, t_end: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract (omega, accel, dt) arrays for samples with t in [t_start, t_end).
+def predict_chain(batch: PreintegratedBatch, rot_0: np.ndarray, p_0: np.ndarray,
+                  v_0: np.ndarray, gravity: np.ndarray = GRAVITY
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dead-reckon keyframes 1..m from keyframe 0 through the m consecutive
+    intervals of batch: (m + 1, ...) rotations, positions and velocities,
+    bit for bit as `predict` applied interval after interval. Rotations
+    chain by 3 x 3 products; velocities and positions are running sums
+    with predict's order of additions."""
+    m = len(batch.dt_total)
+    rot = np.empty((m + 1, 3, 3))
+    rot[0] = rot_0
+    for k in range(m):
+        rot[k + 1] = rot[k] @ batch.d_rot[k]
+    dt = batch.dt_total[:, None]
+    vel = _running_sum(v_0[None], (gravity * dt)[None],
+                       (rot[:m] @ batch.d_vel[..., None])[None, ..., 0])[0]
+    pos = _running_sum(p_0[None], (vel[:m] * dt)[None],
+                       (0.5 * gravity * dt * dt)[None],
+                       (rot[:m] @ batch.d_pos[..., None])[None, ..., 0])[0]
+    return rot, pos, vel
 
-    Each sample's dt runs to the next sample's timestamp, capped at t_end so
-    batches tile the timeline exactly; samples with dt <= 0 are dropped.
-    The timestamps must be sorted. When no sample is dropped, omega and
-    accel are views into imu.
+
+def pad_intervals(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-interval (omega, accel, dt) samples in the padded form that
+    `slice_imu_between` returns for many intervals."""
+    counts = np.array([len(dt) for _, _, dt in samples], dtype=np.int64)
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    padded = []
+    for part in zip(*samples):
+        arr = np.zeros(real.shape + part[0].shape[1:])
+        arr[real] = np.concatenate(part)
+        padded.append(arr)
+    return (*padded, counts)
+
+
+def slice_imu_between(imu: ImuArrays, t_start, t_end: Optional[int] = None):
+    """The IMU samples of one interval, or of m consecutive intervals padded.
+
+    With stamps t_start and t_end: (omega, accel, dt) of the samples with t
+    in [t_start, t_end). With t_start a sorted array of m + 1 boundaries
+    and no t_end: the samples of interval k = [t_start[k], t_start[k + 1])
+    in row k of padded arrays, omega and accel (m, n, 3) and dt (m, n),
+    plus the (m,) counts; row k holds counts[k] samples followed by zeros,
+    and n is the largest count.
+
+    Each sample's dt runs to the next sample's timestamp, capped at the end
+    of its interval so intervals tile the timeline exactly; samples with
+    dt <= 0 are dropped. The timestamps must be sorted. One binary search
+    places every boundary and one gather fills the rows.
     """
     t = imu.t
-    lo, hi = np.searchsorted(t, [t_start, t_end])
-    t_next = np.append(t[lo + 1:hi + 1], t_end)[:hi - lo]
-    dt = (np.minimum(t_next, t_end) - t[lo:hi]) * 1e-9
-    keep = dt > 0.0
-    if keep.all():      # always so for strictly increasing stamps
-        return imu.omega[lo:hi], imu.accel[lo:hi], dt
-    return imu.omega[lo:hi][keep], imu.accel[lo:hi][keep], dt[keep]
+    bounds = np.asarray(t_start if t_end is None else (t_start, t_end),
+                        dtype=np.int64)
+    edges = np.searchsorted(t, bounds)
+    lo, hi = edges[0], edges[-1]
+    t_next = np.append(t[lo + 1:hi + 1], bounds[-1])[:hi - lo]
+    cap = np.repeat(bounds[1:], np.diff(edges))
+    dt = (np.minimum(t_next, cap) - t[lo:hi]) * 1e-9
+    kept = np.flatnonzero(dt > 0.0)      # all of them for increasing stamps
+    starts = np.searchsorted(kept, edges - lo)
+    counts = np.diff(starts)
+    n = int(counts.max(initial=0))
+    slot = starts[:-1, None] + np.arange(n)
+    pad = slot >= starts[1:, None]
+    rows = kept[np.minimum(slot, len(kept) - 1)]
+    omega, accel, dt = imu.omega[lo + rows], imu.accel[lo + rows], dt[rows]
+    omega[pad], accel[pad], dt[pad] = 0.0, 0.0, 0.0
+    if t_end is None:
+        return omega, accel, dt, counts
+    return omega[0, :counts[0]], accel[0, :counts[0]], dt[0, :counts[0]]

@@ -140,13 +140,25 @@ def assert_matches_oracle(pre, expected: dict, tol: float = 1e-12) -> None:
     assert isinstance(pre.count, int)
 
 
+def imu_table(factors, gravity=eskf.GRAVITY):
+    """IMU factor table copied row by row from ImuFactor objects: the
+    reference for the tables the package fills by slice."""
+    tab = pgo._ImuTable.chain(len(factors), gravity)
+    for k, f in enumerate(factors):
+        tab.i[k], tab.j[k] = f.i, f.j
+        for name in pgo._PRE_ROW_FIELDS:
+            getattr(tab, name)[k] = getattr(f.pre, name)
+        tab.dt[k] = f.pre.dt_total
+        tab.sqrt_info[k] = f.sqrt_info
+        tab.bias_lin[k, 0:3], tab.bias_lin[k, 3:6] = f.pre.bias_gyro, f.pre.bias_accel
+    return tab
+
+
 def imu_residual(pre, state_i, state_j, gravity=eskf.GRAVITY) -> np.ndarray:
     """Unwhitened 15-dof residual (rotation, position, velocity, bias) of
     the increments pre between two keyframe states (rot, p, v[, bias]),
     from the solver's IMU kernel. Biases default to zero."""
-    tab = pgo._ImuTable.zeros(1, gravity)
-    tab.write(0, pgo.ImuFactor(0, 1, pre, None))
-    tab.sqrt_info[0] = np.eye(15)
+    tab = imu_table([pgo.ImuFactor(0, 1, pre, None, np.eye(15))], gravity)
     states = [tuple(s) + (np.zeros(6),) * (4 - len(s)) for s in (state_i, state_j)]
     values = pgo.GraphValues(*(np.array(c, dtype=float) for c in zip(*states)),
                              stations=np.zeros((0, 3)))

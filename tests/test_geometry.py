@@ -203,6 +203,21 @@ class TestQuaternionBatch:
             want = [geo.quat_mul(x, y) for x, y in zip(a, np.broadcast_to(other, a.shape))]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
+    def test_rot_to_quat_batch_matches_scalar_bit_for_bit(self, rng):
+        rot = np.concatenate([
+            np.array([random_rotation(rng) for _ in range(400)]),
+            # Half turns about each axis and the identity sit on branch edges.
+            np.array([np.eye(3), np.diag([1.0, -1.0, -1.0]),
+                      np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])])])
+        m00, m11, m22 = rot[:, 0, 0], rot[:, 1, 1], rot[:, 2, 2]
+        branch = np.where(m22 < 0.0, np.where(m00 > m11, 0, 1),
+                          np.where(m00 < -m11, 2, 3))
+        assert np.bincount(branch, minlength=4).min() >= 20
+        got = geo.rot_to_quat_batch(rot)
+        want = np.array([geo.rot_to_quat(r) for r in rot])
+        assert got.shape == (len(rot), 4)
+        assert got.tobytes() == want.tobytes()
+
     def test_row_norms_match_linalg_norm_bit_for_bit(self, rng):
         x = rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-3, 4, (500, 1))
         np.testing.assert_array_equal(geo.row_norms(x),

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
 from toafusion import toa_sim
+from toafusion.dataset import Trajectory
 from toafusion.errors import (DataError, DegenerateGeometry, EmptyInput,
                               IndefiniteCovariance, InvalidDt, NonFiniteCost,
                               NonMonotonicTimestamp, NumericalError,
@@ -16,8 +17,8 @@ from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  initial_state_from_groundtruth)
 from toafusion.toa_sim import BaseStation, default_stations
 
-from conftest import (assert_matches_oracle, imu_residual, make_imu, make_toa,
-                      oracle_integrate, oracle_slice, random_rotation)
+from conftest import (assert_matches_oracle, imu_residual, imu_table, make_imu,
+                      make_toa, oracle_integrate, oracle_slice, random_rotation)
 
 
 def make_values(rng, n_kf, n_st):
@@ -33,9 +34,7 @@ def make_tables(imu=(), ranges=(), priors=(), stations=(), gravity=GRAVITY):
     """Factor tables from ImuFactor objects and plain rows:
     ranges (kf, station, distance, sigma), priors (kf, rot0, p0, v0, b0,
     cov) and stations (station, center, sigma)."""
-    imu_tab = pgo._ImuTable.zeros(len(imu), gravity)
-    for k, f in enumerate(imu):
-        imu_tab.write(k, f)
+    imu_tab = imu_table(imu, gravity)
 
     def col(rows, c, dtype=float, shape=()):
         return np.array([r[c] for r in rows], dtype=dtype).reshape((len(rows),) + shape)
@@ -154,8 +153,10 @@ def random_imu_factor(rng, i=0, bias=np.zeros(6), noise=ImuNoiseParams()):
     omega = rng.uniform(-1, 1, (20, 3))
     accel = rng.uniform(-5, 5, (20, 3))
     dts = np.full(20, 0.005)
-    p = pre.integrate_batch(omega, accel, dts, bias[0:3], bias[3:6], noise)
-    return pgo.ImuFactor(i, i + 1, p, (omega, accel, dts))
+    p = pre.integrate_batch(omega[None], accel[None], dts[None], bias[0:3],
+                            bias[3:6], noise)
+    return pgo.ImuFactor(i, i + 1, p.at(0), (omega, accel, dts),
+                         pgo._imu_sqrt_info(p)[0])
 
 
 class TestRangeResidual:
@@ -283,6 +284,15 @@ class TestBuildGraph:
         with pytest.raises(EmptyInput):
             pgo.build_graph(regular_imu(skip=range(201)), NO_RANGES, config)
 
+    def test_empty_interval_names_its_keyframes(self):
+        # Samples 60-80 (0.300-0.400 s) missing: keyframes 3 and 4 have none
+        # between them.
+        imu = regular_imu(skip=range(60, 81))
+        config = imu_config(final_batch=False)
+        for run in (pgo.build_graph, pgo.run_sliding_window):
+            with pytest.raises(EmptyInput, match="between keyframes 3 and 4$"):
+                run(imu, NO_RANGES, config)
+
 
 def jittered_imu(rng, seconds=2.0, rate_hz=200.0, jitter_ns=1_500_000,
                  drop=0.05):
@@ -331,6 +341,31 @@ class TestImuDataPath:
             counts.add(len(dts))
         assert len(counts) >= 3     # unequal interval lengths were padded
 
+    def test_table_factors_and_dead_reckoning_agree(self, rng):
+        imu = jittered_imu(rng)
+        config = imu_config()
+        graph, values = pgo.build_graph(imu, NO_RANGES, config)
+        # The table filled by slice holds each factor's own row, bit for bit.
+        want = make_tables(imu=graph.imu_factors, gravity=config.gravity).imu
+        for fld in dataclasses.fields(want):
+            assert_same_bits(getattr(graph.tables.imu, fld.name),
+                             getattr(want, fld.name))
+        noise = config.noise
+        for f in graph.imu_factors:
+            # Whitening matches the per-factor covariance and Cholesky.
+            cov = np.zeros((15, 15))
+            cov[0:9, 0:9] = f.pre.cov
+            cov[9:15, 9:15] = np.diag([noise.sigma_wg ** 2 * f.pre.dt_total] * 3
+                                      + [noise.sigma_wa ** 2 * f.pre.dt_total] * 3)
+            ref = TestWhitening.reference(cov)
+            assert np.max(np.abs(f.sqrt_info - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # Keyframe j is dead-reckoned from keyframe i, bit for bit.
+            state_j = pre.predict(f.pre, values.rot[f.i], values.pos[f.i],
+                                  values.vel[f.i], config.gravity)
+            for got, exp in zip((values.rot[f.j], values.pos[f.j], values.vel[f.j]),
+                                state_j):
+                assert_same_bits(got, exp)
+
     def test_sliding_factors_match_oracle_at_their_bias_point(self, rng,
                                                               monkeypatch):
         imu = jittered_imu(rng, seconds=1.5)
@@ -350,7 +385,7 @@ class TestImuDataPath:
             for f, b in zip(factors, bias):
                 lin = np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
                 moves.append(np.max(np.abs(lin - b)))
-            real_reintegrate(factors, bias)
+            return real_reintegrate(factors, bias)
         monkeypatch.setattr(pgo, "ImuFactor", factor)
         monkeypatch.setattr(pgo, "_reintegrate", reintegrate)
         run = pgo.run_sliding_window(imu, toa, config)
@@ -605,6 +640,29 @@ class TestRunBatch:
         np.testing.assert_array_equal(a.orientation, b.orientation)
 
 
+class TestSeedFromTrajectory:
+    def test_matches_per_keyframe_assignment(self, rng):
+        imu, gt, toa, config = noiseless_setup(duration=2.0)
+        graph, values = pgo.build_graph(imu, toa, config)
+        # Every other ground-truth pose, perturbed: each keyframe takes the
+        # pose nearest in time.
+        sub = gt[::2]
+        n = len(sub)
+        quat = sub.orientation + 0.1 * rng.standard_normal((n, 4))
+        traj = Trajectory(sub.t, sub.position + rng.standard_normal((n, 3)),
+                          quat / np.linalg.norm(quat, axis=1)[:, None],
+                          sub.velocity + rng.standard_normal((n, 3)))
+        want = values.copy()
+        times = np.array([kf.t for kf in graph.keyframes])
+        for k, t in enumerate(times):
+            est = int(np.argmin(np.abs(traj.t - t)))   # earlier one on ties
+            want.rot[k] = geo.quat_to_rot(traj.orientation[est])
+            want.pos[k], want.vel[k] = traj.position[est], traj.velocity[est]
+        pgo._seed_from_trajectory(graph, values, traj)
+        for name in ("rot", "pos", "vel", "bias"):
+            assert_same_bits(getattr(values, name), getattr(want, name))
+
+
 class TestSlidingWindow:
     def test_wide_window_equals_batch(self):
         imu, gt, toa, config = noiseless_setup(duration=4.0)
@@ -700,7 +758,7 @@ class TestSlidingWindowTables:
 
         def reintegrate(factors, bias):
             passed.append(len(factors))
-            real_reintegrate(factors, bias)
+            return real_reintegrate(factors, bias)
 
         def solve_relinearizing(graph, values, config):
             out = real_solve(graph, values, config)
@@ -881,7 +939,7 @@ class TestNormalEquations:
         graph, values = oracle_graph(rng, n_kf=3)
         f = graph.imu_factors[0]
         graph.tables.imu = make_tables(imu=graph.imu_factors + [
-            pgo.ImuFactor(0, 2, f.pre, f.samples)]).imu
+            pgo.ImuFactor(0, 2, f.pre, f.samples, f.sqrt_info)]).imu
         with pytest.raises(ValueError, match="links keyframes 0 and 2"):
             pgo.optimize(graph, values)
 
@@ -987,6 +1045,39 @@ class TestSolverFailures:
         with pytest.raises(IndefiniteCovariance):
             pgo._sqrt_info(np.diag([1.0, -1.0, 1.0]))
         assert issubclass(IndefiniteCovariance, NumericalError)
+
+
+class TestWhitening:
+    @staticmethod
+    def reference(cov):
+        """Whitening of one covariance by scipy's Cholesky factor and
+        triangular solve."""
+        d = len(cov)
+        cov = 0.5 * (cov + cov.T)
+        jitter = 1e-14 * max(float(np.trace(cov)) / d, 1e-12)
+        lower = scipy.linalg.cholesky(cov + jitter * np.eye(d), lower=True)
+        return scipy.linalg.solve_triangular(lower, np.eye(d), lower=True)
+
+    def test_stack_matches_per_matrix(self, rng):
+        # Well-conditioned covariances over twelve decades of scale.
+        a = rng.standard_normal((40, 15, 15))
+        scale = 10.0 ** rng.integers(-10, 3, (40, 1, 1))
+        covs = scale * (a @ a.swapaxes(1, 2) / 15 + 0.1 * np.eye(15))
+        got = pgo._sqrt_info(covs)
+        assert got.shape == covs.shape
+        for cov, s in zip(covs, got):
+            want = self.reference(cov)
+            tol = 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(s - want)) <= tol
+            assert np.max(np.abs(pgo._sqrt_info(cov) - want)) <= tol
+            assert not np.any(np.triu(s, 1))
+
+    def test_one_indefinite_matrix_fails_the_stack(self, rng):
+        a = rng.standard_normal((5, 6, 6))
+        covs = a @ a.swapaxes(1, 2) + np.eye(6)
+        covs[3, 2, 2] = -1.0
+        with pytest.raises(IndefiniteCovariance):
+            pgo._sqrt_info(covs)
 
 
 class TestWindowSolveSize:

@@ -6,8 +6,9 @@ from toafusion import preintegration as pre
 from toafusion.errors import InvalidDt
 from toafusion.eskf import GRAVITY, MAX_DT_S, ImuNoiseParams, NavState
 
-from conftest import (assert_matches_oracle, imu_residual, nominal_step,
-                      oracle_integrate, random_rotation)
+from conftest import (assert_matches_oracle, imu_residual, make_imu,
+                      nominal_step, oracle_integrate, oracle_slice,
+                      random_rotation)
 
 
 def constant(omega, accel, n, dt=0.005, bias_g=np.zeros(3), bias_a=np.zeros(3),
@@ -285,3 +286,99 @@ class TestBatchedKernel:
                                     np.zeros((2, 0)), np.zeros(3), np.zeros(3))
         assert batch.count == 0
         np.testing.assert_array_equal(batch.d_rot, np.repeat(np.eye(3)[None], 2, 0))
+
+
+def assert_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestSlicing:
+    def stamps(self, rng, n=400, period=5_000_000, jitter=1_500_000):
+        t = np.arange(n, dtype=np.int64) * period
+        t[1:] += rng.integers(-jitter, jitter + 1, n - 1)
+        return t
+
+    def readings(self, rng, t):
+        return make_imu(t, rng.uniform(-1, 1, (len(t), 3)),
+                        rng.uniform(-5, 5, (len(t), 3)))
+
+    def check(self, imu, bounds):
+        """The padded multi-interval slice holds, row by row, what one
+        call per interval and the linear-scan oracle give, bit for bit."""
+        omega, accel, dt, counts = pre.slice_imu_between(imu, np.array(bounds))
+        assert omega.shape == accel.shape == dt.shape + (3,)
+        assert dt.shape == (len(bounds) - 1, int(counts.max(initial=0)))
+        for k in range(len(bounds) - 1):
+            c = counts[k]
+            one = pre.slice_imu_between(imu, bounds[k], bounds[k + 1])
+            for got, single, want in zip((omega[k], accel[k], dt[k]), one,
+                                         oracle_slice(imu, bounds[k], bounds[k + 1])):
+                assert_bits(got[:c], want)
+                assert_bits(single, want)
+                assert not np.any(got[c:])       # padding is zero
+        return counts
+
+    def test_jittered_stamps_match_per_interval_calls(self, rng):
+        t = self.stamps(rng)
+        imu = self.readings(rng, t)
+        bounds = list(range(0, int(t[-1]), 100_000_000))
+        counts = self.check(imu, bounds)
+        assert len(set(counts.tolist())) >= 3
+
+    def test_gap_and_capped_last_interval(self, rng):
+        t = self.stamps(rng)
+        keep = (t < 600_000_000) | (t >= 950_000_000)   # a 350 ms gap
+        t = t[keep]
+        imu = self.readings(rng, t)
+        # Boundaries off the sample grid; the last one before the final
+        # sample caps that interval's last step, and the one after the
+        # last sample caps the step of the last sample itself.
+        bounds = [3_000_000, 250_000_001, 597_000_000, 700_000_000, 900_000_000,
+                  1_000_000_000, int(t[-2]) + 1, int(t[-1]) + 2_000_000]
+        counts = self.check(imu, bounds)
+        assert counts[3] == 0              # wholly inside the gap
+        _, _, dt, counts = pre.slice_imu_between(imu, np.array(bounds))
+        assert dt[-1, counts[-1] - 1] == pytest.approx(2e-3)
+        assert dt[-2, counts[-2] - 1] == pytest.approx(1e-9)
+
+    def test_repeated_stamps_dropped_like_single_calls(self, rng):
+        t = np.repeat(np.arange(60, dtype=np.int64) * 5_000_000, 2)[:-3]
+        imu = self.readings(rng, t)
+        counts = self.check(imu, [0, 52_000_000, 100_000_000, 310_000_000])
+        assert counts.tolist() == [11, 9, 39]    # one sample per distinct stamp
+
+    def test_no_samples(self):
+        imu = make_imu(np.array([0, 5_000_000]), np.zeros(3), np.zeros(3))
+        omega, accel, dt, counts = pre.slice_imu_between(
+            imu, np.array([10_000_000, 20_000_000, 30_000_000]))
+        assert counts.tolist() == [0, 0] and dt.shape == (2, 0)
+        assert omega.shape == accel.shape == (2, 0, 3)
+
+    def test_pad_intervals_inverts_the_padding(self, rng):
+        t = self.stamps(rng, n=120)
+        imu = self.readings(rng, t)
+        sliced = pre.slice_imu_between(imu, np.arange(0, 550_000_000, 90_000_000))
+        omega, accel, dt, counts = sliced
+        rows = [(omega[k, :c], accel[k, :c], dt[k, :c])
+                for k, c in enumerate(counts.tolist())]
+        for got, want in zip(pre.pad_intervals(rows), sliced):
+            assert_bits(got, want)
+
+
+class TestPredictChain:
+    def test_matches_predict_interval_by_interval(self, rng):
+        lengths = [19, 21, 20, 20, 1, 21]
+        omega, accel, dts = random_intervals(rng, lengths)
+        batch = pre.integrate_batch(omega, accel, dts, np.full(3, 0.01),
+                                    np.full(3, -0.2), counts=lengths)
+        rot0 = random_rotation(rng)
+        p0, v0 = rng.standard_normal(3), rng.standard_normal(3)
+        gravity = np.array([0.1, -0.2, -9.8])
+        rot, pos, vel = pre.predict_chain(batch, rot0, p0, v0, gravity)
+        want = [(rot0, p0, v0)]
+        for k in range(len(lengths)):
+            want.append(pre.predict(batch.at(k), *want[-1], gravity))
+        for got, col in zip((rot, pos, vel), zip(*want)):
+            assert_bits(got, np.array(col))
