@@ -772,7 +772,8 @@ def _add_imu_factors(imu: ImuArrays, keyframes: Sequence[KeyframeId],
     preintegrate at the (6,) bias and whiten all intervals in one call each,
     and fill rows [lo, hi) of tab. Returns the batch and the factors."""
     times = np.array([kf.t for kf in keyframes[lo:hi + 1]], dtype=np.int64)
-    omega, accel, dt, counts = pre_mod.slice_imu_between(imu, times)
+    omega, accel, dt, edges = pre_mod.slice_imu_between(imu, times)
+    counts = np.diff(edges)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         k = lo + int(empty[0])
@@ -780,13 +781,13 @@ def _add_imu_factors(imu: ImuArrays, keyframes: Sequence[KeyframeId],
     batch = pre_mod.integrate_batch(omega, accel, dt, bias[0:3], bias[3:6], noise,
                                     counts)
     tab.put(slice(lo, hi), batch, _imu_sqrt_info(batch))
-    # Factors view their table rows and the IMU columns (increasing stamps
-    # drop no sample), so no stacked array outlives the build.
-    first = np.searchsorted(imu.t, times[:-1]).tolist()
+    # Factors view their table rows and the IMU columns, so no stacked
+    # array outlives the build.
+    edges = edges.tolist()
     return batch, [ImuFactor(lo + k, lo + k + 1, batch.at(k),
-                             (imu.omega[s:s + c], imu.accel[s:s + c], dt[k, :c].copy()),
+                             (imu.omega[s:e], imu.accel[s:e], dt[k, :e - s].copy()),
                              tab.sqrt_info[lo + k])
-                   for k, (s, c) in enumerate(zip(first, counts.tolist()))]
+                   for k, (s, e) in enumerate(zip(edges, edges[1:]))]
 
 
 def build_graph(imu: ImuArrays, toa: ToaArrays,

@@ -318,8 +318,8 @@ def predict_chain(batch: PreintegratedBatch, rot_0: np.ndarray, p_0: np.ndarray,
 
 def pad_intervals(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-interval (omega, accel, dt) samples in the padded form that
-    `slice_imu_between` returns for many intervals."""
+    """Per-interval (omega, accel, dt) samples padded as by
+    `slice_imu_between`, with the (m,) counts instead of its edges."""
     counts = np.array([len(dt) for _, _, dt in samples], dtype=np.int64)
     real = np.arange(counts.max(initial=0)) < counts[:, None]
     padded = []
@@ -330,38 +330,31 @@ def pad_intervals(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
     return (*padded, counts)
 
 
-def slice_imu_between(imu: ImuArrays, t_start, t_end: Optional[int] = None):
-    """The IMU samples of one interval, or of m consecutive intervals padded.
+def slice_imu_between(imu: ImuArrays, bounds: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The IMU samples of m consecutive intervals, padded.
 
-    With stamps t_start and t_end: (omega, accel, dt) of the samples with t
-    in [t_start, t_end). With t_start a sorted array of m + 1 boundaries
-    and no t_end: the samples of interval k = [t_start[k], t_start[k + 1])
-    in row k of padded arrays, omega and accel (m, n, 3) and dt (m, n),
-    plus the (m,) counts; row k holds counts[k] samples followed by zeros,
-    and n is the largest count.
+    bounds is a sorted array of m + 1 stamps; interval k is
+    [bounds[k], bounds[k + 1]) and holds IMU rows edges[k]:edges[k + 1].
+    Returns omega and accel (m, n, 3), dt (m, n) and the (m + 1,) edges:
+    row k holds the edges[k + 1] - edges[k] samples of interval k followed
+    by zeros, and n is the largest count.
 
     Each sample's dt runs to the next sample's timestamp, capped at the end
-    of its interval so intervals tile the timeline exactly; samples with
-    dt <= 0 are dropped. The timestamps must be sorted. One binary search
-    places every boundary and one gather fills the rows.
+    of its interval so intervals tile the timeline exactly. The timestamps
+    must be strictly increasing. One binary search places every boundary
+    and one gather fills the rows.
     """
     t = imu.t
-    bounds = np.asarray(t_start if t_end is None else (t_start, t_end),
-                        dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64)
     edges = np.searchsorted(t, bounds)
     lo, hi = edges[0], edges[-1]
+    counts = np.diff(edges)
     t_next = np.append(t[lo + 1:hi + 1], bounds[-1])[:hi - lo]
-    cap = np.repeat(bounds[1:], np.diff(edges))
-    dt = (np.minimum(t_next, cap) - t[lo:hi]) * 1e-9
-    kept = np.flatnonzero(dt > 0.0)      # all of them for increasing stamps
-    starts = np.searchsorted(kept, edges - lo)
-    counts = np.diff(starts)
-    n = int(counts.max(initial=0))
-    slot = starts[:-1, None] + np.arange(n)
-    pad = slot >= starts[1:, None]
-    rows = kept[np.minimum(slot, len(kept) - 1)]
-    omega, accel, dt = imu.omega[lo + rows], imu.accel[lo + rows], dt[rows]
+    dt = (np.minimum(t_next, np.repeat(bounds[1:], counts)) - t[lo:hi]) * 1e-9
+    rows = edges[:-1, None] + np.arange(counts.max(initial=0))
+    pad = rows >= edges[1:, None]
+    rows[pad] = lo
+    omega, accel, dt = imu.omega[rows], imu.accel[rows], dt[rows - lo]
     omega[pad], accel[pad], dt[pad] = 0.0, 0.0, 0.0
-    if t_end is None:
-        return omega, accel, dt, counts
-    return omega[0, :counts[0]], accel[0, :counts[0]], dt[0, :counts[0]]
+    return omega, accel, dt, edges

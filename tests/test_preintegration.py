@@ -305,22 +305,25 @@ class TestSlicing:
                         rng.uniform(-5, 5, (len(t), 3)))
 
     def check(self, imu, bounds):
-        """The padded multi-interval slice holds, row by row, what one
-        call per interval and the linear-scan oracle give, bit for bit."""
-        omega, accel, dt, counts = pre.slice_imu_between(imu, np.array(bounds))
+        """Row k of the padded multi-interval slice holds, bit for bit, what
+        the linear-scan oracle gives for interval k, and edges[k]:edges[k + 1]
+        are that interval's IMU rows."""
+        omega, accel, dt, edges = pre.slice_imu_between(imu, np.array(bounds))
+        counts = np.diff(edges)
         assert omega.shape == accel.shape == dt.shape + (3,)
         assert dt.shape == (len(bounds) - 1, int(counts.max(initial=0)))
         for k in range(len(bounds) - 1):
             c = counts[k]
-            one = pre.slice_imu_between(imu, bounds[k], bounds[k + 1])
-            for got, single, want in zip((omega[k], accel[k], dt[k]), one,
-                                         oracle_slice(imu, bounds[k], bounds[k + 1])):
-                assert_bits(got[:c], want)
-                assert_bits(single, want)
+            want = oracle_slice(imu, bounds[k], bounds[k + 1])
+            for got, expected in zip((omega[k], accel[k], dt[k]), want):
+                assert_bits(got[:c], expected)
                 assert not np.any(got[c:])       # padding is zero
+            s, e = edges[k], edges[k + 1]
+            assert_bits(imu.omega[s:e], want[0])
+            assert_bits(imu.accel[s:e], want[1])
         return counts
 
-    def test_jittered_stamps_match_per_interval_calls(self, rng):
+    def test_jittered_stamps_match_the_per_interval_oracle(self, rng):
         t = self.stamps(rng)
         imu = self.readings(rng, t)
         bounds = list(range(0, int(t[-1]), 100_000_000))
@@ -339,31 +342,26 @@ class TestSlicing:
                   1_000_000_000, int(t[-2]) + 1, int(t[-1]) + 2_000_000]
         counts = self.check(imu, bounds)
         assert counts[3] == 0              # wholly inside the gap
-        _, _, dt, counts = pre.slice_imu_between(imu, np.array(bounds))
+        _, _, dt, _ = pre.slice_imu_between(imu, np.array(bounds))
         assert dt[-1, counts[-1] - 1] == pytest.approx(2e-3)
         assert dt[-2, counts[-2] - 1] == pytest.approx(1e-9)
 
-    def test_repeated_stamps_dropped_like_single_calls(self, rng):
-        t = np.repeat(np.arange(60, dtype=np.int64) * 5_000_000, 2)[:-3]
-        imu = self.readings(rng, t)
-        counts = self.check(imu, [0, 52_000_000, 100_000_000, 310_000_000])
-        assert counts.tolist() == [11, 9, 39]    # one sample per distinct stamp
-
     def test_no_samples(self):
         imu = make_imu(np.array([0, 5_000_000]), np.zeros(3), np.zeros(3))
-        omega, accel, dt, counts = pre.slice_imu_between(
+        omega, accel, dt, edges = pre.slice_imu_between(
             imu, np.array([10_000_000, 20_000_000, 30_000_000]))
-        assert counts.tolist() == [0, 0] and dt.shape == (2, 0)
+        assert edges.tolist() == [2, 2, 2] and dt.shape == (2, 0)
         assert omega.shape == accel.shape == (2, 0, 3)
 
     def test_pad_intervals_inverts_the_padding(self, rng):
         t = self.stamps(rng, n=120)
         imu = self.readings(rng, t)
-        sliced = pre.slice_imu_between(imu, np.arange(0, 550_000_000, 90_000_000))
-        omega, accel, dt, counts = sliced
+        omega, accel, dt, edges = pre.slice_imu_between(
+            imu, np.arange(0, 550_000_000, 90_000_000))
+        counts = np.diff(edges)
         rows = [(omega[k, :c], accel[k, :c], dt[k, :c])
                 for k, c in enumerate(counts.tolist())]
-        for got, want in zip(pre.pad_intervals(rows), sliced):
+        for got, want in zip(pre.pad_intervals(rows), (omega, accel, dt, counts)):
             assert_bits(got, want)
 
 
