@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * quaternions are scalar-last ``[x, y, z, w]`` with Hamilton multiplication;
 * ``quat_to_rot(q)`` is the body-to-world rotation matrix, so a body vector
   ``v_b`` maps to the world frame as ``R @ v_b``;
-* rotation increments are applied on the right, ``R @ exp_so3(theta)``,
+* rotation increments are applied on the right, ``R @ exp(theta)``,
   i.e. expressed in the body frame.
 
 All functions are pure and operate on plain numpy arrays.
@@ -22,32 +22,9 @@ _LOG_TAYLOR_EPS = 1e-10
 _LOG_PI_BRANCH = 1e-4
 
 
-def skew(omega: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that skew(a) @ b == cross(a, b)."""
-    x, y, z = omega
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
-
-
-def exp_so3(theta: np.ndarray) -> np.ndarray:
-    """Rodrigues exponential of a rotation increment."""
-    theta = np.asarray(theta, dtype=float)
-    angle = np.linalg.norm(theta)
-    k = skew(theta)
-    if angle < _EXP_TAYLOR_EPS:
-        # Second-order Taylor keeps the result finite and orthonormal
-        # to machine precision for vanishing angles.
-        return np.eye(3) + k + 0.5 * (k @ k)
-    s = np.sin(angle) / angle
-    c = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + s * k + c * (k @ k)
-
-
 def log_so3(rot: np.ndarray) -> np.ndarray:
-    """Rotation-vector logarithm, inverse of exp_so3 for angles below pi."""
+    """Rotation-vector logarithm, inverse of the exponential for angles below
+    pi."""
     trace = np.clip(np.trace(rot), -1.0, 3.0)
     cos_angle = np.clip(0.5 * (trace - 1.0), -1.0, 1.0)
     angle = np.arccos(cos_angle)
@@ -75,29 +52,6 @@ def log_so3(rot: np.ndarray) -> np.ndarray:
                 axis = -axis
         return angle * axis
     return vee * (angle / np.sin(angle))
-
-
-def right_jacobian_so3(theta: np.ndarray) -> np.ndarray:
-    """Right Jacobian of exp_so3: exp(theta + d) ~ exp(theta) exp(J_r d)."""
-    angle = np.linalg.norm(theta)
-    k = skew(theta)
-    if angle < _EXP_TAYLOR_EPS:
-        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    a2 = angle * angle
-    c1 = (1.0 - np.cos(angle)) / a2
-    c2 = (angle - np.sin(angle)) / (a2 * angle)
-    return np.eye(3) - c1 * k + c2 * (k @ k)
-
-
-def right_jacobian_inv_so3(theta: np.ndarray) -> np.ndarray:
-    """Inverse of right_jacobian_so3."""
-    angle = np.linalg.norm(theta)
-    k = skew(theta)
-    if angle < _EXP_TAYLOR_EPS:
-        return np.eye(3) + 0.5 * k + (k @ k) / 12.0
-    a2 = angle * angle
-    c = 1.0 / a2 - (1.0 + np.cos(angle)) / (2.0 * angle * np.sin(angle))
-    return np.eye(3) + 0.5 * k + c * (k @ k)
 
 
 def quat_identity() -> np.ndarray:
@@ -149,29 +103,6 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def rot_to_quat(rot: np.ndarray) -> np.ndarray:
-    """Unit quaternion of a rotation matrix, canonicalized to w >= 0."""
-    m = rot
-    if m[2, 2] < 0.0:
-        if m[0, 0] > m[1, 1]:
-            t = 1.0 + m[0, 0] - m[1, 1] - m[2, 2]
-            q = np.array([t, m[1, 0] + m[0, 1], m[0, 2] + m[2, 0], m[2, 1] - m[1, 2]])
-        else:
-            t = 1.0 - m[0, 0] + m[1, 1] - m[2, 2]
-            q = np.array([m[1, 0] + m[0, 1], t, m[2, 1] + m[1, 2], m[0, 2] - m[2, 0]])
-    else:
-        if m[0, 0] < -m[1, 1]:
-            t = 1.0 - m[0, 0] - m[1, 1] + m[2, 2]
-            q = np.array([m[0, 2] + m[2, 0], m[2, 1] + m[1, 2], t, m[1, 0] - m[0, 1]])
-        else:
-            t = 1.0 + m[0, 0] + m[1, 1] + m[2, 2]
-            q = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1], t])
-    q = q * (0.5 / np.sqrt(t))
-    if q[3] < 0.0:
-        q = -q
-    return quat_normalize(q)
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (N, k) array, bit for bit as
     ``np.linalg.norm`` of each row alone (the same dot product)."""
@@ -180,7 +111,8 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def skew_batch(omega: np.ndarray) -> np.ndarray:
-    """skew for an (N, 3) stack, returning (N, 3, 3)."""
+    """Skew-symmetric matrices (N, 3, 3) of an (N, 3) stack: skew(a) @ b ==
+    cross(a, b)."""
     n = omega.shape[0]
     out = np.zeros((n, 3, 3))
     out[:, 0, 1] = -omega[:, 2]
@@ -214,12 +146,12 @@ def quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
 
 
 def rot_to_quat_batch(rot: np.ndarray) -> np.ndarray:
-    """rot_to_quat for an (N, 3, 3) stack, returning (N, 4): each row takes
-    its own branch, then the w >= 0 flip and the normalization, bit for
-    bit as rot_to_quat of the row alone."""
+    """Unit quaternions (N, 4) of an (N, 3, 3) stack of rotations,
+    canonicalized to w >= 0: each row takes its own branch of four, chosen
+    by its diagonal, then the w >= 0 flip and the normalization."""
     m = np.asarray(rot, dtype=float)
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.transpose(1, 2, 0)
-    # rot_to_quat's branches in its order, each as (t, q).
+    # The four branches, each as (t, q).
     t = np.stack([1.0 + m00 - m11 - m22, 1.0 - m00 + m11 - m22,
                   1.0 - m00 - m11 + m22, 1.0 + m00 + m11 + m22])
     q = np.stack([[t[0], m10 + m01, m02 + m20, m21 - m12],
@@ -235,7 +167,9 @@ def rot_to_quat_batch(rot: np.ndarray) -> np.ndarray:
 
 
 def exp_so3_batch(theta: np.ndarray) -> np.ndarray:
-    """exp_so3 for an (N, 3) stack, returning (N, 3, 3)."""
+    """Rodrigues exponentials (N, 3, 3) of an (N, 3) stack of rotation
+    increments; below 1e-8 rad a second-order Taylor series keeps them
+    finite and orthonormal."""
     theta = np.asarray(theta, dtype=float)
     angle = np.linalg.norm(theta, axis=1)
     k = skew_batch(theta)
@@ -269,7 +203,7 @@ def log_so3_batch(rot: np.ndarray) -> np.ndarray:
 
 
 def right_jacobian_inv_batch(theta: np.ndarray) -> np.ndarray:
-    """right_jacobian_inv_so3 for an (N, 3) stack."""
+    """Inverses of the right Jacobians of an (N, 3) stack."""
     angle = np.linalg.norm(theta, axis=1)
     k = skew_batch(theta)
     k2 = k @ k
@@ -282,7 +216,8 @@ def right_jacobian_inv_batch(theta: np.ndarray) -> np.ndarray:
 
 
 def right_jacobian_batch(theta: np.ndarray) -> np.ndarray:
-    """right_jacobian_so3 for an (N, 3) stack."""
+    """Right Jacobians of the exponential for an (N, 3) stack:
+    exp(theta + d) ~ exp(theta) exp(J_r d)."""
     angle = np.linalg.norm(theta, axis=1)
     k = skew_batch(theta)
     k2 = k @ k

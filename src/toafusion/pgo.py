@@ -8,7 +8,7 @@ held by tight priors. The resulting nonlinear least-squares problem
     sum_f  r_f(X)^T Sigma_f^-1 r_f(X)
 
 is minimized with Levenberg-Marquardt. Rotations are updated through the
-exponential retraction ``R <- R @ exp_so3(dtheta)``; every other block is
+exponential retraction ``R <- R @ exp(dtheta)``; every other block is
 Euclidean.
 
 Every factor is a row of one of four tables: IMU factors, range factors,
@@ -37,11 +37,12 @@ each new IMU factor fills its own row, re-integrated factors rewrite
 theirs, and each window solve and each marginalization reads row slices.
 
 Both modes share one setup (keyframe times, initial values, the initial
-and station priors and the range table) and `_add_imu_factors`, which
-slices keyframe intervals from the IMU columns (strictly increasing
-timestamps required), preintegrates them at one bias and whitens them in
-one batched call each. Drifted factors are re-integrated and re-whitened
-together, one call each per check.
+and station priors and the range table) and `_put_imu_rows`, the only
+builder of IMU factors. It slices the samples between the keyframes that
+each of its rows names from the IMU columns (strictly increasing
+timestamps required), preintegrates them and whitens them in one batched
+call each. New factors are built at one bias; drifted factors are
+re-integrated together at their own biases, one call each per check.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
                      NonFiniteCost, NonMonotonicTimestamp,
                      SingularNormalEquations)
 from .eskf import GRAVITY, ImuNoiseParams, NavState
-from .preintegration import PreintegratedBatch, PreintegratedImu
+from .preintegration import PreintegratedBatch
 from .toa_sim import BaseStation
 
 MIN_RANGE_M = 1e-6
@@ -128,20 +129,6 @@ class GraphValues:
     @property
     def n_keyframes(self) -> int:
         return self.pos.shape[0]
-
-
-@dataclass(eq=False)
-class ImuFactor:
-    """Preintegrated IMU data between keyframes i and j: the increments
-    `pre`, the samples they came from (kept for re-integration) and the
-    square-root information of the 15-dof residual, a row of
-    `_imu_sqrt_info`."""
-
-    i: int
-    j: int
-    pre: PreintegratedImu
-    samples: tuple[np.ndarray, np.ndarray, np.ndarray]    # (omega, accel, dt)
-    sqrt_info: np.ndarray
 
 
 class _Table:
@@ -274,8 +261,6 @@ class FactorTables:
 class FactorGraph:
     keyframes: list[KeyframeId]
     tables: FactorTables
-    # The factor behind each row of tables.imu, kept for re-integration.
-    imu_factors: list[ImuFactor] = field(default_factory=list)
 
 
 @dataclass
@@ -765,29 +750,28 @@ def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
     return keyframes, values, tables
 
 
-def _add_imu_factors(imu: ImuArrays, keyframes: Sequence[KeyframeId],
-                     tab: _ImuTable, lo: int, hi: int, bias: np.ndarray,
-                     noise: ImuNoiseParams) -> tuple[PreintegratedBatch, list[ImuFactor]]:
-    """The IMU factors of keyframes k and k + 1 for k in [lo, hi): slice,
-    preintegrate at the (6,) bias and whiten all intervals in one call each,
-    and fill rows [lo, hi) of tab. Returns the batch and the factors."""
-    times = np.array([kf.t for kf in keyframes[lo:hi + 1]], dtype=np.int64)
-    omega, accel, dt, edges = pre_mod.slice_imu_between(imu, times)
-    counts = np.diff(edges)
+def _put_imu_rows(imu: ImuArrays, times: np.ndarray, tab: _ImuTable, rows,
+                  bias: np.ndarray, noise: ImuNoiseParams) -> PreintegratedBatch:
+    """Build the IMU factors of rows (a slice or an index array) of tab from
+    the samples between the stamps times[i] and times[j] of each row's
+    keyframes: slice, preintegrate at bias ((6,) shared, or one row per
+    factor) and whiten them in one call each, and write the rows. Returns
+    the batch."""
+    i, j = tab.i[rows], tab.j[rows]
+    omega, accel, dt, counts = pre_mod.slice_imu_between(imu, times[i], times[j])
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        k = lo + int(empty[0])
-        raise EmptyInput(f"no IMU samples between keyframes {k} and {k + 1}")
-    batch = pre_mod.integrate_batch(omega, accel, dt, bias[0:3], bias[3:6], noise,
-                                    counts)
-    tab.put(slice(lo, hi), batch, _imu_sqrt_info(batch))
-    # Factors view their table rows and the IMU columns, so no stacked
-    # array outlives the build.
-    edges = edges.tolist()
-    return batch, [ImuFactor(lo + k, lo + k + 1, batch.at(k),
-                             (imu.omega[s:e], imu.accel[s:e], dt[k, :e - s].copy()),
-                             tab.sqrt_info[lo + k])
-                   for k, (s, e) in enumerate(zip(edges, edges[1:]))]
+        k = empty[0]
+        raise EmptyInput(f"no IMU samples between keyframes {i[k]} and {j[k]}")
+    batch = pre_mod.integrate_batch(omega, accel, dt, bias[..., 0:3],
+                                    bias[..., 3:6], noise, counts)
+    tab.put(rows, batch, _imu_sqrt_info(batch))
+    return batch
+
+
+def _stamps(keyframes: Sequence[KeyframeId]) -> np.ndarray:
+    """The keyframes' timestamps (ns), (n,)."""
+    return np.array([kf.t for kf in keyframes], dtype=np.int64)
 
 
 def build_graph(imu: ImuArrays, toa: ToaArrays,
@@ -796,50 +780,34 @@ def build_graph(imu: ImuArrays, toa: ToaArrays,
     All intervals are sliced, preintegrated at the initial bias, whitened
     and dead-reckoned in one batched call each."""
     keyframes, values, tables = _setup(imu, toa, config)
-    batch, factors = _add_imu_factors(imu, keyframes, tables.imu, 0,
-                                      len(keyframes) - 1, values.bias[0],
-                                      config.noise)
-    values.rot[:], values.pos[:], values.vel[:] = pre_mod.predict_chain(
+    batch = _put_imu_rows(imu, _stamps(keyframes), tables.imu,
+                          slice(0, len(tables.imu)), values.bias[0], config.noise)
+    values.rot[:], values.pos[:], values.vel[:] = pre_mod.predict(
         batch, values.rot[0], values.pos[0], values.vel[0], config.gravity)
-    return FactorGraph(keyframes, tables, factors), values
+    return FactorGraph(keyframes, tables), values
 
 
-def _reintegrate(factors: Sequence[ImuFactor], bias: np.ndarray
-                 ) -> tuple[PreintegratedBatch, np.ndarray]:
-    """Redo the integration of factors at new linearization points (one
-    bias row each) in one kernel call, and their whitening in one more.
-    The factors share one noise model. Returns the new batch and its
-    square-root information, row k for factors[k]."""
-    omega, accel, dt, counts = pre_mod.pad_intervals([f.samples for f in factors])
-    batch = pre_mod.integrate_batch(omega, accel, dt, bias[:, 0:3], bias[:, 3:6],
-                                    factors[0].pre.noise, counts)
-    sqrt_info = _imu_sqrt_info(batch)
-    for k, f in enumerate(factors):
-        f.pre, f.sqrt_info = batch.at(k), sqrt_info[k]
-    return batch, sqrt_info
-
-
-def _reintegrate_drifted(factors: Sequence[ImuFactor], tab: _ImuTable,
-                         bias: np.ndarray, threshold: float, lo: int = 0,
+def _reintegrate_drifted(imu: ImuArrays, times: np.ndarray, tab: _ImuTable,
+                         bias: np.ndarray, noise: ImuNoiseParams,
+                         threshold: float, lo: int = 0,
                          hi: Optional[int] = None) -> int:
     """Re-integrate the IMU factors of rows [lo, hi) whose bias estimate at
     keyframe i moved more than threshold, in any component, from the row's
-    linearization point, and rewrite their rows. Row k of tab holds
-    factors[k]. Returns the number of factors re-integrated."""
+    linearization point, each at that estimate, and rewrite their rows.
+    Returns the number of factors re-integrated."""
     hi = len(tab) if hi is None else hi
     moved = np.abs(bias[tab.i[lo:hi]] - tab.bias_lin[lo:hi])
     rows = lo + np.flatnonzero(np.max(moved, axis=1) > threshold)
     if rows.size:
-        tab.put(rows, *_reintegrate([factors[k] for k in rows], bias[tab.i[rows]]))
+        _put_imu_rows(imu, times, tab, rows, bias[tab.i[rows]], noise)
     return int(rows.size)
 
 
 def values_to_trajectory(keyframes: Sequence[KeyframeId],
                          values: GraphValues) -> Trajectory:
     n = len(keyframes)
-    t = np.array([kf.t for kf in keyframes], dtype=np.int64)
-    return Trajectory(t, values.pos[:n].copy(), geo.rot_to_quat_batch(values.rot[:n]),
-                      values.vel[:n].copy())
+    return Trajectory(_stamps(keyframes), values.pos[:n].copy(),
+                      geo.rot_to_quat_batch(values.rot[:n]), values.vel[:n].copy())
 
 
 @dataclass
@@ -861,12 +829,12 @@ def run_batch(imu: ImuArrays, toa: ToaArrays,
     graph, values = build_graph(imu, toa, config)
     if initial is not None and len(initial) > 0:
         _seed_from_trajectory(graph, values, initial)
-    values, report, _ = _solve_relinearizing(graph, values, config)
+    values, report, _ = _solve_relinearizing(imu, graph, values, config)
     return values_to_trajectory(graph.keyframes, values), report
 
 
-def _solve_relinearizing(graph: FactorGraph, values: GraphValues,
-                         config: PgoConfig
+def _solve_relinearizing(imu: ImuArrays, graph: FactorGraph,
+                         values: GraphValues, config: PgoConfig
                          ) -> tuple[GraphValues, OptimizeReport, int]:
     """Solve the whole graph, then re-linearize the IMU factors where the
     bias estimate moved and solve again, at most three times, until the
@@ -875,10 +843,11 @@ def _solve_relinearizing(graph: FactorGraph, values: GraphValues,
     opts = OptimizeOptions(config.max_iters, config.damping_init,
                            config.cost_tol, config.step_tol)
     values, report = optimize(graph, values, opts)
+    times = _stamps(graph.keyframes)
     reintegrated = 0
     for _ in range(3):
-        count = _reintegrate_drifted(graph.imu_factors, graph.tables.imu,
-                                     values.bias, config.bias_drift_threshold)
+        count = _reintegrate_drifted(imu, times, graph.tables.imu, values.bias,
+                                     config.noise, config.bias_drift_threshold)
         if count == 0:
             break
         reintegrated += count
@@ -908,10 +877,10 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
     """
     keyframes, values, tables = _setup(imu, toa, config)
     n = len(keyframes)
-    # Row k of tables.imu is imu_factors[k], linking keyframes k and k + 1;
-    # it is written when the factor is made and rewritten when the factor
-    # is re-integrated. Each window solve reads row slices of the tables.
-    imu_factors: list[ImuFactor] = []
+    times = _stamps(keyframes)
+    # Row k of tables.imu links keyframes k and k + 1; it is written at
+    # step k + 1 and rewritten when the factor is re-integrated. Each
+    # window solve reads row slices of the tables.
     no_station_priors = tables.stations.rows(slice(0, 0))
 
     stream_opts = OptimizeOptions(config.max_iters_stream, config.damping_init,
@@ -925,12 +894,12 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
     prior = tables.priors       # the state prior on keyframe first_kf
 
     for j in range(1, n):
-        _, (fac,) = _add_imu_factors(imu, keyframes, tables.imu, j - 1, j,
-                                     values.bias[j - 1], config.noise)
-        imu_factors.append(fac)
-        values.rot[j], values.pos[j], values.vel[j] = pre_mod.predict(
-            fac.pre, values.rot[j - 1], values.pos[j - 1], values.vel[j - 1],
-            config.gravity)
+        batch = _put_imu_rows(imu, times, tables.imu, slice(j - 1, j),
+                              values.bias[j - 1], config.noise)
+        rot, pos, vel = pre_mod.predict(batch, values.rot[j - 1],
+                                        values.pos[j - 1], values.vel[j - 1],
+                                        config.gravity)
+        values.rot[j], values.pos[j], values.vel[j] = rot[1], pos[1], vel[1]
         values.bias[j] = values.bias[j - 1]
 
         tic = time.perf_counter()
@@ -967,8 +936,8 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
         values.vel[:j + 1], values.bias[:j + 1] = solved.vel, solved.bias
         values.stations = solved.stations
         reintegrations += _reintegrate_drifted(
-            imu_factors, tables.imu, values.bias, config.bias_drift_threshold,
-            first_kf, j)
+            imu, times, tables.imu, values.bias, config.noise,
+            config.bias_drift_threshold, first_kf, j)
         step_times.append((time.perf_counter() - tic) * 1e3)
         stream.rot[j], stream.pos[j], stream.vel[j] = (values.rot[j], values.pos[j],
                                                        values.vel[j])
@@ -978,9 +947,8 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
     batch_traj = None
     final_report = None
     if config.final_batch:
-        full_graph = FactorGraph(keyframes, tables, imu_factors)
-        values, final_report, count = _solve_relinearizing(full_graph, values,
-                                                           config)
+        values, final_report, count = _solve_relinearizing(
+            imu, FactorGraph(keyframes, tables), values, config)
         reintegrations += count
         batch_traj = values_to_trajectory(keyframes, values)
 

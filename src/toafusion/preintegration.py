@@ -31,19 +31,17 @@ ignored. The kernel keeps the state after every slot and returns interval
 k's state after its counts[k]-th sample, so padding leaves the result
 bit-for-bit unchanged. Intervals go through the kernel in passes of at
 most 1024 sample slots, which bounds the memory of the per-sample 9x9
-terms. `integrate_batch` is the entry point for one interval ((n, 3)
-inputs) and for many ((m, n, 3)).
+terms. `integrate_batch` is the entry point.
 
 The padded form comes from `slice_imu_between`, which cuts the samples of
-many consecutive intervals out of the IMU columns with one binary search
-and one gather, or from `pad_intervals`, which packs samples kept per
-interval. `predict_chain` dead-reckons through consecutive intervals at
-once.
+many intervals, each given by its start and end stamps, out of the IMU
+columns with one binary search and one gather. `predict` dead-reckons
+through consecutive intervals at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,31 +54,10 @@ from .eskf import GRAVITY, MAX_DT_S, ImuNoiseParams
 # Sample slots per kernel pass: about 1 MB per (slots, 9, 9) temporary.
 _PASS_SAMPLES = 1024
 
-# The array fields of an increment, shared by the single and batched forms.
+# The array fields of a batch, each with a leading interval axis.
 _JACOBIAN_FIELDS = ("j_rot_bg", "j_pos_bg", "j_pos_ba", "j_vel_bg", "j_vel_ba")
 _ARRAY_FIELDS = ("d_rot", "d_vel", "d_pos", "cov", "bias_gyro",
                  "bias_accel") + _JACOBIAN_FIELDS
-
-
-@dataclass
-class PreintegratedImu:
-    """Relative-motion increments accumulated from IMU samples."""
-
-    d_rot: np.ndarray                          # (3, 3)
-    d_vel: np.ndarray                          # (3,)
-    d_pos: np.ndarray                          # (3,)
-    dt_total: float
-    cov: np.ndarray                            # (9, 9), blocks (rot, pos, vel)
-    bias_gyro: np.ndarray                      # linearization point
-    bias_accel: np.ndarray
-    count: int
-    noise: ImuNoiseParams = field(repr=False)
-    # Sensitivities of the increments to the linearization biases.
-    j_rot_bg: np.ndarray                       # (3, 3), and so are the four below
-    j_pos_bg: np.ndarray
-    j_pos_ba: np.ndarray
-    j_vel_bg: np.ndarray
-    j_vel_ba: np.ndarray
 
 
 @dataclass
@@ -103,18 +80,11 @@ class PreintegratedBatch:
     j_vel_bg: np.ndarray
     j_vel_ba: np.ndarray
 
+    # perfbench/tracing.py reads `count` by name.
     @property
     def count(self) -> int:
         """Samples over all intervals."""
         return int(self.counts.sum())
-
-    def at(self, k: int) -> PreintegratedImu:
-        """Interval k, copied out of this batch (a view would keep an
-        extra array object alive per field)."""
-        return PreintegratedImu(
-            dt_total=float(self.dt_total[k]), count=int(self.counts[k]),
-            noise=self.noise,
-            **{f: getattr(self, f)[k].copy() for f in _ARRAY_FIELDS})
 
     def rows(self, sel: slice) -> "PreintegratedBatch":
         """The intervals in sel, as views into this batch."""
@@ -256,52 +226,34 @@ def _propagate_pass(start: PreintegratedBatch, omega: np.ndarray,
 def integrate_batch(omega: np.ndarray, accel: np.ndarray, dts: np.ndarray,
                     bias_gyro: np.ndarray, bias_accel: np.ndarray,
                     noise: ImuNoiseParams | None = None,
-                    counts: Optional[np.ndarray] = None):
-    """Integrate arrays of samples into increments without intermediates.
+                    counts: Optional[np.ndarray] = None) -> PreintegratedBatch:
+    """Integrate m padded intervals of samples into increments.
 
-    One interval: omega and accel (n, 3), dts (n,), biases (3,); returns a
-    PreintegratedImu. Many intervals: omega and accel (m, n, 3), dts
-    (m, n), biases (3,) or (m, 3); returns a PreintegratedBatch. Interval
-    k then holds its first counts[k] samples (default: all n) and the
+    omega and accel are (m, n, 3), dts (m, n), biases (3,) or (m, 3).
+    Interval k holds its first counts[k] samples (default: all n) and the
     rest of its row is padding.
     """
-    omega = np.asarray(omega, dtype=float)
-    accel = np.asarray(accel, dtype=float)
     dts = np.asarray(dts, dtype=float)
-    single = dts.ndim == 1
-    if single:
-        omega = omega.reshape(1, -1, 3)
-        accel = accel.reshape(1, -1, 3)
-        dts = dts[None]
     m, n = dts.shape
     counts = (np.full(m, n, dtype=np.int64) if counts is None
               else np.asarray(counts, dtype=np.int64))
     start = PreintegratedBatch.create(
         np.broadcast_to(np.asarray(bias_gyro, dtype=float), (m, 3)),
         np.broadcast_to(np.asarray(bias_accel, dtype=float), (m, 3)), noise)
-    out = _propagate(start, omega, accel, dts, counts)
-    return out.at(0) if single else out
+    return _propagate(start, np.asarray(omega, dtype=float),
+                      np.asarray(accel, dtype=float), dts, counts)
 
 
-def predict(pre: PreintegratedImu, rot_i: np.ndarray, p_i: np.ndarray,
-            v_i: np.ndarray, gravity: np.ndarray = GRAVITY
+# perfbench/tracing.py wraps `predict` by name.
+def predict(batch: PreintegratedBatch, rot_0: np.ndarray, p_0: np.ndarray,
+            v_0: np.ndarray, gravity: np.ndarray = GRAVITY
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dead-reckon keyframe j from keyframe i through the increments."""
-    dt = pre.dt_total
-    rot_j = rot_i @ pre.d_rot
-    v_j = v_i + gravity * dt + rot_i @ pre.d_vel
-    p_j = p_i + v_i * dt + 0.5 * gravity * dt * dt + rot_i @ pre.d_pos
-    return rot_j, p_j, v_j
-
-
-def predict_chain(batch: PreintegratedBatch, rot_0: np.ndarray, p_0: np.ndarray,
-                  v_0: np.ndarray, gravity: np.ndarray = GRAVITY
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dead-reckon keyframes 1..m from keyframe 0 through the m consecutive
-    intervals of batch: (m + 1, ...) rotations, positions and velocities,
-    bit for bit as `predict` applied interval after interval. Rotations
-    chain by 3 x 3 products; velocities and positions are running sums
-    with predict's order of additions."""
+    intervals of batch: (m + 1, ...) rotations, positions and velocities.
+    Through interval k, R_k+1 = R_k dR, v_k+1 = v_k + g dt + R_k dv and
+    p_k+1 = p_k + v_k dt + g dt^2 / 2 + R_k dp, summed in that order.
+    Rotations chain by 3 x 3 products; velocities and positions are
+    running sums."""
     m = len(batch.dt_total)
     rot = np.empty((m + 1, 3, 3))
     rot[0] = rot_0
@@ -316,45 +268,31 @@ def predict_chain(batch: PreintegratedBatch, rot_0: np.ndarray, p_0: np.ndarray,
     return rot, pos, vel
 
 
-def pad_intervals(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-interval (omega, accel, dt) samples padded as by
-    `slice_imu_between`, with the (m,) counts instead of its edges."""
-    counts = np.array([len(dt) for _, _, dt in samples], dtype=np.int64)
-    real = np.arange(counts.max(initial=0)) < counts[:, None]
-    padded = []
-    for part in zip(*samples):
-        arr = np.zeros(real.shape + part[0].shape[1:])
-        arr[real] = np.concatenate(part)
-        padded.append(arr)
-    return (*padded, counts)
-
-
-def slice_imu_between(imu: ImuArrays, bounds: np.ndarray
+def slice_imu_between(imu: ImuArrays, starts: np.ndarray, ends: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The IMU samples of m consecutive intervals, padded.
+    """The IMU samples of m intervals [starts[k], ends[k]), padded.
 
-    bounds is a sorted array of m + 1 stamps; interval k is
-    [bounds[k], bounds[k + 1]) and holds IMU rows edges[k]:edges[k + 1].
-    Returns omega and accel (m, n, 3), dt (m, n) and the (m + 1,) edges:
-    row k holds the edges[k + 1] - edges[k] samples of interval k followed
-    by zeros, and n is the largest count.
+    Returns omega and accel (m, n, 3), dt (m, n) and the (m,) counts: row k
+    holds the counts[k] samples of interval k followed by zeros, and n is
+    the largest count. Intervals may overlap or repeat; starts[k] <=
+    ends[k] is required.
 
-    Each sample's dt runs to the next sample's timestamp, capped at the end
-    of its interval so intervals tile the timeline exactly. The timestamps
-    must be strictly increasing. One binary search places every boundary
-    and one gather fills the rows.
+    Each sample's dt runs to the next IMU stamp, capped at the end of its
+    own interval, so consecutive intervals tile the timeline exactly. The
+    timestamps must be strictly increasing. One binary search places every
+    bound and one gather fills the rows.
     """
     t = imu.t
-    bounds = np.asarray(bounds, dtype=np.int64)
-    edges = np.searchsorted(t, bounds)
-    lo, hi = edges[0], edges[-1]
-    counts = np.diff(edges)
-    t_next = np.append(t[lo + 1:hi + 1], bounds[-1])[:hi - lo]
-    dt = (np.minimum(t_next, np.repeat(bounds[1:], counts)) - t[lo:hi]) * 1e-9
-    rows = edges[:-1, None] + np.arange(counts.max(initial=0))
-    pad = rows >= edges[1:, None]
-    rows[pad] = lo
-    omega, accel, dt = imu.omega[rows], imu.accel[rows], dt[rows - lo]
+    bounds = np.asarray([starts, ends], dtype=np.int64)
+    lo, hi = np.searchsorted(t, bounds)
+    ends = bounds[1]
+    counts = hi - lo
+    rows = lo[:, None] + np.arange(counts.max(initial=0))
+    pad = rows >= hi[:, None]
+    rows[pad] = 0
+    # After the last sample, the cap at the interval's end is the next stamp.
+    t_next = np.append(t[1:], np.iinfo(np.int64).max)[rows]
+    dt = (np.minimum(t_next, ends[:, None]) - t[rows]) * 1e-9
+    omega, accel = imu.omega[rows], imu.accel[rows]
     omega[pad], accel[pad], dt[pad] = 0.0, 0.0, 0.0
-    return omega, accel, dt, edges
+    return omega, accel, dt, counts

@@ -10,6 +10,8 @@ from toafusion import geometry as geo
 from toafusion import pgo
 from toafusion.dataset import ImuArrays, ToaArrays
 
+from so3_reference import exp_so3, right_jacobian_so3, skew
+
 
 # Hypothesis profiles: "dev" (the default) keeps the property tests quick,
 # "ci" runs five times the examples. HYPOTHESIS_PROFILE selects one.
@@ -22,7 +24,7 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 1e-3) -
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(1e-6, max_angle)
-    return geo.exp_so3(axis * angle)
+    return exp_so3(axis * angle)
 
 
 def random_quaternion(rng: np.random.Generator) -> np.ndarray:
@@ -81,18 +83,18 @@ def oracle_integrate(omega, accel, dts, bias_gyro, bias_accel, noise) -> dict:
         w_hat = omega[k] - bias_gyro
         a_hat = accel[k] - bias_accel
         rot_prev = st["d_rot"]
-        rot_inc = geo.exp_so3(w_hat * dt)
+        rot_inc = exp_so3(w_hat * dt)
         d_pos = st["d_pos"] + st["d_vel"] * dt + 0.5 * (rot_prev @ a_hat) * dt * dt
         d_vel = st["d_vel"] + (rot_prev @ a_hat) * dt
         d_rot = rot_prev @ rot_inc
-        a_skew = geo.skew(a_hat)
+        a_skew = skew(a_hat)
         a_mat = np.eye(9)
         a_mat[0:3, 0:3] = rot_inc.T
         a_mat[3:6, 0:3] = -0.5 * (rot_prev @ a_skew) * dt * dt
         a_mat[3:6, 6:9] = np.eye(3) * dt
         a_mat[6:9, 0:3] = -(rot_prev @ a_skew) * dt
         b_mat = np.zeros((9, 6))
-        jr_dt = geo.right_jacobian_so3(w_hat * dt)
+        jr_dt = right_jacobian_so3(w_hat * dt)
         b_mat[0:3, 0:3] = jr_dt * dt
         b_mat[3:6, 3:6] = 0.5 * rot_prev * dt * dt
         b_mat[6:9, 3:6] = rot_prev * dt
@@ -130,35 +132,50 @@ def oracle_slice(imu, t_start: int, t_end: int):
             np.array(dts))
 
 
-def assert_matches_oracle(pre, expected: dict, tol: float = 1e-12) -> None:
-    """Every field within tol, relative to the field's largest entry."""
+def assert_matches_oracle(batch, k, expected: dict, tol: float = 1e-12) -> None:
+    """Every field of interval k of batch within tol, relative to the
+    field's largest entry."""
     for name in ORACLE_FIELDS:
-        got = np.asarray(getattr(pre, name), dtype=float)
+        column = getattr(batch, "counts" if name == "count" else name)
+        got = np.asarray(column[k], dtype=float)
         want = np.asarray(expected[name], dtype=float)
         scale = max(float(np.max(np.abs(want))), 1e-300)
         assert np.max(np.abs(got - want)) <= tol * scale, name
-    assert isinstance(pre.count, int)
 
 
-def imu_table(factors, gravity=eskf.GRAVITY):
-    """IMU factor table copied row by row from ImuFactor objects: the
-    reference for the tables the package fills by slice."""
-    tab = pgo._ImuTable.chain(len(factors), gravity)
-    for k, f in enumerate(factors):
-        tab.i[k], tab.j[k] = f.i, f.j
+def dead_reckon(batch, k, rot_i, p_i, v_i, gravity=eskf.GRAVITY):
+    """Keyframe j from keyframe i through interval k of batch, one interval
+    at a time."""
+    dt = batch.dt_total[k]
+    rot_j = rot_i @ batch.d_rot[k]
+    v_j = v_i + gravity * dt + rot_i @ batch.d_vel[k]
+    p_j = p_i + v_i * dt + 0.5 * gravity * dt * dt + rot_i @ batch.d_pos[k]
+    return rot_j, p_j, v_j
+
+
+def imu_table(batch, sqrt_info, i=None, gravity=eskf.GRAVITY):
+    """IMU factor table copied row by row from the intervals of a
+    PreintegratedBatch and their (m, 15, 15) square-root information, row
+    k linking keyframes i[k] (default k) and i[k] + 1: the reference for
+    the tables the package fills by slice."""
+    m = len(batch.dt_total)
+    tab = pgo._ImuTable.chain(m, gravity)
+    for k in range(m):
+        if i is not None:
+            tab.i[k], tab.j[k] = i[k], i[k] + 1
         for name in pgo._PRE_ROW_FIELDS:
-            getattr(tab, name)[k] = getattr(f.pre, name)
-        tab.dt[k] = f.pre.dt_total
-        tab.sqrt_info[k] = f.sqrt_info
-        tab.bias_lin[k, 0:3], tab.bias_lin[k, 3:6] = f.pre.bias_gyro, f.pre.bias_accel
+            getattr(tab, name)[k] = getattr(batch, name)[k]
+        tab.dt[k] = batch.dt_total[k]
+        tab.sqrt_info[k] = sqrt_info[k]
+        tab.bias_lin[k, 0:3], tab.bias_lin[k, 3:6] = batch.bias_gyro[k], batch.bias_accel[k]
     return tab
 
 
 def imu_residual(pre, state_i, state_j, gravity=eskf.GRAVITY) -> np.ndarray:
     """Unwhitened 15-dof residual (rotation, position, velocity, bias) of
-    the increments pre between two keyframe states (rot, p, v[, bias]),
-    from the solver's IMU kernel. Biases default to zero."""
-    tab = imu_table([pgo.ImuFactor(0, 1, pre, None, np.eye(15))], gravity)
+    the one-interval batch pre between two keyframe states (rot, p, v[,
+    bias]), from the solver's IMU kernel. Biases default to zero."""
+    tab = imu_table(pre, np.eye(15)[None], gravity=gravity)
     states = [tuple(s) + (np.zeros(6),) * (4 - len(s)) for s in (state_i, state_j)]
     values = pgo.GraphValues(*(np.array(c, dtype=float) for c in zip(*states)),
                              stations=np.zeros((0, 3)))
@@ -173,7 +190,7 @@ def oracle_propagate_nominal(state, omega, accel, dt, gravity):
     w_hat = omega - state.b_g
     a_hat = accel - state.b_a
     omega = np.zeros((4, 4))
-    omega[:3, :3] = -geo.skew(w_hat)
+    omega[:3, :3] = -skew(w_hat)
     omega[:3, 3] = w_hat
     omega[3, :3] = -w_hat
 
@@ -215,9 +232,9 @@ def oracle_error_jacobians(state, omega, accel):
     a_hat = accel - state.b_a
     r_wb = geo.quat_to_rot(state.q)
     f = np.zeros((15, 15))
-    f[0:3, 0:3] = -geo.skew(w_hat)
+    f[0:3, 0:3] = -skew(w_hat)
     f[0:3, 3:6] = -np.eye(3)
-    f[6:9, 0:3] = -r_wb @ geo.skew(a_hat)
+    f[6:9, 0:3] = -r_wb @ skew(a_hat)
     f[6:9, 9:12] = -r_wb
     f[12:15, 6:9] = np.eye(3)
     g = np.zeros((15, 12))

@@ -29,7 +29,7 @@ from conftest import record_acceptance, random_quaternion
 from test_eskf import (batched_jacobians, finite_difference_f_g, random_imu,
                        random_state)
 from test_pgo import (fd_jacobian_check, make_tables, make_values,
-                      random_imu_factor)
+                      random_imu_rows)
 
 SEEDS = tuple(range(10))
 
@@ -108,9 +108,9 @@ class TestCriterion1:
         worst_imu = 0.0
         for _ in range(100):
             values = make_values(rng, 2, 1)
-            factor = random_imu_factor(rng, bias=0.01 * rng.standard_normal(6))
+            _, _, imu_tab = random_imu_rows(rng, 0.01 * rng.standard_normal(6))
             worst_imu = max(worst_imu,
-                            fd_jacobian_check(make_tables(imu=[factor]), values))
+                            fd_jacobian_check(make_tables(imu=imu_tab), values))
         assert worst_imu < tol
 
         worst_prior = 0.0

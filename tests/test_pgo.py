@@ -17,8 +17,10 @@ from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  initial_state_from_groundtruth)
 from toafusion.toa_sim import BaseStation, default_stations
 
-from conftest import (assert_matches_oracle, imu_residual, imu_table, make_imu,
-                      make_toa, oracle_integrate, oracle_slice, random_rotation)
+from conftest import (assert_matches_oracle, dead_reckon, imu_residual, imu_table,
+                      make_imu, make_toa, oracle_integrate, oracle_slice,
+                      random_rotation)
+from so3_reference import exp_so3
 
 
 def make_values(rng, n_kf, n_st):
@@ -30,11 +32,11 @@ def make_values(rng, n_kf, n_st):
         stations=rng.uniform(-10, 10, (n_st, 3)))
 
 
-def make_tables(imu=(), ranges=(), priors=(), stations=(), gravity=GRAVITY):
-    """Factor tables from ImuFactor objects and plain rows:
+def make_tables(imu=None, ranges=(), priors=(), stations=(), gravity=GRAVITY):
+    """Factor tables from an IMU table (default: none) and plain rows:
     ranges (kf, station, distance, sigma), priors (kf, rot0, p0, v0, b0,
     cov) and stations (station, center, sigma)."""
-    imu_tab = imu_table(imu, gravity)
+    imu_tab = imu if imu is not None else pgo._ImuTable.chain(0, gravity)
 
     def col(rows, c, dtype=float, shape=()):
         return np.array([r[c] for r in rows], dtype=dtype).reshape((len(rows),) + shape)
@@ -149,14 +151,33 @@ def fd_jacobian_check(tables, values, eps=1e-6):
                / max(np.linalg.norm(fd[:, b]), 1e-9) for b in blocks)
 
 
-def random_imu_factor(rng, i=0, bias=np.zeros(6), noise=ImuNoiseParams()):
-    omega = rng.uniform(-1, 1, (20, 3))
-    accel = rng.uniform(-5, 5, (20, 3))
-    dts = np.full(20, 0.005)
-    p = pre.integrate_batch(omega[None], accel[None], dts[None], bias[0:3],
-                            bias[3:6], noise)
-    return pgo.ImuFactor(i, i + 1, p.at(0), (omega, accel, dts),
-                         pgo._imu_sqrt_info(p)[0])
+def random_imu_rows(rng, bias, noise=ImuNoiseParams()):
+    """IMU factors between keyframes k and k + 1, one per row of the (m, 6)
+    or (6,) bias, each over 20 random samples 5 ms apart and linearized at
+    its bias row: the IMU columns, the m + 1 keyframe stamps 100 ms apart
+    and the factor table."""
+    bias = np.atleast_2d(bias)
+    m = len(bias)
+    omega, accel = (np.array(part) for part in zip(*[
+        (rng.uniform(-1, 1, (20, 3)), rng.uniform(-5, 5, (20, 3))) for _ in range(m)]))
+    batch = pre.integrate_batch(omega, accel, np.full((m, 20), 0.005), bias[:, 0:3],
+                                bias[:, 3:6], noise)
+    imu = make_imu(np.arange(20 * m) * 5_000_000, omega.reshape(-1, 3),
+                   accel.reshape(-1, 3))
+    times = np.arange(m + 1) * 100_000_000
+    return imu, times, imu_table(batch, pgo._imu_sqrt_info(batch))
+
+
+def record(monkeypatch, module, name):
+    """The results of every call of module.name, as the calls return them."""
+    results = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(module, name, wrapper)
+    return results
 
 
 class TestRangeResidual:
@@ -207,7 +228,7 @@ class TestFactorJacobians:
     def test_imu_factor(self, rng):
         for _ in range(20):
             values = make_values(rng, 2, 1)
-            tables = make_tables(imu=[random_imu_factor(rng)])
+            tables = make_tables(imu=random_imu_rows(rng, np.zeros(6))[2])
             assert fd_jacobian_check(tables, values) < 1e-5
 
     def test_range_factor(self, rng):
@@ -247,7 +268,8 @@ class TestBuildGraph:
                                meas_std=np.zeros(5))
         graph, _ = pgo.build_graph(imu, NO_RANGES, config)
         assert len(graph.keyframes) == 11
-        assert len(graph.imu_factors) == len(graph.tables.imu) == 10
+        assert graph.tables.imu.i.tolist() == list(range(10))
+        assert graph.tables.imu.j.tolist() == list(range(1, 11))
 
     def test_range_factor_count(self):
         imu = regular_imu()
@@ -325,44 +347,43 @@ NO_RANGES = make_toa([])
 
 
 class TestImuDataPath:
-    def test_jittered_imu_factors_match_per_sample_oracle(self, rng):
+    def test_jittered_imu_factors_match_per_sample_oracle(self, rng, monkeypatch):
         imu = jittered_imu(rng)
         config = imu_config()
+        slices = record(monkeypatch, pre, "slice_imu_between")
+        batches = record(monkeypatch, pre, "integrate_batch")
         graph, _ = pgo.build_graph(imu, NO_RANGES, config)
+        (omega, accel, dt, counts), = slices
+        batch, = batches
         times = [kf.t for kf in graph.keyframes]
         bias0_g, bias0_a = config.initial_state.b_g, config.initial_state.b_a
-        counts = set()
-        for f in graph.imu_factors:
-            omega, accel, dts = oracle_slice(imu, times[f.i], times[f.j])
-            for got, want in zip(f.samples, (omega, accel, dts)):
-                np.testing.assert_array_equal(got, want)
-            assert_matches_oracle(f.pre, oracle_integrate(
-                omega, accel, dts, bias0_g, bias0_a, config.noise))
-            counts.add(len(dts))
-        assert len(counts) >= 3     # unequal interval lengths were padded
+        assert len(counts) == len(times) - 1
+        for k, c in enumerate(counts):
+            want = oracle_slice(imu, times[k], times[k + 1])
+            for got, w in zip((omega[k, :c], accel[k, :c], dt[k, :c]), want):
+                np.testing.assert_array_equal(got, w)
+            assert_matches_oracle(batch, k, oracle_integrate(
+                *want, bias0_g, bias0_a, config.noise))
+        assert len(set(counts.tolist())) >= 3     # unequal interval lengths were padded
 
-    def test_table_factors_and_dead_reckoning_agree(self, rng):
+    def test_table_factors_and_dead_reckoning_agree(self, rng, monkeypatch):
         imu = jittered_imu(rng)
         config = imu_config()
+        batches = record(monkeypatch, pre, "integrate_batch")
         graph, values = pgo.build_graph(imu, NO_RANGES, config)
-        # The table filled by slice holds each factor's own row, bit for bit.
-        want = make_tables(imu=graph.imu_factors, gravity=config.gravity).imu
+        batch, = batches
+        tab = graph.tables.imu
+        # The table filled by slice holds each interval's own row, bit for bit.
+        want = imu_table(batch, tab.sqrt_info, gravity=config.gravity)
         for fld in dataclasses.fields(want):
-            assert_same_bits(getattr(graph.tables.imu, fld.name),
-                             getattr(want, fld.name))
-        noise = config.noise
-        for f in graph.imu_factors:
-            # Whitening matches the per-factor covariance and Cholesky.
-            cov = np.zeros((15, 15))
-            cov[0:9, 0:9] = f.pre.cov
-            cov[9:15, 9:15] = np.diag([noise.sigma_wg ** 2 * f.pre.dt_total] * 3
-                                      + [noise.sigma_wa ** 2 * f.pre.dt_total] * 3)
-            ref = TestWhitening.reference(cov)
-            assert np.max(np.abs(f.sqrt_info - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert_same_bits(getattr(tab, fld.name), getattr(want, fld.name))
+        assert_whitened(tab.sqrt_info, batch)
+        for k in range(len(tab)):
             # Keyframe j is dead-reckoned from keyframe i, bit for bit.
-            state_j = pre.predict(f.pre, values.rot[f.i], values.pos[f.i],
-                                  values.vel[f.i], config.gravity)
-            for got, exp in zip((values.rot[f.j], values.pos[f.j], values.vel[f.j]),
+            i, j = tab.i[k], tab.j[k]
+            state_j = dead_reckon(batch, k, values.rot[i], values.pos[i],
+                                  values.vel[i], config.gravity)
+            for got, exp in zip((values.rot[j], values.pos[j], values.vel[j]),
                                 state_j):
                 assert_same_bits(got, exp)
 
@@ -374,29 +395,28 @@ class TestImuDataPath:
         graph, _ = pgo.build_graph(imu, NO_RANGES, config)
         toa = make_toa((kf.t, bs.id, 5.0 + bs.id)
                        for kf in graph.keyframes for bs in config.stations)
-        built, moves = [], []
-        real_factor, real_reintegrate = pgo.ImuFactor, pgo._reintegrate
+        latest, moves = {}, []
+        real_put = pgo._put_imu_rows
 
-        def factor(*args, **kwargs):
-            built.append(real_factor(*args, **kwargs))
-            return built[-1]
-
-        def reintegrate(factors, bias):
-            for f, b in zip(factors, bias):
-                lin = np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
-                moves.append(np.max(np.abs(lin - b)))
-            return real_reintegrate(factors, bias)
-        monkeypatch.setattr(pgo, "ImuFactor", factor)
-        monkeypatch.setattr(pgo, "_reintegrate", reintegrate)
+        def put_imu_rows(imu, times, tab, rows, bias, noise):
+            idx = np.arange(len(tab))[rows]
+            if bias.ndim == 2:          # re-integration: a bias row per factor
+                moves.extend(np.max(np.abs(tab.bias_lin[idx] - bias), axis=1))
+            batch = real_put(imu, times, tab, rows, bias, noise)
+            latest.update((row, (batch, k)) for k, row in enumerate(idx))
+            return batch
+        monkeypatch.setattr(pgo, "_put_imu_rows", put_imu_rows)
         run = pgo.run_sliding_window(imu, toa, config)
         # Only factors whose own bias point is stale are re-integrated.
         assert run.reintegrations == len(moves) > 0
         assert min(moves) > config.bias_drift_threshold
         times = [kf.t for kf in graph.keyframes]
-        for f in built:
-            omega, accel, dts = oracle_slice(imu, times[f.i], times[f.j])
-            assert_matches_oracle(f.pre, oracle_integrate(
-                omega, accel, dts, f.pre.bias_gyro, f.pre.bias_accel, config.noise))
+        assert sorted(latest) == list(range(len(times) - 1))
+        for row, (batch, k) in latest.items():
+            omega, accel, dts = oracle_slice(imu, times[row], times[row + 1])
+            assert_matches_oracle(batch, k, oracle_integrate(
+                omega, accel, dts, batch.bias_gyro[k], batch.bias_accel[k],
+                config.noise))
 
     def test_empty_interval(self):
         # Samples 60-89 (0.30-0.445 s) are missing: keyframes 3 and 4 have
@@ -449,22 +469,22 @@ def groundtruth_values(graph, gt, config):
     return values
 
 
-def imu_residual_oracle(f, values, gravity):
-    """One IMU factor's unwhitened residual, from its increments corrected
-    to first order for the bias at keyframe i."""
-    p = f.pre
-    dbg = values.bias[f.i, 0:3] - p.bias_gyro
-    dba = values.bias[f.i, 3:6] - p.bias_accel
-    d_rot = p.d_rot @ geo.exp_so3(p.j_rot_bg @ dbg)
-    d_pos = p.d_pos + p.j_pos_bg @ dbg + p.j_pos_ba @ dba
-    d_vel = p.d_vel + p.j_vel_bg @ dbg + p.j_vel_ba @ dba
-    rot_i, dt = values.rot[f.i], p.dt_total
+def imu_residual_oracle(batch, k, i, j, values, gravity):
+    """The unwhitened residual of the IMU factor of interval k of batch
+    between keyframes i and j, from its increments corrected to first order
+    for the bias at keyframe i."""
+    dbg = values.bias[i, 0:3] - batch.bias_gyro[k]
+    dba = values.bias[i, 3:6] - batch.bias_accel[k]
+    d_rot = batch.d_rot[k] @ exp_so3(batch.j_rot_bg[k] @ dbg)
+    d_pos = batch.d_pos[k] + batch.j_pos_bg[k] @ dbg + batch.j_pos_ba[k] @ dba
+    d_vel = batch.d_vel[k] + batch.j_vel_bg[k] @ dbg + batch.j_vel_ba[k] @ dba
+    rot_i, dt = values.rot[i], batch.dt_total[k]
     return np.concatenate([
-        geo.log_so3(d_rot.T @ rot_i.T @ values.rot[f.j]),
-        rot_i.T @ (values.pos[f.j] - values.pos[f.i] - values.vel[f.i] * dt
+        geo.log_so3(d_rot.T @ rot_i.T @ values.rot[j]),
+        rot_i.T @ (values.pos[j] - values.pos[i] - values.vel[i] * dt
                    - 0.5 * gravity * dt * dt) - d_pos,
-        rot_i.T @ (values.vel[f.j] - values.vel[f.i] - gravity * dt) - d_vel,
-        values.bias[f.j] - values.bias[f.i]])
+        rot_i.T @ (values.vel[j] - values.vel[i] - gravity * dt) - d_vel,
+        values.bias[j] - values.bias[i]])
 
 
 class TestTotalCost:
@@ -481,20 +501,23 @@ class TestTotalCost:
                               values)
         assert c1 == pytest.approx(0.5 * c0, rel=1e-12)
 
-    def test_matches_per_factor_oracle(self, rng):
+    def test_matches_per_factor_oracle(self, rng, monkeypatch):
         imu, gt, toa, config = noiseless_setup(duration=2.0)
+        batches = record(monkeypatch, pre, "integrate_batch")
         graph, values = pgo.build_graph(imu, toa, config)
+        batch, = batches
         # Perturb away from the optimum so the cost is non-trivial.
         values.pos += 0.1 * rng.standard_normal(values.pos.shape)
         values.bias += 0.01 * rng.standard_normal(values.bias.shape)
         values.stations += 1e-3 * rng.standard_normal(values.stations.shape)
         terms = []                                   # (residual, covariance)
         noise = config.noise
-        for f in graph.imu_factors:
+        for k in range(len(batch.dt_total)):
             cov = scipy.linalg.block_diag(
-                f.pre.cov, noise.sigma_wg ** 2 * f.pre.dt_total * np.eye(3),
-                noise.sigma_wa ** 2 * f.pre.dt_total * np.eye(3))
-            terms.append((imu_residual_oracle(f, values, config.gravity), cov))
+                batch.cov[k], noise.sigma_wg ** 2 * batch.dt_total[k] * np.eye(3),
+                noise.sigma_wa ** 2 * batch.dt_total[k] * np.eye(3))
+            terms.append((imu_residual_oracle(batch, k, k, k + 1, values,
+                                              config.gravity), cov))
         times = np.array([kf.t for kf in graph.keyframes])
         for t, bs_id, distance in zip(toa.t, toa.bs_id, toa.distance):
             kf = int(np.argmin(np.abs(times - t)))
@@ -569,14 +592,16 @@ class TestBiasCorrection:
         omega = rng.uniform(-1, 1, (40, 3))
         accel = rng.uniform(-5, 5, (40, 3))
         dts = np.full(40, 0.005)
-        base = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3))
+        base = pre.integrate_batch(omega[None], accel[None], dts[None], np.zeros(3),
+                                   np.zeros(3))
         db_g = 1e-3 * rng.standard_normal(3)
         db_a = 1e-2 * rng.standard_normal(3)
-        exact = pre.integrate_batch(omega, accel, dts, db_g, db_a)
+        exact = pre.integrate_batch(omega[None], accel[None], dts[None], db_g, db_a)
         # Keyframe j dead-reckoned through the exact increments: the
         # residual of the base increments at the moved bias is the gap
         # between their first-order correction and the exact increments.
-        rot_j, p_j, v_j = pre.predict(exact, np.eye(3), np.zeros(3), np.zeros(3))
+        rot_j, p_j, v_j = (x[1] for x in pre.predict(exact, np.eye(3), np.zeros(3),
+                                                     np.zeros(3)))
         bias = np.concatenate([db_g, db_a])
         r = imu_residual(base, (np.eye(3), np.zeros(3), np.zeros(3), bias),
                          (rot_j, p_j, v_j, bias))
@@ -585,43 +610,49 @@ class TestBiasCorrection:
         assert np.linalg.norm(r[6:9]) < 1e-5
 
     def test_reintegration_triggers_on_large_drift(self, rng):
-        factor = random_imu_factor(rng)
-        tab = make_tables(imu=[factor]).imu
+        imu, times, tab = random_imu_rows(rng, np.zeros(6))
         values = make_values(rng, 2, 1)
         values.bias[0] = np.full(6, 0.1)
-        count = pgo._reintegrate_drifted([factor], tab, values.bias, threshold=0.05)
+        noise = ImuNoiseParams()
+        count = pgo._reintegrate_drifted(imu, times, tab, values.bias, noise,
+                                         threshold=0.05)
         assert count == 1
-        np.testing.assert_allclose(factor.pre.bias_gyro, values.bias[0][0:3])
         np.testing.assert_array_equal(tab.bias_lin[0], values.bias[0])
         # After re-integration the linearization matches; no further trigger.
-        assert pgo._reintegrate_drifted([factor], tab, values.bias,
+        assert pgo._reintegrate_drifted(imu, times, tab, values.bias, noise,
                                         threshold=0.05) == 0
 
-    def test_only_drifted_factors_reintegrated(self, rng):
-        graph, values = oracle_graph(rng, n_kf=5)
-        imu_fs, tab = graph.imu_factors, graph.tables.imu
-        before = [f.pre for f in imu_fs]
-        for f in imu_fs:
-            values.bias[f.i] = np.concatenate([f.pre.bias_gyro, f.pre.bias_accel])
+    def test_only_drifted_factors_reintegrated(self, rng, monkeypatch):
+        noise = ImuNoiseParams()
+        values = make_values(rng, 5, 2)
+        imu, times, tab = random_imu_rows(
+            rng, values.bias[:-1] + [0, 0, 0, 0.01, 0.01, 0.01], noise)
+        values.bias[:-1] = tab.bias_lin
         values.bias[1, 4] += 0.06       # accel component past the threshold
         values.bias[3, 0] -= 0.2        # gyro component past the threshold
         values.bias[2] += 0.04          # within it
-        assert pgo._reintegrate_drifted(imu_fs, tab, values.bias,
+        before = tab.rows(np.arange(len(tab)))
+        batches = record(monkeypatch, pre, "integrate_batch")
+        assert pgo._reintegrate_drifted(imu, times, tab, values.bias, noise,
                                         threshold=0.05) == 2
-        for f, old in zip(imu_fs, before):
-            if f.i in (1, 3):
-                omega, accel, dts = f.samples
-                np.testing.assert_array_equal(f.pre.bias_gyro, values.bias[f.i, 0:3])
-                np.testing.assert_array_equal(f.pre.bias_accel, values.bias[f.i, 3:6])
-                assert_matches_oracle(f.pre, oracle_integrate(
-                    omega, accel, dts, values.bias[f.i, 0:3],
-                    values.bias[f.i, 3:6], old.noise))
-            else:
-                assert f.pre is old
-        # Every row holds its factor's current preintegration.
-        want = make_tables(imu=imu_fs).imu
+        batch, = batches
+        drifted, kept = np.array([1, 3]), np.array([0, 2])
+        for k, row in enumerate(drifted):
+            # Sliced again from the IMU columns, at the bias estimate.
+            np.testing.assert_array_equal(batch.bias_gyro[k], values.bias[row, 0:3])
+            np.testing.assert_array_equal(batch.bias_accel[k], values.bias[row, 3:6])
+            assert_matches_oracle(batch, k, oracle_integrate(
+                *oracle_slice(imu, times[row], times[row + 1]),
+                values.bias[row, 0:3], values.bias[row, 3:6], noise))
+        # The drifted rows hold their new preintegration, the others their
+        # old bits.
+        want = imu_table(batch, tab.sqrt_info[drifted], i=drifted)
         for fld in dataclasses.fields(want):
-            assert_same_bits(getattr(tab, fld.name), getattr(want, fld.name))
+            assert_same_bits(getattr(tab.rows(drifted), fld.name),
+                             getattr(want, fld.name))
+            assert_same_bits(getattr(tab.rows(kept), fld.name),
+                             getattr(before.rows(kept), fld.name))
+        assert_whitened(tab.sqrt_info[drifted], batch)
 
 
 class TestRunBatch:
@@ -712,31 +743,49 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def assert_whitened(sqrt_info, batch):
+    """sqrt_info[k] whitens interval k of batch: its covariance, then the
+    bias random walk over the interval, whitened per matrix by scipy."""
+    noise = batch.noise
+    for k, s in enumerate(sqrt_info):
+        cov = scipy.linalg.block_diag(
+            batch.cov[k], noise.sigma_wg ** 2 * batch.dt_total[k] * np.eye(3),
+            noise.sigma_wa ** 2 * batch.dt_total[k] * np.eye(3))
+        ref = TestWhitening.reference(cov)
+        assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestSlidingWindowTables:
     def test_window_tables_match_restacked_factors(self, rng, monkeypatch):
         imu, toa, config = reintegrating_setup(rng, final_batch=False)
         graph, _ = pgo.build_graph(imu, NO_RANGES, config)
         times = np.array([kf.t for kf in graph.keyframes])
         nearest = [int(np.argmin(np.abs(times - t))) for t in toa.t]
-        built, steps = [], []
-        real_factor, real_optimize = pgo.ImuFactor, pgo.optimize
+        latest, steps = {}, []
+        real_put, real_optimize = pgo._put_imu_rows, pgo.optimize
 
-        def factor(*args, **kwargs):
-            built.append(real_factor(*args, **kwargs))
-            return built[-1]
+        def put_imu_rows(imu, times, tab, rows, bias, noise):
+            batch = real_put(imu, times, tab, rows, bias, noise)
+            for k, row in enumerate(np.arange(len(tab))[rows]):
+                latest[row] = (batch.rows(slice(k, k + 1)), tab.sqrt_info[row].copy())
+            return batch
 
         def optimize(graph, values, options=None, first_kf=0):
             # Restack the window's factors: IMU factors [first_kf, n - 1)
-            # from the objects, and the ranges on keyframes [first_kf, n)
-            # from the measurements, by keyframe.
+            # from the last batch row built for each, and the ranges on
+            # keyframes [first_kf, n) from the measurements, by keyframe.
             n = values.n_keyframes
             ranges = sorted(((kf, bs_id - 1, distance, 0.1)
                              for kf, bs_id, distance
                              in zip(nearest, toa.bs_id, toa.distance)
                              if first_kf <= kf < n),
                             key=lambda row: row[0])
-            want = make_tables(imu=built[first_kf:n - 1], ranges=ranges,
-                               gravity=config.gravity)
+            rows = [latest[row] for row in range(first_kf, n - 1)]
+            want = make_tables(
+                imu=imu_table(pre.PreintegratedBatch.concat([r[0] for r in rows]),
+                              [r[1] for r in rows], i=range(first_kf, n - 1),
+                              gravity=config.gravity),
+                ranges=ranges, gravity=config.gravity)
             got = graph.tables
             for table in ("imu", "ranges"):
                 for fld in dataclasses.fields(getattr(want, table)):
@@ -745,7 +794,7 @@ class TestSlidingWindowTables:
             assert got.priors.kf.tolist() == [first_kf]
             steps.append(n)
             return real_optimize(graph, values, options, first_kf)
-        monkeypatch.setattr(pgo, "ImuFactor", factor)
+        monkeypatch.setattr(pgo, "_put_imu_rows", put_imu_rows)
         monkeypatch.setattr(pgo, "optimize", optimize)
         run = pgo.run_sliding_window(imu, toa, config)
         assert steps == list(range(2, len(run.streamed) + 1))
@@ -754,17 +803,18 @@ class TestSlidingWindowTables:
     def test_reintegrations_count_factors(self, rng, monkeypatch):
         imu, toa, config = reintegrating_setup(rng, final_batch=True)
         passed, in_final_batch = [], []
-        real_reintegrate, real_solve = pgo._reintegrate, pgo._solve_relinearizing
+        real_put, real_solve = pgo._put_imu_rows, pgo._solve_relinearizing
 
-        def reintegrate(factors, bias):
-            passed.append(len(factors))
-            return real_reintegrate(factors, bias)
+        def put_imu_rows(imu, times, tab, rows, bias, noise):
+            if bias.ndim == 2:          # re-integration: a bias row per factor
+                passed.append(len(bias))
+            return real_put(imu, times, tab, rows, bias, noise)
 
-        def solve_relinearizing(graph, values, config):
-            out = real_solve(graph, values, config)
+        def solve_relinearizing(imu, graph, values, config):
+            out = real_solve(imu, graph, values, config)
             in_final_batch.append(out[2])
             return out
-        monkeypatch.setattr(pgo, "_reintegrate", reintegrate)
+        monkeypatch.setattr(pgo, "_put_imu_rows", put_imu_rows)
         monkeypatch.setattr(pgo, "_solve_relinearizing", solve_relinearizing)
         run = pgo.run_sliding_window(imu, toa, config)
         assert sum(in_final_batch) > 0
@@ -789,9 +839,8 @@ class TestSlidingWindowTables:
 def oracle_graph(rng, n_kf=4, n_st=2, noise=ImuNoiseParams()):
     """Values and factors of every kind over a short keyframe chain."""
     values = make_values(rng, n_kf, n_st)
-    imu_fs = [random_imu_factor(rng, k, values.bias[k] + [0, 0, 0, 0.01, 0.01, 0.01],
-                                noise)
-              for k in range(n_kf - 1)]
+    _, times, imu_tab = random_imu_rows(
+        rng, values.bias[:-1] + [0, 0, 0, 0.01, 0.01, 0.01], noise)
     spread = rng.standard_normal((15, 15))
     priors = [
         (0, random_rotation(rng), rng.standard_normal(3), rng.standard_normal(3),
@@ -802,8 +851,8 @@ def oracle_graph(rng, n_kf=4, n_st=2, noise=ImuNoiseParams()):
     ranges = [(k, s, float(rng.uniform(1, 20)), 0.2)
               for k in range(n_kf) for s in range(n_st)]
     stations = [(s, values.stations[s] + 0.01, 1e-2) for s in range(n_st)]
-    graph = pgo.FactorGraph([pgo.KeyframeId(k, k) for k in range(n_kf)],
-                            make_tables(imu_fs, ranges, priors, stations), imu_fs)
+    graph = pgo.FactorGraph([pgo.KeyframeId(k, t) for k, t in enumerate(times.tolist())],
+                            make_tables(imu_tab, ranges, priors, stations))
     return graph, values
 
 
@@ -860,8 +909,8 @@ class TestNormalEquations:
                    rng.standard_normal(3), rng.standard_normal(6),
                    0.02 * np.eye(15) + 1e-3 * spread @ spread.T)] * 2
         stations = [(s, values.stations[s] + 0.01, 1e-2) for s in range(n_st)]
-        window = make_tables(graph.imu_factors[first_kf:], ranges, priors,
-                             stations)
+        window = make_tables(graph.tables.imu.rows(slice(first_kf, None)), ranges,
+                             priors, stations)
         neq = pgo._build_normal_equations(window, values, first_kf, n_kf, n_st)
         h, g, cost = dense_oracle(window, values, first_kf)
         nk = pgo.KF_DIM * n_kf
@@ -937,16 +986,17 @@ class TestNormalEquations:
 
     def test_non_consecutive_imu_factor_rejected(self, rng):
         graph, values = oracle_graph(rng, n_kf=3)
-        f = graph.imu_factors[0]
-        graph.tables.imu = make_tables(imu=graph.imu_factors + [
-            pgo.ImuFactor(0, 2, f.pre, f.samples, f.sqrt_info)]).imu
+        tab = graph.tables.imu.rows(np.array([0, 1, 0]))
+        tab.j[2] = 2
+        graph.tables.imu = tab
         with pytest.raises(ValueError, match="links keyframes 0 and 2"):
             pgo.optimize(graph, values)
 
     def test_repeated_imu_keyframe_rejected(self, rng):
         graph, values = oracle_graph(rng, n_kf=3)
-        f0, f1 = graph.imu_factors
-        graph.tables.imu = make_tables(imu=[f0, f0, f1]).imu
+        tab = graph.tables.imu.rows(np.array([0, 1, 1]))
+        tab.i[1], tab.j[1] = 0, 1
+        graph.tables.imu = tab
         with pytest.raises(ValueError, match="IMU factor 1 links keyframes 0 and 1"):
             pgo.optimize(graph, values)
 

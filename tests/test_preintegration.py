@@ -6,22 +6,28 @@ from toafusion import preintegration as pre
 from toafusion.errors import InvalidDt
 from toafusion.eskf import GRAVITY, MAX_DT_S, ImuNoiseParams, NavState
 
-from conftest import (assert_matches_oracle, imu_residual, make_imu,
-                      nominal_step, oracle_integrate, oracle_slice,
+from conftest import (assert_matches_oracle, dead_reckon, imu_residual,
+                      make_imu, nominal_step, oracle_integrate, oracle_slice,
                       random_rotation)
+from so3_reference import exp_so3
 
 
 def constant(omega, accel, n, dt=0.005, bias_g=np.zeros(3), bias_a=np.zeros(3),
              noise=None):
-    """Increments of n samples of one constant reading."""
-    return pre.integrate_batch(np.tile(omega, (n, 1)), np.tile(accel, (n, 1)),
-                               np.full(n, dt), bias_g, bias_a, noise)
+    """Increments of one interval of n samples of one constant reading."""
+    return pre.integrate_batch(np.tile(omega, (1, n, 1)), np.tile(accel, (1, n, 1)),
+                               np.full((1, n), dt), bias_g, bias_a, noise)
+
+
+def one_interval(omega, accel, dts, bias_g=np.zeros(3), bias_a=np.zeros(3)):
+    """Increments of the (n, 3) samples of one interval."""
+    return pre.integrate_batch(omega[None], accel[None], dts[None], bias_g, bias_a)
 
 
 def no_samples():
     """Identity increments over no time."""
-    return pre.integrate_batch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0),
-                               np.zeros(3), np.zeros(3))
+    return pre.integrate_batch(np.zeros((1, 0, 3)), np.zeros((1, 0, 3)),
+                               np.zeros((1, 0)), np.zeros(3), np.zeros(3))
 
 
 REST = (np.eye(3), np.zeros(3), np.zeros(3))
@@ -30,24 +36,24 @@ REST = (np.eye(3), np.zeros(3), np.zeros(3))
 class TestIntegrate:
     def test_zero_input_identity_increments(self):
         p = constant(np.zeros(3), np.zeros(3), 50)
-        np.testing.assert_allclose(p.d_rot, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(p.d_vel, np.zeros(3), atol=1e-12)
-        np.testing.assert_allclose(p.d_pos, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(p.d_rot[0], np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(p.d_vel[0], np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(p.d_pos[0], np.zeros(3), atol=1e-12)
         assert p.count == 50
-        assert p.dt_total == pytest.approx(0.25)
+        assert p.dt_total[0] == pytest.approx(0.25)
 
     def test_constant_acceleration_closed_form(self):
         p = constant(np.zeros(3), np.array([1.0, 0.0, 0.0]), 200)
-        np.testing.assert_allclose(p.d_vel, [1.0, 0.0, 0.0], atol=1e-6)
-        np.testing.assert_allclose(p.d_pos, [0.5, 0.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(p.d_vel[0], [1.0, 0.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(p.d_pos[0], [0.5, 0.0, 0.0], atol=1e-6)
 
     def test_bias_removed_at_linearization_point(self):
         bias_g = np.array([0.01, -0.02, 0.005])
         bias_a = np.array([0.1, 0.2, -0.1])
         # The reading equals the bias.
         p = constant(bias_g, bias_a, 20, bias_g=bias_g, bias_a=bias_a)
-        np.testing.assert_allclose(p.d_rot, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(p.d_vel, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(p.d_rot[0], np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(p.d_vel[0], np.zeros(3), atol=1e-12)
 
     def test_invalid_dt(self):
         for dt in (0.0, 0.2):
@@ -74,15 +80,15 @@ class TestResiduals:
     def test_rotation_residual_zero_when_consistent(self, rng):
         for _ in range(20):
             rot_i = random_rotation(rng)
-            p = pre.integrate_batch(rng.uniform(-1, 1, (10, 3)), np.zeros((10, 3)),
-                                    np.full(10, 0.005), np.zeros(3), np.zeros(3))
-            rot_j = rot_i @ p.d_rot
+            p = one_interval(rng.uniform(-1, 1, (10, 3)), np.zeros((10, 3)),
+                             np.full(10, 0.005))
+            rot_j = rot_i @ p.d_rot[0]
             r = imu_residual(p, (rot_i, np.zeros(3), np.zeros(3)),
                              (rot_j, np.zeros(3), np.zeros(3)))
             np.testing.assert_allclose(r[0:3], np.zeros(3), atol=1e-10)
 
     def test_rotation_residual_pure_yaw_offset(self):
-        rot_j = geo.exp_so3([0.0, 0.0, 0.1])
+        rot_j = exp_so3([0.0, 0.0, 0.1])
         r = imu_residual(no_samples(), REST, (rot_j, np.zeros(3), np.zeros(3)))
         np.testing.assert_allclose(r[0:3], [0.0, 0.0, 0.1], atol=1e-12)
 
@@ -104,7 +110,7 @@ class TestResiduals:
 
     def test_velocity_residual_free_fall(self):
         p = no_samples()
-        p.dt_total = 0.5
+        p.dt_total[0] = 0.5
         r = imu_residual(p, REST, (np.eye(3), np.zeros(3), GRAVITY * 0.5), GRAVITY)
         np.testing.assert_allclose(r[6:9], np.zeros(3), atol=1e-12)
 
@@ -151,7 +157,7 @@ class TestConsistencyWithNominalPropagation:
         dts = np.full(40, 0.005)
         state_j = self.propagate_states(omega, accel, dts, state0)
 
-        p = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3))
+        p = one_interval(omega, accel, dts)
         r = self.motion_residual(p, state0, state_j)
         np.testing.assert_allclose(r[0:3], np.zeros(3), atol=1e-8)
         np.testing.assert_allclose(r[3:6], np.zeros(3), atol=1e-6)
@@ -164,10 +170,10 @@ class TestConsistencyWithNominalPropagation:
         omega = rng.uniform(-1, 1, (40, 3))
         accel = rng.uniform(-5, 5, (40, 3))
         dts = np.full(40, 0.005)
-        p = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3))
+        p = one_interval(omega, accel, dts)
         rot_i = random_rotation(rng)
         p_i, v_i = rng.standard_normal(3), rng.standard_normal(3)
-        rot_j, p_j, v_j = pre.predict(p, rot_i, p_i, v_i)
+        rot_j, p_j, v_j = (x[1] for x in pre.predict(p, rot_i, p_i, v_i))
         r = imu_residual(p, (rot_i, p_i, v_i), (rot_j, p_j, v_j))
         np.testing.assert_allclose(r[0:3], np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(r[3:6], np.zeros(3), atol=1e-12)
@@ -181,7 +187,7 @@ class TestConsistencyWithNominalPropagation:
         accel = np.tile(-GRAVITY, (40, 1))
         dts = np.full(40, 0.005)
         state_j = self.propagate_states(omega, accel, dts, state0)
-        p = pre.integrate_batch(omega, accel, dts, np.zeros(3), np.zeros(3))
+        p = one_interval(omega, accel, dts)
         r = self.motion_residual(p, state0, state_j)
         assert np.linalg.norm(r[3:6]) < 2e-4
         assert np.linalg.norm(r[6:9]) < 2e-3
@@ -207,11 +213,10 @@ class TestBatchedKernel:
             omega, accel, dts = random_intervals(rng, [20])
             bias_g = 0.05 * rng.standard_normal(3)
             bias_a = 0.2 * rng.standard_normal(3)
-            p = pre.integrate_batch(omega[0], accel[0], dts[0], bias_g, bias_a,
-                                    noise)
-            assert isinstance(p, pre.PreintegratedImu)
-            assert_matches_oracle(p, oracle_integrate(omega[0], accel[0], dts[0],
-                                                      bias_g, bias_a, noise))
+            p = pre.integrate_batch(omega, accel, dts, bias_g, bias_a, noise)
+            assert isinstance(p, pre.PreintegratedBatch)
+            assert_matches_oracle(p, 0, oracle_integrate(omega[0], accel[0], dts[0],
+                                                         bias_g, bias_a, noise))
 
     def test_unequal_lengths_match_oracle(self, rng):
         # Dropped or jittered stamps give keyframe intervals of 19-21 samples.
@@ -227,7 +232,7 @@ class TestBatchedKernel:
         for k, count in enumerate(lengths):
             expected = oracle_integrate(omega[k, :count], accel[k, :count],
                                         dts[k, :count], bias_g[k], bias_a[k], noise)
-            assert_matches_oracle(batch.at(k), expected)
+            assert_matches_oracle(batch, k, expected)
             np.testing.assert_array_equal(batch.bias_gyro[k], bias_g[k])
 
     def test_many_intervals_span_several_passes(self, rng):
@@ -239,7 +244,7 @@ class TestBatchedKernel:
                                     counts=lengths)
         assert batch.count == sum(lengths)
         for k, count in enumerate(lengths):
-            assert_matches_oracle(batch.at(k), oracle_integrate(
+            assert_matches_oracle(batch, k, oracle_integrate(
                 omega[k, :count], accel[k, :count], dts[k, :count], bias_g[k],
                 bias_a[k], ImuNoiseParams()))
 
@@ -248,7 +253,7 @@ class TestBatchedKernel:
         bias_g, bias_a = 0.01 * np.ones(3), -0.1 * np.ones(3)
         batch = pre.integrate_batch(omega, accel, dts, bias_g, bias_a)
         for k in range(3):
-            assert_matches_oracle(batch.at(k), oracle_integrate(
+            assert_matches_oracle(batch, k, oracle_integrate(
                 omega[k], accel[k], dts[k], bias_g, bias_a, ImuNoiseParams()))
 
     def test_padding_leaves_state_bit_for_bit_unchanged(self, rng):
@@ -304,30 +309,28 @@ class TestSlicing:
         return make_imu(t, rng.uniform(-1, 1, (len(t), 3)),
                         rng.uniform(-5, 5, (len(t), 3)))
 
-    def check(self, imu, bounds):
-        """Row k of the padded multi-interval slice holds, bit for bit, what
-        the linear-scan oracle gives for interval k, and edges[k]:edges[k + 1]
-        are that interval's IMU rows."""
-        omega, accel, dt, edges = pre.slice_imu_between(imu, np.array(bounds))
-        counts = np.diff(edges)
+    def check(self, imu, starts, ends):
+        """Row k of the padded slice holds, bit for bit, what the
+        linear-scan oracle gives for interval [starts[k], ends[k]), and
+        counts[k] is its number of samples."""
+        omega, accel, dt, counts = pre.slice_imu_between(imu, np.array(starts),
+                                                         np.array(ends))
         assert omega.shape == accel.shape == dt.shape + (3,)
-        assert dt.shape == (len(bounds) - 1, int(counts.max(initial=0)))
-        for k in range(len(bounds) - 1):
+        assert dt.shape == (len(starts), int(counts.max(initial=0)))
+        for k in range(len(starts)):
             c = counts[k]
-            want = oracle_slice(imu, bounds[k], bounds[k + 1])
+            want = oracle_slice(imu, starts[k], ends[k])
+            assert c == len(want[2])
             for got, expected in zip((omega[k], accel[k], dt[k]), want):
                 assert_bits(got[:c], expected)
                 assert not np.any(got[c:])       # padding is zero
-            s, e = edges[k], edges[k + 1]
-            assert_bits(imu.omega[s:e], want[0])
-            assert_bits(imu.accel[s:e], want[1])
         return counts
 
     def test_jittered_stamps_match_the_per_interval_oracle(self, rng):
         t = self.stamps(rng)
         imu = self.readings(rng, t)
         bounds = list(range(0, int(t[-1]), 100_000_000))
-        counts = self.check(imu, bounds)
+        counts = self.check(imu, bounds[:-1], bounds[1:])
         assert len(set(counts.tolist())) >= 3
 
     def test_gap_and_capped_last_interval(self, rng):
@@ -340,33 +343,37 @@ class TestSlicing:
         # last sample caps the step of the last sample itself.
         bounds = [3_000_000, 250_000_001, 597_000_000, 700_000_000, 900_000_000,
                   1_000_000_000, int(t[-2]) + 1, int(t[-1]) + 2_000_000]
-        counts = self.check(imu, bounds)
+        counts = self.check(imu, bounds[:-1], bounds[1:])
         assert counts[3] == 0              # wholly inside the gap
-        _, _, dt, _ = pre.slice_imu_between(imu, np.array(bounds))
+        _, _, dt, _ = pre.slice_imu_between(imu, np.array(bounds[:-1]),
+                                            np.array(bounds[1:]))
         assert dt[-1, counts[-1] - 1] == pytest.approx(2e-3)
         assert dt[-2, counts[-2] - 1] == pytest.approx(1e-9)
 
+    def test_non_adjacent_intervals_match_the_oracle(self, rng):
+        # Overlapping, repeated, out of order, apart from each other, one
+        # starting before the first sample and one ending past the last.
+        t = self.stamps(rng, n=200)
+        imu = self.readings(rng, t)
+        starts = [300_000_000, 100_000_000, 300_000_000, 640_000_000, -50_000_000,
+                  int(t[-3]), 420_000_001, 500_000_000]
+        ends = [400_000_000, 350_000_000, 400_000_000, 700_000_000, 20_000_000,
+                int(t[-1]) + 3_000_000, 420_000_002, 500_000_000]
+        counts = self.check(imu, starts, ends)
+        assert counts[5] == 3 and counts[7] == 0
+        _, _, dt, _ = pre.slice_imu_between(imu, np.array(starts), np.array(ends))
+        assert dt[5, 2] == pytest.approx(3e-3)
+
     def test_no_samples(self):
         imu = make_imu(np.array([0, 5_000_000]), np.zeros(3), np.zeros(3))
-        omega, accel, dt, edges = pre.slice_imu_between(
-            imu, np.array([10_000_000, 20_000_000, 30_000_000]))
-        assert edges.tolist() == [2, 2, 2] and dt.shape == (2, 0)
+        omega, accel, dt, counts = pre.slice_imu_between(
+            imu, np.array([10_000_000, 20_000_000]), np.array([20_000_000, 30_000_000]))
+        assert counts.tolist() == [0, 0] and dt.shape == (2, 0)
         assert omega.shape == accel.shape == (2, 0, 3)
 
-    def test_pad_intervals_inverts_the_padding(self, rng):
-        t = self.stamps(rng, n=120)
-        imu = self.readings(rng, t)
-        omega, accel, dt, edges = pre.slice_imu_between(
-            imu, np.arange(0, 550_000_000, 90_000_000))
-        counts = np.diff(edges)
-        rows = [(omega[k, :c], accel[k, :c], dt[k, :c])
-                for k, c in enumerate(counts.tolist())]
-        for got, want in zip(pre.pad_intervals(rows), (omega, accel, dt, counts)):
-            assert_bits(got, want)
 
-
-class TestPredictChain:
-    def test_matches_predict_interval_by_interval(self, rng):
+class TestPredict:
+    def test_matches_a_per_interval_loop(self, rng):
         lengths = [19, 21, 20, 20, 1, 21]
         omega, accel, dts = random_intervals(rng, lengths)
         batch = pre.integrate_batch(omega, accel, dts, np.full(3, 0.01),
@@ -374,9 +381,9 @@ class TestPredictChain:
         rot0 = random_rotation(rng)
         p0, v0 = rng.standard_normal(3), rng.standard_normal(3)
         gravity = np.array([0.1, -0.2, -9.8])
-        rot, pos, vel = pre.predict_chain(batch, rot0, p0, v0, gravity)
+        rot, pos, vel = pre.predict(batch, rot0, p0, v0, gravity)
         want = [(rot0, p0, v0)]
         for k in range(len(lengths)):
-            want.append(pre.predict(batch.at(k), *want[-1], gravity))
+            want.append(dead_reckon(batch, k, *want[-1], gravity))
         for got, col in zip((rot, pos, vel), zip(*want)):
             assert_bits(got, np.array(col))
