@@ -14,16 +14,24 @@ The filter reads IMU and ToA columns. Prediction runs in segments: the
 IMU samples from one ToA tick to the next. Within a segment the biases are
 fixed and no covariance is read, so
 
-* the nominal state is stepped once per sample by ``propagate_nominal``,
-  an RK4 step on Python floats (four stages, quaternion rate
-  ``0.5 Omega(w) q``, the rotation of the unnormalized stage quaternion,
-  one renormalization at the end), with the segment's inputs converted
-  to floats in one call;
-* ``error_jacobians`` builds F and G for every sample of the segment at
-  once, and ``propagate_covariance`` chains ``P <- Phi P Phi^T + D`` over
-  the segment, with ``Phi = I + X + X^2/2 + X^3/6 + X^4/24``,
-  ``X = dt F`` and ``D`` the RK4 step of ``P_dot = F P + P F^T + G Q G^T``
-  from ``P = 0``.
+* ``rk4_increments`` computes, for every sample of the segment at once,
+  what one RK4 step does in the body frame. The quaternion rate
+  ``0.5 q (x) w`` is linear in q, so the step is ``q' = q (x) r`` with r
+  the fourth-order series of ``exp((dt/2) w)``; every stage rotation
+  turns about w, so the velocity and position steps are
+  ``v' = v + R(q) u + dt g`` and ``p' = p + dt v + R(q) c + dt^2 g / 2``
+  with body-frame increments u and c;
+* ``nominal_segment`` steps the attitude once per sample with
+  ``propagate_nominal``, one quaternion product and a renormalization on
+  Python floats, converts the attitudes to rotations in one call, and
+  forms velocities and positions as running sums of the rotated
+  increments;
+* ``error_jacobians`` builds ``X = dt F`` for every sample from those
+  rotations, and ``propagate_covariance`` chains ``P <- Phi P Phi^T + D``
+  over the segment, with ``Phi = I + X + X^2/2 + X^3/6 + X^4/24`` and
+  ``D`` the RK4 step of ``P_dot = F P + P F^T + Qc`` from ``P = 0``. The
+  process noise ``Qc = G Q G^T`` is diagonal and constant: its velocity
+  block ``sigma_a^2 R R^T`` is ``sigma_a^2 I``.
 
 The RK4 step is affine in P: ``RK4(P) = H(P) + RK4(0)`` with
 ``H(P) = sum_{j+l<=4} X^j P (X^T)^l / (j! l!)``. ``Phi P Phi^T`` holds the
@@ -99,11 +107,17 @@ class ImuNoiseParams:
     sigma_wg: float = 1.9e-5
     sigma_wa: float = 3.0e-3
 
-    def q_matrix(self) -> np.ndarray:
-        """12x12 process-noise PSD, ordered (eta_g, eta_wg, eta_a, eta_wa)."""
-        d = ([self.sigma_g ** 2] * 3 + [self.sigma_wg ** 2] * 3 +
-             [self.sigma_a ** 2] * 3 + [self.sigma_wa ** 2] * 3)
-        return np.diag(d)
+    def process_noise(self) -> np.ndarray:
+        """Diagonal (15,) of the error-state process noise G Q G^T.
+
+        G routes the noises (eta_g, eta_wg, eta_a, eta_wa) to the attitude,
+        gyro-bias, velocity and accel-bias rows. Its velocity block is -R,
+        a rotation, and the accel noise is isotropic, so that block of
+        G Q G^T is sigma_a^2 R R^T = sigma_a^2 I: the process noise is
+        diagonal and the same for every sample.
+        """
+        return np.repeat([self.sigma_g ** 2, self.sigma_wg ** 2,
+                          self.sigma_a ** 2, self.sigma_wa ** 2, 0.0], 3)
 
 
 def default_initial_covariance() -> np.ndarray:
@@ -115,131 +129,163 @@ def default_initial_covariance() -> np.ndarray:
     return np.diag(d)
 
 
-def _rates(q: list, dq: tuple, h: float, w: tuple, a: tuple,
-           g: tuple) -> tuple:
-    """Quaternion and velocity rates at the RK4 stage quaternion q + h dq.
+def _diagonal(a: np.ndarray, row: int = 0, col: int = 0,
+              size: int = 15) -> np.ndarray:
+    """Writable (n, size) view of the diagonal of the size x size block at
+    (row, col) of each matrix of a C-contiguous (n, 15, 15) stack."""
+    start = 15 * row + col
+    return a.reshape(len(a), 225)[:, start:start + 16 * size:16]
 
-    The quaternion rate is 0.5 * Omega(w) q (scalar-last); the velocity
-    rate is quat_to_rot(q) a + g with the stage quaternion as given,
-    unnormalized. Python floats throughout.
+
+def rk4_increments(w_hat: np.ndarray, a_hat: np.ndarray, dt: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Body-frame RK4 increments (r, u, c) of n IMU intervals, in closed form.
+
+    w_hat and a_hat (n, 3) are the bias-corrected body rate and specific
+    force, held constant over interval k of length dt[k]. One RK4 step of
+    the nominal kinematics from (q, v, p) gives
+
+        q' = q (x) r
+        v' = v + R(q) u + dt g
+        p' = p + dt v + R(q) c + dt^2 g / 2
+
+    The quaternion rate 0.5 q (x) w is linear in q, so RK4 multiplies q on
+    the right by the fourth-order Taylor series of exp(hw), hw = (dt/2) w:
+    r = [(1 - theta^2/6) hw, 1 - theta^2/2 + theta^4/24], theta = |hw|.
+    Its stage quaternions are q (x) [s_j hw, m_j], all turning about hw, so
+    the rotation of stage j maps a_hat to
+    a_hat + lam_j (hw x a_hat) + mu_j hw x (hw x a_hat); u is RK4's
+    weighted sum of the four stage vectors and c that of the position
+    rates.
     """
-    x, y = q[0] + h * dq[0], q[1] + h * dq[1]
-    z, s = q[2] + h * dq[2], q[3] + h * dq[3]
-    wx, wy, wz = w
-    ax, ay, az = a
-    c = 2.0 / (x * x + y * y + z * z + s * s)
-    xx, yy, zz = x * x * c, y * y * c, z * z * c
-    xy, xz, yz = x * y * c, x * z * c, y * z * c
-    sx, sy, sz = s * x * c, s * y * c, s * z * c
-    return (0.5 * (wz * y - wy * z + wx * s),
-            0.5 * (wx * z - wz * x + wy * s),
-            0.5 * (wy * x - wx * y + wz * s),
-            -0.5 * (wx * x + wy * y + wz * z),
-            (1.0 - (yy + zz)) * ax + (xy - sz) * ay + (xz + sy) * az + g[0],
-            (xy + sz) * ax + (1.0 - (xx + zz)) * ay + (yz - sx) * az + g[1],
-            (xz - sy) * ax + (yz + sx) * ay + (1.0 - (xx + yy)) * az + g[2])
+    h = dt[:, None]
+    hw = (0.5 * h) * w_hat
+    th2 = (hw * hw).sum(axis=1)
+    r = np.empty((len(dt), 4))
+    r[:, :3] = (1.0 - th2 / 6.0)[:, None] * hw
+    r[:, 3] = 1.0 - th2 / 2.0 + th2 * th2 / 24.0
+    # Stage j's quaternion [s hw, m] rotates a_hat by lam = 2 s m / N and
+    # mu = 2 s^2 / N, N = s^2 theta^2 + m^2. Stage 1 is the identity;
+    # (s, m) is (1/2, 1) for stage 2, (1/2, m3) for 3 and (m3, m4) for 4.
+    quarter = 0.25 * th2
+    m3 = 1.0 - quarter
+    m4 = 1.0 - 0.5 * th2
+    n2 = 1.0 + quarter
+    n3 = quarter + m3 * m3
+    n4 = m3 * m3 * th2 + m4 * m4
+    lam2, mu2 = 1.0 / n2, 0.5 / n2
+    lam3, mu3 = m3 / n3, 0.5 / n3
+    lam4, mu4 = 2.0 * m3 * m4 / n4, 2.0 * m3 * m3 / n4
+    # Stage j's vector is a_hat + lam_j b1 + mu_j b2;
+    # u = dt (a1 + 2 a2 + 2 a3 + a4) / 6 and c = dt^2 (a1 + a2 + a3) / 6.
+    cross = geo.skew_batch(hw)
+    b1 = (cross @ a_hat[:, :, None])[:, :, 0]       # hw x a_hat
+    b2 = (cross @ b1[:, :, None])[:, :, 0]          # hw x (hw x a_hat)
+    lam, mu = (lam2 + lam3) / 6.0, (mu2 + mu3) / 6.0
+    u = h * (a_hat + (2.0 * lam + lam4 / 6.0)[:, None] * b1
+             + (2.0 * mu + mu4 / 6.0)[:, None] * b2)
+    c = (h * h) * (0.5 * a_hat + lam[:, None] * b1 + mu[:, None] * b2)
+    return r, u, c
 
 
-def propagate_nominal(q: list, v: list, p: list, w: list, a: list,
-                      dt: float, g: tuple = tuple(GRAVITY.tolist())
-                      ) -> tuple[list, list, list]:
-    """RK4 integration of the nominal kinematics over one IMU interval.
+def propagate_nominal(q: list, r: list) -> list:
+    """One RK4 attitude step on Python floats: q (x) r, renormalized.
 
-    q (scalar-last), v and p are the state, w and a the bias-corrected body
-    rate and specific force, held constant across the step, and g gravity;
-    all are sequences of Python floats, and so are the returned q, v and p.
-    The quaternion is renormalized afterwards. Numpy call overhead on
+    q is the attitude (scalar-last) before an IMU interval and r the
+    interval's attitude factor from rk4_increments. Numpy call overhead on
     4-vectors would cost more than the step itself.
     """
-    if not 0.0 < dt <= MAX_DT_S:
-        raise InvalidDt(f"dt={dt} outside (0, {MAX_DT_S}]")
-    # Stages k1..k4 of (q, v); the position rate of a stage is its velocity.
-    half = 0.5 * dt
-    k1 = _rates(q, (0.0, 0.0, 0.0, 0.0), 0.0, w, a, g)
-    k2 = _rates(q, k1, half, w, a, g)
-    k3 = _rates(q, k2, half, w, a, g)
-    k4 = _rates(q, k3, dt, w, a, g)
-    sixth = dt / 6.0
-    # Stage k's quaternion rate is (dxk, dyk, dzk, dsk), its velocity rate
-    # (axk, ayk, azk).
-    dx1, dy1, dz1, ds1, ax1, ay1, az1 = k1
-    dx2, dy2, dz2, ds2, ax2, ay2, az2 = k2
-    dx3, dy3, dz3, ds3, ax3, ay3, az3 = k3
-    dx4, dy4, dz4, ds4, ax4, ay4, az4 = k4
-    vx, vy, vz = v
-    qx = q[0] + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-    qy = q[1] + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
-    qz = q[2] + sixth * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
-    qs = q[3] + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
-    v_next = [vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-              vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
-              vz + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4)]
-    p_next = [p[0] + sixth * (vx + 2.0 * (vx + half * ax1)
-                              + 2.0 * (vx + half * ax2) + (vx + dt * ax3)),
-              p[1] + sixth * (vy + 2.0 * (vy + half * ay1)
-                              + 2.0 * (vy + half * ay2) + (vy + dt * ay3)),
-              p[2] + sixth * (vz + 2.0 * (vz + half * az1)
-                              + 2.0 * (vz + half * az2) + (vz + dt * az3))]
-    norm = math.sqrt(qx * qx + qy * qy + qz * qz + qs * qs)
-    return [qx / norm, qy / norm, qz / norm, qs / norm], v_next, p_next
+    x, y, z, w = geo.hamilton(q, r)
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    return [x / norm, y / norm, z / norm, w / norm]
 
 
-def error_jacobians(q: np.ndarray, w_hat: np.ndarray,
-                    a_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous-time error dynamics F (n, 15, 15) and G (n, 15, 12).
+def nominal_segment(q: np.ndarray, v: np.ndarray, p: np.ndarray,
+                    w_hat: np.ndarray, a_hat: np.ndarray, dt: np.ndarray,
+                    gravity: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nominal states over n IMU intervals from the state (q, v, p).
 
-    q (n, 4) are the nominal attitudes; w_hat and a_hat (n, 3) are the
-    bias-corrected body rates and specific forces.
+    w_hat, a_hat (n, 3) and dt (n,) as in rk4_increments. Returns the
+    attitudes (n + 1, 4), their rotations (n + 1, 3, 3), the velocities and
+    the positions (n + 1, 3): row 0 is the start, row k the state after
+    interval k. The attitude is stepped once per interval by
+    propagate_nominal; velocities and positions are running sums of the
+    rotated increments. The interval lengths are not checked here:
+    run_filter checks them all once per run.
     """
-    n = q.shape[0]
-    r_wb = geo.quat_to_rot_batch(q)
-    eye = np.eye(3)
-
-    f = np.zeros((n, 15, 15))
-    f[:, SL_TH, SL_TH] = -geo.skew_batch(w_hat)
-    f[:, SL_TH, SL_BG] = -eye
-    f[:, SL_V, SL_TH] = -r_wb @ geo.skew_batch(a_hat)
-    f[:, SL_V, SL_BA] = -r_wb
-    f[:, SL_P, SL_V] = eye
-
-    g = np.zeros((n, 15, 12))
-    g[:, SL_TH, 0:3] = -eye
-    g[:, SL_BG, 3:6] = eye
-    g[:, SL_V, 6:9] = -r_wb
-    g[:, SL_BA, 9:12] = eye
-    return f, g
+    r, u, c = rk4_increments(w_hat, a_hat, dt)
+    quats = [q.tolist()]
+    for r_k in r.tolist():
+        quats.append(propagate_nominal(quats[-1], r_k))
+    quats = np.array(quats)
+    rot = geo.quat_to_rot_batch(quats)
+    h = dt[:, None]
+    steps = np.empty((len(quats), 3))
+    steps[0] = v
+    steps[1:] = (rot[:-1] @ u[:, :, None])[:, :, 0] + h * gravity
+    vel = np.cumsum(steps, axis=0)
+    steps[0] = p
+    steps[1:] = (h * vel[:-1] + (rot[:-1] @ c[:, :, None])[:, :, 0]
+                 + (0.5 * h * h) * gravity)
+    return quats, rot, vel, np.cumsum(steps, axis=0)
 
 
-def propagate_covariance(p_cov: np.ndarray, f: np.ndarray, g: np.ndarray,
-                         q_imu: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Covariance after each of n steps of P_dot = F P + P F^T + G Q G^T.
+def error_jacobians(rot: np.ndarray, w_hat: np.ndarray, a_hat: np.ndarray,
+                    dt: np.ndarray) -> np.ndarray:
+    """X = dt F (n, 15, 15) of n IMU intervals, F the continuous-time error
+    dynamics.
 
-    f (n, 15, 15), g (n, 15, 12) and dt (n,) hold step k's matrices and
-    length; F and G are constant over a step. Step k maps P to
+    rot (n, 3, 3) are the nominal attitudes as rotations, w_hat and a_hat
+    (n, 3) the bias-corrected body rates and specific forces, dt (n,) the
+    interval lengths. F has five non-zero 3 x 3 blocks: -[w_hat]x and -I in
+    the attitude rows, -R [a_hat]x and -R in the velocity rows, I in the
+    position rows.
+    """
+    n = len(dt)
+    minus_h = -dt[:, None, None]
+    x = np.zeros((n, 15, 15))
+    x[:, SL_TH, SL_TH] = geo.skew_batch(w_hat) * minus_h
+    _diagonal(x, SL_TH.start, SL_BG.start, 3)[:] = minus_h[:, :, 0]
+    x[:, SL_V, SL_TH] = (rot @ geo.skew_batch(a_hat)) * minus_h
+    x[:, SL_V, SL_BA] = rot * minus_h
+    _diagonal(x, SL_P.start, SL_V.start, 3)[:] = dt[:, None]
+    return x
+
+
+def propagate_covariance(p_cov: np.ndarray, x: np.ndarray, qc: np.ndarray,
+                         dt: np.ndarray) -> np.ndarray:
+    """Covariance after each of n steps of P_dot = F P + P F^T + Qc.
+
+    x (n, 15, 15) holds X_k = dt_k F_k from error_jacobians, qc (15,) the
+    diagonal of Qc from ImuNoiseParams.process_noise and dt (n,) the step
+    lengths; F is constant over a step. Step k maps P to
     Phi_k P Phi_k^T + D_k, where Phi_k is the fourth-order Taylor series
-    of exp(dt_k F_k) and D_k is the RK4 step from P = 0. Returns the
-    (n, 15, 15) covariances after every step.
+    of exp(X_k) and D_k is the RK4 step from P = 0. Returns the
+    (n, 15, 15) covariances after every step as chained, symmetric up to
+    rounding.
     """
-    n = f.shape[0]
-    h = np.asarray(dt, dtype=float).reshape(n, 1, 1)
-    x = h * f
-    gqg = (g @ q_imu) @ np.ascontiguousarray(g.transpose(0, 2, 1))
-
-    def lie(p):
-        xp = x @ p
-        return xp + xp.transpose(0, 2, 1)
-
-    # With L(P) = X P + P X^T, the RK4 step from 0 is
-    # dt (Qc + L Qc / 2 + L^2 Qc / 6 + L^3 Qc / 24); Phi is
-    # I + X + X^2 / 2 + X^3 / 6 + X^4 / 24. Both in Horner form.
-    d = gqg + lie(gqg) / 4.0
-    d = gqg + lie(d) / 3.0
-    d = h * (gqg + lie(d) / 2.0)
-    eye = np.eye(15)
-    phi = eye + x / 4.0
-    phi = eye + (x @ phi) / 3.0
-    phi = eye + (x @ phi) / 2.0
-    phi = eye + x @ phi
+    # Phi = I + X + X^2/2 + X^3/6 + X^4/24
+    #     = I + X (24 I + X (12 I + X (4 I + X))) / 24.
+    phi = x.copy()
+    _diagonal(phi)[:] += 4.0
+    for k in (12.0, 24.0):
+        phi = x @ phi
+        _diagonal(phi)[:] += k
+    phi = x @ phi
+    phi *= 1.0 / 24.0
+    _diagonal(phi)[:] += 1.0
+    # With L(P) = X P + P X^T, the RK4 step from P = 0 is
+    # D = dt (Qc + L Qc / 2 + L^2 Qc / 6 + L^3 Qc / 24)
+    #   = dt (L (L (L Qc + 4 Qc) + 12 Qc) + 24 Qc) / 24.
+    # X Qc scales the columns of X.
+    xd = x * qc
+    for k in (4.0, 12.0, 24.0):
+        d = xd + xd.transpose(0, 2, 1)
+        _diagonal(d)[:] += k * qc
+        if k < 24.0:
+            xd = x @ d
+    d *= (dt / 24.0)[:, None, None]
 
     out = np.empty_like(d)
     p = p_cov
@@ -247,7 +293,7 @@ def propagate_covariance(p_cov: np.ndarray, f: np.ndarray, g: np.ndarray,
         np.dot(phi_k.dot(p), phi_kt, out=out_k)
         out_k += d_k
         p = out_k
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    return out
 
 
 def range_directions(p: np.ndarray, positions: np.ndarray
@@ -340,16 +386,16 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
 
     Prediction runs in segments: the samples up to and including the one
     at which the next tick is due (or the last sample), at most MAX_SEGMENT
-    long. The nominal state is stepped once per sample on Python floats;
-    the covariance of the whole segment is propagated with one
-    error_jacobians and one propagate_covariance call. Each sample's
-    predict_times_ms entry is an equal share of its segment's time.
+    long. One nominal_segment call steps the nominal state (one
+    propagate_nominal call per sample), and one error_jacobians and one
+    propagate_covariance call propagate the covariance; the same chain
+    serves both output modes. Each sample's predict_times_ms entry is an
+    equal share of its segment's time.
     """
     state = config.initial_state.copy()
     p_cov = (config.initial_cov.copy() if config.initial_cov is not None
              else default_initial_covariance())
-    q_imu = config.noise.q_matrix()
-    gravity = tuple(config.gravity.tolist())
+    qc = config.noise.process_noise()
     t = imu.t
     dts = np.diff(t) * 1e-9
     bad = np.flatnonzero(~((dts > 0.0) & (dts <= MAX_DT_S)))
@@ -379,27 +425,22 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
         seg = slice(first - 1, last)
         w_hat = imu.omega[seg] - state.b_g
         a_hat = imu.accel[seg] - state.b_a
-        q, v, p = state.q.tolist(), state.v.tolist(), state.p.tolist()
-        qs, vs, ps = [], [], []
-        for w, a, dt in zip(w_hat.tolist(), a_hat.tolist(), dts[seg].tolist()):
-            q, v, p = propagate_nominal(q, v, p, w, a, dt, gravity)
-            qs.append(q)
-            vs.append(v)
-            ps.append(p)
-        q_seg = np.array(qs)
-        f, g = error_jacobians(q_seg, w_hat, a_hat)
-        covs = propagate_covariance(p_cov, f, g, q_imu, dts[seg])
-        p_cov = covs[-1]
-        state = NavState(q_seg[-1], state.b_g, np.array(v), state.b_a, np.array(p))
-        n = len(qs)
+        dt = dts[seg]
+        q_seg, rot, v_seg, p_seg = nominal_segment(
+            state.q, state.v, state.p, w_hat, a_hat, dt, config.gravity)
+        covs = propagate_covariance(
+            p_cov, error_jacobians(rot[1:], w_hat, a_hat, dt), qc, dt)
+        p_cov = 0.5 * (covs[-1] + covs[-1].T)
+        state = NavState(q_seg[-1], state.b_g, v_seg[-1], state.b_a, p_seg[-1])
+        n = len(dt)
         predict_times.extend([(time.perf_counter() - tic) * 1e3 / n] * n)
 
         if emit:
             diags = covs.diagonal(axis1=1, axis2=2).copy()
-            v_seg, p_seg = np.array(vs), np.array(ps)
             estimates.extend(
                 FilterEstimate(int(t[first + k]), NavState(
-                    q_seg[k], state.b_g, v_seg[k], state.b_a, p_seg[k]), diags[k])
+                    q_seg[k + 1], state.b_g, v_seg[k + 1], state.b_a,
+                    p_seg[k + 1]), diags[k])
                 for k in range(n - 1))
 
         now = int(t[last])

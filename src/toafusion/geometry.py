@@ -63,7 +63,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def _hamilton(a, b) -> tuple:
+def hamilton(a, b) -> tuple:
     """Components of a (x) b, unnormalized, from components of a and b."""
     ax, ay, az, aw = a
     bx, by, bz, bw = b
@@ -75,7 +75,7 @@ def _hamilton(a, b) -> tuple:
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a (x) b, renormalized."""
-    x, y, z, w = _hamilton(np.asarray(a, dtype=float).tolist(),
+    x, y, z, w = hamilton(np.asarray(a, dtype=float).tolist(),
                            np.asarray(b, dtype=float).tolist())
     norm = math.sqrt(x * x + y * y + z * z + w * w)
     return np.array([x / norm, y / norm, z / norm, w / norm])
@@ -126,7 +126,7 @@ def skew_batch(omega: np.ndarray) -> np.ndarray:
 
 def quat_mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """quat_mul for an (N, 4) stack a and one quaternion or a stack b."""
-    q = np.stack(_hamilton(a.T, np.asarray(b).T), axis=1)
+    q = np.stack(hamilton(a.T, np.asarray(b).T), axis=1)
     return q / row_norms(q)[:, None]
 
 

@@ -1,4 +1,3 @@
-import math
 import os
 
 import numpy as np
@@ -183,9 +182,10 @@ def imu_residual(pre, state_i, state_j, gravity=eskf.GRAVITY) -> np.ndarray:
 
 
 # Per-sample ESKF oracle: the numpy RK4 nominal step, the per-sample error
-# Jacobians, the RK4 covariance step, the update with the full (k, 15)
-# range Jacobian, and the filter loop that predicted one sample at a time,
-# as the package computed them before segments.
+# Jacobians F and G, the RK4 step of P_dot = F P + P F^T + G Q G^T, the
+# update with the full (k, 15) range Jacobian, and the filter loop that
+# predicted one sample at a time, as the package computed them before
+# segments.
 def oracle_propagate_nominal(state, omega, accel, dt, gravity):
     w_hat = omega - state.b_g
     a_hat = accel - state.b_a
@@ -209,24 +209,6 @@ def oracle_propagate_nominal(state, omega, accel, dt, gravity):
                          state.b_a.copy(), y[7:10])
 
 
-def oracle_nominal_floats(q, v, p, w, a, dt, g=tuple(eskf.GRAVITY.tolist())):
-    """eskf.propagate_nominal as it combined the RK4 stages with zip and list
-    comprehensions: the float step must return these bits."""
-    half = 0.5 * dt
-    k1 = eskf._rates(q, (0.0, 0.0, 0.0, 0.0), 0.0, w, a, g)
-    k2 = eskf._rates(q, k1, half, w, a, g)
-    k3 = eskf._rates(q, k2, half, w, a, g)
-    k4 = eskf._rates(q, k3, dt, w, a, g)
-    sixth = dt / 6.0
-    qv = [y + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-          for y, c1, c2, c3, c4 in zip([*q, *v], k1, k2, k3, k4)]
-    p = [pi + sixth * (vi + 2.0 * (vi + half * c1) + 2.0 * (vi + half * c2)
-                       + (vi + dt * c3))
-         for pi, vi, c1, c2, c3 in zip(p, v, k1[4:], k2[4:], k3[4:])]
-    norm = math.sqrt(qv[0] * qv[0] + qv[1] * qv[1] + qv[2] * qv[2] + qv[3] * qv[3])
-    return [qv[0] / norm, qv[1] / norm, qv[2] / norm, qv[3] / norm], qv[4:7], p
-
-
 def oracle_error_jacobians(state, omega, accel):
     w_hat = omega - state.b_g
     a_hat = accel - state.b_a
@@ -246,13 +228,18 @@ def oracle_error_jacobians(state, omega, accel):
 
 
 def nominal_step(state, omega, accel, dt, gravity=eskf.GRAVITY):
-    """eskf.propagate_nominal on a NavState and raw (biased) readings."""
-    q, v, p = eskf.propagate_nominal(
-        state.q.tolist(), state.v.tolist(), state.p.tolist(),
-        (np.asarray(omega) - state.b_g).tolist(),
-        (np.asarray(accel) - state.b_a).tolist(), dt, tuple(gravity.tolist()))
-    return eskf.NavState(np.array(q), state.b_g.copy(), np.array(v),
-                         state.b_a.copy(), np.array(p))
+    """eskf.nominal_segment over one interval, on a NavState and raw
+    (biased) readings."""
+    q, _, v, p = eskf.nominal_segment(
+        state.q, state.v, state.p, (np.asarray(omega) - state.b_g)[None],
+        (np.asarray(accel) - state.b_a)[None], np.array([dt]), gravity)
+    return eskf.NavState(q[1], state.b_g.copy(), v[1], state.b_a.copy(), p[1])
+
+
+def oracle_q_matrix(noise) -> np.ndarray:
+    """12x12 IMU noise PSD, ordered (eta_g, eta_wg, eta_a, eta_wa)."""
+    return np.diag(np.repeat([noise.sigma_g ** 2, noise.sigma_wg ** 2,
+                              noise.sigma_a ** 2, noise.sigma_wa ** 2], 3))
 
 
 def oracle_propagate_covariance(p_cov, f, g, q_imu, dt):
@@ -290,7 +277,7 @@ def oracle_run_filter(imu, toa, config) -> list:
     state = config.initial_state.copy()
     p_cov = (config.initial_cov.copy() if config.initial_cov is not None
              else eskf.default_initial_covariance())
-    q_imu = config.noise.q_matrix()
+    q_imu = oracle_q_matrix(config.noise)
     std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
     station = {bs.id: (bs.position, std[k] ** 2)
                for k, bs in enumerate(config.stations)}

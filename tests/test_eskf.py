@@ -16,8 +16,8 @@ from toafusion.synthetic import initial_state_from_groundtruth
 from toafusion.toa_sim import default_stations
 
 from conftest import (make_imu, make_toa, nominal_step, oracle_error_jacobians,
-                      oracle_nominal_floats, oracle_propagate_covariance,
-                      oracle_propagate_nominal, oracle_run_filter, oracle_update,
+                      oracle_propagate_covariance, oracle_propagate_nominal,
+                      oracle_q_matrix, oracle_run_filter, oracle_update,
                       random_quaternion)
 from so3_reference import exp_so3, right_jacobian_inv_so3, skew
 
@@ -122,8 +122,7 @@ class TestPropagateNominal:
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, 0.11])
     def test_invalid_dt(self, dt):
-        with pytest.raises(InvalidDt):
-            nominal_step(NavState.identity(), np.zeros(3), np.zeros(3), dt)
+        # run_filter checks every interval once per run, before predicting.
         imu = make_imu([0, int(round(dt * 1e9))], np.zeros(3), np.zeros(3))
         config = FilterConfig(initial_state=NavState.identity(),
                               stations=default_stations(1), meas_std=np.zeros(1))
@@ -131,12 +130,27 @@ class TestPropagateNominal:
             eskf.run_filter(imu, make_toa([]), config)
 
 
-def batched_jacobians(states, imus):
-    """error_jacobians on the stacked attitudes and bias-corrected inputs."""
+def batched_jacobians(states, imus, dt):
+    """error_jacobians as run_filter calls it: the rotations of the stacked
+    attitudes, the bias-corrected inputs and the interval lengths."""
     return eskf.error_jacobians(
-        np.array([s.q for s in states]),
+        geo.quat_to_rot_batch(np.array([s.q for s in states])),
         np.array([omega - s.b_g for s, (omega, _) in zip(states, imus)]),
-        np.array([accel - s.b_a for s, (_, accel) in zip(states, imus)]))
+        np.array([accel - s.b_a for s, (_, accel) in zip(states, imus)]),
+        np.asarray(dt, dtype=float))
+
+
+def random_noise(rng) -> ImuNoiseParams:
+    """Noise densities of one order of magnitude, so that every block of
+    G Q G^T weighs in a relative norm."""
+    return ImuNoiseParams(*rng.uniform(0.5, 2.0, 4))
+
+
+def process_noise_error(g: np.ndarray, noise: ImuNoiseParams) -> float:
+    """Relative distance of G Q G^T from the filter's diagonal process
+    noise."""
+    gqg = g @ oracle_q_matrix(noise) @ g.T
+    return np.linalg.norm(np.diag(noise.process_noise()) - gqg) / np.linalg.norm(gqg)
 
 
 class TestErrorJacobians:
@@ -146,30 +160,30 @@ class TestErrorJacobians:
         expected_f[SL_V, SL_BA] = -np.eye(3)
         expected_f[SL_P, SL_V] = np.eye(3)
         for n in (1, 3):
-            f, g = batched_jacobians([NavState.identity()] * n,
-                                     [(np.zeros(3), np.zeros(3))] * n)
-            assert f.shape == (n, 15, 15) and g.shape == (n, 15, 12)
+            x = batched_jacobians([NavState.identity()] * n,
+                                  [(np.zeros(3), np.zeros(3))] * n, np.full(n, 0.005))
+            assert x.shape == (n, 15, 15)
             for k in range(n):
-                np.testing.assert_array_equal(f[k], expected_f)
-                assert np.all(f[k, SL_TH, SL_TH] == 0.0)
+                np.testing.assert_array_equal(x[k], 0.005 * expected_f)
+                assert np.all(x[k, SL_TH, SL_TH] == 0.0)
 
     def test_attitude_block_is_minus_skew(self):
         for n in (1, 4):
             rates = [np.array([0.0, 0.0, 1.0 + k]) for k in range(n)]
-            f, _ = batched_jacobians([NavState.identity()] * n,
-                                     [(w, np.zeros(3)) for w in rates])
+            dt = np.linspace(0.004, 0.006, n)
+            x = batched_jacobians([NavState.identity()] * n,
+                                  [(w, np.zeros(3)) for w in rates], dt)
             for k, w in enumerate(rates):
-                np.testing.assert_array_equal(f[k, SL_TH, SL_TH], -skew(w))
+                np.testing.assert_array_equal(x[k, SL_TH, SL_TH], -skew(w) * dt[k])
 
     def test_g_noise_routing(self, rng):
-        for n in (1, 5):
-            states = [random_state(rng) for _ in range(n)]
-            _, g = batched_jacobians(states, [random_imu(rng) for _ in range(n)])
-            for k, state in enumerate(states):
-                np.testing.assert_array_equal(g[k, SL_TH, 0:3], -np.eye(3))
-                np.testing.assert_array_equal(g[k, SL_BG, 3:6], np.eye(3))
-                np.testing.assert_allclose(g[k, SL_V, 6:9], -geo.quat_to_rot(state.q))
-                np.testing.assert_array_equal(g[k, SL_BA, 9:12], np.eye(3))
+        # G routes the IMU noises to the error state, with -R in its
+        # velocity block; G Q G^T is the filter's diagonal process noise
+        # for every attitude.
+        for _ in range(20):
+            noise = random_noise(rng)
+            _, g = oracle_error_jacobians(random_state(rng), *random_imu(rng))
+            assert process_noise_error(g, noise) < 10 * np.finfo(float).eps
 
     def test_matches_finite_differences(self, rng):
         # 100 samples one at a time (n = 1), then 100 in one call.
@@ -177,27 +191,31 @@ class TestErrorJacobians:
             for _ in range(calls):
                 states = [random_state(rng) for _ in range(n)]
                 imus = [random_imu(rng) for _ in range(n)]
-                f, g = batched_jacobians(states, imus)
+                dt = rng.uniform(0.001, 0.1, n)
+                x = batched_jacobians(states, imus, dt)
+                noise = random_noise(rng)
                 for k in range(n):
                     f_fd, g_fd = finite_difference_f_g(states[k], imus[k])
-                    assert np.linalg.norm(f[k] - f_fd) / np.linalg.norm(f_fd) < 1e-5
-                    assert np.linalg.norm(g[k] - g_fd) / np.linalg.norm(g_fd) < 1e-5
+                    f = x[k] / dt[k]
+                    assert np.linalg.norm(f - f_fd) / np.linalg.norm(f_fd) < 1e-5
+                    assert process_noise_error(g_fd, noise) < 1e-5
 
     def test_matches_per_sample_oracle_exactly(self, rng):
         states = [random_state(rng) for _ in range(30)]
         imus = [random_imu(rng) for _ in range(30)]
-        f, g = batched_jacobians(states, imus)
+        dt = rng.uniform(0.001, 0.1, 30)
+        x = batched_jacobians(states, imus, dt)
         for k in range(30):
-            f_one, g_one = oracle_error_jacobians(states[k], *imus[k])
-            np.testing.assert_array_equal(f[k], f_one)
-            np.testing.assert_array_equal(g[k], g_one)
+            f_one, _ = oracle_error_jacobians(states[k], *imus[k])
+            np.testing.assert_array_equal(x[k], dt[k] * f_one)
 
 
-def van_loan(p0, f, g, q, dt):
-    """Exact discrete propagation via the matrix-exponential construction."""
+def van_loan(p0, f, qc, dt):
+    """Exact discrete propagation via the matrix-exponential construction,
+    for continuous process noise qc (15, 15)."""
     big = np.zeros((30, 30))
     big[:15, :15] = -f
-    big[:15, 15:] = g @ q @ g.T
+    big[:15, 15:] = qc
     big[15:, 15:] = f.T
     ed = expm(big * dt)
     phi = ed[15:, 15:].T
@@ -206,70 +224,70 @@ def van_loan(p0, f, g, q, dt):
     return 0.5 * (exact + exact.T)
 
 
+def random_dynamics(rng, n):
+    """n random F (n, 15, 15) of spectral norm at most 1."""
+    f = rng.standard_normal((n, 15, 15))
+    return f / np.maximum(np.linalg.norm(f, 2, axis=(1, 2)), 1.0)[:, None, None]
+
+
+def random_covariance(rng):
+    p = rng.standard_normal((15, 15))
+    return p @ p.T + 0.1 * np.eye(15)
+
+
 class TestPropagateCovariance:
     def test_zero_dynamics_zero_noise(self, rng):
         p = np.diag(rng.uniform(0.1, 1.0, 15))
         for n in (1, 4):
-            out = eskf.propagate_covariance(p, np.zeros((n, 15, 15)),
-                                            np.zeros((n, 15, 12)),
-                                            np.zeros((12, 12)), np.full(n, 0.01))
+            out = eskf.propagate_covariance(p, np.zeros((n, 15, 15)), np.zeros(15),
+                                            np.full(n, 0.01))
             assert out.shape == (n, 15, 15)
             for k in range(n):
                 np.testing.assert_allclose(out[k], p, atol=1e-15)
 
     def test_linear_growth_without_dynamics(self, rng):
         p = np.eye(15)
-        g = np.zeros((15, 12))
-        g[SL_TH, 0:3] = -np.eye(3)
-        q = np.diag([0.01] * 12)
+        qc = np.zeros(15)
+        qc[SL_TH] = 0.01        # gyro noise alone
         dt = 0.002
         for n in (1, 4):
-            out = eskf.propagate_covariance(p, np.zeros((n, 15, 15)),
-                                            np.repeat(g[None], n, axis=0), q,
+            out = eskf.propagate_covariance(p, np.zeros((n, 15, 15)), qc,
                                             np.full(n, dt))
             for k in range(n):
-                expected = p + g @ q @ g.T * dt * (k + 1)
+                expected = p + np.diag(qc) * dt * (k + 1)
                 np.testing.assert_allclose(out[k], expected, atol=1e-9)
 
     def test_van_loan_oracle(self, rng):
         for _ in range(20):
-            f = rng.standard_normal((15, 15))
-            f /= max(np.linalg.norm(f, 2), 1.0)
-            g = rng.standard_normal((15, 12)) * 0.5
-            q = np.diag(rng.uniform(0.0, 0.1, 12))
-            p0 = rng.standard_normal((15, 15))
-            p0 = p0 @ p0.T + 0.1 * np.eye(15)
+            f = random_dynamics(rng, 1)
+            qc = rng.uniform(0.0, 0.5, 15)
+            p0 = random_covariance(rng)
             dt = 0.005
-            out = eskf.propagate_covariance(p0, f[None], g[None], q,
-                                            np.array([dt]))
-            np.testing.assert_allclose(out[0], van_loan(p0, f, g, q, dt),
+            out = eskf.propagate_covariance(p0, dt * f, qc, np.array([dt]))
+            np.testing.assert_allclose(out[0], van_loan(p0, f[0], np.diag(qc), dt),
                                        atol=1e-8)
 
     def test_van_loan_oracle_chained(self, rng):
         # Five different steps in one call, each checked against Van Loan
         # from the previous exact covariance.
         n = 5
-        f = rng.standard_normal((n, 15, 15))
-        f /= np.maximum(np.linalg.norm(f, 2, axis=(1, 2)), 1.0)[:, None, None]
-        g = rng.standard_normal((n, 15, 12)) * 0.5
-        q = np.diag(rng.uniform(0.0, 0.1, 12))
+        f = random_dynamics(rng, n)
+        qc = rng.uniform(0.0, 0.5, 15)
         dt = rng.uniform(0.004, 0.006, n)
-        p = rng.standard_normal((15, 15))
-        p = p @ p.T + 0.1 * np.eye(15)
-        out = eskf.propagate_covariance(p, f, g, q, dt)
+        p = random_covariance(rng)
+        out = eskf.propagate_covariance(p, dt[:, None, None] * f, qc, dt)
         for k in range(n):
-            p = van_loan(p, f[k], g[k], q, dt[k])
+            p = van_loan(p, f[k], np.diag(qc), dt[k])
             np.testing.assert_allclose(out[k], p, atol=1e-8)
 
     def test_stays_symmetric_and_psd(self, rng):
-        f, g = batched_jacobians([random_state(rng)], [random_imu(rng)])
-        q = ImuNoiseParams().q_matrix()
+        x = batched_jacobians([random_state(rng)], [random_imu(rng)], [0.005])
+        qc = ImuNoiseParams().process_noise()
         # 500 steps: one per call (n = 1), then all in one call.
         for n, calls in ((1, 500), (500, 1)):
             p = eskf.default_initial_covariance()
             for _ in range(calls):
-                p = eskf.propagate_covariance(p, np.repeat(f, n, axis=0),
-                                              np.repeat(g, n, axis=0), q,
+                p = eskf.propagate_covariance(p, np.repeat(x, n, axis=0), qc,
                                               np.full(n, 0.005))[-1]
             assert np.max(np.abs(p - p.T)) < 1e-9
             assert np.min(np.linalg.eigvalsh(p)) > -1e-9
@@ -495,17 +513,40 @@ class TestSegmentsMatchPerSampleOracle:
                 np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                            rtol=0, atol=1e-14, err_msg=name)
 
-    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.1])
-    def test_float_step_bit_identical_to_zip_form(self, rng, dt):
-        for _ in range(1000):
-            state = random_state(rng)
-            omega, accel = random_imu(rng)
-            args = (state.q.tolist(), state.v.tolist(), state.p.tolist(),
-                    (omega - state.b_g).tolist(), (accel - state.b_a).tolist(),
-                    dt)
-            got, want = (np.concatenate(step(*args)).tobytes()
-                         for step in (eskf.propagate_nominal, oracle_nominal_floats))
-            assert got == want
+    def test_segment_matches_rk4(self, rng):
+        # A 40-sample segment of one trajectory with interval lengths up to
+        # MAX_DT_S, one sample at zero rate (theta = 0) and one at the
+        # largest rate random_imu draws.
+        state = random_state(rng)
+        imus = [random_imu(rng) for _ in range(40)]
+        imus[3] = (state.b_g.copy(), imus[3][1])
+        imus[17] = (state.b_g + np.array([1.0, -1.0, 1.0]), imus[17][1])
+        dt = rng.uniform(0.001, 0.02, 40)
+        dt[17] = eskf.MAX_DT_S
+        w_hat = np.array([omega for omega, _ in imus]) - state.b_g
+        a_hat = np.array([accel for _, accel in imus]) - state.b_a
+        r, u, c = eskf.rk4_increments(w_hat, a_hat, dt)
+        q, rot, v, p = eskf.nominal_segment(state.q, state.v, state.p,
+                                            w_hat, a_hat, dt, GRAVITY)
+        assert q.shape == (41, 4) and v.shape == p.shape == (41, 3)
+        np.testing.assert_array_equal(rot, geo.quat_to_rot_batch(q))
+        want = state
+        for k in range(40):
+            # The increments take the segment's state k one RK4 step on.
+            one = oracle_propagate_nominal(
+                NavState(q[k], state.b_g, v[k], state.b_a, p[k]),
+                *imus[k], dt[k], GRAVITY)
+            stepped = (geo.quat_normalize(geo.hamilton(q[k], r[k])),
+                       v[k] + rot[k] @ u[k] + dt[k] * GRAVITY,
+                       p[k] + dt[k] * v[k] + rot[k] @ c[k] + 0.5 * dt[k] ** 2 * GRAVITY)
+            # The segment follows the oracle's chain from the start.
+            want = oracle_propagate_nominal(want, *imus[k], dt[k], GRAVITY)
+            after = (q[k + 1], v[k + 1], p[k + 1])
+            for name, got_one, got in zip("qvp", stepped, after):
+                np.testing.assert_allclose(got_one, getattr(one, name), rtol=0,
+                                           atol=1e-14, err_msg=f"{name}, step {k}")
+                np.testing.assert_allclose(got, getattr(want, name), rtol=0,
+                                           atol=1e-14, err_msg=f"{name}, sample {k}")
 
     def test_segment_chain_matches_rk4(self, rng):
         # A 40-step segment of one trajectory: attitudes and inputs vary.
@@ -515,12 +556,15 @@ class TestSegmentsMatchPerSampleOracle:
             imus.append(random_imu(rng))
             state = nominal_step(state, *imus[-1], 0.005)
             states.append(state)
-        f, g = batched_jacobians(states, imus)
-        q = ImuNoiseParams().q_matrix()
+        dt = np.full(40, 0.005)
+        noise = ImuNoiseParams()
+        q = oracle_q_matrix(noise)
         p = eskf.default_initial_covariance()
-        out = eskf.propagate_covariance(p, f, g, q, np.full(40, 0.005))
+        out = eskf.propagate_covariance(p, batched_jacobians(states, imus, dt),
+                                        noise.process_noise(), dt)
         for k in range(40):
-            p = oracle_propagate_covariance(p, f[k], g[k], q, 0.005)
+            f, g = oracle_error_jacobians(states[k], *imus[k])
+            p = oracle_propagate_covariance(p, f, g, q, 0.005)
             assert np.max(np.abs(out[k] - p)) <= 1e-9 * np.max(np.abs(p))
 
     @pytest.mark.parametrize("emit", [False, True])
@@ -538,6 +582,27 @@ class TestSegmentsMatchPerSampleOracle:
             np.testing.assert_allclose(est.state.q, state.q, rtol=0, atol=1e-9)
             np.testing.assert_allclose(est.cov_diag, cov_diag, rtol=1e-8)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_emit_keeps_tick_estimates(self, seed):
+        # One covariance chain serves both modes: with emit_at_imu_rate the
+        # estimates at the ticks (the update's and the sample's) carry the
+        # same bits as without it.
+        imu, toa, config = figure_eight_inputs(seed)
+        ticks = eskf.run_filter(imu, toa, config).estimates
+        config.emit_at_imu_rate = True
+        at_time = {}
+        for est in eskf.run_filter(imu, toa, config).estimates:
+            at_time.setdefault(est.t, []).append(est)
+
+        def bits(est):
+            return (est.t, *(getattr(est.state, name).tobytes()
+                             for name in ("q", "b_g", "v", "b_a", "p")),
+                    est.cov_diag.tobytes())
+
+        assert len(ticks) == 51
+        for est in ticks:
+            assert [bits(e) for e in at_time[est.t]] == [bits(est)] * 2
+
     def test_gap_inside_a_segment_raises_invalid_dt(self):
         imu, toa, config = figure_eight_inputs(0, duration_s=2.0)
         # Ticks every 40 samples; drop 30 samples between the ticks at
@@ -554,9 +619,9 @@ class TestSegmentsMatchPerSampleOracle:
         sizes = []
         propagate = eskf.propagate_covariance
 
-        def recording(p_cov, f, *args):
-            sizes.append(f.shape[0])
-            return propagate(p_cov, f, *args)
+        def recording(p_cov, x, *args):
+            sizes.append(x.shape[0])
+            return propagate(p_cov, x, *args)
 
         monkeypatch.setattr(eskf, "propagate_covariance", recording)
         run = eskf.run_filter(imu, make_toa([]), config)
