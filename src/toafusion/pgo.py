@@ -19,16 +19,26 @@ through these kernels; no other code linearizes a factor.
 
 IMU factors only link consecutive keyframes, so with keyframes ordered
 first and stations last the normal equations have arrow form: a
-block-tridiagonal keyframe block of half-bandwidth 2 * KF_DIM - 1, a dense
-keyframe-station coupling and a small dense station block. Assembly sums
-the keyframe block as 15 x 15 blocks, each keyframe's diagonal block and
-the block coupling it to the keyframe before, and gathers them into band
-storage once. Each damped step factors that band with a banded Cholesky
-A = U^T U. One triangular band solve W = U^-T [-g_k | B] yields the station
-Schur complement C - W_B^T W_B, and after the station solve a second one,
-with a single right-hand side, yields the keyframe step; no dense matrix
-over all variables is ever formed. The cost at the initial values comes
-from the first assembly.
+block-tridiagonal keyframe block, a dense keyframe-station coupling and a
+small dense station block. The keyframe block has upper half-bandwidth
+KF_DIM + 8 = 23, not 2 * KF_DIM - 1: the IMU information is
+block-diagonal (motion 9 and bias random walk 6) and only the bias
+residual b_j - b_i depends on b_j, so the block coupling keyframe k to
+k + 1 is zero in its motion rows 0-8 and bias columns 9-14. Assembly
+sums the keyframe block as 15 x 15 blocks, each keyframe's diagonal block
+and the block coupling it to the keyframe before, and gathers them into
+band storage once. Each damped step factors that band with a banded
+Cholesky A = U^T U, whose factor keeps the same band. One triangular band
+solve W = U^-T [-g_k | B] yields the station Schur complement
+C - W_B^T W_B, and after the station solve a second one, with a single
+right-hand side, yields the keyframe step; no dense matrix over all
+variables is ever formed.
+
+Each kernel has a residual half and a Jacobian half. An LM iteration
+evaluates the residuals of its candidate values once (`_evaluate`); when
+the candidate is accepted, that evaluation is kept and the next assembly
+only adds the Jacobians to it. The cost at the initial values comes from
+the first evaluation.
 
 The incremental mode re-optimizes a sliding window after each new
 keyframe, summarizing everything older than the window by a state prior
@@ -320,32 +330,47 @@ def _station_terms(tab: _StationPriorTable, values: GraphValues) -> np.ndarray:
     return (values.stations[tab.station] - tab.center) * tab.inv_sigma[:, None]
 
 
-def _prior_terms(tab: _PriorTable, values: GraphValues, with_jacobians: bool):
-    """Whitened residuals (m, 15) of state priors and, when requested, their
-    whitened Jacobians (m, 15, 15) over the keyframe block."""
+def _prior_residuals(tab: _PriorTable, values: GraphValues):
+    """Whitened residuals (m, 15) of state priors and their rotation parts."""
     k = tab.kf
     r_rot = geo.log_so3_batch(tab.rot0.transpose(0, 2, 1) @ values.rot[k])
     raw = np.concatenate([r_rot, values.pos[k] - tab.p0, values.vel[k] - tab.v0,
                           values.bias[k] - tab.b0], axis=1)
-    r_w = np.einsum("mij,mj->mi", tab.sqrt_info, raw)
-    if not with_jacobians:
-        return r_w, None
+    return np.einsum("mij,mj->mi", tab.sqrt_info, raw), r_rot
+
+
+def _prior_jacobians(tab: _PriorTable, r_rot: np.ndarray) -> np.ndarray:
+    """Whitened Jacobians (m, 15, 15) of state priors over the keyframe block."""
     jac = tab.sqrt_info.copy()
     jac[:, :, 0:3] = tab.sqrt_info[:, :, 0:3] @ geo.right_jacobian_inv_batch(r_rot)
-    return r_w, jac
+    return jac
 
 
-def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
-    """Vectorized whitened residuals (and Jacobians) for IMU factors.
+def _prior_terms(tab: _PriorTable, values: GraphValues, with_jacobians: bool):
+    """Whitened residuals of state priors and, when requested, their
+    Jacobians: both halves, as a solve runs them."""
+    r_w, r_rot = _prior_residuals(tab, values)
+    return r_w, _prior_jacobians(tab, r_rot) if with_jacobians else None
 
-    Returns r_w plus, when requested, the whitened (m,15,30) Jacobian over
-    the stacked [keyframe i, keyframe j] blocks.
-    """
-    m = len(tab.i)
+
+@dataclass
+class _ImuResiduals:
+    """The residual half of the IMU kernel at one set of values: the
+    whitened residuals and what the Jacobian half reuses."""
+
+    corr: np.ndarray         # (m, 3) first-order rotation correction
+    err_rot: np.ndarray      # (m, 3, 3)
+    r_rot: np.ndarray        # (m, 3), log(err_rot)
+    pos_arg: np.ndarray      # (m, 3) position and velocity differences in
+    vel_arg: np.ndarray      # keyframe i's frame, before the increments
+    r_w: np.ndarray          # (m, 15)
+
+
+def _imu_residuals(tab: _ImuTable, values: GraphValues) -> _ImuResiduals:
+    """Whitened residuals of IMU factors, with the first-order bias
+    correction of their increments."""
     idx_i, idx_j, dt, gravity = tab.i, tab.j, tab.dt, tab.gravity
-    rot_i = values.rot[idx_i]
-    rot_j = values.rot[idx_j]
-    rot_it = rot_i.transpose(0, 2, 1)
+    rot_it = values.rot[idx_i].transpose(0, 2, 1)
     dtc = dt[:, None]
 
     # First-order bias correction of the increments.
@@ -358,7 +383,7 @@ def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
     d_vel_c = tab.d_vel + np.einsum("mij,mj->mi", tab.j_vel_bg, dbg) \
         + np.einsum("mij,mj->mi", tab.j_vel_ba, dba)
 
-    err_rot = d_rot_c.transpose(0, 2, 1) @ rot_it @ rot_j
+    err_rot = d_rot_c.transpose(0, 2, 1) @ rot_it @ values.rot[idx_j]
     r_rot = geo.log_so3_batch(err_rot)
     pos_arg = np.einsum(
         "mij,mj->mi", rot_it,
@@ -369,24 +394,31 @@ def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
         values.vel[idx_j] - values.vel[idx_i] - gravity[None] * dtc)
     raw = np.concatenate([r_rot, pos_arg - d_pos_c, vel_arg - d_vel_c,
                           values.bias[idx_j] - values.bias[idx_i]], axis=1)
-    r_w = np.einsum("mij,mj->mi", tab.sqrt_info, raw)
-    if not with_jacobians:
-        return r_w, None
+    return _ImuResiduals(corr, err_rot, r_rot, pos_arg, vel_arg,
+                         np.einsum("mij,mj->mi", tab.sqrt_info, raw))
 
-    jr_inv = geo.right_jacobian_inv_batch(r_rot)
+
+def _imu_jacobians(tab: _ImuTable, values: GraphValues,
+                   res: _ImuResiduals) -> np.ndarray:
+    """Whitened (m, 15, 30) Jacobians of IMU factors over the stacked
+    [keyframe i, keyframe j] blocks, at the values res was evaluated at."""
+    m, dt = len(tab.i), tab.dt
+    rot_i, rot_j = values.rot[tab.i], values.rot[tab.j]
+    rot_it = rot_i.transpose(0, 2, 1)
+    jr_inv = geo.right_jacobian_inv_batch(res.r_rot)
     jac = np.zeros((m, 15, 2 * KF_DIM))
     ji, jj = jac[:, :, :KF_DIM], jac[:, :, KF_DIM:]
     ji[:, 0:3, 0:3] = -jr_inv @ (rot_j.transpose(0, 2, 1) @ rot_i)
-    ji[:, 3:6, 0:3] = geo.skew_batch(pos_arg)
+    ji[:, 3:6, 0:3] = geo.skew_batch(res.pos_arg)
     ji[:, 3:6, 3:6] = -rot_it
     ji[:, 3:6, 6:9] = -dt[:, None, None] * rot_it
-    ji[:, 6:9, 0:3] = geo.skew_batch(vel_arg)
+    ji[:, 6:9, 0:3] = geo.skew_batch(res.vel_arg)
     ji[:, 6:9, 6:9] = -rot_it
     ji[:, 9:15, 9:15] = -np.eye(6)
     # First-order bias corrections make the motion residuals depend on the
     # bias at keyframe i.
-    ji[:, 0:3, 9:12] = -(jr_inv @ err_rot.transpose(0, 2, 1)
-                         @ geo.right_jacobian_batch(corr) @ tab.j_rot_bg)
+    ji[:, 0:3, 9:12] = -(jr_inv @ res.err_rot.transpose(0, 2, 1)
+                         @ geo.right_jacobian_batch(res.corr) @ tab.j_rot_bg)
     ji[:, 3:6, 9:12] = -tab.j_pos_bg
     ji[:, 3:6, 12:15] = -tab.j_pos_ba
     ji[:, 6:9, 9:12] = -tab.j_vel_bg
@@ -395,12 +427,23 @@ def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
     jj[:, 3:6, 3:6] = rot_it
     jj[:, 6:9, 6:9] = rot_it
     jj[:, 9:15, 9:15] = np.eye(6)
-    return r_w, tab.sqrt_info @ jac
+    return tab.sqrt_info @ jac
 
 
-# Upper half-bandwidth of the keyframe block of H: an IMU factor couples
-# every coordinate of keyframe k with every coordinate of keyframe k + 1.
-BAND_U = 2 * KF_DIM - 1
+def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
+    """Whitened residuals (m, 15) of IMU factors and, when requested, their
+    Jacobians: both halves, as a solve runs them."""
+    res = _imu_residuals(tab, values)
+    return res.r_w, _imu_jacobians(tab, values, res) if with_jacobians else None
+
+
+# Upper half-bandwidth of the keyframe block of H. An IMU factor couples
+# keyframes k and k + 1, but its information is block-diagonal (motion 9,
+# bias random walk 6) and only the bias residual b_j - b_i depends on b_j:
+# so H_k,k+1 is exactly zero in rows 0-8 (theta, p, v of k) by columns
+# 9-14 (bias of k + 1), and its farthest nonzero, row 0 by column 8, lies
+# KF_DIM + 8 off the diagonal. No other factor couples keyframes.
+BAND_U = KF_DIM + 8
 _BLOCK = KF_DIM * KF_DIM
 
 
@@ -430,7 +473,11 @@ class NormalEquations:
     block-tridiagonal keyframe block of H is kept in LAPACK upper band
     storage, band[BAND_U + a - b, b] = H[a, b] for b - BAND_U <= a <= b,
     in Fortran order (LAPACK's own, so no factorization copies it); the
-    keyframe-station coupling and the station block are dense.
+    keyframe-station coupling and the station block are dense. The upper
+    half-bandwidth BAND_U is KF_DIM + 8 = 23: the IMU information is
+    block-diagonal and only the bias residual depends on keyframe j's
+    bias, so the motion rows of keyframe k never meet the bias columns of
+    k + 1, and the band holds every nonzero of the block.
     """
 
     band: np.ndarray        # (BAND_U + 1, 15 n_kf)
@@ -443,15 +490,41 @@ class NormalEquations:
         return np.concatenate([self.band[-1], np.diag(self.stations)])
 
 
+@dataclass
+class _Evaluation:
+    """The residual halves of every kernel over the factors of one solve at
+    one set of values, and their cost."""
+
+    imu: _ImuResiduals
+    priors: tuple[np.ndarray, np.ndarray]      # r_w, r_rot
+    ranges: tuple[np.ndarray, np.ndarray]      # directions u, r_w
+    stations: np.ndarray                       # r_w
+    cost: float
+
+
+def _evaluate(tables: FactorTables, values: GraphValues) -> _Evaluation:
+    """Residuals and cost of every factor of tables at values. Raises
+    NonFiniteCost unless the cost is finite."""
+    imu = _imu_residuals(tables.imu, values)
+    priors = _prior_residuals(tables.priors, values)
+    ranges = _range_terms(tables.ranges, values)
+    stations = _station_terms(tables.stations, values)
+    return _Evaluation(imu, priors, ranges, stations,
+                       _sum_squares(imu.r_w, priors[0], ranges[1], stations))
+
+
 def _build_normal_equations(tables: FactorTables, values: GraphValues,
-                            first_kf: int, n_kf: int,
-                            n_st: int) -> NormalEquations:
+                            first_kf: int, n_kf: int, n_st: int,
+                            evaluation: Optional[_Evaluation] = None
+                            ) -> NormalEquations:
     """Assemble H and g of the factors on keyframes [first_kf, first_kf +
     n_kf) in arrow form, with all n_st stations as variables or, for n_st =
-    0, held fixed. The keyframe block is summed 15 x 15 block by block and
-    gathered into band storage once; range and prior terms are summed per
-    keyframe, station and keyframe-station pair. Raises ValueError unless
-    the IMU factors chain keyframes i, i + 1, ... in order, as the band does.
+    0, held fixed. The Jacobians are added to `evaluation`, the residuals
+    of tables at values, which is evaluated here when not given. The
+    keyframe block is summed 15 x 15 block by block and gathered into band
+    storage once; range and prior terms are summed per keyframe, station
+    and keyframe-station pair. Raises ValueError unless the IMU factors
+    chain keyframes i, i + 1, ... in order, as the band does.
     """
     nk, ns = KF_DIM * n_kf, 3 * n_st
     rows = np.zeros((n_kf, 2 * _BLOCK + 1))       # see _band
@@ -462,8 +535,8 @@ def _build_normal_equations(tables: FactorTables, values: GraphValues,
     st_blocks = np.zeros((n_st, 3, 3))
     p = slice(_OFF_P, _OFF_P + 3)
 
+    ev = evaluation if evaluation is not None else _evaluate(tables, values)
     # Empty tables are skipped: marginalizations often have no ranges.
-    residuals = []
     imu = tables.imu
     if len(imu):
         bad = np.flatnonzero((imu.i != imu.i[0] + np.arange(len(imu)))
@@ -471,7 +544,7 @@ def _build_normal_equations(tables: FactorTables, values: GraphValues,
         if len(bad):
             raise ValueError(f"IMU factor {bad[0]} links keyframes {imu.i[bad[0]]} and "
                              f"{imu.j[bad[0]]}; the banded solver needs a chain i, i + 1, ...")
-        r_w, jac = _imu_terms(imu, values, with_jacobians=True)
+        r_w, jac = ev.imu.r_w, _imu_jacobians(imu, values, ev.imu)
         # Stacked products are fastest with a contiguous left operand.
         jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
         lo = imu.i[0] - first_kf
@@ -483,19 +556,18 @@ def _build_normal_equations(tables: FactorTables, values: GraphValues,
         g = (jac_t @ r_w[:, :, None])[:, :, 0]
         grad_k[ki] = g[:, :KF_DIM]
         grad_k[kj] += g[:, KF_DIM:]
-        residuals.append(r_w)
 
     pt = tables.priors
     if len(pt):
-        r_w, jac = _prior_terms(pt, values, with_jacobians=True)
+        r_w, r_rot = ev.priors
+        jac = _prior_jacobians(pt, r_rot)
         jac_t = jac.transpose(0, 2, 1)
         np.add.at(diag, pt.kf - first_kf, jac_t @ jac)
         np.add.at(grad_k, pt.kf - first_kf, (jac_t @ r_w[:, :, None])[:, :, 0])
-        residuals.append(r_w)
 
     rt = tables.ranges
     if len(rt):
-        u, r_w = _range_terms(rt, values)
+        u, r_w = ev.ranges
         # Whitened Jacobian rows: jp on keyframe positions, -jp on stations.
         # Sums of [jp jp^T | jp r] per keyframe-station pair; theirs give the diagonals.
         jp = -u / rt.sigma[:, None]
@@ -511,20 +583,16 @@ def _build_normal_equations(tables: FactorTables, values: GraphValues,
             coupling.reshape(n_kf, KF_DIM, n_st, 3)[:, p] = -terms[..., :3].transpose(0, 2, 1, 3)
             st_blocks += per_st[..., :3]
             grad_s -= per_st[..., 3]
-        residuals.append(r_w)
 
     sp = tables.stations
-    if len(sp):
-        r_w = _station_terms(sp, values)
-        if n_st:
-            np.add.at(st_blocks, sp.station, sp.inv_sigma[:, None, None] ** 2 * np.eye(3))
-            np.add.at(grad_s, sp.station, sp.inv_sigma[:, None] * r_w)
-        residuals.append(r_w)
+    if len(sp) and n_st:
+        np.add.at(st_blocks, sp.station, sp.inv_sigma[:, None, None] ** 2 * np.eye(3))
+        np.add.at(grad_s, sp.station, sp.inv_sigma[:, None] * ev.stations)
 
     stations = np.zeros((n_st, 3, n_st, 3))
     stations[np.arange(n_st), :, np.arange(n_st)] = st_blocks
     return NormalEquations(_band(rows), coupling, stations.reshape(ns, ns),
-                           grad, _sum_squares(*residuals))
+                           grad, ev.cost)
 
 
 def _sum_squares(*residuals: np.ndarray) -> float:
@@ -532,13 +600,6 @@ def _sum_squares(*residuals: np.ndarray) -> float:
     if not np.isfinite(cost):
         raise NonFiniteCost(f"cost evaluated to {cost}")
     return cost
-
-
-def _window_cost(tables: FactorTables, values: GraphValues) -> float:
-    return _sum_squares(_imu_terms(tables.imu, values, False)[0],
-                        _prior_terms(tables.priors, values, False)[0],
-                        _range_terms(tables.ranges, values)[1],
-                        _station_terms(tables.stations, values))
 
 
 def _band_solve(factor: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
@@ -603,8 +664,10 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
     """Damped nonlinear least squares over keyframes [first_kf, N).
 
     Accepted steps never increase the cost; the damping parameter grows on
-    rejected steps and shrinks on accepted ones. The initial cost is that
-    of the first assembly.
+    rejected steps and shrinks on accepted ones. Each candidate's residuals
+    are evaluated once: an accepted candidate's evaluation is the one the
+    next assembly adds its Jacobians to. The initial cost is that of the
+    first evaluation.
     """
     opts = options or OptimizeOptions()
     n_kf = initial_values.n_keyframes - first_kf
@@ -612,8 +675,8 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
     tables = graph.tables.from_keyframe(first_kf)
 
     values = initial_values.copy()
-    neq = _build_normal_equations(tables, values, first_kf, n_kf, n_st)
-    cost = initial_cost = neq.cost
+    evaluation = _evaluate(tables, values)
+    cost = initial_cost = evaluation.cost
     lam = opts.damping_init
     cost_log: list[tuple[int, float, float]] = []
     costs: list[float] = []
@@ -622,8 +685,8 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
 
     for it in range(1, opts.max_iters + 1):
         iterations = it
-        if it > 1:
-            neq = _build_normal_equations(tables, values, first_kf, n_kf, n_st)
+        neq = _build_normal_equations(tables, values, first_kf, n_kf, n_st,
+                                      evaluation)
         damp = np.maximum(neq.diagonal(), 1e-8)
         accepted = False
         solver_failed = True
@@ -638,9 +701,10 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
                 continue
             solver_failed = False
             candidate = _retract(values, delta, first_kf, n_kf)
-            new_cost = _window_cost(tables, candidate)
+            candidate_eval = _evaluate(tables, candidate)
+            new_cost = candidate_eval.cost
             if new_cost <= cost:
-                values = candidate
+                values, evaluation = candidate, candidate_eval
                 decrease = cost - new_cost
                 cost = new_cost
                 costs.append(cost)

@@ -6,32 +6,41 @@ point, together with a 9x9 noise covariance over the residual blocks in
 (rotation, position, velocity) order. The IMU factor kernel of `pgo`
 evaluates how well a pair of keyframe states matches the increments.
 
-Integration is Euler-forward per sample; increments are exact for
-piecewise-constant body rates. Bias sensitivities (the derivatives of the
-increments with respect to the linearization biases) are accumulated
-alongside, so residuals can be corrected to first order when the bias
-estimate moves; callers re-integrate when it moves far. The recursion is
-that of Forster et al., "On-Manifold Preintegration for Real-Time
-Visual-Inertial Odometry", IEEE T-RO 2017.
+The increments are those of the Euler-forward recursion of Forster et al.,
+"On-Manifold Preintegration for Real-Time Visual-Inertial Odometry", IEEE
+T-RO 2017, exact for piecewise-constant body rates. Bias sensitivities
+(the derivatives of the increments with respect to the linearization
+biases) come alongside, so residuals can be corrected to first order when
+the bias estimate moves; callers re-integrate when it moves far.
+
+The kernel evaluates that recursion in closed form. Let R_s be the
+rotation before sample s (R_0 = I; R_n is the increment), dt_s its step,
+T_s+1 the time from its end to the end of the interval, c_s = R_s a_s dt_s
+and w_s = T_s+1 + dt_s / 2. Then d_vel = sum c_s and d_pos = sum w_s c_s,
+and j_vel_ba and j_pos_ba are the same two sums of -R_s dt_s. In the frame
+of the interval start, the attitude error eps = R_s dphi has a unipotent
+per-sample transition, so every other end-of-interval quantity is a sum
+as well. Let g_s = R_s+1 J_r(w_hat_s dt_s) dt_s, S_s+1 and q_s+1 the sums
+of c_l and of w_l c_l over the later samples l > s, and
+G_s = [I; -[q_s+1]x; -[S_s+1]x] g_s the response of the (eps, position,
+velocity) error to sample s's gyro noise. Then:
+
+* the gyro bias Jacobians (rotation, position, velocity) are
+  -diag(R_n^T, I, I) sum_s G_s;
+* the covariance is sum_s (sigma_g^2 / dt_s) G_s G_s^T, plus
+  sigma_a^2 sum_s dt_s [w_s^2, w_s; w_s, 1] (x) I on (position,
+  velocity), rotated back from eps to dphi = R_n^T eps.
 
 One kernel integrates m intervals at once, each at its own bias point.
 Its inputs carry a leading interval axis: rates and accelerations
-(m, n, 3), steps (m, n), biases (m, 3). Everything that does not depend on
-the running rotation is computed for all m * n samples first: the
-rotation increments, the right Jacobians and the skews of the
-bias-corrected inputs. Three short loops over the n sample slots, each
-batched over the intervals, then chain the rotation, the rotation bias
-Jacobian and the covariance. The velocity, position and the other bias
-Jacobians are running sums, taken with a sequential cumulative sum in the
-same order of additions as a per-sample loop.
-
+(m, n, 3), steps (m, n), biases (m, 3). Only the 3x3 rotation chain is a
+loop over the n sample slots, batched over the intervals; every sum above
+is a prefix sum, a suffix sum or one batched product over all samples.
 Intervals shorter than n are padded at the end: counts[k] leading slots of
 interval k are real samples, the rest are padding whose values are
-ignored. The kernel keeps the state after every slot and returns interval
-k's state after its counts[k]-th sample, so padding leaves the result
-bit-for-bit unchanged. Intervals go through the kernel in passes of at
-most 1024 sample slots, which bounds the memory of the per-sample 9x9
-terms. `integrate_batch` is the entry point.
+ignored. Padding slots are zeroed before any sum, so they add exact zeros
+and leave the result bit-for-bit unchanged. `integrate_batch` is the
+entry point.
 
 The padded form comes from `slice_imu_between`, which cuts the samples of
 many intervals, each given by its start and end stamps, out of the IMU
@@ -42,7 +51,7 @@ through consecutive intervals at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -50,14 +59,6 @@ from . import geometry as geo
 from .dataset import ImuArrays
 from .errors import InvalidDt
 from .eskf import GRAVITY, MAX_DT_S, ImuNoiseParams
-
-# Sample slots per kernel pass: about 1 MB per (slots, 9, 9) temporary.
-_PASS_SAMPLES = 1024
-
-# The array fields of a batch, each with a leading interval axis.
-_JACOBIAN_FIELDS = ("j_rot_bg", "j_pos_bg", "j_pos_ba", "j_vel_bg", "j_vel_ba")
-_ARRAY_FIELDS = ("d_rot", "d_vel", "d_pos", "cov", "bias_gyro",
-                 "bias_accel") + _JACOBIAN_FIELDS
 
 
 @dataclass
@@ -86,35 +87,6 @@ class PreintegratedBatch:
         """Samples over all intervals."""
         return int(self.counts.sum())
 
-    def rows(self, sel: slice) -> "PreintegratedBatch":
-        """The intervals in sel, as views into this batch."""
-        return PreintegratedBatch(
-            dt_total=self.dt_total[sel], counts=self.counts[sel], noise=self.noise,
-            **{f: getattr(self, f)[sel] for f in _ARRAY_FIELDS})
-
-    @staticmethod
-    def concat(parts: Sequence["PreintegratedBatch"]) -> "PreintegratedBatch":
-        return PreintegratedBatch(
-            dt_total=np.concatenate([p.dt_total for p in parts]),
-            counts=np.concatenate([p.counts for p in parts]), noise=parts[0].noise,
-            **{f: np.concatenate([getattr(p, f) for p in parts])
-               for f in _ARRAY_FIELDS})
-
-    @staticmethod
-    def create(bias_gyro: np.ndarray, bias_accel: np.ndarray,
-               noise: ImuNoiseParams | None = None) -> "PreintegratedBatch":
-        """Identity increments at the (m, 3) linearization biases."""
-        m = bias_gyro.shape[0]
-        zeros = {f: np.zeros((m, 3, 3)) for f in _JACOBIAN_FIELDS}
-        return PreintegratedBatch(
-            d_rot=np.repeat(np.eye(3)[None], m, axis=0), d_vel=np.zeros((m, 3)),
-            d_pos=np.zeros((m, 3)), dt_total=np.zeros(m),
-            cov=np.zeros((m, 9, 9)),
-            bias_gyro=np.array(bias_gyro, dtype=float),
-            bias_accel=np.array(bias_accel, dtype=float),
-            counts=np.zeros(m, dtype=np.int64),
-            noise=noise if noise is not None else ImuNoiseParams(), **zeros)
-
 
 def _running_sum(start: np.ndarray, *steps: np.ndarray) -> np.ndarray:
     """Value before every slot and after the last, (m, n + 1, ...).
@@ -128,99 +100,11 @@ def _running_sum(start: np.ndarray, *steps: np.ndarray) -> np.ndarray:
     return out[:, ::len(steps)]
 
 
-def _propagate(start: PreintegratedBatch, omega: np.ndarray, accel: np.ndarray,
-               dts: np.ndarray, counts: np.ndarray) -> PreintegratedBatch:
-    """Absorb the first counts[k] samples of row k into interval k of start."""
-    m, n = dts.shape
-    real = np.arange(n) < counts[:, None]
-    bad = real & ~((dts > 0.0) & (dts <= MAX_DT_S))
-    if np.any(bad):
-        raise InvalidDt(f"dt={float(dts[bad][0])} outside (0, {MAX_DT_S}]")
-    # Passes over at most _PASS_SAMPLES sample slots bound the memory of
-    # the per-sample 9x9 terms.
-    step = max(1, _PASS_SAMPLES // max(n, 1))
-    parts = [_propagate_pass(start.rows(c), omega[c], accel[c], dts[c], counts[c],
-                             real[c])
-             for c in (slice(k, k + step) for k in range(0, max(m, 1), step))]
-    return parts[0] if len(parts) == 1 else PreintegratedBatch.concat(parts)
-
-
-def _propagate_pass(start: PreintegratedBatch, omega: np.ndarray,
-                    accel: np.ndarray, dts: np.ndarray, counts: np.ndarray,
-                    real: np.ndarray) -> PreintegratedBatch:
-    """_propagate over one slice of intervals; real marks the sample slots."""
-    m, n = dts.shape
-    # Padded slots are computed like samples, but no result reads them.
-    dt1 = dts[..., None]
-    dt2 = dts[..., None, None]
-    w_hat = omega - start.bias_gyro[:, None]
-    a_hat = accel - start.bias_accel[:, None]
-
-    # Per-sample terms, independent of the running rotation.
-    theta = (w_hat * dt1).reshape(-1, 3)
-    rot_inc = geo.exp_so3_batch(theta).reshape(m, n, 3, 3)
-    rot_inc_t = rot_inc.swapaxes(-1, -2)
-    jr_dt = geo.right_jacobian_batch(theta).reshape(m, n, 3, 3) * dt2
-    a_skew = geo.skew_batch(a_hat.reshape(-1, 3)).reshape(m, n, 3, 3)
-    noise = start.noise
-    sigma = np.array([noise.sigma_g ** 2] * 3 + [noise.sigma_a ** 2] * 3)
-    sigma_dt = np.divide(sigma, dt1, out=np.zeros((m, n, 6)), where=real[..., None])
-
-    # The rotation before every slot, then everything that depends on it.
-    rot = np.empty((m, n + 1, 3, 3))
-    rot[:, 0] = start.d_rot
-    for s in range(n):
-        rot[:, s + 1] = rot[:, s] @ rot_inc[:, s]
-    rot_prev = rot[:, :n]
-    ra = (rot_prev @ a_hat[..., None])[..., 0]
-    ra_skew = rot_prev @ a_skew
-    half_r_dt2 = 0.5 * rot_prev * dt2 * dt2
-    r_dt = rot_prev * dt2
-
-    vel = _running_sum(start.d_vel, ra * dt1)
-    pos = _running_sum(start.d_pos, vel[:, :n] * dt1, 0.5 * ra * dt1 * dt1)
-
-    j_rot_bg = np.empty((m, n + 1, 3, 3))
-    j_rot_bg[:, 0] = start.j_rot_bg
-    for s in range(n):
-        j_rot_bg[:, s + 1] = rot_inc_t[:, s] @ j_rot_bg[:, s] - jr_dt[:, s]
-    j_rot_prev = j_rot_bg[:, :n]
-    j_vel_bg = _running_sum(start.j_vel_bg, -(ra_skew @ j_rot_prev * dt2))
-    j_vel_ba = _running_sum(start.j_vel_ba, -r_dt)
-    j_pos_bg = _running_sum(start.j_pos_bg, j_vel_bg[:, :n] * dt2,
-                            -(0.5 * ra_skew @ j_rot_prev * dt2 * dt2))
-    j_pos_ba = _running_sum(start.j_pos_ba, j_vel_ba[:, :n] * dt2, -half_r_dt2)
-
-    # First-order discrete propagation of the (rot, pos, vel) error.
-    a_mat = np.zeros((m, n, 9, 9))
-    a_mat[..., 0:3, 0:3] = rot_inc_t
-    a_mat[..., 3:6, 0:3] = -0.5 * ra_skew * dt2 * dt2
-    a_mat[..., 3:6, 3:6] = np.eye(3)
-    a_mat[..., 3:6, 6:9] = np.eye(3) * dt2
-    a_mat[..., 6:9, 0:3] = -ra_skew * dt2
-    a_mat[..., 6:9, 6:9] = np.eye(3)
-    b_mat = np.zeros((m, n, 9, 6))
-    b_mat[..., 0:3, 0:3] = jr_dt
-    b_mat[..., 3:6, 3:6] = half_r_dt2
-    b_mat[..., 6:9, 3:6] = r_dt
-    noise_cov = (b_mat * sigma_dt[..., None, :]) @ b_mat.swapaxes(-1, -2)
-    cov = np.empty((m, n + 1, 9, 9))
-    cov[:, 0] = start.cov
-    for s in range(n):
-        a_s = a_mat[:, s]
-        step = a_s @ cov[:, s] @ a_s.swapaxes(-1, -2) + noise_cov[:, s]
-        cov[:, s + 1] = 0.5 * (step + step.swapaxes(-1, -2))
-
-    rows = np.arange(m)
-    dt_total = _running_sum(start.dt_total, dts)
-    return PreintegratedBatch(
-        d_rot=rot[rows, counts], d_vel=vel[rows, counts], d_pos=pos[rows, counts],
-        dt_total=dt_total[rows, counts], cov=cov[rows, counts],
-        bias_gyro=start.bias_gyro, bias_accel=start.bias_accel,
-        counts=start.counts + counts, noise=start.noise,
-        j_rot_bg=j_rot_bg[rows, counts], j_pos_bg=j_pos_bg[rows, counts],
-        j_pos_ba=j_pos_ba[rows, counts], j_vel_bg=j_vel_bg[rows, counts],
-        j_vel_ba=j_vel_ba[rows, counts])
+def _later_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the later slots, out[:, s] = sum of x[:, l] for l > s."""
+    out = np.zeros_like(x)
+    out[:, :-1] = np.cumsum(x[:, :0:-1], axis=1)[:, ::-1]
+    return out
 
 
 def integrate_batch(omega: np.ndarray, accel: np.ndarray, dts: np.ndarray,
@@ -237,11 +121,67 @@ def integrate_batch(omega: np.ndarray, accel: np.ndarray, dts: np.ndarray,
     m, n = dts.shape
     counts = (np.full(m, n, dtype=np.int64) if counts is None
               else np.asarray(counts, dtype=np.int64))
-    start = PreintegratedBatch.create(
-        np.broadcast_to(np.asarray(bias_gyro, dtype=float), (m, 3)),
-        np.broadcast_to(np.asarray(bias_accel, dtype=float), (m, 3)), noise)
-    return _propagate(start, np.asarray(omega, dtype=float),
-                      np.asarray(accel, dtype=float), dts, counts)
+    noise = noise if noise is not None else ImuNoiseParams()
+    real = np.arange(n) < counts[:, None]
+    bad = real & ~((dts > 0.0) & (dts <= MAX_DT_S))
+    if np.any(bad):
+        raise InvalidDt(f"dt={float(dts[bad][0])} outside (0, {MAX_DT_S}]")
+    bias_gyro = np.array(np.broadcast_to(bias_gyro, (m, 3)), dtype=float)
+    bias_accel = np.array(np.broadcast_to(bias_accel, (m, 3)), dtype=float)
+
+    # Padding becomes zero steps of zero inputs: exact zeros in every sum.
+    dt = np.where(real, dts, 0.0)
+    dt1 = dt[..., None]
+    theta = np.where(real[..., None], omega - bias_gyro[:, None], 0.0) * dt1
+    a_hat = np.where(real[..., None], accel - bias_accel[:, None], 0.0)
+    rot_inc = geo.exp_so3_batch(theta.reshape(-1, 3)).reshape(m, n, 3, 3)
+    jr = geo.right_jacobian_batch(theta.reshape(-1, 3)).reshape(m, n, 3, 3)
+
+    # The rotation before every slot and after the last: the one chain.
+    rot = np.empty((m, n + 1, 3, 3))
+    rot[:, 0] = np.eye(3)
+    for s in range(n):
+        rot[:, s + 1] = rot[:, s] @ rot_inc[:, s]
+    rot_prev, rot_end = rot[:, :n], rot[:, n].copy()
+    rot_end_t = rot_end.swapaxes(-1, -2)
+    c = (rot_prev @ a_hat[..., None])[..., 0] * dt1
+    weight = _later_sums(dt) + 0.5 * dt
+
+    # Both sums of [-R dt | c | dt | w dt], plain and weighted by w_s, in
+    # one product.
+    terms = np.concatenate([-(rot_prev * dt1[..., None]).reshape(m, n, 9), c,
+                            dt1, dt1 * weight[..., None]], axis=2)
+    plain, weighted = (np.stack([np.ones((m, n)), weight], axis=1)
+                       @ terms).transpose(1, 0, 2)
+    dt_total = plain[:, 12]
+
+    # G_s^T, row r = [g_r, g_r x q_s+1, g_r x S_s+1] for the columns g_r of
+    # g_s: its sum gives the gyro bias Jacobians, one product the gyro noise.
+    g_rows = (jr.swapaxes(-1, -2) @ rot[:, 1:].swapaxes(-1, -2)) * dt1[..., None]
+    later = _later_sums(np.concatenate([c * weight[..., None], c], axis=2))[:, :, None]
+    g_t = np.concatenate([g_rows, np.cross(g_rows, later[..., 0:3]),
+                          np.cross(g_rows, later[..., 3:6])], axis=3)
+    j_bg = -g_t.sum(axis=1).swapaxes(-1, -2)
+    g_t *= np.sqrt(np.divide(noise.sigma_g ** 2, dt, out=np.zeros((m, n)),
+                             where=real))[..., None, None]
+    g_t = g_t.reshape(m, 3 * n, 9)
+    cov = g_t.swapaxes(-1, -2) @ g_t
+    d = np.arange(3)
+    sigma_a2 = noise.sigma_a ** 2
+    cov[:, 3 + d, 3 + d] += sigma_a2 * weighted[:, 13, None]
+    cov[:, 3 + d, 6 + d] += sigma_a2 * plain[:, 13, None]
+    cov[:, 6 + d, 3 + d] += sigma_a2 * plain[:, 13, None]
+    cov[:, 6 + d, 6 + d] += sigma_a2 * dt_total[:, None]
+    # Back from the interval-start frame: dphi = R_n^T eps.
+    cov[:, 0:3] = rot_end_t @ cov[:, 0:3]
+    cov[:, :, 0:3] = cov[:, :, 0:3] @ rot_end
+    return PreintegratedBatch(
+        d_rot=rot_end, d_vel=plain[:, 9:12], d_pos=weighted[:, 9:12],
+        dt_total=dt_total, cov=0.5 * (cov + cov.swapaxes(-1, -2)),
+        bias_gyro=bias_gyro, bias_accel=bias_accel, counts=counts, noise=noise,
+        j_rot_bg=rot_end_t @ j_bg[:, 0:3], j_pos_bg=j_bg[:, 3:6],
+        j_vel_bg=j_bg[:, 6:9], j_pos_ba=weighted[:, 0:9].reshape(m, 3, 3),
+        j_vel_ba=plain[:, 0:9].reshape(m, 3, 3))
 
 
 # perfbench/tracing.py wraps `predict` by name.

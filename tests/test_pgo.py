@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -492,13 +493,13 @@ class TestTotalCost:
         imu, gt, toa, config = noiseless_setup()
         graph, _ = pgo.build_graph(imu, toa, config)
         values = groundtruth_values(graph, gt, config)
-        assert pgo._window_cost(graph.tables, values) < 1e-10
+        assert pgo._evaluate(graph.tables, values).cost < 1e-10
 
     def test_doubling_covariance_halves_contribution(self, rng):
         values = make_values(rng, 1, 1)
-        c0 = pgo._window_cost(make_tables(ranges=[(0, 0, 5.0, 0.2)]), values)
-        c1 = pgo._window_cost(make_tables(ranges=[(0, 0, 5.0, 0.2 * np.sqrt(2.0))]),
-                              values)
+        c0 = pgo._evaluate(make_tables(ranges=[(0, 0, 5.0, 0.2)]), values).cost
+        c1 = pgo._evaluate(make_tables(ranges=[(0, 0, 5.0, 0.2 * np.sqrt(2.0))]),
+                           values).cost
         assert c1 == pytest.approx(0.5 * c0, rel=1e-12)
 
     def test_matches_per_factor_oracle(self, rng, monkeypatch):
@@ -536,8 +537,8 @@ class TestTotalCost:
             terms.append((values.stations[s] - bs.position,
                            config.station_prior_sigma ** 2 * np.eye(3)))
         expected = sum(float(r @ np.linalg.solve(cov, r)) for r, cov in terms)
-        assert pgo._window_cost(graph.tables, values) == pytest.approx(expected,
-                                                                       rel=1e-9)
+        assert pgo._evaluate(graph.tables, values).cost == pytest.approx(
+            expected, rel=1e-9)
 
 
 class TestOptimize:
@@ -585,6 +586,38 @@ class TestOptimize:
         _, report = pgo.optimize(graph, values)
         for it, cost, damping in report.cost_log:
             assert it >= 1 and cost >= 0.0 and damping > 0.0
+
+    def test_candidates_are_evaluated_once(self, rng, monkeypatch):
+        # The reference solve assembles every iteration from scratch, so it
+        # evaluates each accepted candidate's residuals twice.
+        imu, gt, toa, config = noiseless_setup(duration=3.0)
+        graph, values = pgo.build_graph(imu, toa, config)
+        values.pos += 0.2 * rng.standard_normal(values.pos.shape)
+        real_build = pgo._build_normal_equations
+        fresh = []
+
+        def build_fresh(tables, values, first_kf, n_kf, n_st, evaluation=None):
+            fresh.append(real_build(tables, values, first_kf, n_kf, n_st))
+            return fresh[-1]
+        monkeypatch.setattr(pgo, "_build_normal_equations", build_fresh)
+        want_values, want = pgo.optimize(graph, values)
+        monkeypatch.undo()
+        evaluations = record(monkeypatch, pgo, "_imu_residuals")
+        kept = record(monkeypatch, pgo, "_build_normal_equations")
+        got_values, got = pgo.optimize(graph, values)
+
+        assert got.iterations > 1
+        assert len(evaluations) <= got.iterations + 1
+        assert (got.iterations, got.termination, got.initial_cost, got.costs,
+                got.cost_log) == (want.iterations, want.termination,
+                                  want.initial_cost, want.costs, want.cost_log)
+        assert len(kept) == len(fresh) == got.iterations
+        for neq, ref in zip(kept, fresh):
+            for fld in ("band", "coupling", "stations", "grad"):
+                assert_same_bits(getattr(neq, fld), getattr(ref, fld))
+            assert neq.cost == ref.cost
+        for fld in ("rot", "pos", "vel", "bias", "stations"):
+            assert_same_bits(getattr(got_values, fld), getattr(want_values, fld))
 
 
 class TestBiasCorrection:
@@ -767,7 +800,10 @@ class TestSlidingWindowTables:
         def put_imu_rows(imu, times, tab, rows, bias, noise):
             batch = real_put(imu, times, tab, rows, bias, noise)
             for k, row in enumerate(np.arange(len(tab))[rows]):
-                latest[row] = (batch.rows(slice(k, k + 1)), tab.sqrt_info[row].copy())
+                # Interval k of the batch, every field but the shared noise.
+                latest[row] = ({f.name: getattr(batch, f.name)[k]
+                                for f in dataclasses.fields(batch) if f.name != "noise"},
+                               tab.sqrt_info[row].copy())
             return batch
 
         def optimize(graph, values, options=None, first_kf=0):
@@ -781,9 +817,10 @@ class TestSlidingWindowTables:
                              if first_kf <= kf < n),
                             key=lambda row: row[0])
             rows = [latest[row] for row in range(first_kf, n - 1)]
+            restacked = types.SimpleNamespace(**{
+                name: np.stack([r[0][name] for r in rows]) for name in rows[0][0]})
             want = make_tables(
-                imu=imu_table(pre.PreintegratedBatch.concat([r[0] for r in rows]),
-                              [r[1] for r in rows], i=range(first_kf, n - 1),
+                imu=imu_table(restacked, [r[1] for r in rows], i=range(first_kf, n - 1),
                               gravity=config.gravity),
                 ranges=ranges, gravity=config.gravity)
             got = graph.tables
@@ -886,14 +923,20 @@ class TestNormalEquations:
         neq = pgo._build_normal_equations(tables, values, first_kf, n_kf, n_st)
         h, g, cost = dense_oracle(graph.tables, values, first_kf)
         nk = pgo.KF_DIM * n_kf
-        # The keyframe block has nothing outside the band.
+        # The keyframe block has nothing outside the band, and the band is
+        # tight: each IMU factor's (i, j) block of J^T J is exactly zero in
+        # the motion rows of i by the bias columns of j.
         assert not np.any(np.triu(h[:nk, :nk], pgo.BAND_U + 1))
+        assert np.any(np.diagonal(h[:nk, :nk], pgo.BAND_U))
+        _, jac = pgo._imu_terms(graph.tables.imu, values, with_jacobians=True)
+        gram = jac[:, :, :pgo.KF_DIM].transpose(0, 2, 1) @ jac[:, :, pgo.KF_DIM:]
+        assert not np.any(gram[:, 0:9, 9:15])
         assert_rel_close(neq.band, upper_band(h[:nk, :nk], pgo.BAND_U), 1e-10)
         assert_rel_close(neq.coupling, h[:nk, nk:], 1e-10)
         assert_rel_close(neq.stations, h[nk:, nk:], 1e-10)
         assert_rel_close(neq.grad, g, 1e-10)
         assert neq.cost == pytest.approx(cost, rel=1e-10)
-        assert pgo._window_cost(tables, values) == pytest.approx(cost, rel=1e-10)
+        assert pgo._evaluate(tables, values).cost == pytest.approx(cost, rel=1e-10)
 
     def test_window_assembly_matches_dense_oracle(self, rng):
         # A window on keyframes 2..6 of 7, as a sliding solve reads it:
@@ -954,7 +997,7 @@ class TestNormalEquations:
         graph, values = oracle_graph(rng)
         _, report = pgo.optimize(graph, values, first_kf=first_kf)
         assert report.initial_cost == pytest.approx(
-            pgo._window_cost(graph.tables.from_keyframe(first_kf), values),
+            pgo._evaluate(graph.tables.from_keyframe(first_kf), values).cost,
             rel=1e-12)
 
     @pytest.mark.parametrize("fault, error", [("nan", NonFiniteCost),

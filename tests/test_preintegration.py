@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,8 +237,8 @@ class TestBatchedKernel:
             assert_matches_oracle(batch, k, expected)
             np.testing.assert_array_equal(batch.bias_gyro[k], bias_g[k])
 
-    def test_many_intervals_span_several_passes(self, rng):
-        lengths = list(rng.integers(19, 22, 2 * (pre._PASS_SAMPLES // 21) + 3))
+    def test_many_intervals_match_oracle(self, rng):
+        lengths = list(rng.integers(19, 22, 100))
         omega, accel, dts = random_intervals(rng, lengths)
         bias_g = 0.05 * rng.standard_normal((len(lengths), 3))
         bias_a = 0.2 * rng.standard_normal((len(lengths), 3))
@@ -247,6 +249,26 @@ class TestBatchedKernel:
             assert_matches_oracle(batch, k, oracle_integrate(
                 omega[k, :count], accel[k, :count], dts[k, :count], bias_g[k],
                 bias_a[k], ImuNoiseParams()))
+
+    def test_long_fast_intervals_match_oracle(self, rng):
+        # 1-256 samples, rates up to 5 rad/s, a bias point per interval and
+        # an interval without samples.
+        lengths = [256, 1, 0, 97, 200, 13]
+        omega, accel, dts = random_intervals(rng, lengths)
+        for k, count in enumerate(lengths):
+            axis = rng.standard_normal((count, 3))
+            omega[k, :count] = (rng.uniform(0.0, 5.0, count)[:, None] * axis
+                                / np.linalg.norm(axis, axis=1)[:, None])
+        bias_g = 0.05 * rng.standard_normal((len(lengths), 3))
+        bias_a = 0.2 * rng.standard_normal((len(lengths), 3))
+        noise = ImuNoiseParams(sigma_g=3e-3, sigma_a=2e-2)
+        batch = pre.integrate_batch(omega, accel, dts, bias_g, bias_a, noise,
+                                    counts=lengths)
+        assert batch.count == sum(lengths)
+        for k, count in enumerate(lengths):
+            assert_matches_oracle(batch, k, oracle_integrate(
+                omega[k, :count], accel[k, :count], dts[k, :count], bias_g[k],
+                bias_a[k], noise))
 
     def test_shared_bias_point(self, rng):
         omega, accel, dts = random_intervals(rng, [20, 20, 20])
@@ -266,8 +288,8 @@ class TestBatchedKernel:
         args = (np.full(3, 0.02), np.full(3, -0.3), ImuNoiseParams())
         a = pre.integrate_batch(omega, accel, dts, *args, counts=lengths)
         b = pre.integrate_batch(*garbage, *args, counts=lengths)
-        for name in pre._ARRAY_FIELDS + ("dt_total", "counts"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for fld in dataclasses.fields(pre.PreintegratedBatch):
+            np.testing.assert_array_equal(getattr(a, fld.name), getattr(b, fld.name))
         assert np.all(np.isfinite(a.cov))
 
     def test_gap_inside_an_interval_is_invalid_dt(self, rng):
