@@ -1,5 +1,6 @@
 """Sensor-fusion toolkit for MAV pose estimation from IMU and 5G ToA ranges."""
 
+from .config import EskfOptions, PgoOptions
 from .dataset import (ImuArrays, ToaArrays, Trajectory, associate_nearest,
                       load_groundtruth, load_imu, load_toa, save_toa)
 from .eskf import FilterConfig, ImuNoiseParams, NavState, run_filter
@@ -11,8 +12,8 @@ from .toa_sim import BaseStation, NoiseModel, default_stations, scenario_preset,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseStation", "FilterConfig", "ImuArrays", "ImuNoiseParams",
-    "MetricsReport", "NavState", "NoiseModel", "PgoConfig",
+    "BaseStation", "EskfOptions", "FilterConfig", "ImuArrays", "ImuNoiseParams",
+    "MetricsReport", "NavState", "NoiseModel", "PgoConfig", "PgoOptions",
     "SyntheticTrajectorySpec", "ToaArrays", "Trajectory",
     "associate_nearest", "build_graph", "default_stations", "evaluate",
     "generate_synthetic_trajectory", "load_groundtruth", "load_imu",

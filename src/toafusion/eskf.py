@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 import scipy.linalg.lapack
@@ -341,14 +341,17 @@ def update(state: NavState, p_cov: np.ndarray, meas: np.ndarray,
 
 @dataclass
 class FilterConfig:
+    """One estimation problem: the initial state, the stations and their
+    range sigmas, the IMU noise, and `options`, the [eskf] section of the
+    experiment config (`config.EskfOptions`: sigma_floor, the lower bound
+    on meas_std that keeps R invertible, and emit_at_imu_rate)."""
+
     initial_state: NavState
     stations: Sequence[toa_sim.BaseStation]
     meas_std: np.ndarray                     # per station, in station order
+    options: Any
     noise: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     initial_cov: Optional[np.ndarray] = None
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
-    sigma_floor: float = 1e-3                # keeps R invertible when std = 0
-    emit_at_imu_rate: bool = False
 
 
 @dataclass
@@ -404,7 +407,8 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
 
     # Station positions and variances of every ToA row, stacked once.
     rows = toa_sim.station_rows(config.stations, toa.bs_id)
-    std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
+    std = np.maximum(np.asarray(config.meas_std, dtype=float),
+                     config.options.sigma_floor)
     positions = np.array([bs.position for bs in config.stations]).reshape(-1, 3)[rows]
     var = (std ** 2)[rows]
     # Tick k's rows are bounds[k]:bounds[k + 1].
@@ -415,7 +419,7 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
     bounds = bounds.tolist()
 
     estimates, predict_times, update_times = [], [], []
-    emit = config.emit_at_imu_rate
+    emit = config.options.emit_at_imu_rate
     tick, first = 0, 1
     while first < len(t):
         last = min(len(t) - 1, first + MAX_SEGMENT - 1)
@@ -427,7 +431,7 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
         a_hat = imu.accel[seg] - state.b_a
         dt = dts[seg]
         q_seg, rot, v_seg, p_seg = nominal_segment(
-            state.q, state.v, state.p, w_hat, a_hat, dt, config.gravity)
+            state.q, state.v, state.p, w_hat, a_hat, dt, GRAVITY)
         covs = propagate_covariance(
             p_cov, error_jacobians(rot[1:], w_hat, a_hat, dt), qc, dt)
         p_cov = 0.5 * (covs[-1] + covs[-1].T)

@@ -58,7 +58,7 @@ re-integrated together at their own biases, one call each per check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,6 +67,7 @@ import scipy.linalg
 from . import geometry as geo
 from . import preintegration as pre_mod
 from . import toa_sim
+from .config import EskfOptions, PgoOptions
 from .dataset import ImuArrays, ToaArrays, Trajectory, associate_nearest
 from .errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
                      NonFiniteCost, NonMonotonicTimestamp,
@@ -77,6 +78,8 @@ from .toa_sim import BaseStation
 
 MIN_RANGE_M = 1e-6
 KF_DIM = 15          # theta(3) p(3) v(3) bias(6)
+# Sigmas of the prior on the first keyframe: rotation, position, velocity, bias.
+PRIOR_SIGMA = np.repeat([0.01, 0.1, 0.1, 0.01], [3, 3, 3, 6])
 _OFF_TH, _OFF_P, _OFF_V, _OFF_B = 0, 3, 6, 9
 
 
@@ -144,13 +147,9 @@ class GraphValues:
 class _Table:
     """Factors of one kind as arrays, one row per factor."""
 
-    _SHARED: tuple[str, ...] = ()     # fields holding one value for all rows
-
     def rows(self, sel):
         """The rows sel (a slice gives views into this table)."""
-        return type(self)(**{f.name: getattr(self, f.name)
-                             if f.name in self._SHARED
-                             else getattr(self, f.name)[sel]
+        return type(self)(**{f.name: getattr(self, f.name)[sel]
                              for f in fields(self)})
 
     def __len__(self) -> int:
@@ -179,19 +178,15 @@ class _ImuTable(_Table):
     dt: np.ndarray           # (m,)
     sqrt_info: np.ndarray    # (m, 15, 15)
     bias_lin: np.ndarray     # (m, 6): the linearization point, gyro then accel
-    gravity: np.ndarray      # (3,), shared by every row
-
-    _SHARED = ("gravity",)
 
     @classmethod
-    def chain(cls, m: int, gravity: np.ndarray) -> "_ImuTable":
+    def chain(cls, m: int) -> "_ImuTable":
         """m zero rows, row k linking keyframes k and k + 1, for `put` to
         fill."""
         i = np.arange(m)
         return cls(i, i + 1, np.zeros((m, 3, 3)), np.zeros((m, 3)),
                    np.zeros((m, 3)), *(np.zeros((m, 3, 3)) for _ in range(5)),
-                   np.zeros(m), np.zeros((m, 15, 15)), np.zeros((m, 6)),
-                   gravity)
+                   np.zeros(m), np.zeros((m, 15, 15)), np.zeros((m, 6)))
 
     def put(self, rows, batch: PreintegratedBatch,
             sqrt_info: np.ndarray) -> None:
@@ -275,35 +270,16 @@ class FactorGraph:
 
 @dataclass
 class PgoConfig:
+    """One estimation problem: the initial state, the stations and their
+    range sigmas, the IMU noise, and the options of the [pgo] section."""
+
     initial_state: NavState
     stations: Sequence[BaseStation]
     meas_std: np.ndarray
     noise: ImuNoiseParams = field(default_factory=ImuNoiseParams)
-    node_rate_hz: float = 10.0
-    window: int = 100
-    max_iters: int = 50
-    max_iters_stream: int = 12
-    stream_cost_tol: float = 1e-3
-    damping_init: float = 1e-4
-    cost_tol: float = 1e-9
-    step_tol: float = 1e-9
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
-    sigma_floor: float = 1e-3
-    station_prior_sigma: float = 1e-3
-    prior_sigma_rot: float = 0.01
-    prior_sigma_pos: float = 0.1
-    prior_sigma_vel: float = 0.1
-    prior_sigma_bias: float = 0.01
+    options: PgoOptions = field(default_factory=PgoOptions)
+    sigma_floor: float = EskfOptions.sigma_floor     # lower bound on meas_std
     bias_drift_threshold: float = 0.05
-    final_batch: bool = True
-
-
-@dataclass
-class OptimizeOptions:
-    max_iters: int = 50
-    damping_init: float = 1e-4
-    cost_tol: float = 1e-9
-    step_tol: float = 1e-9
 
 
 @dataclass
@@ -369,7 +345,7 @@ class _ImuResiduals:
 def _imu_residuals(tab: _ImuTable, values: GraphValues) -> _ImuResiduals:
     """Whitened residuals of IMU factors, with the first-order bias
     correction of their increments."""
-    idx_i, idx_j, dt, gravity = tab.i, tab.j, tab.dt, tab.gravity
+    idx_i, idx_j, dt = tab.i, tab.j, tab.dt
     rot_it = values.rot[idx_i].transpose(0, 2, 1)
     dtc = dt[:, None]
 
@@ -388,10 +364,10 @@ def _imu_residuals(tab: _ImuTable, values: GraphValues) -> _ImuResiduals:
     pos_arg = np.einsum(
         "mij,mj->mi", rot_it,
         values.pos[idx_j] - values.pos[idx_i] - values.vel[idx_i] * dtc
-        - 0.5 * gravity[None] * dtc * dtc)
+        - 0.5 * GRAVITY[None] * dtc * dtc)
     vel_arg = np.einsum(
         "mij,mj->mi", rot_it,
-        values.vel[idx_j] - values.vel[idx_i] - gravity[None] * dtc)
+        values.vel[idx_j] - values.vel[idx_i] - GRAVITY[None] * dtc)
     raw = np.concatenate([r_rot, pos_arg - d_pos_c, vel_arg - d_vel_c,
                           values.bias[idx_j] - values.bias[idx_i]], axis=1)
     return _ImuResiduals(corr, err_rot, r_rot, pos_arg, vel_arg,
@@ -659,9 +635,10 @@ def _retract(values: GraphValues, delta: np.ndarray, first_kf: int,
 
 
 def optimize(graph: FactorGraph, initial_values: GraphValues,
-             options: OptimizeOptions | None = None,
+             options: Optional[PgoOptions] = None,
              first_kf: int = 0) -> tuple[GraphValues, OptimizeReport]:
-    """Damped nonlinear least squares over keyframes [first_kf, N).
+    """Damped nonlinear least squares over keyframes [first_kf, N), with
+    the solver settings of options (default: the [pgo] defaults).
 
     Accepted steps never increase the cost; the damping parameter grows on
     rejected steps and shrinks on accepted ones. Each candidate's residuals
@@ -669,7 +646,7 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
     next assembly adds its Jacobians to. The initial cost is that of the
     first evaluation.
     """
-    opts = options or OptimizeOptions()
+    opts = options if options is not None else PgoOptions()
     n_kf = initial_values.n_keyframes - first_kf
     n_st = initial_values.stations.shape[0]
     tables = graph.tables.from_keyframe(first_kf)
@@ -787,7 +764,7 @@ def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
     bad = np.flatnonzero(np.diff(imu.t) <= 0)
     if bad.size:
         raise NonMonotonicTimestamp(int(bad[0]) + 1, where="IMU sample")
-    period = int(round(1e9 / config.node_rate_hz))
+    period = int(round(1e9 / config.options.node_rate_hz))
     keyframes = [KeyframeId(k, t) for k, t in
                  enumerate(range(int(imu.t[0]), int(imu.t[-1]) + 1, period))]
     n = len(keyframes)
@@ -802,15 +779,13 @@ def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
         stations=np.array([bs.position for bs in config.stations], dtype=float),
     )
     n_st = len(config.stations)
-    prior_sigma = ([config.prior_sigma_rot] * 3 + [config.prior_sigma_pos] * 3
-                   + [config.prior_sigma_vel] * 3 + [config.prior_sigma_bias] * 6)
     tables = FactorTables(
-        _ImuTable.chain(n - 1, config.gravity),
+        _ImuTable.chain(n - 1),
         _range_table(keyframes, toa, config),
         _PriorTable.one(0, rot0, state.p, state.v, b0,
-                        _sqrt_info(np.diag(np.square(prior_sigma)))),
+                        _sqrt_info(np.diag(np.square(PRIOR_SIGMA)))),
         _StationPriorTable(np.arange(n_st), values.stations.copy(),
-                           np.full(n_st, 1.0 / config.station_prior_sigma)))
+                           np.full(n_st, 1.0 / config.options.station_prior_sigma)))
     return keyframes, values, tables
 
 
@@ -847,7 +822,7 @@ def build_graph(imu: ImuArrays, toa: ToaArrays,
     batch = _put_imu_rows(imu, _stamps(keyframes), tables.imu,
                           slice(0, len(tables.imu)), values.bias[0], config.noise)
     values.rot[:], values.pos[:], values.vel[:] = pre_mod.predict(
-        batch, values.rot[0], values.pos[0], values.vel[0], config.gravity)
+        batch, values.rot[0], values.pos[0], values.vel[0], GRAVITY)
     return FactorGraph(keyframes, tables), values
 
 
@@ -904,9 +879,7 @@ def _solve_relinearizing(imu: ImuArrays, graph: FactorGraph,
     bias estimate moved and solve again, at most three times, until the
     linearization points are consistent. Also returns the number of
     factors re-integrated."""
-    opts = OptimizeOptions(config.max_iters, config.damping_init,
-                           config.cost_tol, config.step_tol)
-    values, report = optimize(graph, values, opts)
+    values, report = optimize(graph, values, config.options)
     times = _stamps(graph.keyframes)
     reintegrated = 0
     for _ in range(3):
@@ -915,7 +888,7 @@ def _solve_relinearizing(imu: ImuArrays, graph: FactorGraph,
         if count == 0:
             break
         reintegrated += count
-        values, report = optimize(graph, values, opts)
+        values, report = optimize(graph, values, config.options)
     return values, report, reintegrated
 
 
@@ -947,8 +920,10 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
     # window solve reads row slices of the tables.
     no_station_priors = tables.stations.rows(slice(0, 0))
 
-    stream_opts = OptimizeOptions(config.max_iters_stream, config.damping_init,
-                                  config.stream_cost_tol, config.step_tol)
+    opts = config.options
+    # Window solves stop at the stream limits.
+    stream_opts = replace(opts, max_iters=opts.max_iters_stream,
+                          cost_tol=opts.stream_cost_tol)
     # Row j: keyframe j's estimate right after its own window solve.
     stream = values.copy()
     step_times: list[float] = []
@@ -962,12 +937,12 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
                               values.bias[j - 1], config.noise)
         rot, pos, vel = pre_mod.predict(batch, values.rot[j - 1],
                                         values.pos[j - 1], values.vel[j - 1],
-                                        config.gravity)
+                                        GRAVITY)
         values.rot[j], values.pos[j], values.vel[j] = rot[1], pos[1], vel[1]
         values.bias[j] = values.bias[j - 1]
 
         tic = time.perf_counter()
-        new_first = max(0, min(j - config.window + 1, j - 1))
+        new_first = max(0, min(j - opts.window + 1, j - 1))
         if new_first > first_kf:
             # Replace the keyframes leaving the window by a state prior on
             # the new oldest keyframe: marginalize the dropped subgraph (the
@@ -1010,7 +985,7 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
 
     batch_traj = None
     final_report = None
-    if config.final_batch:
+    if opts.final_batch:
         values, final_report, count = _solve_relinearizing(
             imu, FactorGraph(keyframes, tables), values, config)
         reintegrations += count

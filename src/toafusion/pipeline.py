@@ -99,10 +99,8 @@ class ExperimentResult:
 def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations,
               std) -> EstimatorResult:
     fconfig = eskf_mod.FilterConfig(
-        initial_state=initial_state_from_groundtruth(gt),
-        stations=stations, meas_std=std, noise=cfg.imu_model,
-        sigma_floor=cfg.eskf.sigma_floor,
-        emit_at_imu_rate=cfg.eskf.emit_at_imu_rate)
+        initial_state=initial_state_from_groundtruth(gt), stations=stations,
+        meas_std=std, options=cfg.eskf, noise=cfg.imu_model)
     run = eskf_mod.run_filter(imu, toa, fconfig)
     traj = run.to_trajectory()
     # One cycle = one prediction plus one update.
@@ -122,16 +120,11 @@ def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations,
 
 def _run_pgo(cfg: ExperimentConfig, imu, toa, gt, stations, std,
              init_traj: Optional[Trajectory]) -> EstimatorResult:
+    # The range sigma floor of the [eskf] section holds for both estimators.
     pconfig = pgo_mod.PgoConfig(
-        initial_state=initial_state_from_groundtruth(gt),
-        stations=stations, meas_std=std, noise=cfg.imu_model,
-        node_rate_hz=cfg.pgo.node_rate_hz, window=cfg.pgo.window,
-        max_iters=cfg.pgo.max_iters, max_iters_stream=cfg.pgo.max_iters_stream,
-        stream_cost_tol=cfg.pgo.stream_cost_tol,
-        damping_init=cfg.pgo.damping_init, cost_tol=cfg.pgo.cost_tol,
-        step_tol=cfg.pgo.step_tol, sigma_floor=cfg.eskf.sigma_floor,
-        station_prior_sigma=cfg.pgo.station_prior_sigma,
-        final_batch=cfg.pgo.final_batch)
+        initial_state=initial_state_from_groundtruth(gt), stations=stations,
+        meas_std=std, noise=cfg.imu_model, options=cfg.pgo,
+        sigma_floor=cfg.eskf.sigma_floor)
     extra: dict = {}
     if cfg.pgo.mode == "sliding":
         run = pgo_mod.run_sliding_window(imu, toa, pconfig)

@@ -152,13 +152,13 @@ def dead_reckon(batch, k, rot_i, p_i, v_i, gravity=eskf.GRAVITY):
     return rot_j, p_j, v_j
 
 
-def imu_table(batch, sqrt_info, i=None, gravity=eskf.GRAVITY):
+def imu_table(batch, sqrt_info, i=None):
     """IMU factor table copied row by row from the intervals of a
     PreintegratedBatch and their (m, 15, 15) square-root information, row
     k linking keyframes i[k] (default k) and i[k] + 1: the reference for
     the tables the package fills by slice."""
     m = len(batch.dt_total)
-    tab = pgo._ImuTable.chain(m, gravity)
+    tab = pgo._ImuTable.chain(m)
     for k in range(m):
         if i is not None:
             tab.i[k], tab.j[k] = i[k], i[k] + 1
@@ -170,11 +170,11 @@ def imu_table(batch, sqrt_info, i=None, gravity=eskf.GRAVITY):
     return tab
 
 
-def imu_residual(pre, state_i, state_j, gravity=eskf.GRAVITY) -> np.ndarray:
+def imu_residual(pre, state_i, state_j) -> np.ndarray:
     """Unwhitened 15-dof residual (rotation, position, velocity, bias) of
     the one-interval batch pre between two keyframe states (rot, p, v[,
     bias]), from the solver's IMU kernel. Biases default to zero."""
-    tab = imu_table(pre, np.eye(15)[None], gravity=gravity)
+    tab = imu_table(pre, np.eye(15)[None])
     states = [tuple(s) + (np.zeros(6),) * (4 - len(s)) for s in (state_i, state_j)]
     values = pgo.GraphValues(*(np.array(c, dtype=float) for c in zip(*states)),
                              stations=np.zeros((0, 3)))
@@ -278,7 +278,8 @@ def oracle_run_filter(imu, toa, config) -> list:
     p_cov = (config.initial_cov.copy() if config.initial_cov is not None
              else eskf.default_initial_covariance())
     q_imu = oracle_q_matrix(config.noise)
-    std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
+    std = np.maximum(np.asarray(config.meas_std, dtype=float),
+                     config.options.sigma_floor)
     station = {bs.id: (bs.position, std[k] ** 2)
                for k, bs in enumerate(config.stations)}
     groups: list[tuple[int, list]] = []
@@ -293,7 +294,7 @@ def oracle_run_filter(imu, toa, config) -> list:
     for i in range(1, len(times)):
         dt = (times[i] - times[i - 1]) * 1e-9
         state = oracle_propagate_nominal(state, imu.omega[i - 1],
-                                         imu.accel[i - 1], dt, config.gravity)
+                                         imu.accel[i - 1], dt, eskf.GRAVITY)
         f, g = oracle_error_jacobians(state, imu.omega[i - 1], imu.accel[i - 1])
         p_cov = oracle_propagate_covariance(p_cov, f, g, q_imu, dt)
         now = times[i]
@@ -303,6 +304,6 @@ def oracle_run_filter(imu, toa, config) -> list:
                                          np.array(positions), np.array(var))
             out.append((now, state.copy(), np.diag(p_cov).copy()))
             next_group += 1
-        if config.emit_at_imu_rate:
+        if config.options.emit_at_imu_rate:
             out.append((now, state.copy(), np.diag(p_cov).copy()))
     return out

@@ -17,7 +17,7 @@ import pytest
 
 from toafusion import eskf, geometry as geo, metrics, pgo
 from toafusion import toa_sim
-from toafusion.config import ExperimentConfig
+from toafusion.config import EskfOptions, ExperimentConfig
 from toafusion.dataset import Trajectory, load_groundtruth, load_imu
 from toafusion.eskf import NavState
 from toafusion.pipeline import load_inputs, meas_std, obtain_toa, run_experiment
@@ -153,7 +153,7 @@ class TestCriterion2:
         init = initial_state_from_groundtruth(gt)
 
         fconfig = eskf.FilterConfig(initial_state=init, stations=stations,
-                                    meas_std=np.zeros(5))
+                                    meas_std=np.zeros(5), options=EskfOptions())
         eskf_ate = metrics.evaluate(
             eskf.run_filter(imu, toa, fconfig).to_trajectory(), gt).ate
 
@@ -308,7 +308,8 @@ class TestCriterion8:
         pconfig = pgo.PgoConfig(initial_state=init, stations=stations,
                                 meas_std=np.array(preset.std))
         fconfig = eskf.FilterConfig(initial_state=init, stations=stations,
-                                    meas_std=np.array(preset.std))
+                                    meas_std=np.array(preset.std),
+                                    options=EskfOptions())
         eskf_traj = eskf.run_filter(imu, toa, fconfig).to_trajectory()
         traj, _ = pgo.run_batch(imu, toa, pconfig, initial=eskf_traj)
         ate = metrics.evaluate(traj, gt).ate

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toafusion import cli, toa_sim
-from toafusion.config import default_config_text, parse_config_text
+from toafusion.config import (ExperimentConfig, default_config_text,
+                              parse_config_text)
 from toafusion.dataset import load_groundtruth, load_imu, load_toa, load_trajectory
 from toafusion.errors import ConfigError
 
@@ -38,6 +39,24 @@ class TestConfigParsing:
         assert cfg.run.estimator == "both"
         assert cfg.imu_model.sigma_g == pytest.approx(1e-3)
 
+    def test_template_parses_to_default_config(self):
+        assert parse_config_text(default_config_text()) == ExperimentConfig()
+
+    def test_unknown_keys_are_ignored(self):
+        # Keys the table does not declare, such as [noise] seed, are skipped.
+        text = default_config_text().replace("[noise]\n", "[noise]\nseed = 7\n")
+        assert parse_config_text(text) == ExperimentConfig()
+
+    def test_percent_is_literal(self, tmp_path):
+        text = default_config_text().replace(
+            "# imu = path/to/imu.csv", "imu = data/100%/imu.csv")
+        assert parse_config_text(text).input.imu_path == "data/100%/imu.csv"
+        out = tmp_path / "run%1"
+        config = small_config(tmp_path, **{"out_dir = out": f"out_dir = {out}"})
+        assert parse_config_text(open(config).read()).run.out_dir == str(out)
+        assert cli.main(["gen-traj", "--config", config]) == 0
+        assert (out / "imu.csv").exists()
+
     def test_bad_estimator(self):
         text = default_config_text().replace("estimator = both",
                                              "estimator = magic")
@@ -48,8 +67,20 @@ class TestConfigParsing:
         ("node_rate_hz = 10.0", "node_rate_hz = 0"),
         ("node_rate_hz = 10.0", "node_rate_hz = -10"),
         ("station_prior_sigma = 1e-3", "station_prior_sigma = 0"),
+        ("imu_rate_hz = 200.0", "imu_rate_hz = nan"),
+        ("duration_s = 30.0", "duration_s = inf"),
+        ("toa_rate_hz = 5.0", "toa_rate_hz = nan"),
+        ("gt_rate_hz = 100.0", "gt_rate_hz = inf"),
+        ("node_rate_hz = 10.0", "node_rate_hz = inf"),
+        ("seeds = 0\n", "seeds =\n"),
+        ("seeds = 0, 1, 2, 3", "seeds ="),
+        ("estimators = eskf, pgo", "estimators ="),
+        ("gyro_bias = 0.002, -0.0015, 0.001", "gyro_bias = 0.002"),
+        ("accel_bias = 0.02, -0.015, 0.01", "accel_bias = 0.02, -0.015"),
+        ("translation = 0.0, 0.0, 0.0", "translation = 0.0"),
+        ("quaternion_wxyz = 1.0, 0.0, 0.0, 0.0", "quaternion_wxyz = 1.0, 0.0, 0.0"),
     ])
-    def test_bad_pgo_value(self, tmp_path, capsys, default, bad):
+    def test_bad_value(self, tmp_path, capsys, default, bad):
         with pytest.raises(ConfigError):
             parse_config_text(default_config_text().replace(default, bad))
         config = small_config(tmp_path, **{default: bad,
@@ -107,7 +138,7 @@ class TestSimulate:
         config = small_config(
             tmp_path,
             **{"scenario = mmmagic_78ghz": "scenario = custom",
-               "# mean = 0.0, 0.0, 0.0, 0.0, 0.0     ; custom scenario only [m]":
+               "# mean = 0.0, 0.0, 0.0, 0.0, 0.0 ; custom scenario only [m]":
                "mean = 0, 0, 0, 0, 0",
                "# std = 0.17, 0.17, 0.17, 0.17, 0.17": "std = 0, 0, 0, 0, 0",
                "scenarios = mmmagic_78ghz, indoor_28ghz, industrial_5ghz":

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from toafusion import dataset, eskf, pipeline
 from toafusion import geometry as geo
-from toafusion.config import ExperimentConfig, InputConfig
+from toafusion.config import EskfOptions, ExperimentConfig, InputConfig
 from toafusion.errors import DegenerateGeometry, InvalidDt, UnknownBsId
 from toafusion.eskf import (GRAVITY, FilterConfig, ImuNoiseParams, NavState,
                             SL_BA, SL_BG, SL_P, SL_TH, SL_V)
@@ -115,7 +115,8 @@ class TestPropagateNominal:
         state.b_g = omega.copy()
         state.b_a = accel.copy()
         config = FilterConfig(initial_state=state, stations=default_stations(1),
-                              meas_std=np.zeros(1), emit_at_imu_rate=True)
+                              meas_std=np.zeros(1),
+                              options=EskfOptions(emit_at_imu_rate=True))
         imu = make_imu([0, 10_000_000], omega, accel)
         run = eskf.run_filter(imu, make_toa([]), config)
         np.testing.assert_allclose(run.final_state.v, 0.01 * GRAVITY, atol=1e-12)
@@ -125,7 +126,8 @@ class TestPropagateNominal:
         # run_filter checks every interval once per run, before predicting.
         imu = make_imu([0, int(round(dt * 1e9))], np.zeros(3), np.zeros(3))
         config = FilterConfig(initial_state=NavState.identity(),
-                              stations=default_stations(1), meas_std=np.zeros(1))
+                              stations=default_stations(1), meas_std=np.zeros(1),
+                              options=EskfOptions())
         with pytest.raises(InvalidDt):
             eskf.run_filter(imu, make_toa([]), config)
 
@@ -413,7 +415,8 @@ class TestUpdate:
                         for bs in ((2, 5) if t % int(4e8) else (5, 2))])
         config = FilterConfig(initial_state=NavState.identity(),
                               stations=default_stations(5),
-                              meas_std=np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+                              meas_std=np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+                              options=EskfOptions())
         run = eskf.run_filter(imu, toa, config)
         want = oracle_run_filter(imu, toa, config)
         assert len(run.estimates) == len(want) == 5
@@ -442,7 +445,7 @@ class TestRunFilter:
     def make_config(self):
         return FilterConfig(initial_state=NavState.identity(),
                             stations=default_stations(5),
-                            meas_std=np.zeros(5))
+                            meas_std=np.zeros(5), options=EskfOptions())
 
     def test_empty_toa_gives_empty_output(self):
         imu, _ = self.make_inputs(with_toa=False)
@@ -452,7 +455,7 @@ class TestRunFilter:
     def test_emit_at_imu_rate(self):
         imu, _ = self.make_inputs(with_toa=False)
         config = self.make_config()
-        config.emit_at_imu_rate = True
+        config.options.emit_at_imu_rate = True
         run = eskf.run_filter(imu, make_toa([]), config)
         assert len(run.estimates) == len(imu) - 1
 
@@ -497,7 +500,7 @@ def figure_eight_inputs(seed: int, duration_s: float = 10.0):
     config = FilterConfig(initial_state=initial_state_from_groundtruth(gt),
                           stations=cfg.base_stations(cfg.stations.count),
                           meas_std=meas_std(cfg, cfg.stations.count),
-                          noise=cfg.imu_model, sigma_floor=cfg.eskf.sigma_floor)
+                          options=cfg.eskf, noise=cfg.imu_model)
     return imu, toa, config
 
 
@@ -571,7 +574,7 @@ class TestSegmentsMatchPerSampleOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_run_filter(self, seed, emit):
         imu, toa, config = figure_eight_inputs(seed)
-        config.emit_at_imu_rate = emit
+        config.options.emit_at_imu_rate = emit
         run = eskf.run_filter(imu, toa, config)
         want = oracle_run_filter(imu, toa, config)
         assert len(run.estimates) == len(want)
@@ -589,7 +592,7 @@ class TestSegmentsMatchPerSampleOracle:
         # same bits as without it.
         imu, toa, config = figure_eight_inputs(seed)
         ticks = eskf.run_filter(imu, toa, config).estimates
-        config.emit_at_imu_rate = True
+        config.options.emit_at_imu_rate = True
         at_time = {}
         for est in eskf.run_filter(imu, toa, config).estimates:
             at_time.setdefault(est.t, []).append(est)
@@ -615,7 +618,7 @@ class TestSegmentsMatchPerSampleOracle:
         # Without ToA the stream is cut only by MAX_SEGMENT.
         imu, _, config = figure_eight_inputs(0, duration_s=3.0)
         assert len(imu) - 1 > 2 * eskf.MAX_SEGMENT
-        config.emit_at_imu_rate = True
+        config.options.emit_at_imu_rate = True
         sizes = []
         propagate = eskf.propagate_covariance
 
@@ -637,7 +640,7 @@ class TestPredictTiming:
     @pytest.mark.parametrize("emit", [False, True])
     def test_one_positive_entry_per_interval_within_wall_time(self, emit):
         imu, toa, config = figure_eight_inputs(0, duration_s=5.0)
-        config.emit_at_imu_rate = emit
+        config.options.emit_at_imu_rate = emit
         tic = time.perf_counter()
         run = eskf.run_filter(imu, toa, config)
         wall_ms = (time.perf_counter() - tic) * 1e3

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
 from toafusion import toa_sim
+from toafusion.config import PgoOptions
 from toafusion.dataset import Trajectory
 from toafusion.errors import (DataError, DegenerateGeometry, EmptyInput,
                               IndefiniteCovariance, InvalidDt, NonFiniteCost,
@@ -33,11 +34,11 @@ def make_values(rng, n_kf, n_st):
         stations=rng.uniform(-10, 10, (n_st, 3)))
 
 
-def make_tables(imu=None, ranges=(), priors=(), stations=(), gravity=GRAVITY):
+def make_tables(imu=None, ranges=(), priors=(), stations=()):
     """Factor tables from an IMU table (default: none) and plain rows:
     ranges (kf, station, distance, sigma), priors (kf, rot0, p0, v0, b0,
     cov) and stations (station, center, sigma)."""
-    imu_tab = imu if imu is not None else pgo._ImuTable.chain(0, gravity)
+    imu_tab = imu if imu is not None else pgo._ImuTable.chain(0)
 
     def col(rows, c, dtype=float, shape=()):
         return np.array([r[c] for r in rows], dtype=dtype).reshape((len(rows),) + shape)
@@ -295,7 +296,7 @@ class TestBuildGraph:
         imu, gt, toa, config = noiseless_setup()
         graph, _ = pgo.build_graph(imu, toa, config)
         times = [kf.t for kf in graph.keyframes]
-        half_period = 0.5e9 / config.node_rate_hz
+        half_period = 0.5e9 / config.options.node_rate_hz
         assert len(graph.tables.ranges) == len(toa)
         for kf, t in zip(graph.tables.ranges.kf, toa.t):
             assert abs(times[kf] - t) <= half_period
@@ -330,12 +331,16 @@ def jittered_imu(rng, seconds=2.0, rate_hz=200.0, jitter_ns=1_500_000,
                     rng.uniform(-5, 5, (n, 3)) - GRAVITY)
 
 
-def imu_config(n_bs=3, **kwargs):
+def imu_config(n_bs=3, bias_drift_threshold=None, **options):
+    """A problem with a biased initial state; options are [pgo] options."""
     state = NavState.identity()
     state.b_g = np.array([0.01, -0.02, 0.005])
     state.b_a = np.array([0.1, 0.05, -0.2])
-    return pgo.PgoConfig(initial_state=state, stations=default_stations(n_bs),
-                         meas_std=np.full(n_bs, 0.1), **kwargs)
+    config = pgo.PgoConfig(initial_state=state, stations=default_stations(n_bs),
+                           meas_std=np.full(n_bs, 0.1), options=PgoOptions(**options))
+    if bias_drift_threshold is not None:
+        config.bias_drift_threshold = bias_drift_threshold
+    return config
 
 
 def regular_imu(seconds=1.0, skip=()):
@@ -375,7 +380,7 @@ class TestImuDataPath:
         batch, = batches
         tab = graph.tables.imu
         # The table filled by slice holds each interval's own row, bit for bit.
-        want = imu_table(batch, tab.sqrt_info, gravity=config.gravity)
+        want = imu_table(batch, tab.sqrt_info)
         for fld in dataclasses.fields(want):
             assert_same_bits(getattr(tab, fld.name), getattr(want, fld.name))
         assert_whitened(tab.sqrt_info, batch)
@@ -383,7 +388,7 @@ class TestImuDataPath:
             # Keyframe j is dead-reckoned from keyframe i, bit for bit.
             i, j = tab.i[k], tab.j[k]
             state_j = dead_reckon(batch, k, values.rot[i], values.pos[i],
-                                  values.vel[i], config.gravity)
+                                  values.vel[i], GRAVITY)
             for got, exp in zip((values.rot[j], values.pos[j], values.vel[j]),
                                 state_j):
                 assert_same_bits(got, exp)
@@ -518,7 +523,7 @@ class TestTotalCost:
                 batch.cov[k], noise.sigma_wg ** 2 * batch.dt_total[k] * np.eye(3),
                 noise.sigma_wa ** 2 * batch.dt_total[k] * np.eye(3))
             terms.append((imu_residual_oracle(batch, k, k, k + 1, values,
-                                              config.gravity), cov))
+                                              GRAVITY), cov))
         times = np.array([kf.t for kf in graph.keyframes])
         for t, bs_id, distance in zip(toa.t, toa.bs_id, toa.distance):
             kf = int(np.argmin(np.abs(times - t)))
@@ -530,12 +535,10 @@ class TestTotalCost:
             geo.log_so3(geo.quat_to_rot(state.q).T @ values.rot[0]),
             values.pos[0] - state.p, values.vel[0] - state.v,
             values.bias[0] - np.concatenate([state.b_g, state.b_a])]),
-            np.diag([config.prior_sigma_rot ** 2] * 3 + [config.prior_sigma_pos ** 2] * 3
-                    + [config.prior_sigma_vel ** 2] * 3
-                    + [config.prior_sigma_bias ** 2] * 6)))
+            np.diag(pgo.PRIOR_SIGMA ** 2)))
         for s, bs in enumerate(config.stations):
             terms.append((values.stations[s] - bs.position,
-                           config.station_prior_sigma ** 2 * np.eye(3)))
+                           config.options.station_prior_sigma ** 2 * np.eye(3)))
         expected = sum(float(r @ np.linalg.solve(cov, r)) for r, cov in terms)
         assert pgo._evaluate(graph.tables, values).cost == pytest.approx(
             expected, rel=1e-9)
@@ -730,7 +733,7 @@ class TestSeedFromTrajectory:
 class TestSlidingWindow:
     def test_wide_window_equals_batch(self):
         imu, gt, toa, config = noiseless_setup(duration=4.0)
-        config.window = 10 ** 6
+        config.options.window = 10 ** 6
         run = pgo.run_sliding_window(imu, toa, config)
         batch, _ = pgo.run_batch(imu, toa, config)
         np.testing.assert_allclose(run.batch.position, batch.position, atol=1e-4)
@@ -738,7 +741,7 @@ class TestSlidingWindow:
     def test_noiseless_streamed_accuracy(self):
         imu, gt, toa, config = noiseless_setup(kind="circle", duration=8.0,
                                                speed=1.0)
-        config.window = 20
+        config.options.window = 20
         run = pgo.run_sliding_window(imu, toa, config)
         gt_traj = gt
         assert metrics.evaluate(run.streamed, gt_traj).ate < 0.01
@@ -747,7 +750,7 @@ class TestSlidingWindow:
 
     def test_deterministic(self):
         imu, gt, toa, config = noiseless_setup(duration=3.0)
-        config.window = 10
+        config.options.window = 10
         a = pgo.run_sliding_window(imu, toa, config)
         b = pgo.run_sliding_window(imu, toa, config)
         np.testing.assert_array_equal(a.streamed.position, b.streamed.position)
@@ -755,7 +758,7 @@ class TestSlidingWindow:
 
     def test_marginalization_engages(self):
         imu, gt, toa, config = noiseless_setup(duration=5.0)
-        config.window = 8
+        config.options.window = 8
         run = pgo.run_sliding_window(imu, toa, config)
         gt_traj = gt
         assert metrics.evaluate(run.streamed, gt_traj).ate < 0.05
@@ -820,9 +823,8 @@ class TestSlidingWindowTables:
             restacked = types.SimpleNamespace(**{
                 name: np.stack([r[0][name] for r in rows]) for name in rows[0][0]})
             want = make_tables(
-                imu=imu_table(restacked, [r[1] for r in rows], i=range(first_kf, n - 1),
-                              gravity=config.gravity),
-                ranges=ranges, gravity=config.gravity)
+                imu=imu_table(restacked, [r[1] for r in rows], i=range(first_kf, n - 1)),
+                ranges=ranges)
             got = graph.tables
             for table in ("imu", "ranges"):
                 for fld in dataclasses.fields(getattr(want, table)):
@@ -859,8 +861,8 @@ class TestSlidingWindowTables:
 
     def test_marginal_fallback_counted(self, monkeypatch):
         imu, gt, toa, config = noiseless_setup(duration=3.0)
-        config.window = 8
-        config.final_batch = False
+        config.options.window = 8
+        config.options.final_batch = False
         assert pgo.run_sliding_window(imu, toa, config).marginal_fallbacks == 0
         calls = []
 
@@ -870,7 +872,7 @@ class TestSlidingWindowTables:
         monkeypatch.setattr(pgo, "_marginalize_dropped", marginalize)
         run = pgo.run_sliding_window(imu, toa, config)
         assert run.marginal_fallbacks == len(calls) \
-            == len(run.streamed) - config.window > 0
+            == len(run.streamed) - config.options.window > 0
 
 
 def oracle_graph(rng, n_kf=4, n_st=2, noise=ImuNoiseParams()):
@@ -1176,8 +1178,8 @@ class TestWhitening:
 class TestWindowSolveSize:
     def test_window_solve_spans_only_the_window(self, monkeypatch):
         imu, gt, toa, config = noiseless_setup(duration=3.0)
-        config.window = 8
-        config.final_batch = False
+        config.options.window = 8
+        config.options.final_batch = False
         spans = []
         real = pgo.optimize
 
@@ -1187,5 +1189,5 @@ class TestWindowSolveSize:
         monkeypatch.setattr(pgo, "optimize", optimize)
         run = pgo.run_sliding_window(imu, toa, config)
         assert len(spans) == len(run.streamed) - 1
-        assert max(spans) == config.window
+        assert max(spans) == config.options.window
         assert spans[:3] == [2, 3, 4]

@@ -98,7 +98,7 @@ class TestResiduals:
         # Gravity-reaction accel makes the position increment cancel the
         # -g dt^2 / 2 term exactly.
         p = constant(np.zeros(3), -GRAVITY, 40)
-        r = imu_residual(p, REST, REST, GRAVITY)
+        r = imu_residual(p, REST, REST)
         np.testing.assert_allclose(r[3:6], np.zeros(3), atol=1e-9)
 
     def test_position_residual_linearity_in_pj(self, rng):
@@ -113,7 +113,7 @@ class TestResiduals:
     def test_velocity_residual_free_fall(self):
         p = no_samples()
         p.dt_total[0] = 0.5
-        r = imu_residual(p, REST, (np.eye(3), np.zeros(3), GRAVITY * 0.5), GRAVITY)
+        r = imu_residual(p, REST, (np.eye(3), np.zeros(3), GRAVITY * 0.5))
         np.testing.assert_allclose(r[6:9], np.zeros(3), atol=1e-12)
 
     def test_velocity_residual_linear_coefficient(self, rng):
