@@ -71,6 +71,7 @@ class _Check:
 
 
 POSITIVE = _Check(lambda v: v > 0, "positive")
+NONNEGATIVE = _Check(lambda v: v >= 0, "non-negative")
 NONEMPTY = _Check(bool, "non-empty")
 XYZ = _Check(lambda v: len(v) == 3, "x, y, z")
 
@@ -144,16 +145,17 @@ OPTIONS = (
            example="0.0, 0.0, 0.0, 0.0, 0.0"),
     Option("noise", "std", numbers, "", attr="custom_std",
            example="0.17, 0.17, 0.17, 0.17, 0.17"),
-    Option("imu_model", "sigma_g", number, "1e-3", "rad/s/sqrt(Hz)"),
-    Option("imu_model", "sigma_a", number, "2e-2", "m/s^2/sqrt(Hz)"),
-    Option("imu_model", "sigma_wg", number, "1e-4"),
-    Option("imu_model", "sigma_wa", number, "3e-3"),
-    Option("eskf", "sigma_floor", number, "1e-3", "lower bound on measurement sigma [m]"),
+    Option("imu_model", "sigma_g", number, "1e-3", "rad/s/sqrt(Hz)", check=NONNEGATIVE),
+    Option("imu_model", "sigma_a", number, "2e-2", "m/s^2/sqrt(Hz)", check=NONNEGATIVE),
+    Option("imu_model", "sigma_wg", number, "1e-4", check=NONNEGATIVE),
+    Option("imu_model", "sigma_wa", number, "3e-3", check=NONNEGATIVE),
+    Option("eskf", "sigma_floor", number, "1e-3", "lower bound on measurement sigma [m]",
+           check=POSITIVE),
     Option("eskf", "emit_at_imu_rate", on_off, "off"),
     Option("pgo", "node_rate_hz", number, "10.0", check=POSITIVE),
-    Option("pgo", "window", int, "100"),
-    Option("pgo", "max_iters", int, "50"),
-    Option("pgo", "max_iters_stream", int, "12"),
+    Option("pgo", "window", int, "100", check=POSITIVE),
+    Option("pgo", "max_iters", int, "50", check=POSITIVE),
+    Option("pgo", "max_iters_stream", int, "12", check=POSITIVE),
     Option("pgo", "stream_cost_tol", number, "1e-3",
            "relative cost-decrease tolerance per window solve"),
     Option("pgo", "damping_init", number, "1e-4"),
@@ -168,8 +170,8 @@ OPTIONS = (
            check=_one_of(ESTIMATOR_CHOICES)),
     Option("run", "out_dir", str, "out"),
     Option("run", "seeds", integers, "0", check=NONEMPTY),
-    Option("run", "max_gap_ms", number, "10.0"),
-    Option("run", "workers", int, "1"),
+    Option("run", "max_gap_ms", number, "10.0", check=POSITIVE),
+    Option("run", "workers", int, "1", check=POSITIVE),
     Option("sweep", "scenarios", words, "mmmagic_78ghz, indoor_28ghz, industrial_5ghz",
            check=_Check(lambda v: set(v) <= set(SCENARIO_CHOICES),
                         f"drawn from {SCENARIO_CHOICES}")),
@@ -280,9 +282,11 @@ def default_config_text() -> str:
 
 
 def _check_across_options(cfg: ExperimentConfig) -> None:
-    inp, st, nz = cfg.input, cfg.stations, cfg.noise
+    inp, st, nz, tr = cfg.input, cfg.stations, cfg.noise, cfg.trajectory
     if inp.source == "files" and (not inp.imu_path or not inp.groundtruth_path):
         raise ConfigError("[input] files mode requires imu and groundtruth paths")
+    if tr.kind == "figure_eight" and tr.speed_mps == 0:
+        raise ConfigError("[trajectory] speed_mps must be non-zero for figure_eight")
     if not 2 <= st.count <= len(st.positions):
         raise ConfigError(f"[stations] count must lie in 2..{len(st.positions)}")
     if nz.scenario == "custom" and (len(nz.custom_mean) < st.count

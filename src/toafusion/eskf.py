@@ -39,9 +39,11 @@ same terms plus those with ``j + l >= 5``, so the segment form differs
 from a per-sample RK4 step only in terms of order X^5 (about 1e-10
 relative in ``cov_diag`` on the default 200 Hz figure-eight).
 
-A tick's ranges update the state jointly. The range Jacobian H is zero
-outside its position columns, so the update works with the (k, 3) unit
-directions U alone: ``H P = U P[p, :]`` and ``S = U P_pp U^T + R``.
+A tick's ranges update the state jointly. ``toa_sim.range_directions``
+gives the predicted ranges and their unit directions U, and R the squared
+sigmas of ``toa_sim.RangeModel``, floored once when the model was built.
+H is zero outside its position columns, so the update works with U alone:
+``H P = U P[p, :]`` and ``S = U P_pp U^T + R``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 import scipy.linalg.lapack
@@ -57,7 +59,7 @@ import scipy.linalg.lapack
 from . import geometry as geo
 from . import toa_sim
 from .dataset import ImuArrays, ToaArrays, Trajectory
-from .errors import DegenerateGeometry, InvalidDt, SingularInnovation
+from .errors import InvalidDt, SingularInnovation
 
 # Error-state slices.
 SL_TH = slice(0, 3)
@@ -68,7 +70,6 @@ SL_P = slice(12, 15)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 MAX_DT_S = 0.1
-MIN_RANGE_M = 1e-6
 # Longest prediction segment; bounds the (n, 15, 15) stacks when ToA ticks
 # are sparse. Splitting a segment changes the result only by rounding.
 MAX_SEGMENT = 256
@@ -296,22 +297,6 @@ def propagate_covariance(p_cov: np.ndarray, x: np.ndarray, qc: np.ndarray,
     return out
 
 
-def range_directions(p: np.ndarray, positions: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from position p to station positions (k, 3), the
-    measurement function h, and their unit directions U (k, 3).
-
-    U is the position block of the range Jacobian H; its other blocks are
-    zero.
-    """
-    diff = p - positions
-    dist = geo.row_norms(diff)
-    if (dist < MIN_RANGE_M).any():
-        raise DegenerateGeometry(
-            f"estimate coincides with station at {positions[dist < MIN_RANGE_M][0]}")
-    return dist, diff / dist[:, None]
-
-
 def inject_error(state: NavState, delta: np.ndarray) -> NavState:
     """Fold an error-state estimate into the nominal state."""
     q = geo.quat_mul(state.q, geo.quat_from_small_angle(delta[SL_TH]))
@@ -325,7 +310,7 @@ def update(state: NavState, p_cov: np.ndarray, meas: np.ndarray,
     """Joint vector update with the ranges meas (k,) of one tick, measured
     to stations at positions (k, 3) with variances var (k,); see the module
     docstring for the position-block form."""
-    dist, u = range_directions(state.p, positions)
+    dist, u = toa_sim.range_directions(state.p, positions)
     hp = u @ p_cov[SL_P]
     s = hp[:, SL_P] @ u.T
     s.flat[::len(var) + 1] += var
@@ -341,14 +326,13 @@ def update(state: NavState, p_cov: np.ndarray, meas: np.ndarray,
 
 @dataclass
 class FilterConfig:
-    """One estimation problem: the initial state, the stations and their
-    range sigmas, the IMU noise, and `options`, the [eskf] section of the
-    experiment config (`config.EskfOptions`: sigma_floor, the lower bound
-    on meas_std that keeps R invertible, and emit_at_imu_rate)."""
+    """One estimation problem: the initial state, the range model (its
+    sigmas already floored, see `toa_sim.RangeModel.build`), the IMU
+    noise, and `options`, the [eskf] section of the experiment config
+    (`config.EskfOptions`), of which the filter reads emit_at_imu_rate."""
 
     initial_state: NavState
-    stations: Sequence[toa_sim.BaseStation]
-    meas_std: np.ndarray                     # per station, in station order
+    range_model: toa_sim.RangeModel
     options: Any
     noise: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     initial_cov: Optional[np.ndarray] = None
@@ -406,11 +390,10 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
         raise InvalidDt(f"dt={dts[bad[0]]} outside (0, {MAX_DT_S}]")
 
     # Station positions and variances of every ToA row, stacked once.
-    rows = toa_sim.station_rows(config.stations, toa.bs_id)
-    std = np.maximum(np.asarray(config.meas_std, dtype=float),
-                     config.options.sigma_floor)
-    positions = np.array([bs.position for bs in config.stations]).reshape(-1, 3)[rows]
-    var = (std ** 2)[rows]
+    model = config.range_model
+    rows = model.rows(toa.bs_id)
+    positions = model.positions[rows]
+    var = (model.sigma ** 2)[rows]
     # Tick k's rows are bounds[k]:bounds[k + 1].
     bounds = np.append(np.flatnonzero(np.diff(toa.t, prepend=toa.t[:1] - 1)),
                        len(toa))

@@ -15,7 +15,10 @@ Every factor is a row of one of four tables: IMU factors, range factors,
 15-dof keyframe state priors and station priors. Each table has one
 vectorized kernel for its whitened residuals and Jacobians. The solver's
 assembly, its cost evaluation and the marginalization all read the tables
-through these kernels; no other code linearizes a factor.
+through these kernels; no other code linearizes a factor. Range factors
+take their stations and sigmas (floored once, when the model was built)
+from the ESKF's range model, `toa_sim.RangeModel`, and their ranges and
+directions from its kernel, `toa_sim.range_directions`.
 
 IMU factors only link consecutive keyframes, so with keyframes ordered
 first and stations last the normal equations have arrow form: a
@@ -66,17 +69,14 @@ import scipy.linalg
 
 from . import geometry as geo
 from . import preintegration as pre_mod
-from . import toa_sim
-from .config import EskfOptions, PgoOptions
+from .config import PgoOptions
 from .dataset import ImuArrays, ToaArrays, Trajectory, associate_nearest
-from .errors import (DegenerateGeometry, EmptyInput, IndefiniteCovariance,
-                     NonFiniteCost, NonMonotonicTimestamp,
-                     SingularNormalEquations)
+from .errors import (EmptyInput, IndefiniteCovariance, NonFiniteCost,
+                     NonMonotonicTimestamp, SingularNormalEquations)
 from .eskf import GRAVITY, ImuNoiseParams, NavState
 from .preintegration import PreintegratedBatch
-from .toa_sim import BaseStation
+from .toa_sim import RangeModel, range_directions
 
-MIN_RANGE_M = 1e-6
 KF_DIM = 15          # theta(3) p(3) v(3) bias(6)
 # Sigmas of the prior on the first keyframe: rotation, position, velocity, bias.
 PRIOR_SIGMA = np.repeat([0.01, 0.1, 0.1, 0.01], [3, 3, 3, 6])
@@ -270,15 +270,14 @@ class FactorGraph:
 
 @dataclass
 class PgoConfig:
-    """One estimation problem: the initial state, the stations and their
-    range sigmas, the IMU noise, and the options of the [pgo] section."""
+    """One estimation problem: the initial state, the range model (its
+    sigmas already floored, see `toa_sim.RangeModel.build`), the IMU
+    noise, and the options of the [pgo] section."""
 
     initial_state: NavState
-    stations: Sequence[BaseStation]
-    meas_std: np.ndarray
+    range_model: RangeModel
     noise: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     options: PgoOptions = field(default_factory=PgoOptions)
-    sigma_floor: float = EskfOptions.sigma_floor     # lower bound on meas_std
     bias_drift_threshold: float = 0.05
 
 
@@ -289,15 +288,6 @@ class OptimizeReport:
     iterations: int
     termination: str
     cost_log: list[tuple[int, float, float]]   # (iter, cost, damping)
-
-
-def _range_terms(tab: _RangeTable, values: GraphValues):
-    """Unit directions keyframe - station and whitened residuals."""
-    diff = values.pos[tab.kf] - values.stations[tab.station]
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist < MIN_RANGE_M):
-        raise DegenerateGeometry("keyframe coincides with a station")
-    return diff / dist[:, None], (tab.distance - dist) / tab.sigma
 
 
 def _station_terms(tab: _StationPriorTable, values: GraphValues) -> np.ndarray:
@@ -320,13 +310,6 @@ def _prior_jacobians(tab: _PriorTable, r_rot: np.ndarray) -> np.ndarray:
     jac = tab.sqrt_info.copy()
     jac[:, :, 0:3] = tab.sqrt_info[:, :, 0:3] @ geo.right_jacobian_inv_batch(r_rot)
     return jac
-
-
-def _prior_terms(tab: _PriorTable, values: GraphValues, with_jacobians: bool):
-    """Whitened residuals of state priors and, when requested, their
-    Jacobians: both halves, as a solve runs them."""
-    r_w, r_rot = _prior_residuals(tab, values)
-    return r_w, _prior_jacobians(tab, r_rot) if with_jacobians else None
 
 
 @dataclass
@@ -406,13 +389,6 @@ def _imu_jacobians(tab: _ImuTable, values: GraphValues,
     return tab.sqrt_info @ jac
 
 
-def _imu_terms(tab: _ImuTable, values: GraphValues, with_jacobians: bool):
-    """Whitened residuals (m, 15) of IMU factors and, when requested, their
-    Jacobians: both halves, as a solve runs them."""
-    res = _imu_residuals(tab, values)
-    return res.r_w, _imu_jacobians(tab, values, res) if with_jacobians else None
-
-
 # Upper half-bandwidth of the keyframe block of H. An IMU factor couples
 # keyframes k and k + 1, but its information is block-diagonal (motion 9,
 # bias random walk 6) and only the bias residual b_j - b_i depends on b_j:
@@ -480,10 +456,13 @@ class _Evaluation:
 
 def _evaluate(tables: FactorTables, values: GraphValues) -> _Evaluation:
     """Residuals and cost of every factor of tables at values. Raises
-    NonFiniteCost unless the cost is finite."""
+    NonFiniteCost unless the cost is finite, and DegenerateGeometry when a
+    keyframe sits on a station."""
     imu = _imu_residuals(tables.imu, values)
     priors = _prior_residuals(tables.priors, values)
-    ranges = _range_terms(tables.ranges, values)
+    rt = tables.ranges
+    dist, u = range_directions(values.pos[rt.kf], values.stations[rt.station])
+    ranges = u, (rt.distance - dist) / rt.sigma
     stations = _station_terms(tables.stations, values)
     return _Evaluation(imu, priors, ranges, stations,
                        _sum_squares(imu.r_w, priors[0], ranges[1], stations))
@@ -743,15 +722,14 @@ def _marginalize_dropped(dropped: FactorTables, values: GraphValues,
 def _range_table(keyframes: Sequence[KeyframeId], toa: ToaArrays,
                  config: PgoConfig) -> _RangeTable:
     """One row per measurement, on its nearest keyframe, stable-sorted by
-    keyframe."""
-    std = np.maximum(np.asarray(config.meas_std, dtype=float), config.sigma_floor)
-    rows = toa_sim.station_rows(config.stations, toa.bs_id)
+    keyframe, with its station's sigma from the range model."""
+    rows = config.range_model.rows(toa.bs_id)
     pairs = associate_nearest([kf.t for kf in keyframes], toa.t,
                               max_gap=np.iinfo(np.int64).max)
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
     station = rows[pairs[:, 1]]
     return _RangeTable(pairs[:, 0], station, toa.distance[pairs[:, 1]],
-                       std[station])
+                       config.range_model.sigma[station])
 
 
 def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
@@ -776,9 +754,9 @@ def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
         pos=np.repeat(state.p[None], n, axis=0).astype(float),
         vel=np.repeat(state.v[None], n, axis=0).astype(float),
         bias=np.repeat(b0[None], n, axis=0),
-        stations=np.array([bs.position for bs in config.stations], dtype=float),
+        stations=config.range_model.positions.copy(),
     )
-    n_st = len(config.stations)
+    n_st = len(values.stations)
     tables = FactorTables(
         _ImuTable.chain(n - 1),
         _range_table(keyframes, toa, config),

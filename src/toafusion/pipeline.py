@@ -63,12 +63,14 @@ def obtain_toa(cfg: ExperimentConfig, gt: Trajectory, seed: int,
     return toa[toa.bs_id <= bs_count]
 
 
-def meas_std(cfg: ExperimentConfig, bs_count: int,
-             scenario: Optional[str] = None) -> np.ndarray:
+def range_model(cfg: ExperimentConfig, bs_count: int,
+                scenario: Optional[str] = None) -> toa_sim.RangeModel:
+    """Both estimators' range model: bs_count stations, [eskf] sigma_floor."""
     name = scenario if scenario is not None else cfg.noise.scenario
-    if name == "custom":
-        return cfg.custom_std()[:bs_count]
-    return np.array(toa_sim.scenario_preset(name, cfg.noise.sequence).std[:bs_count])
+    std = (cfg.custom_std()[:bs_count] if name == "custom" else
+           toa_sim.scenario_preset(name, cfg.noise.sequence).std[:bs_count])
+    return toa_sim.RangeModel.build(cfg.base_stations(bs_count), std,
+                                    cfg.eskf.sigma_floor)
 
 
 @dataclass
@@ -96,11 +98,10 @@ class ExperimentResult:
         return result
 
 
-def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations,
-              std) -> EstimatorResult:
+def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, model) -> EstimatorResult:
     fconfig = eskf_mod.FilterConfig(
-        initial_state=initial_state_from_groundtruth(gt), stations=stations,
-        meas_std=std, options=cfg.eskf, noise=cfg.imu_model)
+        initial_state=initial_state_from_groundtruth(gt), range_model=model,
+        options=cfg.eskf, noise=cfg.imu_model)
     run = eskf_mod.run_filter(imu, toa, fconfig)
     traj = run.to_trajectory()
     # One cycle = one prediction plus one update.
@@ -118,13 +119,11 @@ def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, stations,
                            {"run": run})
 
 
-def _run_pgo(cfg: ExperimentConfig, imu, toa, gt, stations, std,
+def _run_pgo(cfg: ExperimentConfig, imu, toa, gt, model,
              init_traj: Optional[Trajectory]) -> EstimatorResult:
-    # The range sigma floor of the [eskf] section holds for both estimators.
     pconfig = pgo_mod.PgoConfig(
-        initial_state=initial_state_from_groundtruth(gt), stations=stations,
-        meas_std=std, noise=cfg.imu_model, options=cfg.pgo,
-        sigma_floor=cfg.eskf.sigma_floor)
+        initial_state=initial_state_from_groundtruth(gt), range_model=model,
+        noise=cfg.imu_model, options=cfg.pgo)
     extra: dict = {}
     if cfg.pgo.mode == "sliding":
         run = pgo_mod.run_sliding_window(imu, toa, pconfig)
@@ -161,15 +160,14 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
 
     imu, gt = load_inputs(cfg, seed)
     toa = obtain_toa(cfg, gt, seed, bs_count, scenario)
-    stations = cfg.base_stations(bs_count)
-    std = meas_std(cfg, bs_count, scenario)
+    model = range_model(cfg, bs_count, scenario)
 
     result = ExperimentResult(seed, scenario, bs_count, gt)
     if estimator in ("eskf", "both"):
-        result.eskf = _run_eskf(cfg, imu, toa, gt, stations, std)
+        result.eskf = _run_eskf(cfg, imu, toa, gt, model)
     if estimator in ("pgo", "both"):
         init = result.eskf.trajectory if result.eskf is not None else None
-        result.pgo = _run_pgo(cfg, imu, toa, gt, stations, std, init)
+        result.pgo = _run_pgo(cfg, imu, toa, gt, model, init)
     return result
 
 

@@ -1,11 +1,12 @@
-"""Parametric ToA range simulator.
+"""The ToA range model of both estimators, and a parametric range simulator.
 
-Generates per-base-station distance measurements from a ground-truth
-trajectory. Each measurement is the true Euclidean distance plus a
-per-station Gaussian bias/spread. The bundled presets carry empirical
-range-error statistics for three 5G network configurations (5 GHz
-industrial, 28 GHz indoor, 78 GHz mmWave indoor) across six indoor MAV
-flight sequences; wider bandwidth means tighter ranging.
+The model (`RangeModel`, `range_directions`): h(p) = |p - s| per station s.
+The simulator generates per-base-station distance measurements from a
+ground-truth trajectory. Each measurement is the true Euclidean distance
+plus a per-station Gaussian bias/spread. The bundled presets carry
+empirical range-error statistics for three 5G network configurations
+(5 GHz industrial, 28 GHz indoor, 78 GHz mmWave indoor) across six indoor
+MAV flight sequences; wider bandwidth means tighter ranging.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import numpy as np
 
 from . import geometry as geo
 from .dataset import ToaArrays, Trajectory
-from .errors import ConfigError, EmptyTrajectory, UnknownBsId
+from .errors import ConfigError, DegenerateGeometry, EmptyTrajectory, UnknownBsId
 
-MIN_DISTANCE_M = 1e-6
+# Shortest range: simulated ones are clamped to it, and an estimate closer
+# to a station has no range direction.
+MIN_RANGE_M = 1e-6
 
 # Default station layout (world frame, meters).
 DEFAULT_STATIONS = (
@@ -46,15 +49,45 @@ def default_stations(count: int = 5) -> list[BaseStation]:
     return [BaseStation(i, np.array(p)) for i, p in DEFAULT_STATIONS[:count]]
 
 
-def station_rows(stations: Sequence[BaseStation], bs_id: np.ndarray) -> np.ndarray:
-    """Index into stations of each bs_id; UnknownBsId for an id not there."""
-    match = (np.asarray(bs_id, dtype=np.int64)[:, None]
-             == np.array([bs.id for bs in stations], dtype=np.int64)[None, :])
-    found = match.any(axis=1)
-    if not found.all():
-        missing = int(np.asarray(bs_id)[~found][0])
-        raise UnknownBsId(f"bs_id {missing} has no configured station")
-    return match.argmax(axis=1)
+@dataclass(frozen=True)
+class RangeModel:
+    """The range model of both estimators: station k (id ids[k]) at
+    positions[k], its ranges with sigma sigma[k]. `build` floors the stds
+    once, which keeps R invertible; the estimators use sigma as it is."""
+
+    ids: np.ndarray          # (K,)
+    positions: np.ndarray    # (K, 3)
+    sigma: np.ndarray        # (K,) [m]
+
+    @classmethod
+    def build(cls, stations: Sequence[BaseStation], std, floor: float) -> "RangeModel":
+        """The model of stations with range std (per station), floored at floor."""
+        return cls(np.array([bs.id for bs in stations], dtype=np.int64),
+                   np.array([bs.position for bs in stations], dtype=float).reshape(-1, 3),
+                   np.maximum(np.asarray(std, dtype=float), floor))
+
+    def rows(self, bs_id: np.ndarray) -> np.ndarray:
+        """Index into the model of each bs_id; UnknownBsId for an id not there."""
+        match = np.asarray(bs_id, dtype=np.int64)[:, None] == self.ids[None, :]
+        found = match.any(axis=1)
+        if not found.all():
+            missing = int(np.asarray(bs_id)[~found][0])
+            raise UnknownBsId(f"bs_id {missing} has no configured station")
+        return match.argmax(axis=1)
+
+
+def range_directions(p: np.ndarray, sites: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges h = |p - s| from positions p ((3,), or (m, 3) row by row) to
+    sites s (m, 3), and their unit directions (p - s) / h (m, 3), the
+    gradient of h by p. Raises DegenerateGeometry when a range is below
+    MIN_RANGE_M."""
+    diff = p - sites
+    dist = geo.row_norms(diff)
+    if (dist < MIN_RANGE_M).any():
+        raise DegenerateGeometry(
+            f"estimate coincides with station at {sites[dist < MIN_RANGE_M][0]}")
+    return dist, diff / dist[:, None]
 
 
 @dataclass(frozen=True)
@@ -203,8 +236,8 @@ def simulate(groundtruth: Trajectory, stations: Sequence[BaseStation],
     sites = np.array([bs.position for bs in stations], dtype=float).reshape(-1, 3)
     dist = geo.row_norms((pos[:, None, :] - sites[None]).reshape(-1, 3))
     d = dist.reshape(-1, k) + (model.mean[:k] + model.std[:k] * noise)
-    clamped = d < MIN_DISTANCE_M
-    d[clamped] = MIN_DISTANCE_M
+    clamped = d < MIN_RANGE_M
+    d[clamped] = MIN_RANGE_M
     ids = np.array([bs.id for bs in stations], dtype=np.int64)
     return ToaSimulation(ToaArrays(np.repeat(ticks, k), np.tile(ids, len(ticks)),
                                    d.ravel()), int(clamped.sum()))

@@ -7,7 +7,9 @@ from hypothesis import settings
 from toafusion import eskf
 from toafusion import geometry as geo
 from toafusion import pgo
+from toafusion.config import EskfOptions
 from toafusion.dataset import ImuArrays, ToaArrays
+from toafusion.toa_sim import RangeModel
 
 from so3_reference import exp_so3, right_jacobian_so3, skew
 
@@ -29,6 +31,12 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 1e-3) -
 def random_quaternion(rng: np.random.Generator) -> np.ndarray:
     q = rng.standard_normal(4)
     return geo.quat_normalize(q)
+
+
+def model_of(stations, std=0.0) -> RangeModel:
+    """The range model of stations, std one or per station, default floor."""
+    return RangeModel.build(stations, np.broadcast_to(std, (len(stations),)),
+                            EskfOptions.sigma_floor)
 
 
 def make_imu(t, omega, accel) -> ImuArrays:
@@ -178,7 +186,7 @@ def imu_residual(pre, state_i, state_j) -> np.ndarray:
     states = [tuple(s) + (np.zeros(6),) * (4 - len(s)) for s in (state_i, state_j)]
     values = pgo.GraphValues(*(np.array(c, dtype=float) for c in zip(*states)),
                              stations=np.zeros((0, 3)))
-    return pgo._imu_terms(tab, values, with_jacobians=False)[0][0]
+    return pgo._imu_residuals(tab, values).r_w[0]
 
 
 # Per-sample ESKF oracle: the numpy RK4 nominal step, the per-sample error
@@ -278,10 +286,9 @@ def oracle_run_filter(imu, toa, config) -> list:
     p_cov = (config.initial_cov.copy() if config.initial_cov is not None
              else eskf.default_initial_covariance())
     q_imu = oracle_q_matrix(config.noise)
-    std = np.maximum(np.asarray(config.meas_std, dtype=float),
-                     config.options.sigma_floor)
-    station = {bs.id: (bs.position, std[k] ** 2)
-               for k, bs in enumerate(config.stations)}
+    model = config.range_model
+    station = {bs_id: (position, sigma ** 2) for bs_id, position, sigma
+               in zip(model.ids.tolist(), model.positions, model.sigma)}
     groups: list[tuple[int, list]] = []
     for t, bs_id, distance in zip(toa.t.tolist(), toa.bs_id.tolist(),
                                   toa.distance.tolist()):

@@ -20,17 +20,18 @@ from toafusion import toa_sim
 from toafusion.config import EskfOptions, ExperimentConfig
 from toafusion.dataset import Trajectory, load_groundtruth, load_imu
 from toafusion.eskf import NavState
-from toafusion.pipeline import load_inputs, meas_std, obtain_toa, run_experiment
+from toafusion.pipeline import load_inputs, obtain_toa, run_experiment
 from toafusion.synthetic import (SyntheticTrajectorySpec,
                                  generate_synthetic_trajectory,
                                  initial_state_from_groundtruth)
 
-from conftest import record_acceptance, random_quaternion
+from conftest import model_of, random_quaternion, record_acceptance
 from test_eskf import (batched_jacobians, finite_difference_f_g,
                        process_noise_error, random_imu, random_noise,
                        random_state)
 from test_pgo import (fd_jacobian_check, make_tables, make_values,
                       random_imu_rows)
+from test_toa_sim import range_fd_error
 
 SEEDS = tuple(range(10))
 
@@ -83,19 +84,8 @@ class TestCriterion1:
             worst_g = max(worst_g, process_noise_error(g_fd, noise))
         assert worst_f < tol and worst_g < tol
 
-        # The range Jacobian's position block, as the ESKF update uses it.
-        positions = np.array([bs.position for bs in toa_sim.default_stations(5)])
-        worst_h = 0.0
-        eps = 1e-6
-        for _ in range(100):
-            p = random_state(rng).p
-            _, u = eskf.range_directions(p, positions)
-            fd = np.zeros((5, 3))
-            for j in range(3):
-                fd[:, j] = (eskf.range_directions(p + eps * np.eye(3)[j], positions)[0]
-                            - eskf.range_directions(p - eps * np.eye(3)[j], positions)[0]
-                            ) / (2 * eps)
-            worst_h = max(worst_h, np.linalg.norm(u - fd) / np.linalg.norm(fd))
+        # The range Jacobian's position block, from the kernel both estimators use.
+        worst_h = range_fd_error([random_state(rng).p for _ in range(100)])
         assert worst_h < tol
 
         # The PGO kernels the solver runs: whitened Jacobians of range, IMU,
@@ -152,13 +142,12 @@ class TestCriterion2:
                                rate_hz=5.0).ranges
         init = initial_state_from_groundtruth(gt)
 
-        fconfig = eskf.FilterConfig(initial_state=init, stations=stations,
-                                    meas_std=np.zeros(5), options=EskfOptions())
+        model = model_of(stations)
+        fconfig = eskf.FilterConfig(init, model, EskfOptions())
         eskf_ate = metrics.evaluate(
             eskf.run_filter(imu, toa, fconfig).to_trajectory(), gt).ate
 
-        pconfig = pgo.PgoConfig(initial_state=init, stations=stations,
-                                meas_std=np.zeros(5))
+        pconfig = pgo.PgoConfig(initial_state=init, range_model=model)
         traj, _ = pgo.run_batch(imu, toa, pconfig)
         pgo_ate = metrics.evaluate(traj, gt).ate
 
@@ -305,11 +294,9 @@ class TestCriterion8:
         toa = toa_sim.simulate(gt, stations, preset.noise_model(seed=0),
                                rate_hz=5.0).ranges
         init = initial_state_from_groundtruth(gt)
-        pconfig = pgo.PgoConfig(initial_state=init, stations=stations,
-                                meas_std=np.array(preset.std))
-        fconfig = eskf.FilterConfig(initial_state=init, stations=stations,
-                                    meas_std=np.array(preset.std),
-                                    options=EskfOptions())
+        model = model_of(stations, preset.std)
+        pconfig = pgo.PgoConfig(initial_state=init, range_model=model)
+        fconfig = eskf.FilterConfig(init, model, EskfOptions())
         eskf_traj = eskf.run_filter(imu, toa, fconfig).to_trajectory()
         traj, _ = pgo.run_batch(imu, toa, pconfig, initial=eskf_traj)
         ate = metrics.evaluate(traj, gt).ate

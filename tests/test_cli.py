@@ -79,6 +79,18 @@ class TestConfigParsing:
         ("accel_bias = 0.02, -0.015, 0.01", "accel_bias = 0.02, -0.015"),
         ("translation = 0.0, 0.0, 0.0", "translation = 0.0"),
         ("quaternion_wxyz = 1.0, 0.0, 0.0, 0.0", "quaternion_wxyz = 1.0, 0.0, 0.0"),
+        ("max_gap_ms = 10.0", "max_gap_ms = -1"),
+        ("workers = 1", "workers = -2"),
+        ("window = 100", "window = -3"),
+        ("max_iters = 50", "max_iters = 0"),
+        ("max_iters_stream = 12", "max_iters_stream = 0"),
+        ("sigma_g = 1e-3", "sigma_g = -1"),
+        ("sigma_a = 2e-2", "sigma_a = -1"),
+        ("sigma_wg = 1e-4", "sigma_wg = -1"),
+        ("sigma_wa = 3e-3", "sigma_wa = -1"),
+        ("speed_mps = 1.0", "speed_mps = 0"),
+        ("sigma_floor = 1e-3", "sigma_floor = 0"),
+        ("sigma_floor = 1e-3", "sigma_floor = -1"),
     ])
     def test_bad_value(self, tmp_path, capsys, default, bad):
         with pytest.raises(ConfigError):
@@ -89,6 +101,11 @@ class TestConfigParsing:
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
+
+    def test_hover_at_zero_speed_is_valid(self):
+        text = default_config_text().replace("speed_mps = 1.0", "speed_mps = 0")
+        for kind in ("circle", "hover_then_dash"):
+            parse_config_text(text.replace("kind = figure_eight", f"kind = {kind}"))
 
     def test_bad_scenario(self):
         text = default_config_text().replace("scenario = mmmagic_78ghz",

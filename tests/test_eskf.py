@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from toafusion import dataset, eskf, pipeline
+from toafusion import dataset, eskf, pipeline, toa_sim
 from toafusion import geometry as geo
 from toafusion.config import EskfOptions, ExperimentConfig, InputConfig
-from toafusion.errors import DegenerateGeometry, InvalidDt, UnknownBsId
+from toafusion.errors import InvalidDt, UnknownBsId
 from toafusion.eskf import (GRAVITY, FilterConfig, ImuNoiseParams, NavState,
                             SL_BA, SL_BG, SL_P, SL_TH, SL_V)
-from toafusion.pipeline import load_inputs, meas_std, obtain_toa
+from toafusion.pipeline import load_inputs, obtain_toa, range_model
 from toafusion.synthetic import initial_state_from_groundtruth
 from toafusion.toa_sim import default_stations
 
 from conftest import (make_imu, make_toa, nominal_step, oracle_error_jacobians,
                       oracle_propagate_covariance, oracle_propagate_nominal,
                       oracle_q_matrix, oracle_run_filter, oracle_update,
-                      random_quaternion)
+                      model_of, random_quaternion)
 from so3_reference import exp_so3, right_jacobian_inv_so3, skew
 
 
@@ -114,9 +114,8 @@ class TestPropagateNominal:
         state = NavState.identity()
         state.b_g = omega.copy()
         state.b_a = accel.copy()
-        config = FilterConfig(initial_state=state, stations=default_stations(1),
-                              meas_std=np.zeros(1),
-                              options=EskfOptions(emit_at_imu_rate=True))
+        config = FilterConfig(state, model_of(default_stations(1)),
+                              EskfOptions(emit_at_imu_rate=True))
         imu = make_imu([0, 10_000_000], omega, accel)
         run = eskf.run_filter(imu, make_toa([]), config)
         np.testing.assert_allclose(run.final_state.v, 0.01 * GRAVITY, atol=1e-12)
@@ -125,9 +124,8 @@ class TestPropagateNominal:
     def test_invalid_dt(self, dt):
         # run_filter checks every interval once per run, before predicting.
         imu = make_imu([0, int(round(dt * 1e9))], np.zeros(3), np.zeros(3))
-        config = FilterConfig(initial_state=NavState.identity(),
-                              stations=default_stations(1), meas_std=np.zeros(1),
-                              options=EskfOptions())
+        config = FilterConfig(NavState.identity(), model_of(default_stations(1)),
+                              EskfOptions())
         with pytest.raises(InvalidDt):
             eskf.run_filter(imu, make_toa([]), config)
 
@@ -295,23 +293,14 @@ class TestPropagateCovariance:
             assert np.min(np.linalg.eigvalsh(p)) > -1e-9
 
 
-def positions_of(stations) -> np.ndarray:
-    return np.array([bs.position for bs in stations])
-
-
 class TestMeasurementJacobian:
-    def test_unit_direction(self):
-        dist, u = eskf.range_directions(np.array([1.0, 0.0, 0.0]), np.zeros((1, 3)))
-        np.testing.assert_allclose(dist, [1.0], atol=1e-12)
-        np.testing.assert_allclose(u, [[1.0, 0.0, 0.0]], atol=1e-12)
-
     def test_shape_and_zero_blocks(self, rng):
         # The update uses only the position block U of H; it must equal the
         # update with the full (k, 15) H, whose other blocks are zero.
-        positions = positions_of(default_stations(2))
+        positions = model_of(default_stations(2)).positions
         for _ in range(20):
             state = random_state(rng)
-            dist, u = eskf.range_directions(state.p, positions)
+            dist, u = toa_sim.range_directions(state.p, positions)
             assert dist.shape == (2,) and u.shape == (2, 3)
             p = rng.standard_normal((15, 15))
             p = p @ p.T + np.eye(15)
@@ -325,34 +314,13 @@ class TestMeasurementJacobian:
                                            rtol=0, atol=1e-12, err_msg=name)
             np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-12)
 
-    def test_matches_finite_differences(self, rng):
-        positions = positions_of(default_stations(5))
-        for _ in range(100):
-            p = random_state(rng).p
-            _, u = eskf.range_directions(p, positions)
-            eps = 1e-6
-            for j in range(3):
-                col = (eskf.range_directions(p + eps * np.eye(3)[j], positions)[0]
-                       - eskf.range_directions(p - eps * np.eye(3)[j], positions)[0]
-                       ) / (2 * eps)
-                rel = np.abs(u[:, j] - col) / np.maximum(np.abs(col), 1e-3)
-                assert np.all(rel < 1e-6)
-
-    def test_degenerate_geometry(self):
-        with pytest.raises(DegenerateGeometry):
-            eskf.range_directions(np.zeros(3), np.zeros((1, 3)))
-        state = NavState.identity()
-        with pytest.raises(DegenerateGeometry):
-            eskf.update(state, np.eye(15), np.array([1.0]), np.zeros((1, 3)),
-                        np.array([0.01]))
-
 
 class TestUpdate:
     def test_zero_residual_leaves_state(self, rng):
         state = random_state(rng)
-        positions = positions_of(default_stations(5))
+        positions = model_of(default_stations(5)).positions
         p = eskf.default_initial_covariance()
-        d = eskf.range_directions(state.p, positions)[0]
+        d = toa_sim.range_directions(state.p, positions)[0]
         new_state, new_p = eskf.update(state, p, d, positions, np.full(5, 0.01))
         np.testing.assert_allclose(new_state.p, state.p, atol=1e-12)
         np.testing.assert_allclose(new_state.q, state.q, atol=1e-12)
@@ -372,7 +340,7 @@ class TestUpdate:
         np.testing.assert_allclose(new_p[12, 12], (1 - gain) * 0.25, atol=1e-8)
 
     def test_repeated_updates_converge(self):
-        positions = positions_of(default_stations(5))
+        positions = model_of(default_stations(5)).positions
         truth = np.array([0.5, -0.3, 1.2])
         meas = np.linalg.norm(truth - positions, axis=1)
         state = NavState.identity()
@@ -391,7 +359,7 @@ class TestUpdate:
 
     def test_huge_r_ignores_measurement(self, rng):
         state = random_state(rng)
-        positions = positions_of(default_stations(3))
+        positions = model_of(default_stations(3)).positions
         p = eskf.default_initial_covariance()
         new_state, _ = eskf.update(state, p, np.full(3, 10.0), positions,
                                    np.full(3, 1e12))
@@ -399,7 +367,7 @@ class TestUpdate:
         assert np.linalg.norm(new_state.v - state.v) < 1e-6
 
     def test_trace_never_increases(self, rng):
-        positions = positions_of(default_stations(4))
+        positions = model_of(default_stations(4)).positions
         for _ in range(20):
             state = random_state(rng)
             p = eskf.default_initial_covariance() * rng.uniform(0.5, 2.0)
@@ -413,10 +381,8 @@ class TestUpdate:
         imu = make_imu(np.arange(201) * 5_000_000, np.zeros(3), -GRAVITY)
         toa = make_toa([(t, bs, 10.0 + bs) for t in range(0, int(1e9), int(2e8))
                         for bs in ((2, 5) if t % int(4e8) else (5, 2))])
-        config = FilterConfig(initial_state=NavState.identity(),
-                              stations=default_stations(5),
-                              meas_std=np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
-                              options=EskfOptions())
+        model = model_of(default_stations(5), [0.1, 0.2, 0.3, 0.4, 0.5])
+        config = FilterConfig(NavState.identity(), model, EskfOptions())
         run = eskf.run_filter(imu, toa, config)
         want = oracle_run_filter(imu, toa, config)
         assert len(run.estimates) == len(want) == 5
@@ -443,9 +409,8 @@ class TestRunFilter:
         return imu, rows
 
     def make_config(self):
-        return FilterConfig(initial_state=NavState.identity(),
-                            stations=default_stations(5),
-                            meas_std=np.zeros(5), options=EskfOptions())
+        return FilterConfig(NavState.identity(), model_of(default_stations(5)),
+                            EskfOptions())
 
     def test_empty_toa_gives_empty_output(self):
         imu, _ = self.make_inputs(with_toa=False)
@@ -498,8 +463,7 @@ def figure_eight_inputs(seed: int, duration_s: float = 10.0):
     imu, gt = load_inputs(cfg, seed)
     toa = obtain_toa(cfg, gt, seed, cfg.stations.count)
     config = FilterConfig(initial_state=initial_state_from_groundtruth(gt),
-                          stations=cfg.base_stations(cfg.stations.count),
-                          meas_std=meas_std(cfg, cfg.stations.count),
+                          range_model=range_model(cfg, cfg.stations.count),
                           options=cfg.eskf, noise=cfg.imu_model)
     return imu, toa, config
 

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from toafusion import eskf, geometry as geo, metrics, pgo, preintegration as pre
 from toafusion import toa_sim
-from toafusion.config import PgoOptions
+from toafusion.config import EskfOptions, PgoOptions
 from toafusion.dataset import Trajectory
 from toafusion.errors import (DataError, DegenerateGeometry, EmptyInput,
                               IndefiniteCovariance, InvalidDt, NonFiniteCost,
@@ -21,7 +21,7 @@ from toafusion.toa_sim import BaseStation, default_stations
 
 from conftest import (assert_matches_oracle, dead_reckon, imu_residual, imu_table,
                       make_imu, make_toa, oracle_integrate, oracle_slice,
-                      random_rotation)
+                      model_of, random_rotation)
 from so3_reference import exp_so3
 
 
@@ -75,26 +75,27 @@ def dense_jacobian(tables, values, first_kf=0):
     def kf_col(kf):
         return pgo.KF_DIM * (kf - first_kf)
 
+    ev = pgo._evaluate(tables, values)
     imu = tables.imu
-    r_w, jac = pgo._imu_terms(imu, values, with_jacobians=True)
+    r_w, jac = ev.imu.r_w, pgo._imu_jacobians(imu, values, ev.imu)
     for k in range(len(imu)):
         if imu.i[k] >= first_kf:
             add(r_w[k], [(kf_col(imu.i[k]), jac[k][:, :15]),
                          (kf_col(imu.j[k]), jac[k][:, 15:])])
     rt = tables.ranges
-    u, r_w = pgo._range_terms(rt, values)
+    u, r_w = ev.ranges
     for k in range(len(rt)):
         if rt.kf[k] >= first_kf:
             row = (u[k] / rt.sigma[k])[None]
             add(r_w[k:k + 1], [(kf_col(rt.kf[k]) + 3, -row),
                                (nk + 3 * rt.station[k], row)])
     pt = tables.priors
-    r_w, jac = pgo._prior_terms(pt, values, with_jacobians=True)
+    r_w, jac = ev.priors[0], pgo._prior_jacobians(pt, ev.priors[1])
     for k in range(len(pt)):
         if pt.kf[k] >= first_kf:
             add(r_w[k], [(kf_col(pt.kf[k]), jac[k])])
     sp = tables.stations
-    r_w = pgo._station_terms(sp, values)
+    r_w = ev.stations
     for k in range(len(sp)):
         add(r_w[k], [(nk + 3 * sp.station[k], sp.inv_sigma[k] * np.eye(3))])
     return np.vstack(jac_rows), np.concatenate(res)
@@ -103,10 +104,8 @@ def dense_jacobian(tables, values, first_kf=0):
 def stacked_residual(tables, values, copies=1):
     """Every whitened residual of tables (of `copies` replicas, one row
     each), in the row order of dense_jacobian with first_kf 0."""
-    parts = [pgo._imu_terms(tables.imu, values, False)[0],
-             pgo._range_terms(tables.ranges, values)[1],
-             pgo._prior_terms(tables.priors, values, False)[0],
-             pgo._station_terms(tables.stations, values)]
+    ev = pgo._evaluate(tables, values)
+    parts = [ev.imu.r_w, ev.ranges[1], ev.priors[0], ev.stations]
     return np.concatenate([p.reshape(copies, -1) for p in parts], axis=1)
 
 
@@ -182,50 +181,6 @@ def record(monkeypatch, module, name):
     return results
 
 
-class TestRangeResidual:
-    """The range kernel: residual measured minus predicted distance."""
-
-    def one_range(self, p, station, distance, sigma=1.0):
-        values = pgo.GraphValues(np.eye(3)[None], np.asarray(p, float)[None],
-                                 np.zeros((1, 3)), np.zeros((1, 6)),
-                                 np.asarray(station, float)[None])
-        return make_tables(ranges=[(0, 0, distance, sigma)]), values
-
-    def test_examples(self):
-        for distance, expected in ((5.0, 0.0), (6.0, 1.0)):
-            tables, values = self.one_range(np.zeros(3), [3.0, 4.0, 0.0], distance)
-            _, r_w = pgo._range_terms(tables.ranges, values)
-            assert r_w[0] == pytest.approx(expected)
-        tables, values = self.one_range(np.zeros(3), [3.0, 4.0, 0.0], 6.0, 0.5)
-        assert pgo._range_terms(tables.ranges, values)[1][0] == pytest.approx(2.0)
-
-    def test_gradient_matches_finite_differences(self, rng):
-        for _ in range(100):
-            p = rng.uniform(-10, 10, 3)
-            loc = rng.uniform(-10, 10, 3)
-            if np.linalg.norm(p - loc) < 0.1:
-                continue
-            d = float(rng.uniform(1, 30))
-            tables, values = self.one_range(p, loc, d)
-            u, _ = pgo._range_terms(tables.ranges, values)
-            grad = -u[0]            # of the residual, by the position
-            # At eps 1e-6 the rounding of a distance of up to 40 m (~5e-15)
-            # is ~1e-9 of the quotient, over 1e-6 of its smallest entries.
-            eps = 1e-5
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = eps
-                plus = pgo._range_terms(tables.ranges, self.one_range(p + e, loc, d)[1])
-                minus = pgo._range_terms(tables.ranges, self.one_range(p - e, loc, d)[1])
-                fd = (plus[1][0] - minus[1][0]) / (2 * eps)
-                assert abs(grad[j] - fd) / max(abs(fd), 1e-6) < 1e-6
-
-    def test_degenerate(self):
-        tables, values = self.one_range(np.zeros(3), np.zeros(3), 1.0)
-        with pytest.raises(DegenerateGeometry):
-            pgo._range_terms(tables.ranges, values)
-
-
 class TestFactorJacobians:
     def test_imu_factor(self, rng):
         for _ in range(20):
@@ -258,16 +213,14 @@ def noiseless_setup(kind="hover_then_dash", duration=4.0, n_bs=5, speed=0.5):
     toa = toa_sim.simulate(gt, stations, toa_sim.noiseless_model(n_bs),
                            rate_hz=5.0).ranges
     config = pgo.PgoConfig(initial_state=initial_state_from_groundtruth(gt),
-                           stations=stations, meas_std=np.zeros(n_bs))
+                           range_model=model_of(stations))
     return imu, gt, toa, config
 
 
 class TestBuildGraph:
     def test_keyframe_and_factor_counts(self):
         imu = regular_imu()
-        config = pgo.PgoConfig(initial_state=NavState.identity(),
-                               stations=default_stations(5),
-                               meas_std=np.zeros(5))
+        config = pgo.PgoConfig(NavState.identity(), model_of(default_stations(5)))
         graph, _ = pgo.build_graph(imu, NO_RANGES, config)
         assert len(graph.keyframes) == 11
         assert graph.tables.imu.i.tolist() == list(range(10))
@@ -278,17 +231,14 @@ class TestBuildGraph:
         stations = default_stations(5)
         toa = make_toa((int(tick * 2e8), bs.id, 10.0)
                        for tick in range(6) for bs in stations)
-        config = pgo.PgoConfig(initial_state=NavState.identity(),
-                               stations=stations, meas_std=np.zeros(5))
+        config = pgo.PgoConfig(NavState.identity(), model_of(stations))
         graph, _ = pgo.build_graph(imu, toa, config)
         assert len(graph.tables.ranges) == 30
 
     def test_tie_goes_to_earlier_keyframe(self):
         imu = regular_imu()
         toa = make_toa([(int(5e7), 1, 10.0)])   # exactly between kf 0 and 1
-        config = pgo.PgoConfig(initial_state=NavState.identity(),
-                               stations=default_stations(1),
-                               meas_std=np.zeros(1))
+        config = pgo.PgoConfig(NavState.identity(), model_of(default_stations(1)))
         graph, _ = pgo.build_graph(imu, toa, config)
         assert list(graph.tables.ranges.kf) == [0]
 
@@ -302,9 +252,7 @@ class TestBuildGraph:
             assert abs(times[kf] - t) <= half_period
 
     def test_empty_input(self):
-        config = pgo.PgoConfig(initial_state=NavState.identity(),
-                               stations=default_stations(1),
-                               meas_std=np.zeros(1))
+        config = pgo.PgoConfig(NavState.identity(), model_of(default_stations(1)))
         with pytest.raises(EmptyInput):
             pgo.build_graph(regular_imu(skip=range(201)), NO_RANGES, config)
 
@@ -336,8 +284,8 @@ def imu_config(n_bs=3, bias_drift_threshold=None, **options):
     state = NavState.identity()
     state.b_g = np.array([0.01, -0.02, 0.005])
     state.b_a = np.array([0.1, 0.05, -0.2])
-    config = pgo.PgoConfig(initial_state=state, stations=default_stations(n_bs),
-                           meas_std=np.full(n_bs, 0.1), options=PgoOptions(**options))
+    config = pgo.PgoConfig(state, model_of(default_stations(n_bs), 0.1),
+                           options=PgoOptions(**options))
     if bias_drift_threshold is not None:
         config.bias_drift_threshold = bias_drift_threshold
     return config
@@ -399,8 +347,8 @@ class TestImuDataPath:
         config = imu_config(window=5, final_batch=False,
                             bias_drift_threshold=5e-3)
         graph, _ = pgo.build_graph(imu, NO_RANGES, config)
-        toa = make_toa((kf.t, bs.id, 5.0 + bs.id)
-                       for kf in graph.keyframes for bs in config.stations)
+        toa = make_toa((kf.t, bs_id, 5.0 + bs_id) for kf in graph.keyframes
+                       for bs_id in config.range_model.ids.tolist())
         latest, moves = {}, []
         real_put = pgo._put_imu_rows
 
@@ -466,7 +414,7 @@ def groundtruth_values(graph, gt, config):
         pos=np.zeros((len(graph.keyframes), 3)),
         vel=np.zeros((len(graph.keyframes), 3)),
         bias=np.zeros((len(graph.keyframes), 6)),
-        stations=np.array([bs.position for bs in config.stations]))
+        stations=config.range_model.positions.copy())
     for k, kf in enumerate(graph.keyframes):
         i = int(np.argmin(np.abs(gt.t - kf.t)))
         values.rot[k] = geo.quat_to_rot(gt.orientation[i])
@@ -529,15 +477,15 @@ class TestTotalCost:
             kf = int(np.argmin(np.abs(times - t)))
             s = bs_id - 1
             r = distance - np.linalg.norm(values.pos[kf] - values.stations[s])
-            terms.append((np.array([r]), np.array([[config.sigma_floor ** 2]])))
+            terms.append((np.array([r]), np.array([[EskfOptions.sigma_floor ** 2]])))
         state = config.initial_state
         terms.append((np.concatenate([
             geo.log_so3(geo.quat_to_rot(state.q).T @ values.rot[0]),
             values.pos[0] - state.p, values.vel[0] - state.v,
             values.bias[0] - np.concatenate([state.b_g, state.b_a])]),
             np.diag(pgo.PRIOR_SIGMA ** 2)))
-        for s, bs in enumerate(config.stations):
-            terms.append((values.stations[s] - bs.position,
+        for s, position in enumerate(config.range_model.positions):
+            terms.append((values.stations[s] - position,
                            config.options.station_prior_sigma ** 2 * np.eye(3)))
         expected = sum(float(r @ np.linalg.solve(cov, r)) for r, cov in terms)
         assert pgo._evaluate(graph.tables, values).cost == pytest.approx(
@@ -769,8 +717,8 @@ def reintegrating_setup(rng, **kwargs):
     imu = jittered_imu(rng, seconds=1.5)
     config = imu_config(window=5, bias_drift_threshold=5e-3, **kwargs)
     graph, _ = pgo.build_graph(imu, NO_RANGES, config)
-    toa = make_toa((kf.t, bs.id, 5.0 + bs.id)
-                   for kf in graph.keyframes for bs in config.stations)
+    toa = make_toa((kf.t, bs_id, 5.0 + bs_id) for kf in graph.keyframes
+                   for bs_id in config.range_model.ids.tolist())
     return imu, toa, config
 
 
@@ -930,7 +878,8 @@ class TestNormalEquations:
         # the motion rows of i by the bias columns of j.
         assert not np.any(np.triu(h[:nk, :nk], pgo.BAND_U + 1))
         assert np.any(np.diagonal(h[:nk, :nk], pgo.BAND_U))
-        _, jac = pgo._imu_terms(graph.tables.imu, values, with_jacobians=True)
+        imu = graph.tables.imu
+        jac = pgo._imu_jacobians(imu, values, pgo._imu_residuals(imu, values))
         gram = jac[:, :, :pgo.KF_DIM].transpose(0, 2, 1) @ jac[:, :, pgo.KF_DIM:]
         assert not np.any(gram[:, 0:9, 9:15])
         assert_rel_close(neq.band, upper_band(h[:nk, :nk], pgo.BAND_U), 1e-10)

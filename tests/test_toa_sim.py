@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from toafusion import toa_sim
+from toafusion import eskf, pgo, toa_sim
+from toafusion.config import EskfOptions
 from toafusion.dataset import Trajectory
-from toafusion.errors import ConfigError, EmptyTrajectory, UnknownBsId
+from toafusion.errors import ConfigError, DegenerateGeometry, EmptyTrajectory, UnknownBsId
+from toafusion.eskf import GRAVITY, NavState
+
+from conftest import make_imu, make_toa, model_of
 
 
 def poses(t, positions) -> Trajectory:
@@ -128,11 +132,11 @@ class TestSimulate:
         model = toa_sim.NoiseModel(np.array([0.0]), np.array([5.0]), seed=0)
         sim = toa_sim.simulate(gt, bs, model, rate_hz=5.0)
         assert sim.clamped_count > 0
-        assert np.all(sim.ranges.distance >= toa_sim.MIN_DISTANCE_M)
+        assert np.all(sim.ranges.distance >= toa_sim.MIN_RANGE_M)
         # The same draws, one range at a time: the clamp count must agree.
         noise = np.random.default_rng(0).standard_normal(len(sim))
         unclamped = 0.001 + 5.0 * noise
-        assert sim.clamped_count == int(np.sum(unclamped < toa_sim.MIN_DISTANCE_M))
+        assert sim.clamped_count == int(np.sum(unclamped < toa_sim.MIN_RANGE_M))
 
     def test_empty_trajectory(self):
         with pytest.raises(EmptyTrajectory):
@@ -163,8 +167,8 @@ class TestLoopOracle:
             for k, bs in enumerate(stations):
                 d = toa_sim.true_distance(np.array(p), bs)
                 d += float(model.mean[k]) + float(model.std[k]) * float(noise[i, k])
-                if d < toa_sim.MIN_DISTANCE_M:
-                    d, clamped = toa_sim.MIN_DISTANCE_M, clamped + 1
+                if d < toa_sim.MIN_RANGE_M:
+                    d, clamped = toa_sim.MIN_RANGE_M, clamped + 1
                 rows.append((int(tick), bs.id, d))
         assert clamped > 0 and sim.clamped_count == clamped
         assert sim.ranges.t.tolist() == [r[0] for r in rows]
@@ -175,8 +179,79 @@ class TestLoopOracle:
 
 class TestStationRows:
     def test_index_and_unknown_id(self):
-        stations = toa_sim.default_stations(5)[::-1]
-        np.testing.assert_array_equal(
-            toa_sim.station_rows(stations, np.array([1, 5, 3])), [4, 0, 2])
+        model = model_of(toa_sim.default_stations(5)[::-1])
+        np.testing.assert_array_equal(model.rows(np.array([1, 5, 3])), [4, 0, 2])
         with pytest.raises(UnknownBsId, match="bs_id 9"):
-            toa_sim.station_rows(stations, np.array([1, 9, 3]))
+            model.rows(np.array([1, 9, 3]))
+
+
+def range_fd_error(points, eps=1e-6) -> float:
+    """Worst relative error, over the points p, of range_directions'
+    directions to the five default stations against central differences of
+    its ranges."""
+    sites = model_of(toa_sim.default_stations(5)).positions
+    worst = 0.0
+    for p in points:
+        fd = np.column_stack([toa_sim.range_directions(p + e, sites)[0]
+                              - toa_sim.range_directions(p - e, sites)[0]
+                              for e in eps * np.eye(3)]) / (2 * eps)
+        u = toa_sim.range_directions(p, sites)[1]
+        worst = max(worst, np.linalg.norm(u - fd) / np.linalg.norm(fd))
+    return worst
+
+
+class TestRangeDirections:
+    """The range kernel of both estimators: h(p) = |p - s| and its gradient."""
+
+    def test_examples(self):
+        dist, u = toa_sim.range_directions(np.zeros(3), np.array([[3.0, 4.0, 0.0],
+                                                                  [-1.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(np.c_[dist, u], [[5.0, -0.6, -0.8, 0.0],
+                                                    [1.0, 1.0, 0.0, 0.0]], rtol=0, atol=1e-15)
+        # Row by row, as PGO's range factors call it.
+        dist, u = toa_sim.range_directions(np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3)))
+        np.testing.assert_array_equal(np.c_[dist, u], np.c_[[1.0, 2.0, 3.0], np.eye(3)])
+
+    def test_matches_finite_differences(self, rng):
+        assert range_fd_error(rng.uniform(-5, 5, (100, 3))) < 1e-6
+
+    def test_degenerate(self):
+        sites = np.array([[5.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        for offset in (0.0, 0.5 * toa_sim.MIN_RANGE_M):
+            with pytest.raises(DegenerateGeometry, match=r"station at \[1\. 2\. 3\.\]"):
+                toa_sim.range_directions(sites[1] + offset, sites)
+        toa_sim.range_directions(sites[1] + 2 * toa_sim.MIN_RANGE_M, sites)
+
+
+class TestOneRangeModel:
+    """The ESKF and PGO read one model. Inputs: IMU at rest for 0.2 s, and
+    one tick of ranges to stations 2, 1, 3."""
+
+    imu = make_imu(np.arange(41) * 5_000_000, np.zeros(3), -GRAVITY)
+    toa = make_toa([(0, bs_id, 5.0) for bs_id in (2, 1, 3)])
+
+    def test_floored_sigma_in_both_estimators(self, monkeypatch):
+        model = model_of(toa_sim.default_stations(3), [0.2, 1e-5, 0.3])
+        np.testing.assert_array_equal(model.sigma, [0.2, EskfOptions.sigma_floor, 0.3])
+        variances, update = [], eskf.update     # the 5th argument of each update
+        monkeypatch.setattr(eskf, "update", lambda *args: variances.append(args[4])
+                            or update(*args))
+        eskf.run_filter(self.imu, self.toa, eskf.FilterConfig(NavState.identity(), model,
+                                                              EskfOptions()))
+        graph, _ = pgo.build_graph(self.imu, self.toa,
+                                   pgo.PgoConfig(NavState.identity(), model))
+        sigma = graph.tables.ranges.sigma
+        assert sigma[0] == EskfOptions.sigma_floor
+        np.testing.assert_array_equal(variances[0], sigma ** 2)
+
+    def test_same_degenerate_message(self):
+        model = model_of(toa_sim.default_stations(3))
+        state = NavState.identity()
+        state.p = model.positions[1].copy()
+        with pytest.raises(DegenerateGeometry) as from_eskf:
+            eskf.update(state, np.eye(15), np.full(3, 5.0), model.positions,
+                        model.sigma ** 2)
+        graph, values = pgo.build_graph(self.imu, self.toa, pgo.PgoConfig(state, model))
+        with pytest.raises(DegenerateGeometry) as from_pgo:
+            pgo._evaluate(graph.tables, values)
+        assert str(from_pgo.value) == str(from_eskf.value)

@@ -15,9 +15,12 @@ the repository) with every invocation's end-to-end metrics and, per
 workload, seed and metric: each side's median and quartiles, the change's
 wins and losses over the pairs (ties count for neither), the ratio of the
 medians, whether the change's median stays within the metric's bound from
-BENCHMARK.json, and whether it is a gain: at least nine tenths of the
-pairs won and medians further apart than the parent's interquartile
-range. Exits 1 when an invocation failed or reported incorrect outputs.
+BENCHMARK.json, whether it is a gain: at least nine tenths of the pairs
+won and medians further apart than the parent's interquartile range, and
+whether it is unresolved: the parent's interquartile range is wider than
+the bound times the parent's median, so the runs spread too widely to
+tell, unless every change run beats every parent run. Exits 1 when an
+invocation failed or reported incorrect outputs.
 """
 
 from __future__ import annotations
@@ -96,11 +99,14 @@ def compare(name: str, spec: dict, runs: list) -> dict:
     wins = sum(sign * (c - p) < 0.0 for p, c in pairs)
     losses = sum(sign * (c - p) > 0.0 for p, c in pairs)
     gap = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    tolerance = spec["bound"] * abs(parent["median"])
+    beats_all = max(sign * c for _, c in pairs) < min(sign * p for p, _ in pairs)
     out.update(parent=parent, change=change, wins=wins, losses=losses,
                change_over_parent=change["median"] / parent["median"],
-               within_bound=bool(-gap <= spec["bound"] * abs(parent["median"])),
-               gain=bool(wins >= 0.9 * len(pairs)
-                         and gap > parent["q3"] - parent["q1"]))
+               within_bound=bool(-gap <= tolerance),
+               gain=bool(wins >= 0.9 * len(pairs) and gap > spread),
+               unresolved=bool(spread > tolerance and not beats_all))
     return out
 
 
@@ -165,7 +171,8 @@ def main(argv=None) -> int:
                               f"change {m['change']['median']:10.4f} "
                               f"ratio {m['change_over_parent']:.3f} "
                               f"wins {m['wins']}/{m['pairs']} gain {m['gain']} "
-                              f"within bound {m['within_bound']}", flush=True)
+                              f"within bound {m['within_bound']} "
+                              f"unresolved {m['unresolved']}", flush=True)
     out_path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out_path}")
     return 0 if ok else 1
