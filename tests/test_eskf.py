@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from toafusion import dataset, eskf, pipeline, toa_sim
 from toafusion import geometry as geo
 from toafusion.config import EskfOptions, ExperimentConfig, InputConfig
-from toafusion.errors import InvalidDt, UnknownBsId
+from toafusion.errors import DegenerateGeometry, InvalidDt, UnknownBsId
 from toafusion.eskf import (GRAVITY, FilterConfig, ImuNoiseParams, NavState,
                             SL_BA, SL_BG, SL_P, SL_TH, SL_V)
 from toafusion.pipeline import load_inputs, obtain_toa, range_model
@@ -294,6 +294,13 @@ class TestPropagateCovariance:
 
 
 class TestMeasurementJacobian:
+    """The position block U of H, from the range kernel the update calls."""
+
+    def test_unit_direction(self):
+        dist, u = toa_sim.range_directions(np.array([1.0, 0.0, 0.0]), np.zeros((1, 3)))
+        np.testing.assert_allclose(dist, [1.0], atol=1e-12)
+        np.testing.assert_allclose(u, [[1.0, 0.0, 0.0]], atol=1e-12)
+
     def test_shape_and_zero_blocks(self, rng):
         # The update uses only the position block U of H; it must equal the
         # update with the full (k, 15) H, whose other blocks are zero.
@@ -313,6 +320,27 @@ class TestMeasurementJacobian:
                                            getattr(want_state, name),
                                            rtol=0, atol=1e-12, err_msg=name)
             np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-12)
+
+    def test_matches_finite_differences(self, rng):
+        positions = model_of(default_stations(5)).positions
+        for _ in range(100):
+            p = random_state(rng).p
+            _, u = toa_sim.range_directions(p, positions)
+            eps = 1e-6
+            for j in range(3):
+                col = (toa_sim.range_directions(p + eps * np.eye(3)[j], positions)[0]
+                       - toa_sim.range_directions(p - eps * np.eye(3)[j], positions)[0]
+                       ) / (2 * eps)
+                rel = np.abs(u[:, j] - col) / np.maximum(np.abs(col), 1e-3)
+                assert np.all(rel < 1e-6)
+
+    def test_degenerate_geometry(self):
+        with pytest.raises(DegenerateGeometry):
+            toa_sim.range_directions(np.zeros(3), np.zeros((1, 3)))
+        state = NavState.identity()
+        with pytest.raises(DegenerateGeometry):
+            eskf.update(state, np.eye(15), np.array([1.0]), np.zeros((1, 3)),
+                        np.array([0.01]))
 
 
 class TestUpdate:

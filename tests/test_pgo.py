@@ -181,6 +181,55 @@ def record(monkeypatch, module, name):
     return results
 
 
+class TestRangeResidual:
+    """The range factor as _evaluate whitens it: measured minus predicted
+    distance over sigma."""
+
+    def one_range(self, p, station, distance, sigma=1.0):
+        values = pgo.GraphValues(np.eye(3)[None], np.asarray(p, float)[None],
+                                 np.zeros((1, 3)), np.zeros((1, 6)),
+                                 np.asarray(station, float)[None])
+        return make_tables(ranges=[(0, 0, distance, sigma)]), values
+
+    @staticmethod
+    def ranges(tables, values):
+        return pgo._evaluate(tables, values).ranges
+
+    def test_examples(self):
+        for distance, expected in ((5.0, 0.0), (6.0, 1.0)):
+            tables, values = self.one_range(np.zeros(3), [3.0, 4.0, 0.0], distance)
+            _, r_w = self.ranges(tables, values)
+            assert r_w[0] == pytest.approx(expected)
+        tables, values = self.one_range(np.zeros(3), [3.0, 4.0, 0.0], 6.0, 0.5)
+        assert self.ranges(tables, values)[1][0] == pytest.approx(2.0)
+
+    def test_gradient_matches_finite_differences(self, rng):
+        for _ in range(100):
+            p = rng.uniform(-10, 10, 3)
+            loc = rng.uniform(-10, 10, 3)
+            if np.linalg.norm(p - loc) < 0.1:
+                continue
+            d = float(rng.uniform(1, 30))
+            tables, values = self.one_range(p, loc, d)
+            u, _ = self.ranges(tables, values)
+            grad = -u[0]            # of the residual, by the position
+            # At eps 1e-6 the rounding of a distance of up to 40 m (~5e-15)
+            # is ~1e-9 of the quotient, over 1e-6 of its smallest entries.
+            eps = 1e-5
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = eps
+                plus = self.ranges(tables, self.one_range(p + e, loc, d)[1])
+                minus = self.ranges(tables, self.one_range(p - e, loc, d)[1])
+                fd = (plus[1][0] - minus[1][0]) / (2 * eps)
+                assert abs(grad[j] - fd) / max(abs(fd), 1e-6) < 1e-6
+
+    def test_degenerate(self):
+        tables, values = self.one_range(np.zeros(3), np.zeros(3), 1.0)
+        with pytest.raises(DegenerateGeometry):
+            self.ranges(tables, values)
+
+
 class TestFactorJacobians:
     def test_imu_factor(self, rng):
         for _ in range(20):
