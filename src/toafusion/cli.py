@@ -17,11 +17,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import metrics as metrics_mod
 from . import pipeline, toa_sim
-from .config import ExperimentConfig, default_config_text, load_config
+from .config import (OPTION_BY_KEY, ExperimentConfig, default_config_text,
+                     load_config)
 from .dataset import (save_cov_diag, save_groundtruth, save_imu, save_toa,
                       save_trajectory, write_atomic)
 from .errors import ConfigError, DataError, NumericalError
@@ -36,7 +35,7 @@ def _load(args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         cfg.run.seeds = (args.seed,)
     if getattr(args, "workers", None) is not None:
-        cfg.run.workers = args.workers
+        cfg.run.workers = OPTION_BY_KEY["run", "workers"].parse(str(args.workers))
     if getattr(args, "estimator", None):
         cfg.run.estimator = args.estimator
     return cfg
@@ -109,9 +108,8 @@ def cmd_run(args) -> int:
         if result.eskf is not None:
             save_trajectory(os.path.join(outdir, "eskf_trajectory.csv"),
                             result.eskf.trajectory)
-            if result.eskf.trajectory.cov_diag is not None:
-                save_cov_diag(os.path.join(outdir, "eskf_cov_diag.csv"),
-                              result.eskf.trajectory)
+            save_cov_diag(os.path.join(outdir, "eskf_cov_diag.csv"),
+                          result.eskf.trajectory)
             _write_metrics(outdir, "eskf", result.eskf.report)
             metrics_rows.append(f"{seed},eskf," + result.eskf.report.to_csv_row())
             print(f"seed {seed} eskf: ate={result.eskf.report.ate:.4f} m "
@@ -119,12 +117,13 @@ def cmd_run(args) -> int:
         if result.pgo is not None:
             save_trajectory(os.path.join(outdir, "pgo_trajectory.csv"),
                             result.pgo.trajectory)
-            if "streamed" in result.pgo.extra:
+            run = result.pgo.extra["run"]
+            if run.streamed is not None:
                 save_trajectory(os.path.join(outdir, "pgo_streamed.csv"),
-                                result.pgo.extra["streamed"])
-            if result.pgo.extra.get("report") is not None:
+                                run.streamed)
+            if run.final_report is not None:
                 _write_cost_log(os.path.join(outdir, "pgo_cost_log.csv"),
-                                result.pgo.extra["report"])
+                                run.final_report)
             _write_metrics(outdir, "pgo", result.pgo.report)
             metrics_rows.append(f"{seed},pgo," + result.pgo.report.to_csv_row())
             print(f"seed {seed} pgo: ate={result.pgo.report.ate:.4f} m "

@@ -185,6 +185,7 @@ OPTIONS = (
     Option("extrinsic", "quaternion_wxyz", numbers, "1.0, 0.0, 0.0, 0.0",
            check=_Check(lambda v: len(v) == 4, "w, x, y, z")),
 )
+OPTION_BY_KEY = {(opt.section, opt.key): opt for opt in OPTIONS}
 
 _SECTION_NOTES = {
     "imu_model": ("noise densities assumed by the estimators (and used to corrupt synthetic",

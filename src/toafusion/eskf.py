@@ -339,27 +339,11 @@ class FilterConfig:
 
 
 @dataclass
-class FilterEstimate:
-    t: int
-    state: NavState
-    cov_diag: np.ndarray
-
-
-@dataclass
 class FilterRun:
-    estimates: list[FilterEstimate]
+    estimates: Trajectory       # with cov_diag and biases; see run_filter
     predict_times_ms: np.ndarray
     update_times_ms: np.ndarray
     final_state: NavState
-    final_cov: np.ndarray
-
-    def to_trajectory(self) -> Trajectory:
-        t = np.array([e.t for e in self.estimates], dtype=np.int64)
-        pos = np.array([e.state.p for e in self.estimates]).reshape(-1, 3)
-        quat = np.array([e.state.q for e in self.estimates]).reshape(-1, 4)
-        vel = np.array([e.state.v for e in self.estimates]).reshape(-1, 3)
-        cov = np.array([e.cov_diag for e in self.estimates]).reshape(-1, 15)
-        return Trajectory(t, pos, quat, vel, cov)
 
 
 def run_filter(imu: ImuArrays, toa: ToaArrays,
@@ -368,7 +352,8 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
 
     A tick's ranges (the consecutive ToA rows sharing a timestamp) are
     applied jointly once the filter time reaches the tick timestamp.
-    Estimates are recorded at every update (or at every IMU sample with
+    The estimates, a Trajectory with cov_diag and biases, are recorded
+    at every update (and after them at every IMU sample with
     emit_at_imu_rate). Every IMU interval must lie in (0, MAX_DT_S].
 
     Prediction runs in segments: the samples up to and including the one
@@ -401,7 +386,22 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
     due = np.searchsorted(t, ticks).tolist()    # first sample at each tick
     bounds = bounds.tolist()
 
-    estimates, predict_times, update_times = [], [], []
+    # Estimate columns: rows and segment blocks, stacked once at the end.
+    # The empty first blocks give a run without estimates its shapes.
+    est_t: list[int] = []
+    est_q, est_v, est_p, est_bg, est_ba, est_cov = (
+        [np.empty((0, w))] for w in (4, 3, 3, 3, 3, 15))
+    predict_times, update_times = [], []
+
+    def record(stamp: int, state: NavState, p_cov: np.ndarray) -> None:
+        est_t.append(stamp)
+        est_q.append(state.q)
+        est_v.append(state.v)
+        est_p.append(state.p)
+        est_bg.append(state.b_g)
+        est_ba.append(state.b_a)
+        est_cov.append(np.diag(p_cov).copy())
+
     emit = config.options.emit_at_imu_rate
     tick, first = 0, 1
     while first < len(t):
@@ -423,12 +423,14 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
         predict_times.extend([(time.perf_counter() - tic) * 1e3 / n] * n)
 
         if emit:
-            diags = covs.diagonal(axis1=1, axis2=2).copy()
-            estimates.extend(
-                FilterEstimate(int(t[first + k]), NavState(
-                    q_seg[k + 1], state.b_g, v_seg[k + 1], state.b_a,
-                    p_seg[k + 1]), diags[k])
-                for k in range(n - 1))
+            # All but the last sample, which is recorded after its updates.
+            est_t.extend(t[first:last].tolist())
+            est_q.append(q_seg[1:n])
+            est_v.append(v_seg[1:n])
+            est_p.append(p_seg[1:n])
+            est_bg.append(np.tile(state.b_g, (n - 1, 1)))
+            est_ba.append(np.tile(state.b_a, (n - 1, 1)))
+            est_cov.append(covs[:n - 1].diagonal(axis1=1, axis2=2).copy())
 
         now = int(t[last])
         while tick < len(ticks) and ticks[tick] <= now:
@@ -437,12 +439,15 @@ def run_filter(imu: ImuArrays, toa: ToaArrays,
             state, p_cov = update(state, p_cov, toa.distance[sel],
                                   positions[sel], var[sel])
             update_times.append((time.perf_counter() - tic) * 1e3)
-            estimates.append(FilterEstimate(now, state, np.diag(p_cov).copy()))
+            record(now, state, p_cov)
             tick += 1
 
         if emit:
-            estimates.append(FilterEstimate(now, state, np.diag(p_cov).copy()))
+            record(now, state, p_cov)
         first = last + 1
 
+    estimates = Trajectory(np.array(est_t, dtype=np.int64), np.vstack(est_p),
+                           np.vstack(est_q), np.vstack(est_v), np.vstack(est_cov),
+                           np.vstack(est_bg), np.vstack(est_ba))
     return FilterRun(estimates, np.array(predict_times), np.array(update_times),
-                     state, p_cov)
+                     state)

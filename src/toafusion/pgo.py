@@ -829,9 +829,9 @@ def values_to_trajectory(keyframes: Sequence[KeyframeId],
 
 @dataclass
 class PgoRun:
-    streamed: Trajectory
+    streamed: Optional[Trajectory]    # None from run_batch
     batch: Optional[Trajectory]
-    step_times_ms: np.ndarray
+    step_times_ms: np.ndarray         # run_batch: one, for the whole call
     final_report: Optional[OptimizeReport]
     reintegrations: int       # IMU factors re-integrated, window and final batch
     marginal_fallbacks: int   # steps whose marginal prior fell back to the
@@ -840,14 +840,16 @@ class PgoRun:
 
 def run_batch(imu: ImuArrays, toa: ToaArrays,
               config: PgoConfig,
-              initial: Optional[Trajectory] = None
-              ) -> tuple[Trajectory, OptimizeReport]:
+              initial: Optional[Trajectory] = None) -> PgoRun:
     """One full-trajectory MAP solve, optionally seeded from a trajectory."""
+    tic = time.perf_counter()
     graph, values = build_graph(imu, toa, config)
     if initial is not None and len(initial) > 0:
         _seed_from_trajectory(graph, values, initial)
-    values, report, _ = _solve_relinearizing(imu, graph, values, config)
-    return values_to_trajectory(graph.keyframes, values), report
+    values, report, count = _solve_relinearizing(imu, graph, values, config)
+    traj = values_to_trajectory(graph.keyframes, values)
+    step_ms = (time.perf_counter() - tic) * 1e3
+    return PgoRun(None, traj, np.array([step_ms]), report, count, 0)
 
 
 def _solve_relinearizing(imu: ImuArrays, graph: FactorGraph,

@@ -65,10 +65,9 @@ def obtain_toa(cfg: ExperimentConfig, gt: Trajectory, seed: int,
 
 def range_model(cfg: ExperimentConfig, bs_count: int,
                 scenario: Optional[str] = None) -> toa_sim.RangeModel:
-    """Both estimators' range model: bs_count stations, [eskf] sigma_floor."""
-    name = scenario if scenario is not None else cfg.noise.scenario
-    std = (cfg.custom_std()[:bs_count] if name == "custom" else
-           toa_sim.scenario_preset(name, cfg.noise.sequence).std[:bs_count])
+    """Both estimators' range model: bs_count stations with the stds of
+    the scenario's noise model, floored at [eskf] sigma_floor."""
+    std = cfg.noise_model(0, bs_count, scenario).std
     return toa_sim.RangeModel.build(cfg.base_stations(bs_count), std,
                                     cfg.eskf.sigma_floor)
 
@@ -78,8 +77,7 @@ class EstimatorResult:
     trajectory: Trajectory
     report: metrics_mod.MetricsReport
     timing_mean_ms: float
-    timing_std_ms: float
-    extra: dict
+    extra: dict         # "run": the eskf.FilterRun or pgo.PgoRun
 
 
 @dataclass
@@ -98,25 +96,31 @@ class ExperimentResult:
         return result
 
 
+def _mean_std(times_ms: np.ndarray) -> tuple[float, float]:
+    if len(times_ms):
+        return float(np.mean(times_ms)), float(np.std(times_ms))
+    return 0.0, 0.0
+
+
+def _result(cfg: ExperimentConfig, traj: Trajectory, gt: Trajectory, run,
+            t_mean: float, t_std: float) -> EstimatorResult:
+    report = metrics_mod.evaluate(traj, gt,
+                                  max_gap_ns=int(cfg.run.max_gap_ms * 1e6))
+    report.timing_mean_ms = t_mean
+    report.timing_std_ms = t_std
+    return EstimatorResult(traj, report, t_mean, {"run": run})
+
+
 def _run_eskf(cfg: ExperimentConfig, imu, toa, gt, model) -> EstimatorResult:
     fconfig = eskf_mod.FilterConfig(
         initial_state=initial_state_from_groundtruth(gt), range_model=model,
         options=cfg.eskf, noise=cfg.imu_model)
     run = eskf_mod.run_filter(imu, toa, fconfig)
-    traj = run.to_trajectory()
     # One cycle = one prediction plus one update.
-    mean_p, std_p = (np.mean(run.predict_times_ms), np.std(run.predict_times_ms)) \
-        if len(run.predict_times_ms) else (0.0, 0.0)
-    mean_u, std_u = (np.mean(run.update_times_ms), np.std(run.update_times_ms)) \
-        if len(run.update_times_ms) else (0.0, 0.0)
-    cycle_mean = float(mean_p + mean_u)
-    cycle_std = float(np.sqrt(std_p ** 2 + std_u ** 2))
-    report = metrics_mod.evaluate(traj, gt,
-                                  max_gap_ns=int(cfg.run.max_gap_ms * 1e6))
-    report.timing_mean_ms = cycle_mean
-    report.timing_std_ms = cycle_std
-    return EstimatorResult(traj, report, cycle_mean, cycle_std,
-                           {"run": run})
+    mean_p, std_p = _mean_std(run.predict_times_ms)
+    mean_u, std_u = _mean_std(run.update_times_ms)
+    return _result(cfg, run.estimates, gt, run, mean_p + mean_u,
+                   float(np.sqrt(std_p ** 2 + std_u ** 2)))
 
 
 def _run_pgo(cfg: ExperimentConfig, imu, toa, gt, model,
@@ -124,29 +128,13 @@ def _run_pgo(cfg: ExperimentConfig, imu, toa, gt, model,
     pconfig = pgo_mod.PgoConfig(
         initial_state=initial_state_from_groundtruth(gt), range_model=model,
         noise=cfg.imu_model, options=cfg.pgo)
-    extra: dict = {}
     if cfg.pgo.mode == "sliding":
         run = pgo_mod.run_sliding_window(imu, toa, pconfig)
-        traj = run.batch if run.batch is not None else run.streamed
-        extra["streamed"] = run.streamed
-        extra["report"] = run.final_report
-        extra["run"] = run
-        timing = run.step_times_ms
-        t_mean = float(np.mean(timing)) if len(timing) else 0.0
-        t_std = float(np.std(timing)) if len(timing) else 0.0
     else:
-        import time as _time
-        tic = _time.perf_counter()
         seed_traj = init_traj if cfg.pgo.init_from_eskf else None
-        traj, report = pgo_mod.run_batch(imu, toa, pconfig, initial=seed_traj)
-        elapsed = (_time.perf_counter() - tic) * 1e3
-        extra["report"] = report
-        t_mean, t_std = elapsed, 0.0
-    report = metrics_mod.evaluate(traj, gt,
-                                  max_gap_ns=int(cfg.run.max_gap_ms * 1e6))
-    report.timing_mean_ms = t_mean
-    report.timing_std_ms = t_std
-    return EstimatorResult(traj, report, t_mean, t_std, extra)
+        run = pgo_mod.run_batch(imu, toa, pconfig, initial=seed_traj)
+    traj = run.batch if run.batch is not None else run.streamed
+    return _result(cfg, traj, gt, run, *_mean_std(run.step_times_ms))
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int,

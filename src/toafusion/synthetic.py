@@ -151,11 +151,12 @@ def _yaw_quat(yaw: np.ndarray) -> np.ndarray:
                             np.sin(half), np.cos(half)])
 
 
+@np.errstate(all="ignore")    # non-finite samples are checked below
 def generate_synthetic_trajectory(spec: SyntheticTrajectorySpec,
                                   gravity: np.ndarray = GRAVITY
                                   ) -> tuple[ImuArrays, Trajectory]:
     """Emit IMU samples and ground truth (with the true biases) for an
-    analytic path."""
+    analytic path; ConfigError if an IMU sample is not finite."""
     gen = _GENERATORS[spec.kind]
 
     imu_period = int(round(1e9 / spec.imu_rate_hz))
@@ -186,6 +187,9 @@ def generate_synthetic_trajectory(spec: SyntheticTrajectorySpec,
         bias_a += walk_a
     measured_omega = omega + bias_g
     measured_accel = f_body + bias_a
+    if not (np.isfinite(measured_omega).all() and np.isfinite(measured_accel).all()):
+        raise ConfigError(f"{spec.kind} at speed_mps={spec.speed_mps!r} gives "
+                          "non-finite IMU samples")
 
     t_gt = gt_t * 1e-9
     pos_g, vel_g, _, yaw_g, _ = gen(spec, t_gt)

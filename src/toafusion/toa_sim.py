@@ -11,7 +11,7 @@ MAV flight sequences; wider bandwidth means tighter ranging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -107,9 +107,6 @@ class NoiseModel:
             raise ConfigError("noise std must be non-negative")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
-
-    def subset(self, count: int) -> "NoiseModel":
-        return NoiseModel(self.mean[:count], self.std[:count], self.seed)
 
 
 # Range-error statistics (meters) per scenario and flight sequence,

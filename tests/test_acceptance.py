@@ -145,10 +145,10 @@ class TestCriterion2:
         model = model_of(stations)
         fconfig = eskf.FilterConfig(init, model, EskfOptions())
         eskf_ate = metrics.evaluate(
-            eskf.run_filter(imu, toa, fconfig).to_trajectory(), gt).ate
+            eskf.run_filter(imu, toa, fconfig).estimates, gt).ate
 
         pconfig = pgo.PgoConfig(initial_state=init, range_model=model)
-        traj, _ = pgo.run_batch(imu, toa, pconfig)
+        traj = pgo.run_batch(imu, toa, pconfig).batch
         pgo_ate = metrics.evaluate(traj, gt).ate
 
         elapsed = time.perf_counter() - tic
@@ -297,8 +297,8 @@ class TestCriterion8:
         model = model_of(stations, preset.std)
         pconfig = pgo.PgoConfig(initial_state=init, range_model=model)
         fconfig = eskf.FilterConfig(init, model, EskfOptions())
-        eskf_traj = eskf.run_filter(imu, toa, fconfig).to_trajectory()
-        traj, _ = pgo.run_batch(imu, toa, pconfig, initial=eskf_traj)
+        eskf_traj = eskf.run_filter(imu, toa, fconfig).estimates
+        traj = pgo.run_batch(imu, toa, pconfig, initial=eskf_traj).batch
         ate = metrics.evaluate(traj, gt).ate
         assert ate < 0.5
         record_acceptance(

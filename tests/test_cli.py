@@ -102,6 +102,25 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("speed", ["1e-200", "1e200"])
+    def test_non_finite_imu_is_a_config_error(self, tmp_path, capsys, speed):
+        # Both speeds parse, but the figure-eight's IMU samples are not finite.
+        config = small_config(tmp_path, **{"speed_mps = 1.0": f"speed_mps = {speed}"})
+        assert cli.main(["run", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers_override(self, tmp_path, capsys, workers):
+        # --workers goes through the [run] workers check.
+        config = small_config(tmp_path)
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out"),
+                         "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [run] workers must be positive" in err
+        assert "Traceback" not in err
+
     def test_hover_at_zero_speed_is_valid(self):
         text = default_config_text().replace("speed_mps = 1.0", "speed_mps = 0")
         for kind in ("circle", "hover_then_dash"):

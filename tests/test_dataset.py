@@ -216,6 +216,20 @@ class TestTrajectoryFile:
         assert lines[1:] == [f"{t}," + ",".join(f"{v:.6g}" for v in row)
                              for t, row in zip(traj.t.tolist(), cov)]
 
+    def test_iterating_rows(self, rng):
+        # Iteration goes through integer indexing: one row per step, each
+        # with a scalar stamp, and nothing for an empty trajectory.
+        n = 7
+        traj = dataset.Trajectory(np.arange(n, dtype=np.int64) * 10 ** 7,
+                                  rng.standard_normal((n, 3)),
+                                  np.tile([0.0, 0, 0, 1], (n, 1)),
+                                  cov_diag=rng.random((n, 15)))
+        assert [e.t for e in traj] == list(traj.t)
+        for k, row in enumerate(traj):
+            np.testing.assert_array_equal(row.position, traj.position[k])
+            np.testing.assert_array_equal(row.cov_diag, traj.cov_diag[k])
+        assert list(traj[:0]) == []
+
 
 # Property tests of the CSV parser: every loader against a per-line
 # reference parse with Python's int() and float().

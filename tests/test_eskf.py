@@ -416,7 +416,7 @@ class TestUpdate:
         assert len(run.estimates) == len(want) == 5
         for est, (t, state, cov_diag) in zip(run.estimates, want):
             assert est.t == t
-            np.testing.assert_allclose(est.state.p, state.p, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.position, state.p, rtol=0, atol=1e-9)
             np.testing.assert_allclose(est.cov_diag, cov_diag, rtol=1e-8)
 
     def test_inject_zero_is_identity(self, rng):
@@ -443,7 +443,7 @@ class TestRunFilter:
     def test_empty_toa_gives_empty_output(self):
         imu, _ = self.make_inputs(with_toa=False)
         run = eskf.run_filter(imu, make_toa([]), self.make_config())
-        assert run.estimates == []
+        assert len(run.estimates) == 0
 
     def test_emit_at_imu_rate(self):
         imu, _ = self.make_inputs(with_toa=False)
@@ -466,15 +466,15 @@ class TestRunFilter:
         b = eskf.run_filter(imu, toa, self.make_config())
         for ea, eb in zip(a.estimates, b.estimates):
             assert ea.t == eb.t
-            np.testing.assert_array_equal(ea.state.p, eb.state.p)
-            np.testing.assert_array_equal(ea.state.q, eb.state.q)
+            np.testing.assert_array_equal(ea.position, eb.position)
+            np.testing.assert_array_equal(ea.orientation, eb.orientation)
 
     def test_hover_stays_put(self):
         imu, rows = self.make_inputs()
         toa = make_toa(rows)
         run = eskf.run_filter(imu, toa, self.make_config())
-        final = run.estimates[-1].state
-        np.testing.assert_allclose(final.p, np.zeros(3), atol=1e-6)
+        final = run.estimates[-1]
+        np.testing.assert_allclose(final.position, np.zeros(3), atol=1e-6)
 
     def test_unknown_bs_id_is_a_data_error(self):
         imu, rows = self.make_inputs()
@@ -573,8 +573,8 @@ class TestSegmentsMatchPerSampleOracle:
         assert len(run.estimates) == (len(imu) - 1 + 51 if emit else 51)
         for est, (t, state, cov_diag) in zip(run.estimates, want):
             assert est.t == t
-            np.testing.assert_allclose(est.state.p, state.p, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(est.state.q, state.q, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.position, state.p, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.orientation, state.q, rtol=0, atol=1e-9)
             np.testing.assert_allclose(est.cov_diag, cov_diag, rtol=1e-8)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -590,8 +590,9 @@ class TestSegmentsMatchPerSampleOracle:
             at_time.setdefault(est.t, []).append(est)
 
         def bits(est):
-            return (est.t, *(getattr(est.state, name).tobytes()
-                             for name in ("q", "b_g", "v", "b_a", "p")),
+            return (est.t, *(getattr(est, name).tobytes()
+                             for name in ("orientation", "bias_gyro", "velocity",
+                                          "bias_accel", "position")),
                     est.cov_diag.tobytes())
 
         assert len(ticks) == 51
@@ -624,7 +625,7 @@ class TestSegmentsMatchPerSampleOracle:
         want = oracle_run_filter(imu, make_toa([]), config)
         assert [e.t for e in run.estimates] == [t for t, _, _ in want]
         for est, (_, state, cov_diag) in zip(run.estimates, want):
-            np.testing.assert_allclose(est.state.p, state.p, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(est.position, state.p, rtol=0, atol=1e-9)
             np.testing.assert_allclose(est.cov_diag, cov_diag, rtol=1e-8)
 
 

@@ -692,16 +692,26 @@ class TestRunBatch:
     def test_noiseless_batch_matches_groundtruth(self):
         imu, gt, toa, config = noiseless_setup(kind="circle", duration=8.0,
                                                speed=1.0)
-        traj, report = pgo.run_batch(imu, toa, config)
+        traj = pgo.run_batch(imu, toa, config).batch
         rep = metrics.evaluate(traj, gt)
         assert rep.ate < 0.01
 
     def test_deterministic(self):
         imu, gt, toa, config = noiseless_setup(duration=3.0)
-        a, _ = pgo.run_batch(imu, toa, config)
-        b, _ = pgo.run_batch(imu, toa, config)
+        a = pgo.run_batch(imu, toa, config).batch
+        b = pgo.run_batch(imu, toa, config).batch
         np.testing.assert_array_equal(a.position, b.position)
         np.testing.assert_array_equal(a.orientation, b.orientation)
+
+    def test_run_record(self):
+        # The same record as the sliding window: no streamed estimate, one
+        # step time for the whole solve and the solve's report.
+        imu, gt, toa, config = noiseless_setup(duration=3.0)
+        run = pgo.run_batch(imu, toa, config)
+        assert run.streamed is None
+        assert len(run.batch) == 31
+        assert run.step_times_ms.shape == (1,) and run.step_times_ms[0] > 0.0
+        assert run.final_report is not None and run.final_report.iterations > 0
 
 
 class TestSeedFromTrajectory:
@@ -732,7 +742,7 @@ class TestSlidingWindow:
         imu, gt, toa, config = noiseless_setup(duration=4.0)
         config.options.window = 10 ** 6
         run = pgo.run_sliding_window(imu, toa, config)
-        batch, _ = pgo.run_batch(imu, toa, config)
+        batch = pgo.run_batch(imu, toa, config).batch
         np.testing.assert_allclose(run.batch.position, batch.position, atol=1e-4)
 
     def test_noiseless_streamed_accuracy(self):

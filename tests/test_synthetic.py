@@ -76,6 +76,14 @@ class TestFigureEight:
         # in velocity; centimeters over half a minute.
         assert np.linalg.norm(state.p - gt.position[-1]) < 0.15
 
+    @pytest.mark.parametrize("speed", [1e-200, 1e200])
+    def test_non_finite_samples_are_a_config_error(self, speed):
+        # 1e-200 gives 0/0 yaw rates, 1e200 overflowing accelerations.
+        spec = SyntheticTrajectorySpec(kind="figure_eight", duration_s=2.0,
+                                       speed_mps=speed)
+        with pytest.raises(ConfigError, match="non-finite IMU samples"):
+            generate_synthetic_trajectory(spec)
+
 
 class TestHoverThenDash:
     def test_phases(self):
