@@ -23,19 +23,19 @@ directions from its kernel, `toa_sim.range_directions`.
 IMU factors only link consecutive keyframes, so with keyframes ordered
 first and stations last the normal equations have arrow form: a
 block-tridiagonal keyframe block, a dense keyframe-station coupling and a
-small dense station block. The keyframe block has upper half-bandwidth
-KF_DIM + 8 = 23, not 2 * KF_DIM - 1: the IMU information is
-block-diagonal (motion 9 and bias random walk 6) and only the bias
-residual b_j - b_i depends on b_j, so the block coupling keyframe k to
-k + 1 is zero in its motion rows 0-8 and bias columns 9-14. Assembly
-sums the keyframe block as 15 x 15 blocks, each keyframe's diagonal block
-and the block coupling it to the keyframe before, and gathers them into
-band storage once. Each damped step factors that band with a banded
-Cholesky A = U^T U, whose factor keeps the same band. One triangular band
-solve W = U^-T [-g_k | B] yields the station Schur complement
-C - W_B^T W_B, and after the station solve a second one, with a single
-right-hand side, yields the keyframe step; no dense matrix over all
-variables is ever formed.
+small dense station block. The IMU whitening is block-diagonal,
+diag(S9, s6) over the motion residuals (9) and the bias random walk (6),
+and only the bias residual b_j - b_i depends on b_j, through the rows -I
+and I (Forster et al., IEEE TRO 2017). So each IMU Jacobian is formed as
+its whitened 9 x 24 motion block, its bias terms come from s6, and the
+keyframe block has upper half-bandwidth KF_DIM + 8 = 23 (see BAND_U).
+Assembly sums the keyframe block as 15 x 15 blocks and gathers them into
+band storage once; each damped step solves it by banded Cholesky and a
+station Schur complement (`_solve_damped`), and no dense matrix over all
+variables is ever formed. Every array of an iteration that scales with
+the problem is written in place in a `_Workspace`, one per `optimize`
+call or sliding-window run; normal equations are valid until the next
+assembly into their workspace.
 
 Each kernel has a residual half and a Jacobian half. An LM iteration
 evaluates the residuals of its candidate values once (`_evaluate`); when
@@ -53,13 +53,14 @@ Both modes share one setup (keyframe times, initial values, the initial
 and station priors and the range table) and `_put_imu_rows`, the only
 builder of IMU factors. It slices the samples between the keyframes that
 each of its rows names from the IMU columns (strictly increasing
-timestamps required), preintegrates them and whitens them in one batched
-call each. New factors are built at one bias; drifted factors are
-re-integrated together at their own biases, one call each per check.
+timestamps required), preintegrates them and whitens them in batched
+calls of at most `_CHUNK` intervals. New factors are built at one bias;
+drifted factors are re-integrated together at their own biases.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -81,6 +82,8 @@ KF_DIM = 15          # theta(3) p(3) v(3) bias(6)
 # Sigmas of the prior on the first keyframe: rotation, position, velocity, bias.
 PRIOR_SIGMA = np.repeat([0.01, 0.1, 0.1, 0.01], [3, 3, 3, 6])
 _OFF_TH, _OFF_P, _OFF_V, _OFF_B = 0, 3, 6, 9
+# The IMU motion block: rows theta, p, v; columns keyframe i | theta, p, v of j.
+_MOTION, _IMU_COLS = _OFF_B, KF_DIM + _OFF_B
 
 
 def _sqrt_info(cov: np.ndarray) -> np.ndarray:
@@ -158,7 +161,7 @@ class _Table:
 
 # Fields of PreintegratedBatch copied into the _ImuTable column of the same name.
 _PRE_ROW_FIELDS = ("d_rot", "d_pos", "d_vel", "j_rot_bg", "j_pos_bg",
-                   "j_pos_ba", "j_vel_bg", "j_vel_ba")
+                   "j_pos_ba", "j_vel_bg", "j_vel_ba", "dt_total")
 
 
 @dataclass
@@ -175,7 +178,7 @@ class _ImuTable(_Table):
     j_pos_ba: np.ndarray
     j_vel_bg: np.ndarray
     j_vel_ba: np.ndarray
-    dt: np.ndarray           # (m,)
+    dt_total: np.ndarray     # (m,)
     sqrt_info: np.ndarray    # (m, 15, 15)
     bias_lin: np.ndarray     # (m, 6): the linearization point, gyro then accel
 
@@ -194,7 +197,6 @@ class _ImuTable(_Table):
         their square-root information, in order."""
         for name in _PRE_ROW_FIELDS:
             getattr(self, name)[rows] = getattr(batch, name)
-        self.dt[rows] = batch.dt_total
         self.sqrt_info[rows] = sqrt_info
         self.bias_lin[rows, 0:3] = batch.bias_gyro
         self.bias_lin[rows, 3:6] = batch.bias_accel
@@ -328,7 +330,7 @@ class _ImuResiduals:
 def _imu_residuals(tab: _ImuTable, values: GraphValues) -> _ImuResiduals:
     """Whitened residuals of IMU factors, with the first-order bias
     correction of their increments."""
-    idx_i, idx_j, dt = tab.i, tab.j, tab.dt
+    idx_i, idx_j, dt = tab.i, tab.j, tab.dt_total
     rot_it = values.rot[idx_i].transpose(0, 2, 1)
     dtc = dt[:, None]
 
@@ -357,15 +359,37 @@ def _imu_residuals(tab: _ImuTable, values: GraphValues) -> _ImuResiduals:
                          np.einsum("mij,mj->mi", tab.sqrt_info, raw))
 
 
-def _imu_jacobians(tab: _ImuTable, values: GraphValues,
-                   res: _ImuResiduals) -> np.ndarray:
-    """Whitened (m, 15, 30) Jacobians of IMU factors over the stacked
-    [keyframe i, keyframe j] blocks, at the values res was evaluated at."""
-    m, dt = len(tab.i), tab.dt
+@dataclass
+class _Workspace:
+    """The arrays of an LM solve that scale with its size, reused by each
+    assembly and damped solve: prefixes of flat buffers that only grow."""
+
+    _buffers: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def array(self, name: str, shape: tuple, order: str = "C",
+              zero: bool = False) -> np.ndarray:
+        """The array `name` in shape and order, zeroed or as last written."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name, np.empty(0))
+        if buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        out = buf[:size].reshape(shape, order=order)
+        if zero:
+            out.fill(0.0)
+        return out
+
+
+def _imu_jacobians(tab: _ImuTable, values: GraphValues, res: _ImuResiduals,
+                   ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened Jacobians of IMU factors at the values res was evaluated
+    at, by the 9 + 6 blocks of sqrt_info: S9 J9 (m, 9, 24), written into
+    ws, over [keyframe i | theta, p, v of j], and the bias diagonal s6
+    (m, 6), whose -s6 on b_i and s6 on b_j are the bias residual's rows."""
+    m, dt = len(tab.i), tab.dt_total
     rot_i, rot_j = values.rot[tab.i], values.rot[tab.j]
     rot_it = rot_i.transpose(0, 2, 1)
     jr_inv = geo.right_jacobian_inv_batch(res.r_rot)
-    jac = np.zeros((m, 15, 2 * KF_DIM))
+    jac = ws.array("imu_raw", (m, _MOTION, _IMU_COLS), zero=True)
     ji, jj = jac[:, :, :KF_DIM], jac[:, :, KF_DIM:]
     ji[:, 0:3, 0:3] = -jr_inv @ (rot_j.transpose(0, 2, 1) @ rot_i)
     ji[:, 3:6, 0:3] = geo.skew_batch(res.pos_arg)
@@ -373,7 +397,6 @@ def _imu_jacobians(tab: _ImuTable, values: GraphValues,
     ji[:, 3:6, 6:9] = -dt[:, None, None] * rot_it
     ji[:, 6:9, 0:3] = geo.skew_batch(res.vel_arg)
     ji[:, 6:9, 6:9] = -rot_it
-    ji[:, 9:15, 9:15] = -np.eye(6)
     # First-order bias corrections make the motion residuals depend on the
     # bias at keyframe i.
     ji[:, 0:3, 9:12] = -(jr_inv @ res.err_rot.transpose(0, 2, 1)
@@ -385,8 +408,9 @@ def _imu_jacobians(tab: _ImuTable, values: GraphValues,
     jj[:, 0:3, 0:3] = jr_inv
     jj[:, 3:6, 3:6] = rot_it
     jj[:, 6:9, 6:9] = rot_it
-    jj[:, 9:15, 9:15] = np.eye(6)
-    return tab.sqrt_info @ jac
+    s9 = tab.sqrt_info[:, :_MOTION, :_MOTION]
+    return (np.matmul(s9, jac, out=ws.array("imu_jac", jac.shape)),
+            np.diagonal(tab.sqrt_info[:, _MOTION:, _MOTION:], axis1=1, axis2=2))
 
 
 # Upper half-bandwidth of the keyframe block of H. An IMU factor couples
@@ -412,9 +436,10 @@ def _band_source() -> np.ndarray:
 _BAND_SOURCE = _band_source()
 
 
-def _band(rows: np.ndarray) -> np.ndarray:
-    """Band storage of H from assembly's keyframe rows [H_kk | H_k-1,k | 0]."""
-    return rows.take(_BAND_SOURCE, axis=1).reshape(-1, BAND_U + 1).T
+def _band(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Band storage of H from assembly's keyframe rows [H_kk | H_k-1,k | 0],
+    gathered into out ((n_kf, (BAND_U + 1) KF_DIM)) if given."""
+    return rows.take(_BAND_SOURCE, axis=1, out=out, mode="clip").reshape(-1, BAND_U + 1).T
 
 
 @dataclass
@@ -425,11 +450,11 @@ class NormalEquations:
     block-tridiagonal keyframe block of H is kept in LAPACK upper band
     storage, band[BAND_U + a - b, b] = H[a, b] for b - BAND_U <= a <= b,
     in Fortran order (LAPACK's own, so no factorization copies it); the
-    keyframe-station coupling and the station block are dense. The upper
-    half-bandwidth BAND_U is KF_DIM + 8 = 23: the IMU information is
-    block-diagonal and only the bias residual depends on keyframe j's
-    bias, so the motion rows of keyframe k never meet the bias columns of
-    k + 1, and the band holds every nonzero of the block.
+    keyframe-station coupling and the station block are dense. As the IMU
+    whitening is block-diagonal, motion 9 and bias random walk 6, the band
+    holds every nonzero of the block (see BAND_U). band, coupling and grad
+    are arrays of `workspace`, valid until the next assembly into it;
+    `_solve_damped` never writes them.
     """
 
     band: np.ndarray        # (BAND_U + 1, 15 n_kf)
@@ -437,6 +462,7 @@ class NormalEquations:
     stations: np.ndarray    # (3 n_st, 3 n_st)
     grad: np.ndarray        # (15 n_kf + 3 n_st,)
     cost: float
+    workspace: _Workspace
 
     def diagonal(self) -> np.ndarray:
         return np.concatenate([self.band[-1], np.diag(self.stations)])
@@ -470,23 +496,25 @@ def _evaluate(tables: FactorTables, values: GraphValues) -> _Evaluation:
 
 def _build_normal_equations(tables: FactorTables, values: GraphValues,
                             first_kf: int, n_kf: int, n_st: int,
-                            evaluation: Optional[_Evaluation] = None
+                            evaluation: Optional[_Evaluation] = None,
+                            workspace: Optional[_Workspace] = None
                             ) -> NormalEquations:
     """Assemble H and g of the factors on keyframes [first_kf, first_kf +
     n_kf) in arrow form, with all n_st stations as variables or, for n_st =
-    0, held fixed. The Jacobians are added to `evaluation`, the residuals
-    of tables at values, which is evaluated here when not given. The
-    keyframe block is summed 15 x 15 block by block and gathered into band
-    storage once; range and prior terms are summed per keyframe, station
-    and keyframe-station pair. Raises ValueError unless the IMU factors
-    chain keyframes i, i + 1, ... in order, as the band does.
+    0, held fixed, into workspace (default: a fresh one). The Jacobians
+    are added to `evaluation`, the residuals of tables at values, which is
+    evaluated here when not given. Range and prior terms are summed per
+    keyframe, station and keyframe-station pair. Raises ValueError unless
+    the IMU factors chain keyframes i, i + 1, ... in order, as the band
+    does.
     """
+    ws = workspace or _Workspace()
     nk, ns = KF_DIM * n_kf, 3 * n_st
-    rows = np.zeros((n_kf, 2 * _BLOCK + 1))       # see _band
+    rows = ws.array("rows", (n_kf, 2 * _BLOCK + 1), zero=True)    # see _band
     diag, above = rows[:, :-1].reshape(n_kf, 2, KF_DIM, KF_DIM).transpose(1, 0, 2, 3)
-    grad = np.zeros(nk + ns)
+    grad = ws.array("grad", (nk + ns,), zero=True)
     grad_k, grad_s = grad[:nk].reshape(n_kf, KF_DIM), grad[nk:].reshape(n_st, 3)
-    coupling = np.zeros((nk, ns))
+    coupling = ws.array("coupling", (nk, ns), zero=True)
     st_blocks = np.zeros((n_st, 3, 3))
     p = slice(_OFF_P, _OFF_P + 3)
 
@@ -494,23 +522,34 @@ def _build_normal_equations(tables: FactorTables, values: GraphValues,
     # Empty tables are skipped: marginalizations often have no ranges.
     imu = tables.imu
     if len(imu):
-        bad = np.flatnonzero((imu.i != imu.i[0] + np.arange(len(imu)))
+        m = len(imu)
+        bad = np.flatnonzero((imu.i != imu.i[0] + np.arange(m))
                              | (imu.j != imu.i + 1))
         if len(bad):
             raise ValueError(f"IMU factor {bad[0]} links keyframes {imu.i[bad[0]]} and "
                              f"{imu.j[bad[0]]}; the banded solver needs a chain i, i + 1, ...")
-        r_w, jac = ev.imu.r_w, _imu_jacobians(imu, values, ev.imu)
+        jac, s6 = _imu_jacobians(imu, values, ev.imu, ws)
         # Stacked products are fastest with a contiguous left operand.
-        jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+        jac_t = ws.array("imu_jac_t", (m, _IMU_COLS, _MOTION))
+        np.copyto(jac_t, jac.transpose(0, 2, 1))
+        gram = np.matmul(jac_t, jac, out=ws.array("imu_gram", (m, _IMU_COLS, _IMU_COLS)))
+        g = np.matmul(jac_t, ev.imu.r_w[:, :_MOTION, None],
+                      out=ws.array("imu_g", (m, _IMU_COLS, 1)))[:, :, 0]
         lo = imu.i[0] - first_kf
-        ki, kj = slice(lo, lo + len(imu)), slice(lo + 1, lo + 1 + len(imu))
-        # The first terms of their blocks: set, not added.
-        diag[ki] = jac_t[:, :KF_DIM] @ jac[:, :, :KF_DIM]
-        above[kj] = jac_t[:, :KF_DIM] @ jac[:, :, KF_DIM:]
-        diag[kj] += jac_t[:, KF_DIM:] @ jac[:, :, KF_DIM:]
-        g = (jac_t @ r_w[:, :, None])[:, :, 0]
+        ki, kj = slice(lo, lo + m), slice(lo + 1, lo + 1 + m)
+        diag[ki] = gram[:, :KF_DIM, :KF_DIM]
+        above[kj, :, :_MOTION] = gram[:, :KF_DIM, KF_DIM:]
+        diag[kj, :_MOTION, :_MOTION] += gram[:, KF_DIM:, KF_DIM:]
         grad_k[ki] = g[:, :KF_DIM]
-        grad_k[kj] += g[:, KF_DIM:]
+        grad_k[kj, :_MOTION] += g[:, KF_DIM:]
+        # The bias rows -s6 on b_i and s6 on b_j.
+        b = np.arange(_OFF_B, KF_DIM)
+        info, r_b = s6 * s6, s6 * ev.imu.r_w[:, _OFF_B:]
+        diag[ki, b, b] += info
+        diag[kj, b, b] += info
+        above[kj, b, b] = -info
+        grad_k[ki, _OFF_B:] -= r_b
+        grad_k[kj, _OFF_B:] += r_b
 
     pt = tables.priors
     if len(pt):
@@ -546,8 +585,9 @@ def _build_normal_equations(tables: FactorTables, values: GraphValues,
 
     stations = np.zeros((n_st, 3, n_st, 3))
     stations[np.arange(n_st), :, np.arange(n_st)] = st_blocks
-    return NormalEquations(_band(rows), coupling, stations.reshape(ns, ns),
-                           grad, ev.cost)
+    band = _band(rows, ws.array("band", (n_kf, (BAND_U + 1) * KF_DIM)))
+    return NormalEquations(band, coupling, stations.reshape(ns, ns), grad,
+                           ev.cost, ws)
 
 
 def _sum_squares(*residuals: np.ndarray) -> float:
@@ -576,21 +616,22 @@ def _solve_damped(neq: NormalEquations, damping: np.ndarray) -> np.ndarray:
     W = U^-T [-g_k | B] = [z | W_B] gives the station Schur complement
     S = C - W_B^T W_B = C - B^T A^-1 B. Cholesky of S yields the station
     step y, and a second triangular solve the keyframe step
-    x = U^-1 (z - W_B y). Raises LinAlgError when A or S is not positive
-    definite.
+    x = U^-1 (z - W_B y), in place in neq's workspace but never in neq.
+    Raises LinAlgError when A or S is not positive definite.
     """
     nk, ns = neq.coupling.shape
-    band = neq.band.copy(order="F")
+    band = neq.workspace.array("damped", neq.band.shape, order="F")
+    np.copyto(band, neq.band)
     band[-1] += damping[:nk]
     factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
                                           check_finite=False)
-    rhs = np.empty((nk, 1 + ns), order="F")
-    rhs[:, 0] = -neq.grad[:nk]
+    rhs = neq.workspace.array("rhs", (nk, 1 + ns), order="F")
+    np.negative(neq.grad[:nk], out=rhs[:, 0])
     rhs[:, 1:] = neq.coupling
     w = _band_solve(factor, rhs, "T")
     z, w_b = w[:, 0], w[:, 1:]
     if not ns:
-        return _band_solve(factor, z[:, None], "N")[:, 0]
+        return _band_solve(factor, z[:, None], "N")[:, 0].copy()
     schur = neq.stations - w_b.T @ w_b
     schur[np.diag_indices_from(schur)] += damping[nk:]
     y = scipy.linalg.cho_solve(
@@ -614,10 +655,11 @@ def _retract(values: GraphValues, delta: np.ndarray, first_kf: int,
 
 
 def optimize(graph: FactorGraph, initial_values: GraphValues,
-             options: Optional[PgoOptions] = None,
-             first_kf: int = 0) -> tuple[GraphValues, OptimizeReport]:
+             options: Optional[PgoOptions] = None, first_kf: int = 0,
+             workspace: Optional[_Workspace] = None
+             ) -> tuple[GraphValues, OptimizeReport]:
     """Damped nonlinear least squares over keyframes [first_kf, N), with
-    the solver settings of options (default: the [pgo] defaults).
+    options' solver settings (default: [pgo]'s), in workspace (or a new one).
 
     Accepted steps never increase the cost; the damping parameter grows on
     rejected steps and shrinks on accepted ones. Each candidate's residuals
@@ -626,6 +668,7 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
     first evaluation.
     """
     opts = options if options is not None else PgoOptions()
+    ws = workspace or _Workspace()
     n_kf = initial_values.n_keyframes - first_kf
     n_st = initial_values.stations.shape[0]
     tables = graph.tables.from_keyframe(first_kf)
@@ -642,7 +685,7 @@ def optimize(graph: FactorGraph, initial_values: GraphValues,
     for it in range(1, opts.max_iters + 1):
         iterations = it
         neq = _build_normal_equations(tables, values, first_kf, n_kf, n_st,
-                                      evaluation)
+                                      evaluation, workspace=ws)
         damp = np.maximum(neq.diagonal(), 1e-8)
         accepted = False
         solver_failed = True
@@ -767,23 +810,28 @@ def _setup(imu: ImuArrays, toa: ToaArrays, config: PgoConfig
     return keyframes, values, tables
 
 
+_CHUNK = 512    # intervals per preintegration call (it holds ~0.9 KB a sample)
+
+
 def _put_imu_rows(imu: ImuArrays, times: np.ndarray, tab: _ImuTable, rows,
-                  bias: np.ndarray, noise: ImuNoiseParams) -> PreintegratedBatch:
+                  bias: np.ndarray, noise: ImuNoiseParams) -> None:
     """Build the IMU factors of rows (a slice or an index array) of tab from
     the samples between the stamps times[i] and times[j] of each row's
     keyframes: slice, preintegrate at bias ((6,) shared, or one row per
-    factor) and whiten them in one call each, and write the rows. Returns
-    the batch."""
-    i, j = tab.i[rows], tab.j[rows]
-    omega, accel, dt, counts = pre_mod.slice_imu_between(imu, times[i], times[j])
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        k = empty[0]
-        raise EmptyInput(f"no IMU samples between keyframes {i[k]} and {j[k]}")
-    batch = pre_mod.integrate_batch(omega, accel, dt, bias[..., 0:3],
-                                    bias[..., 3:6], noise, counts)
-    tab.put(rows, batch, _imu_sqrt_info(batch))
-    return batch
+    factor) and whiten them, _CHUNK per call, and write the rows."""
+    rows = np.arange(len(tab))[rows]
+    bias = np.broadcast_to(bias, (len(rows), 6))
+    for lo in range(0, len(rows), _CHUNK):
+        part, part_bias = rows[lo:lo + _CHUNK], bias[lo:lo + _CHUNK]
+        i, j = tab.i[part], tab.j[part]
+        omega, accel, dt, counts = pre_mod.slice_imu_between(imu, times[i], times[j])
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            k = empty[0]
+            raise EmptyInput(f"no IMU samples between keyframes {i[k]} and {j[k]}")
+        batch = pre_mod.integrate_batch(omega, accel, dt, part_bias[:, 0:3],
+                                        part_bias[:, 3:6], noise, counts)
+        tab.put(part, batch, _imu_sqrt_info(batch))
 
 
 def _stamps(keyframes: Sequence[KeyframeId]) -> np.ndarray:
@@ -794,13 +842,13 @@ def _stamps(keyframes: Sequence[KeyframeId]) -> np.ndarray:
 def build_graph(imu: ImuArrays, toa: ToaArrays,
                 config: PgoConfig) -> tuple[FactorGraph, GraphValues]:
     """Construct the full factor graph and dead-reckoned initial values.
-    All intervals are sliced, preintegrated at the initial bias, whitened
-    and dead-reckoned in one batched call each."""
+    The intervals are preintegrated at the initial bias and whitened in
+    batched calls, then dead-reckoned from the table rows in one call."""
     keyframes, values, tables = _setup(imu, toa, config)
-    batch = _put_imu_rows(imu, _stamps(keyframes), tables.imu,
-                          slice(0, len(tables.imu)), values.bias[0], config.noise)
+    _put_imu_rows(imu, _stamps(keyframes), tables.imu,
+                  slice(0, len(tables.imu)), values.bias[0], config.noise)
     values.rot[:], values.pos[:], values.vel[:] = pre_mod.predict(
-        batch, values.rot[0], values.pos[0], values.vel[0], GRAVITY)
+        tables.imu, values.rot[0], values.pos[0], values.vel[0], GRAVITY)
     return FactorGraph(keyframes, tables), values
 
 
@@ -911,13 +959,14 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
     marginal_fallbacks = 0
     first_kf = 0
     prior = tables.priors       # the state prior on keyframe first_kf
+    workspace = _Workspace()    # for every window solve; grows with the window
 
     for j in range(1, n):
-        batch = _put_imu_rows(imu, times, tables.imu, slice(j - 1, j),
-                              values.bias[j - 1], config.noise)
-        rot, pos, vel = pre_mod.predict(batch, values.rot[j - 1],
-                                        values.pos[j - 1], values.vel[j - 1],
-                                        GRAVITY)
+        _put_imu_rows(imu, times, tables.imu, slice(j - 1, j),
+                      values.bias[j - 1], config.noise)
+        rot, pos, vel = pre_mod.predict(tables.imu.rows(slice(j - 1, j)),
+                                        values.rot[j - 1], values.pos[j - 1],
+                                        values.vel[j - 1], GRAVITY)
         values.rot[j], values.pos[j], values.vel[j] = rot[1], pos[1], vel[1]
         values.bias[j] = values.bias[j - 1]
 
@@ -950,7 +999,7 @@ def run_sliding_window(imu: ImuArrays, toa: ToaArrays,
         # Solve over keyframes [first_kf, j] only: later keyframes carry no
         # factors yet and keep their values.
         solved, _ = optimize(win_graph, values.head(j + 1), stream_opts,
-                             first_kf)
+                             first_kf, workspace=workspace)
         values.rot[:j + 1], values.pos[:j + 1] = solved.rot, solved.pos
         values.vel[:j + 1], values.bias[:j + 1] = solved.vel, solved.bias
         values.stations = solved.stations

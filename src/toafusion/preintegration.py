@@ -185,11 +185,12 @@ def integrate_batch(omega: np.ndarray, accel: np.ndarray, dts: np.ndarray,
 
 
 # perfbench/tracing.py wraps `predict` by name.
-def predict(batch: PreintegratedBatch, rot_0: np.ndarray, p_0: np.ndarray,
+def predict(batch, rot_0: np.ndarray, p_0: np.ndarray,
             v_0: np.ndarray, gravity: np.ndarray = GRAVITY
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dead-reckon keyframes 1..m from keyframe 0 through the m consecutive
-    intervals of batch: (m + 1, ...) rotations, positions and velocities.
+    intervals of batch (a PreintegratedBatch, or rows of `pgo`'s IMU
+    table): (m + 1, ...) rotations, positions and velocities.
     Through interval k, R_k+1 = R_k dR, v_k+1 = v_k + g dt + R_k dv and
     p_k+1 = p_k + v_k dt + g dt^2 / 2 + R_k dp, summed in that order.
     Rotations chain by 3 x 3 products; velocities and positions are

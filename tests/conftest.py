@@ -172,7 +172,6 @@ def imu_table(batch, sqrt_info, i=None):
             tab.i[k], tab.j[k] = i[k], i[k] + 1
         for name in pgo._PRE_ROW_FIELDS:
             getattr(tab, name)[k] = getattr(batch, name)[k]
-        tab.dt[k] = batch.dt_total[k]
         tab.sqrt_info[k] = sqrt_info[k]
         tab.bias_lin[k, 0:3], tab.bias_lin[k, 3:6] = batch.bias_gyro[k], batch.bias_accel[k]
     return tab

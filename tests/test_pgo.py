@@ -56,6 +56,19 @@ def make_tables(imu=None, ranges=(), priors=(), stations=()):
                                1.0 / col(stations, 2)))
 
 
+def whitened_imu_jacobian(jac, s6):
+    """The (m, 15, 30) whitened IMU Jacobians over [keyframe i, keyframe j]
+    scattered from the kernel's structured ones: the 9 x 24 motion block
+    over [keyframe i | theta, p, v of j], then the bias rows, -s6 on b_i
+    and s6 on b_j."""
+    full = np.zeros((len(s6), pgo.KF_DIM, 2 * pgo.KF_DIM))
+    full[:, :9, :pgo.KF_DIM + 9] = jac
+    b = np.arange(9, pgo.KF_DIM)
+    full[:, b, b] = -s6
+    full[:, b, pgo.KF_DIM + b] = s6
+    return full
+
+
 def dense_jacobian(tables, values, first_kf=0):
     """Dense whitened J and r of the factors in tables on keyframes
     [first_kf, N) and every station, scattered from the kernels' own
@@ -77,7 +90,9 @@ def dense_jacobian(tables, values, first_kf=0):
 
     ev = pgo._evaluate(tables, values)
     imu = tables.imu
-    r_w, jac = ev.imu.r_w, pgo._imu_jacobians(imu, values, ev.imu)
+    r_w = ev.imu.r_w
+    jac = whitened_imu_jacobian(*pgo._imu_jacobians(imu, values, ev.imu,
+                                                    pgo._Workspace()))
     for k in range(len(imu)):
         if imu.i[k] >= first_kf:
             add(r_w[k], [(kf_col(imu.i[k]), jac[k][:, :15]),
@@ -167,6 +182,13 @@ def random_imu_rows(rng, bias, noise=ImuNoiseParams()):
                    accel.reshape(-1, 3))
     times = np.arange(m + 1) * 100_000_000
     return imu, times, imu_table(batch, pgo._imu_sqrt_info(batch))
+
+
+def snapshot(neq):
+    """A copy of neq's arrays, which later assemblies into its workspace
+    leave as they are."""
+    return dataclasses.replace(neq, band=neq.band.copy(),
+                               coupling=neq.coupling.copy(), grad=neq.grad.copy())
 
 
 def record(monkeypatch, module, name):
@@ -390,6 +412,22 @@ class TestImuDataPath:
                                 state_j):
                 assert_same_bits(got, exp)
 
+    def test_chunked_build_matches_one_call(self, rng, monkeypatch):
+        # Intervals are independent: building them a few per call gives the
+        # rows, and the values dead-reckoned from them, of one call.
+        imu = jittered_imu(rng)
+        config = imu_config()
+        want_graph, want_values = pgo.build_graph(imu, NO_RANGES, config)
+        monkeypatch.setattr(pgo, "_CHUNK", 3)
+        batches = record(monkeypatch, pre, "integrate_batch")
+        graph, values = pgo.build_graph(imu, NO_RANGES, config)
+        tab, want = graph.tables.imu, want_graph.tables.imu
+        assert len(batches) == -(-len(tab) // 3) > 1
+        for fld in dataclasses.fields(want):
+            assert_same_bits(getattr(tab, fld.name), getattr(want, fld.name))
+        for fld in ("rot", "pos", "vel", "bias"):
+            assert_same_bits(getattr(values, fld), getattr(want_values, fld))
+
     def test_sliding_factors_match_oracle_at_their_bias_point(self, rng,
                                                               monkeypatch):
         imu = jittered_imu(rng, seconds=1.5)
@@ -400,14 +438,16 @@ class TestImuDataPath:
                        for bs_id in config.range_model.ids.tolist())
         latest, moves = {}, []
         real_put = pgo._put_imu_rows
+        batches = record(monkeypatch, pre, "integrate_batch")
 
         def put_imu_rows(imu, times, tab, rows, bias, noise):
             idx = np.arange(len(tab))[rows]
             if bias.ndim == 2:          # re-integration: a bias row per factor
                 moves.extend(np.max(np.abs(tab.bias_lin[idx] - bias), axis=1))
-            batch = real_put(imu, times, tab, rows, bias, noise)
+            n = len(batches)
+            real_put(imu, times, tab, rows, bias, noise)
+            batch, = batches[n:]
             latest.update((row, (batch, k)) for k, row in enumerate(idx))
-            return batch
         monkeypatch.setattr(pgo, "_put_imu_rows", put_imu_rows)
         run = pgo.run_sliding_window(imu, toa, config)
         # Only factors whose own bias point is stale are re-integrated.
@@ -594,16 +634,24 @@ class TestOptimize:
         graph, values = pgo.build_graph(imu, toa, config)
         values.pos += 0.2 * rng.standard_normal(values.pos.shape)
         real_build = pgo._build_normal_equations
-        fresh = []
+        fresh, kept = [], []
 
-        def build_fresh(tables, values, first_kf, n_kf, n_st, evaluation=None):
-            fresh.append(real_build(tables, values, first_kf, n_kf, n_st))
-            return fresh[-1]
+        def build_fresh(tables, values, first_kf, n_kf, n_st, evaluation=None,
+                        workspace=None):
+            neq = real_build(tables, values, first_kf, n_kf, n_st,
+                             workspace=workspace)
+            fresh.append(snapshot(neq))
+            return neq
         monkeypatch.setattr(pgo, "_build_normal_equations", build_fresh)
         want_values, want = pgo.optimize(graph, values)
         monkeypatch.undo()
         evaluations = record(monkeypatch, pgo, "_imu_residuals")
-        kept = record(monkeypatch, pgo, "_build_normal_equations")
+
+        def build_kept(*args, **kwargs):
+            neq = real_build(*args, **kwargs)
+            kept.append(snapshot(neq))
+            return neq
+        monkeypatch.setattr(pgo, "_build_normal_equations", build_kept)
         got_values, got = pgo.optimize(graph, values)
 
         assert got.iterations > 1
@@ -806,17 +854,19 @@ class TestSlidingWindowTables:
         nearest = [int(np.argmin(np.abs(times - t))) for t in toa.t]
         latest, steps = {}, []
         real_put, real_optimize = pgo._put_imu_rows, pgo.optimize
+        batches = record(monkeypatch, pre, "integrate_batch")
 
         def put_imu_rows(imu, times, tab, rows, bias, noise):
-            batch = real_put(imu, times, tab, rows, bias, noise)
+            n = len(batches)
+            real_put(imu, times, tab, rows, bias, noise)
+            batch, = batches[n:]
             for k, row in enumerate(np.arange(len(tab))[rows]):
                 # Interval k of the batch, every field but the shared noise.
                 latest[row] = ({f.name: getattr(batch, f.name)[k]
                                 for f in dataclasses.fields(batch) if f.name != "noise"},
                                tab.sqrt_info[row].copy())
-            return batch
 
-        def optimize(graph, values, options=None, first_kf=0):
+        def optimize(graph, values, options=None, first_kf=0, workspace=None):
             # Restack the window's factors: IMU factors [first_kf, n - 1)
             # from the last batch row built for each, and the ranges on
             # keyframes [first_kf, n) from the measurements, by keyframe.
@@ -839,7 +889,7 @@ class TestSlidingWindowTables:
                                      getattr(getattr(want, table), fld.name))
             assert got.priors.kf.tolist() == [first_kf]
             steps.append(n)
-            return real_optimize(graph, values, options, first_kf)
+            return real_optimize(graph, values, options, first_kf, workspace)
         monkeypatch.setattr(pgo, "_put_imu_rows", put_imu_rows)
         monkeypatch.setattr(pgo, "optimize", optimize)
         run = pgo.run_sliding_window(imu, toa, config)
@@ -938,7 +988,8 @@ class TestNormalEquations:
         assert not np.any(np.triu(h[:nk, :nk], pgo.BAND_U + 1))
         assert np.any(np.diagonal(h[:nk, :nk], pgo.BAND_U))
         imu = graph.tables.imu
-        jac = pgo._imu_jacobians(imu, values, pgo._imu_residuals(imu, values))
+        jac = whitened_imu_jacobian(*pgo._imu_jacobians(
+            imu, values, pgo._imu_residuals(imu, values), pgo._Workspace()))
         gram = jac[:, :, :pgo.KF_DIM].transpose(0, 2, 1) @ jac[:, :, pgo.KF_DIM:]
         assert not np.any(gram[:, 0:9, 9:15])
         assert_rel_close(neq.band, upper_band(h[:nk, :nk], pgo.BAND_U), 1e-10)
@@ -1001,6 +1052,36 @@ class TestNormalEquations:
                 damping = lam * np.maximum(neq.diagonal(), 1e-8)
                 expected = np.linalg.solve(h + np.diag(damping), -g)
                 assert_rel_close(pgo._solve_damped(neq, damping), expected, 1e-8)
+
+    def test_reused_workspace_matches_fresh_ones(self, rng):
+        # Problems of 5, 3 and again 5 keyframes through one workspace: the
+        # second is assembled and solved in buffers larger than it, the
+        # third in buffers holding the second's leftovers.
+        ws = pgo._Workspace()
+        for n_kf, n_st in ((5, 2), (3, 0), (5, 2)):
+            graph, values = oracle_graph(rng, n_kf, n_st)
+            args = (graph.tables, values, 0, n_kf, n_st)
+            got = pgo._build_normal_equations(*args, workspace=ws)
+            want = pgo._build_normal_equations(*args)
+            assert got.workspace is ws and want.workspace is not ws
+            for fld in ("band", "coupling", "stations", "grad"):
+                assert_same_bits(getattr(got, fld), getattr(want, fld))
+            assert got.cost == want.cost
+            damping = 1e-3 * np.maximum(want.diagonal(), 1e-8)
+            assert_same_bits(pgo._solve_damped(got, damping),
+                             pgo._solve_damped(want, damping))
+
+    def test_damped_solves_leave_the_normal_equations(self, rng):
+        graph, values = oracle_graph(rng)
+        n_kf, n_st = values.n_keyframes, values.stations.shape[0]
+        neq = pgo._build_normal_equations(graph.tables, values, 0, n_kf, n_st)
+        before = snapshot(neq)
+        diagonal = np.maximum(neq.diagonal(), 1e-8)
+        small, large = (pgo._solve_damped(neq, lam * diagonal) for lam in (1e-3, 1.0))
+        for fld in ("band", "coupling", "grad"):
+            assert_same_bits(getattr(neq, fld), getattr(before, fld))
+        assert not np.array_equal(small, large)
+        assert_same_bits(large, pgo._solve_damped(before, diagonal))
 
     @pytest.mark.parametrize("first_kf", [0, 1])
     def test_initial_cost_is_the_window_cost(self, rng, first_kf):
@@ -1175,6 +1256,17 @@ class TestWhitening:
             assert np.max(np.abs(pgo._sqrt_info(cov) - want)) <= tol
             assert not np.any(np.triu(s, 1))
 
+    def test_imu_whitening_is_exactly_block_diagonal(self, rng):
+        # Assembly reads only the 9 x 9 motion block and the bias diagonal.
+        batch = pre.integrate_batch(
+            rng.uniform(-1, 1, (6, 20, 3)), rng.uniform(-5, 5, (6, 20, 3)),
+            np.full((6, 20), 0.005), np.zeros(3), np.zeros(3), ImuNoiseParams())
+        s = pgo._imu_sqrt_info(batch)
+        off_diagonal = ~np.eye(6, dtype=bool)
+        assert np.all(s[:, :9, 9:] == 0.0) and np.all(s[:, 9:, :9] == 0.0)
+        assert np.all(s[:, 9:, 9:][:, off_diagonal] == 0.0)
+        assert np.all(np.diagonal(s[:, 9:, 9:], axis1=1, axis2=2) > 0.0)
+
     def test_one_indefinite_matrix_fails_the_stack(self, rng):
         a = rng.standard_normal((5, 6, 6))
         covs = a @ a.swapaxes(1, 2) + np.eye(6)
@@ -1191,9 +1283,9 @@ class TestWindowSolveSize:
         spans = []
         real = pgo.optimize
 
-        def optimize(graph, values, options=None, first_kf=0):
+        def optimize(graph, values, options=None, first_kf=0, workspace=None):
             spans.append(values.n_keyframes - first_kf)
-            return real(graph, values, options, first_kf)
+            return real(graph, values, options, first_kf, workspace)
         monkeypatch.setattr(pgo, "optimize", optimize)
         run = pgo.run_sliding_window(imu, toa, config)
         assert len(spans) == len(run.streamed) - 1

@@ -11,7 +11,8 @@ invocations, one per side, with the same interpreter and arguments; the
 side that runs first alternates from pair to pair.
 
 Writes one JSON file (by default ``BENCH_<yyyymmdd>.json`` at the root of
-the repository) with every invocation's end-to-end metrics and, per
+the repository) with every invocation's end-to-end metrics and its minor
+page faults (the child's ``ru_minflt``, set-up and imports included) and, per
 workload, seed and metric: each side's median and quartiles, the change's
 wins and losses over the pairs (ties count for neither), the ratio of the
 medians, whether the change's median stays within the metric's bound from
@@ -31,6 +32,7 @@ import io
 import json
 import os
 import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -42,6 +44,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+FAULTS = "minor_faults_setup_included"
 
 
 def git(*args: str) -> bytes:
@@ -66,18 +69,22 @@ def copy_worktree(dest: Path) -> None:
 
 
 def invoke(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench invocation; its last output line, parsed."""
+    """One untraced perfbench invocation: its last output line, parsed, and
+    the minor page faults of the whole child process."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "metrics": {},
+        return {"correct": False, "metrics": {}, FAULTS: faults,
                 "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            FAULTS: faults}
 
 
 def side_stats(values: list) -> dict:
@@ -163,8 +170,11 @@ def main(argv=None) -> int:
                         flush=True)
                 metrics = {name: compare(name, spec, runs)
                            for name, spec in specs.items()}
+                faults = {side: side_stats([r[side][FAULTS] for r in runs])
+                          for side in SIDES}
                 record["results"].append({"workload": workload, "seed": seed,
-                                          "metrics": metrics, "runs": runs})
+                                          "metrics": metrics, FAULTS: faults,
+                                          "runs": runs})
                 for name, m in metrics.items():
                     if m["pairs"]:
                         print(f"  {name:12s} parent {m['parent']['median']:10.4f} "
@@ -173,6 +183,8 @@ def main(argv=None) -> int:
                               f"wins {m['wins']}/{m['pairs']} gain {m['gain']} "
                               f"within bound {m['within_bound']} "
                               f"unresolved {m['unresolved']}", flush=True)
+                print(f"  {FAULTS} parent {faults['parent']['median']:.0f} "
+                      f"change {faults['change']['median']:.0f}", flush=True)
     out_path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out_path}")
     return 0 if ok else 1
